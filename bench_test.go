@@ -134,42 +134,32 @@ func BenchmarkPrototypeRun(b *testing.B) {
 // top-level func converts to a func value without heap allocation.
 func nopEvent() {}
 
-// TestPooledHotPathZeroAllocs pins the scheduler's allocation-free
-// hot-path contract on both queue backends: once the queue, slot table
-// and (for the calendar) bucket ring are warm, a steady
-// schedule/cancel/drain cycle must not allocate at all. This is the
-// property the pooled per-run allocators build on — if the event core
-// regains a per-event allocation, every large sweep pays it millions
-// of times.
-func TestPooledHotPathZeroAllocs(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		sched *sim.Scheduler
-	}{
-		{"heap", sim.NewScheduler(1)},
-		{"calendar", sim.NewSchedulerPolicy(1, sim.QueueCalendar)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			s := tc.sched
-			// Warm the backing arrays far past what the measured loop
-			// needs: queue/buckets, slot table and free list all reach
-			// steady-state capacity here.
-			for i := 0; i < 10000; i++ {
-				s.After(time.Duration(i%997)*time.Microsecond, nopEvent)
+// TestSchedulerHotPathZeroAllocs pins the scheduler's allocation-free
+// hot-path contract: once the heap, slot table and free list are warm,
+// a steady schedule/cancel/drain cycle must not allocate at all. If the
+// event core regains a per-event allocation, every large sweep pays it
+// millions of times.
+func TestSchedulerHotPathZeroAllocs(t *testing.T) {
+	t.Run("heap", func(t *testing.T) {
+		s := sim.NewScheduler(1)
+		// Warm the backing arrays far past what the measured loop needs:
+		// heap, slot table and free list all reach steady-state capacity
+		// here.
+		for i := 0; i < 10000; i++ {
+			s.After(time.Duration(i%997)*time.Microsecond, nopEvent)
+		}
+		s.Run()
+		avg := testing.AllocsPerRun(1000, func() {
+			for i := 0; i < 8; i++ {
+				id := s.After(time.Duration(1+i%5)*time.Microsecond, nopEvent)
+				if i%3 == 0 {
+					s.Cancel(id)
+				}
 			}
 			s.Run()
-			avg := testing.AllocsPerRun(1000, func() {
-				for i := 0; i < 8; i++ {
-					id := s.After(time.Duration(1+i%5)*time.Microsecond, nopEvent)
-					if i%3 == 0 {
-						s.Cancel(id)
-					}
-				}
-				s.Run()
-			})
-			if avg != 0 {
-				t.Errorf("warm schedule/cancel/drain cycle allocates %.2f times per run, want 0", avg)
-			}
 		})
-	}
+		if avg != 0 {
+			t.Errorf("warm schedule/cancel/drain cycle allocates %.2f times per run, want 0", avg)
+		}
+	})
 }

@@ -35,8 +35,8 @@ type ScalingPoint struct {
 	// EventsPerSec is Events divided by the run wall time.
 	EventsPerSec float64 `json:"events_per_sec"`
 	// AllocBytesPerNode is total heap allocation across build and run
-	// divided by Nodes — the figure the pooled per-run allocators are
-	// meant to hold flat as N grows.
+	// divided by Nodes — the figure that should stay flat as N grows
+	// (an O(N^2) structure shows up here first).
 	AllocBytesPerNode float64 `json:"alloc_bytes_per_node"`
 }
 

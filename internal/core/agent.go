@@ -168,16 +168,9 @@ func NewAgent(
 		wifiRoute: wifiRoute,
 		addr:      addr,
 		onDeliver: onDeliver,
-	}
-	if pool := cfg.Pool; pool != nil {
-		a.buffers = pool.getBuffers()
-		a.recv = pool.getRecv()
-		a.lastDone = pool.getLastDone()
-		pool.agents = append(pool.agents, a)
-	} else {
-		a.buffers = make(map[int]*hopQueue)
-		a.recv = make(map[int]*recvSession)
-		a.lastDone = make(map[int]uint64)
+		buffers:   make(map[int]*hopQueue),
+		recv:      make(map[int]*recvSession),
+		lastDone:  make(map[int]uint64),
 	}
 	a.ackTimer.Init(sched, a.onAckTimeout)
 	a.retryTimer.Init(sched, a.maybeStart)
@@ -224,11 +217,7 @@ func (a *Agent) Buffer(p Packet) {
 	}
 	q := a.buffers[nh]
 	if q == nil {
-		if a.cfg.Pool != nil {
-			q = a.cfg.Pool.getHopQueue()
-		} else {
-			q = &hopQueue{}
-		}
+		q = &hopQueue{}
 		a.buffers[nh] = q
 	}
 	q.pkts = append(q.pkts, p)

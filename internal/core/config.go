@@ -72,11 +72,6 @@ type Config struct {
 	// that would exceed this age waiting for the threshold are sent
 	// immediately over the low-power radio instead. Zero disables.
 	DelayBound time.Duration
-
-	// Pool, when non-nil, supplies the per-run allocator the agent draws
-	// hop queues and bookkeeping maps from; the caller recycles them all
-	// with Pool.Reset once the run is over. Nil means plain allocation.
-	Pool *Pool
 }
 
 // DefaultConfig returns the evaluation defaults of Section 4.1 for a

@@ -178,14 +178,6 @@ type MAC struct {
 // New binds a MAC to a transceiver. The transceiver's receive and
 // tx-done callbacks are taken over by the MAC.
 func New(params Params, sched *sim.Scheduler, xcvr *radio.Transceiver) (*MAC, error) {
-	return NewPooled(params, sched, xcvr, nil)
-}
-
-// NewPooled is New drawing the MAC struct, queue arrays and bookkeeping
-// maps from a per-run pool (nil pool falls back to plain allocation).
-// The MAC behaves identically either way; the pool only changes where
-// the memory comes from and lets Pool.Reset recycle it between runs.
-func NewPooled(params Params, sched *sim.Scheduler, xcvr *radio.Transceiver, pool *Pool) (*MAC, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
@@ -194,24 +186,14 @@ func NewPooled(params Params, sched *sim.Scheduler, xcvr *radio.Transceiver, poo
 			xcvr.Channel().Airtime(params.AckSize) +
 			2*params.SlotTime
 	}
-	var m *MAC
-	if pool != nil {
-		m = pool.macs.Get()
-		m.queue = pool.getQueue()
-		m.ackQueue = pool.getQueue()
-		m.lastSeq = pool.getSeqMap()
-		m.stats = Stats{Drops: pool.getDropsMap()}
-		pool.inUse = append(pool.inUse, m)
-	} else {
-		m = &MAC{
-			lastSeq: make(map[radio.NodeID]uint64),
-			stats:   Stats{Drops: make(map[DropReason]uint64)},
-		}
+	m := &MAC{
+		params:  params,
+		sched:   sched,
+		xcvr:    xcvr,
+		cw:      params.CWMin,
+		lastSeq: make(map[radio.NodeID]uint64),
+		stats:   Stats{Drops: make(map[DropReason]uint64)},
 	}
-	m.params = params
-	m.sched = sched
-	m.xcvr = xcvr
-	m.cw = params.CWMin
 	m.ackTimer.Init(sched, m.onAckTimeout)
 	m.pendingSense.Init(sched, m.senseAndTransmit)
 	m.fireAckFn = m.fireAck

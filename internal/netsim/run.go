@@ -106,38 +106,10 @@ func RunScenario(s *Scenario) (Result, error) {
 	return runInstrumented(s, nil)
 }
 
-// runArena bundles the per-run allocation pools of one simulation: the
-// radio, MAC and agent layers all draw their per-node objects from it,
-// and the whole set is recycled through a sync.Pool between runs so
-// concurrent sweep workers stop churning the garbage collector.
-type runArena struct {
-	// radio, mac and core are the layer pools threaded into the model
-	// builders for one run at a time.
-	radio radio.Pool
-	mac   mac.Pool
-	core  core.Pool
-}
-
-// arenaPool recycles runArenas across runs. Each checked-out arena is
-// owned by exactly one run at a time (the engine is single-threaded
-// within a run), so the layer pools need no locking.
-var arenaPool = sync.Pool{New: func() any { return new(runArena) }}
-
 // runInstrumented executes a scenario with an optional per-node wifi
 // meter probe.
 func runInstrumented(s *Scenario, probe func(i int, wifi *energy.Meter, on bool)) (Result, error) {
-	arena := arenaPool.Get().(*runArena)
-	// Reset after the result is assembled (deferred calls run after the
-	// return value is computed): everything collected into the Result is
-	// a copy, and energy meters — which RunDebug probes hand out past
-	// the run — are individually heap-allocated, never pooled.
-	defer func() {
-		arena.core.Reset()
-		arena.mac.Reset()
-		arena.radio.Reset()
-		arenaPool.Put(arena)
-	}()
-	sched := sim.NewSchedulerPolicy(s.seed, s.queuePolicy)
+	sched := sim.NewScheduler(s.seed)
 	recorder := workload.NewRecorder(sched)
 	var tr *trace.Collector
 	if s.traceOn {
@@ -154,11 +126,11 @@ func runInstrumented(s *Scenario, probe func(i int, wifi *energy.Meter, on bool)
 
 	switch s.model {
 	case ModelSensor:
-		sensorM, emit, err = buildSensorModel(s, sched, recorder, tr, arena)
+		sensorM, emit, err = buildSensorModel(s, sched, recorder, tr)
 	case ModelWifi:
-		wifiM, emit, err = buildWifiModel(s, sched, recorder, tr, arena)
+		wifiM, emit, err = buildWifiModel(s, sched, recorder, tr)
 	case ModelDual:
-		sensorM, wifiM, agents, emit, err = buildDualModel(s, sched, recorder, tr, arena)
+		sensorM, wifiM, agents, emit, err = buildDualModel(s, sched, recorder, tr)
 	default:
 		err = fmt.Errorf("netsim: unhandled model %v", s.model)
 	}
@@ -347,7 +319,6 @@ func buildSensorModel(
 	sched *sim.Scheduler,
 	recorder *workload.Recorder,
 	tr *trace.Collector,
-	arena *runArena,
 ) ([]*mac.MAC, []func(core.Packet), error) {
 	layout, sink := s.layout, s.sinkID
 	nodes := layout.Len()
@@ -357,8 +328,6 @@ func buildSensorModel(
 		LossProb:   s.links.SensorLoss,
 		LossAt:     s.links.SensorLossAt,
 		HeaderSize: params.SensorHeader,
-		EagerIndex: s.denseIndex,
-		Pool:       &arena.radio,
 	}, layout)
 	if err != nil {
 		return nil, nil, err
@@ -375,7 +344,7 @@ func buildSensorModel(
 			return nil, nil, err
 		}
 		x.Meter().SetFreeState(energy.Idle, true)
-		m, err := mac.NewPooled(mac.SensorParams(), sched, x, &arena.mac)
+		m, err := mac.New(mac.SensorParams(), sched, x)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -398,7 +367,6 @@ func buildWifiModel(
 	sched *sim.Scheduler,
 	recorder *workload.Recorder,
 	tr *trace.Collector,
-	arena *runArena,
 ) ([]*mac.MAC, []func(core.Packet), error) {
 	layout, sink := s.layout, s.sinkID
 	nodes := layout.Len()
@@ -413,8 +381,6 @@ func buildWifiModel(
 		LossProb:   s.links.WifiLoss,
 		LossAt:     s.links.WifiLossAt,
 		HeaderSize: params.WifiHeader,
-		EagerIndex: s.denseIndex,
-		Pool:       &arena.radio,
 	}, layout)
 	if err != nil {
 		return nil, nil, err
@@ -430,7 +396,7 @@ func buildWifiModel(
 		if err != nil {
 			return nil, nil, err
 		}
-		m, err := mac.NewPooled(mac.WifiParams(), sched, x, &arena.mac)
+		m, err := mac.New(mac.WifiParams(), sched, x)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -455,7 +421,6 @@ func buildDualModel(
 	sched *sim.Scheduler,
 	recorder *workload.Recorder,
 	tr *trace.Collector,
-	arena *runArena,
 ) ([]*mac.MAC, []*mac.MAC, []*core.Agent, []func(core.Packet), error) {
 	layout, sink := s.layout, s.sinkID
 	nodes := layout.Len()
@@ -465,8 +430,6 @@ func buildDualModel(
 		LossProb:   s.links.SensorLoss,
 		LossAt:     s.links.SensorLossAt,
 		HeaderSize: params.SensorHeader,
-		EagerIndex: s.denseIndex,
-		Pool:       &arena.radio,
 	}, layout)
 	if err != nil {
 		return nil, nil, nil, nil, err
@@ -483,8 +446,6 @@ func buildDualModel(
 		LossAt:        s.links.WifiLossAt,
 		WakeupLatency: params.WifiWakeupLatency,
 		HeaderSize:    params.WifiHeader,
-		EagerIndex:    s.denseIndex,
-		Pool:          &arena.radio,
 	}, layout)
 	if err != nil {
 		return nil, nil, nil, nil, err
@@ -524,11 +485,11 @@ func buildDualModel(
 		if err != nil {
 			return nil, nil, nil, nil, err
 		}
-		sm, err := mac.NewPooled(mac.SensorParams(), sched, sx, &arena.mac)
+		sm, err := mac.New(mac.SensorParams(), sched, sx)
 		if err != nil {
 			return nil, nil, nil, nil, err
 		}
-		wm, err := mac.NewPooled(mac.WifiParams(), sched, wx, &arena.mac)
+		wm, err := mac.New(mac.WifiParams(), sched, wx)
 		if err != nil {
 			return nil, nil, nil, nil, err
 		}
@@ -541,7 +502,6 @@ func buildDualModel(
 		wireTraceMACDrops(tr, i, sm)
 
 		agentCfg := core.DefaultConfig(i, s.burstPackets)
-		agentCfg.Pool = &arena.core
 		agentCfg.PostBurstLinger = s.postBurstLinger
 		if s.minGrantPackets > 0 {
 			agentCfg.MinGrant = units.ByteSize(s.minGrantPackets) * params.SensorPayload

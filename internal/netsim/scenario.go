@@ -7,7 +7,6 @@ import (
 
 	"bulktx/internal/energy"
 	"bulktx/internal/params"
-	"bulktx/internal/sim"
 	"bulktx/internal/topo"
 	"bulktx/internal/trace"
 	"bulktx/internal/units"
@@ -134,14 +133,6 @@ type Scenario struct {
 	traceOn   bool
 	traceOpts trace.Options
 
-	// queuePolicy selects the scheduler's event-queue backend (zero
-	// value sim.QueueAuto); denseIndex forces eager neighbor-index
-	// materialization on the radio channels. Both are performance
-	// toggles with no effect on results — the fingerprint matrix test
-	// holds every combination to identical bytes.
-	queuePolicy sim.QueuePolicy
-	denseIndex  bool
-
 	// Resolved at build time.
 	layout      *topo.Layout
 	sinkID      int
@@ -261,24 +252,6 @@ func WithTrace(o trace.Options) Option {
 	}
 }
 
-// WithEventQueue selects the scheduler's event-queue backend (default
-// sim.QueueAuto: 4-ary heap, migrating to the calendar queue on large
-// pending sets). All backends produce byte-identical results for a
-// given seed; the option exists for benchmarking and for pinning a
-// backend in equivalence tests.
-func WithEventQueue(p sim.QueuePolicy) Option {
-	return func(s *Scenario) { s.queuePolicy = p }
-}
-
-// WithDenseNeighborIndex forces the radio channels to materialize their
-// full neighbor index at construction instead of memoizing rows from
-// the spatial hash on first use (the default). Deliveries and results
-// are identical either way; eager materialization only changes when the
-// work happens and costs O(N + edges) memory up front.
-func WithDenseNeighborIndex(on bool) Option {
-	return func(s *Scenario) { s.denseIndex = on }
-}
-
 // NewScenario assembles and validates a Scenario from its parts. Every
 // default is explicit — the zero Scenario does not exist — and every
 // constraint (topology well-formedness, sink and sender placement,
@@ -338,8 +311,6 @@ func (s *Scenario) build() error {
 		return fmt.Errorf("netsim: negative post-burst linger")
 	case s.wifiRange < 0:
 		return fmt.Errorf("netsim: negative wifi range %v", s.wifiRange)
-	case s.queuePolicy < sim.QueueAuto || s.queuePolicy > sim.QueueCalendar:
-		return fmt.Errorf("netsim: invalid event-queue policy %d", int(s.queuePolicy))
 	}
 	if err := s.workload.validate(); err != nil {
 		return err

@@ -38,17 +38,6 @@ type Config struct {
 	// HeaderSize is the technology's frame header; used to charge
 	// header-only overhearing.
 	HeaderSize units.ByteSize
-	// EagerIndex forces the channel to materialize the full neighbor
-	// index at construction (the pre-PR-6 behavior) instead of memoizing
-	// per-node rows on first transmission. Delivered frames and their
-	// order are identical either way; eager costs O(N + edges) memory up
-	// front, lazy costs a spatial-hash query per node actually heard.
-	EagerIndex bool
-	// Pool, when non-nil, supplies the per-run allocator the channel
-	// draws transceivers, neighbor rows and arrival records from; the
-	// caller recycles them all with Pool.Reset once the run is over.
-	// Nil gives the channel a private, never-reset pool.
-	Pool *Pool
 }
 
 func (c Config) validate() error {
@@ -92,20 +81,17 @@ type Stats struct {
 // from a uniform-grid spatial hash (topo.SpatialHash, built in O(N))
 // and memoized as sorted rows on first use, so channel construction
 // never materializes an O(N^2) table and each transmission walks a
-// pre-sorted list in ascending-ID (deterministic) order. Config's
-// EagerIndex restores full up-front materialization for callers that
-// touch every node anyway. If layouts ever become mutable, both the
-// hash and the memo must be rebuilt on any position change — there is
-// deliberately no invalidation path today.
+// pre-sorted list in ascending-ID (deterministic) order. If layouts
+// ever become mutable, both the hash and the memo must be rebuilt on
+// any position change — there is deliberately no invalidation path
+// today.
 type Channel struct {
 	sched  *sim.Scheduler
 	cfg    Config
 	layout *topo.Layout
-	pool   *Pool
 	// nodes is a dense table indexed by NodeID; nil means not attached.
 	nodes []*Transceiver
-	// hash resolves in-range queries; nil when EagerIndex precomputed
-	// every row.
+	// hash resolves in-range queries.
 	hash *topo.SpatialHash
 	// neighbors[i] memoizes node i's in-range neighbor IDs (excluding
 	// i itself), sorted ascending for deterministic delivery order. nil
@@ -114,8 +100,11 @@ type Channel struct {
 	neighbors [][]NodeID
 	// scratch is the reusable collection buffer for neighbor queries.
 	scratch []NodeID
-	stats   Stats
-	rng     *rand.Rand
+	// arrivals is the free list of finished arrival records, shared by
+	// every transceiver on the channel.
+	arrivals []*arrival
+	stats    Stats
+	rng      *rand.Rand
 }
 
 // noNeighbors marks a memoized empty neighbor row (distinct from nil =
@@ -134,26 +123,15 @@ func NewChannel(sched *sim.Scheduler, cfg Config, layout *topo.Layout) (*Channel
 	if cfg.Range == 0 {
 		cfg.Range = cfg.Profile.Range
 	}
-	pool := cfg.Pool
-	if pool == nil {
-		pool = &Pool{}
-	}
-	ch := &Channel{
+	return &Channel{
 		sched:     sched,
 		cfg:       cfg,
 		layout:    layout,
-		pool:      pool,
 		nodes:     make([]*Transceiver, layout.Len()),
+		hash:      topo.NewSpatialHash(layout, cfg.Range),
 		neighbors: make([][]NodeID, layout.Len()),
 		rng:       sched.Rand(),
-	}
-	pool.channels = append(pool.channels, ch)
-	if cfg.EagerIndex {
-		ch.buildNeighborIndex()
-	} else {
-		ch.hash = topo.NewSpatialHash(layout, ch.cfg.Range)
-	}
-	return ch, nil
+	}, nil
 }
 
 // lossProb returns the noise-loss probability of the src->dst link:
@@ -173,26 +151,9 @@ func (c *Channel) lossProb(src, dst NodeID) float64 {
 	return p
 }
 
-// buildNeighborIndex materializes the layout's sorted adjacency lists
-// (topo.Layout.AdjacencyLists) as NodeID rows — the EagerIndex path.
-func (c *Channel) buildNeighborIndex() {
-	for i, ids := range c.layout.AdjacencyLists(c.cfg.Range) {
-		if len(ids) == 0 {
-			c.neighbors[i] = noNeighbors
-			continue
-		}
-		out := c.pool.rows.Alloc(len(ids))
-		for k, id := range ids {
-			out[k] = NodeID(id)
-		}
-		c.neighbors[i] = out
-	}
-}
-
 // neighborsOf returns node id's sorted in-range neighbor row, resolving
-// and memoizing it on first use. The row's contents and order are
-// identical to the eager index's (spatial-hash queries report the exact
-// brute-force set; the sort restores ascending IDs).
+// and memoizing it on first use. Spatial-hash queries report the exact
+// brute-force in-range set; the sort restores ascending IDs.
 func (c *Channel) neighborsOf(id NodeID) []NodeID {
 	if row := c.neighbors[id]; row != nil {
 		return row
@@ -206,10 +167,30 @@ func (c *Channel) neighborsOf(id NodeID) []NodeID {
 		return noNeighbors
 	}
 	slices.Sort(c.scratch)
-	row := c.pool.rows.Alloc(len(c.scratch))
-	copy(row, c.scratch)
+	row := slices.Clone(c.scratch)
 	c.neighbors[id] = row
 	return row
+}
+
+// getArrival hands out a recycled arrival (or mints one with its finish
+// closure bound) with a.t set to the receiving transceiver.
+func (c *Channel) getArrival(t *Transceiver) *arrival {
+	var a *arrival
+	if n := len(c.arrivals); n > 0 {
+		a = c.arrivals[n-1]
+		c.arrivals = c.arrivals[:n-1]
+	} else {
+		a = &arrival{}
+		a.fin = func() { a.t.finishArrival(a) }
+	}
+	a.t = t
+	return a
+}
+
+// putArrival clears an arrival and returns it to the free list.
+func (c *Channel) putArrival(a *arrival) {
+	*a = arrival{fin: a.fin}
+	c.arrivals = append(c.arrivals, a)
 }
 
 // Config returns the channel configuration (with resolved range).

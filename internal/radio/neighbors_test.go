@@ -1,8 +1,9 @@
 package radio
 
 import (
+	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"bulktx/internal/energy"
@@ -11,10 +12,37 @@ import (
 	"bulktx/internal/units"
 )
 
-// TestNeighborIndexMatchesBruteForce checks the precomputed per-node
-// neighbor lists against brute-force InRange enumeration on random
-// layouts of varying density.
+// TestNeighborIndexMatchesBruteForce checks the channel's lazily
+// memoized spatial-hash neighbor rows against brute-force InRange
+// enumeration: random layouts of varying density, plus clustered,
+// co-located, all-out-of-range and N <= 3 layouts at tiny, paper-scale
+// and field-spanning ranges. Rows must hold exactly the in-range IDs,
+// ascending, self excluded, and stay the same on repeat lookup.
 func TestNeighborIndexMatchesBruteForce(t *testing.T) {
+	check := func(name string, layout *topo.Layout, r units.Meters) {
+		t.Helper()
+		cfg := Config{Name: "test", Profile: energy.Micaz(), Range: r}
+		ch, err := NewChannel(sim.NewScheduler(1), cfg, layout)
+		if err != nil {
+			t.Fatalf("%s: NewChannel: %v", name, err)
+		}
+		for i := 0; i < layout.Len(); i++ {
+			var want []NodeID
+			for j := 0; j < layout.Len(); j++ {
+				if j != i && ch.InRange(NodeID(i), NodeID(j)) {
+					want = append(want, NodeID(j))
+				}
+			}
+			got := ch.Neighbors(NodeID(i))
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s r=%v node %d: index %v, brute force %v", name, r, i, got, want)
+			}
+			if again := ch.Neighbors(NodeID(i)); !slices.Equal(again, got) {
+				t.Fatalf("%s r=%v node %d: memoized row changed from %v to %v", name, r, i, got, again)
+			}
+		}
+	}
+
 	for trial := 0; trial < 30; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
 		n := 2 + rng.Intn(60)
@@ -23,48 +51,9 @@ func TestNeighborIndexMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Random layout: %v", err)
 		}
-		cfg := Config{
-			Name:    "test",
-			Profile: energy.Micaz(),
-			Range:   units.Meters(10 + rng.Float64()*100),
-		}
-		ch, err := NewChannel(sim.NewScheduler(1), cfg, layout)
-		if err != nil {
-			t.Fatalf("NewChannel: %v", err)
-		}
-		for i := 0; i < n; i++ {
-			want := layout.Neighbors(i, cfg.Range)
-			sort.Ints(want)
-			got := ch.Neighbors(NodeID(i))
-			if len(got) != len(want) {
-				t.Fatalf("trial %d node %d: index has %d neighbors %v, brute force %d %v",
-					trial, i, len(got), got, len(want), want)
-			}
-			for k := range want {
-				if int(got[k]) != want[k] {
-					t.Fatalf("trial %d node %d: index %v, brute force %v", trial, i, got, want)
-				}
-			}
-			// Pre-sorted invariant: ascending IDs, self excluded.
-			for k := 1; k < len(got); k++ {
-				if got[k-1] >= got[k] {
-					t.Fatalf("trial %d node %d: neighbor list not ascending: %v", trial, i, got)
-				}
-			}
-			for _, id := range got {
-				if int(id) == i {
-					t.Fatalf("trial %d node %d: neighbor list contains self: %v", trial, i, got)
-				}
-			}
-		}
+		check(fmt.Sprintf("random trial %d", trial), layout, units.Meters(10+rng.Float64()*100))
 	}
-}
 
-// TestLazyAndEagerIndexIdentical holds the lazily memoized spatial-hash
-// neighbor rows (the default) to the eagerly materialized index's exact
-// output — same IDs, same ascending order — across random, clustered,
-// and degenerate layouts (all co-located, all out of range, N <= 3).
-func TestLazyAndEagerIndexIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	colocated := make([]topo.Position, 12)
 	for i := range colocated {
@@ -77,102 +66,23 @@ func TestLazyAndEagerIndexIdentical(t *testing.T) {
 		}
 		return l
 	}
-	layouts := map[string]*topo.Layout{
-		"random":    mk(topo.Random(80, 250, rng)),
-		"clustered": mk(topo.Clustered(120, 5, 300, 15, rng)),
-		"colocated": topo.NewLayout(colocated),
-		"sparse":    mk(topo.Random(30, 100000, rng)), // all out of range
-		"pair":      mk(topo.Grid(2, 100)),
-		"triple":    mk(topo.Grid(3, 100)),
-		"single":    mk(topo.Grid(1, 100)),
-	}
-	for name, layout := range layouts {
+	for _, tc := range []struct {
+		name   string
+		layout *topo.Layout
+	}{
+		{"random", mk(topo.Random(80, 250, rng))},
+		{"clustered", mk(topo.Clustered(120, 5, 300, 15, rng))},
+		{"colocated", topo.NewLayout(colocated)},
+		{"sparse", mk(topo.Random(30, 100000, rng))}, // all out of range
+		{"pair", mk(topo.Grid(2, 100))},
+		{"triple", mk(topo.Grid(3, 100))},
+		{"single", mk(topo.Grid(1, 100))},
+	} {
 		// Range 0 would resolve to the profile default, so the "nobody in
 		// range" case uses a tiny positive range instead.
 		for _, r := range []units.Meters{0.001, 40, 500} {
-			cfg := Config{Name: "lazy", Profile: energy.Micaz(), Range: r}
-			lazy, err := NewChannel(sim.NewScheduler(1), cfg, layout)
-			if err != nil {
-				t.Fatalf("%s: lazy channel: %v", name, err)
-			}
-			cfg.EagerIndex = true
-			eager, err := NewChannel(sim.NewScheduler(1), cfg, layout)
-			if err != nil {
-				t.Fatalf("%s: eager channel: %v", name, err)
-			}
-			for i := 0; i < layout.Len(); i++ {
-				got, want := lazy.Neighbors(NodeID(i)), eager.Neighbors(NodeID(i))
-				if len(got) != len(want) {
-					t.Fatalf("%s r=%v node %d: lazy %v, eager %v", name, cfg.Range, i, got, want)
-				}
-				for k := range want {
-					if got[k] != want[k] {
-						t.Fatalf("%s r=%v node %d: lazy %v, eager %v", name, cfg.Range, i, got, want)
-					}
-				}
-				// Memoization must return the same row on repeat lookup.
-				if again := lazy.Neighbors(NodeID(i)); len(again) != len(got) {
-					t.Fatalf("%s node %d: memoized row changed size", name, i)
-				}
-			}
+			check(tc.name, tc.layout, r)
 		}
-	}
-}
-
-// TestPoolReuseIsDeterministic runs the same broadcast workload three
-// times out of one shared Pool (reset between runs) and once unpooled,
-// and requires identical channel stats and reception logs every time:
-// recycled transceivers, arrivals and neighbor rows must leave no state
-// behind.
-func TestPoolReuseIsDeterministic(t *testing.T) {
-	run := func(pool *Pool) (Stats, []NodeID) {
-		rng := rand.New(rand.NewSource(5))
-		layout, err := topo.Random(30, 150, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sched := sim.NewScheduler(1)
-		cfg := Config{Name: "t", Profile: energy.Micaz(), Range: 60, Pool: pool}
-		ch, err := NewChannel(sched, cfg, layout)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var log []NodeID
-		xcvrs := make([]*Transceiver, layout.Len())
-		for i := range xcvrs {
-			x, err := ch.Attach(NodeID(i), OverhearFull, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			id := NodeID(i)
-			x.SetOnReceive(func(f Frame) { log = append(log, id) })
-			xcvrs[i] = x
-		}
-		for _, x := range xcvrs {
-			if err := x.Transmit(Frame{Kind: KindData, Dst: Broadcast, Size: 16}); err != nil {
-				t.Fatal(err)
-			}
-			sched.Run()
-		}
-		return ch.Stats(), log
-	}
-
-	wantStats, wantLog := run(nil)
-	pool := &Pool{}
-	for trial := 0; trial < 3; trial++ {
-		gotStats, gotLog := run(pool)
-		if gotStats != wantStats {
-			t.Fatalf("trial %d: stats %+v, want %+v", trial, gotStats, wantStats)
-		}
-		if len(gotLog) != len(wantLog) {
-			t.Fatalf("trial %d: %d receptions, want %d", trial, len(gotLog), len(wantLog))
-		}
-		for i := range wantLog {
-			if gotLog[i] != wantLog[i] {
-				t.Fatalf("trial %d: reception %d by %d, want %d", trial, i, gotLog[i], wantLog[i])
-			}
-		}
-		pool.Reset()
 	}
 }
 

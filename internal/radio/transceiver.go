@@ -36,12 +36,11 @@ var (
 	ErrAlreadyAttached = errors.New("radio: node already attached")
 )
 
-// arrival tracks one incoming frame at a receiver. Arrivals are pooled
-// at the channel's Pool: each carries a finish closure bound once at
-// first allocation (dispatching through the t field, which is set at
-// checkout), so steady-state reception neither allocates the struct
-// nor a new completion callback, and Pool.Reset recycles arrivals
-// across entire runs.
+// arrival tracks one incoming frame at a receiver. Finished arrivals
+// return to the channel's free list: each carries a finish closure
+// bound once at first allocation (dispatching through the t field,
+// which is set at checkout), so steady-state reception neither
+// allocates the struct nor a new completion callback.
 type arrival struct {
 	fin      func() // bound once: t.finishArrival(this)
 	t        *Transceiver
@@ -95,14 +94,12 @@ func (c *Channel) Attach(id NodeID, overhear OverhearPolicy, startOn bool) (*Tra
 	if c.nodes[id] != nil {
 		return nil, fmt.Errorf("%w: node %d on channel %q", ErrAlreadyAttached, id, c.cfg.Name)
 	}
-	// Transceivers come from the pool's slab (zeroed, stable address);
-	// meters stay individually heap-allocated because debug probes hand
-	// them out past the run's lifetime.
-	t := c.pool.xcvrs.Get()
-	t.ch = c
-	t.id = id
-	t.meter = energy.NewMeter(c.cfg.Profile, c.sched.Now)
-	t.overhear = overhear
+	t := &Transceiver{
+		ch:       c,
+		id:       id,
+		meter:    energy.NewMeter(c.cfg.Profile, c.sched.Now),
+		overhear: overhear,
+	}
 	t.wakeTimer.Init(c.sched, t.completeWake)
 	t.finishTxFn = t.finishTx
 	if startOn {
@@ -299,7 +296,7 @@ func (t *Transceiver) arrive(f Frame, airtime sim.Time) {
 	if !t.on || t.failed {
 		return // off, waking or crashed radios do not hear anything
 	}
-	a := t.newArrival()
+	a := t.ch.getArrival(t)
 	a.frame = f
 	a.forMe = f.Dst == t.id || f.Dst == Broadcast
 	a.chargeRx = a.forMe || t.overhear == OverhearFull
@@ -320,22 +317,11 @@ func (t *Transceiver) arrive(f Frame, airtime sim.Time) {
 	t.ch.sched.After(airtime, a.fin)
 }
 
-// newArrival checks an arrival out of the channel's pool, bound to
-// this transceiver. Arrivals return to the pool in finishArrival, which
-// runs exactly once per arrival (aborted ones included), or via
-// Pool.Reset for arrivals still in flight at end of run.
-func (t *Transceiver) newArrival() *arrival {
-	return t.ch.pool.getArrival(t)
-}
-
-// freeArrival clears and pools an arrival for reuse.
-func (t *Transceiver) freeArrival(a *arrival) {
-	t.ch.pool.putArrival(a)
-}
-
+// finishArrival runs exactly once per arrival (aborted ones included)
+// and returns it to the channel's free list.
 func (t *Transceiver) finishArrival(a *arrival) {
 	if a.aborted {
-		t.freeArrival(a)
+		t.ch.putArrival(a)
 		return
 	}
 	for i, cur := range t.arrivals {
@@ -361,7 +347,7 @@ func (t *Transceiver) finishArrival(a *arrival) {
 	// the receive callback may transitively start new receptions at this
 	// transceiver, and the freed arrival must be reusable by then.
 	frame, corrupt, forMe := a.frame, a.corrupt, a.forMe
-	t.freeArrival(a)
+	t.ch.putArrival(a)
 	if corrupt {
 		t.ch.stats.Collisions++
 		return

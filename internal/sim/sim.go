@@ -27,23 +27,16 @@
 //     sequence never wraps, so pop-time liveness checks are exact and
 //     the executed-event order is identical to eager removal.
 //   - When more than half the queue is cancelled debris, the queue is
-//     compacted in place (O(n) filter + re-heapify, or a bucket sweep
-//     on the calendar backend), bounding memory for workloads that
-//     cancel almost everything they schedule, such as protocol timers
-//     that are reset on every frame.
+//     compacted in place (O(n) filter + re-heapify), bounding memory
+//     for workloads that cancel almost everything they schedule, such
+//     as protocol timers that are reset on every frame.
 //
-// # Queue backends
-//
-// Two pending-set backends sit behind the same Schedule/After/Cancel
-// API: the 4-ary heap described above, and a calendar queue
-// (calendar.go) whose push/pop are O(1) amortized on large pending
-// sets. Under the default QueueAuto policy a scheduler starts on the
-// heap and migrates one-way to the calendar when the live pending set
-// exceeds CalendarThreshold; QueueHeap and QueueCalendar pin a backend
-// explicitly. Both backends extract the exact (time, seq) minimum, so
-// the executed-event order — and therefore every fixed-seed result —
-// is identical whichever backend is active, including across a
-// mid-run migration. The equivalence and fingerprint tests pin this.
+// The heap is the only pending-set structure. The paper's 36-node
+// grid never holds more than about a hundred pending events, and even
+// a 100k-node grid peaks below ten thousand, where O(log n) push/pop
+// on a shallow 4-ary heap measured faster than a bucketed O(1) queue.
+// An equivalence test against a naive reference scheduler pins the
+// executed order.
 package sim
 
 import (
@@ -101,38 +94,12 @@ func (a event) before(b event) bool {
 // than it saves.
 const compactMinDead = 64
 
-// QueuePolicy selects the pending-set backend for a Scheduler.
-type QueuePolicy int
-
-// Queue backend policies. QueueAuto is the zero value and the default:
-// it starts on the heap and migrates to the calendar queue once the
-// live pending set exceeds CalendarThreshold.
-const (
-	// QueueAuto starts on the 4-ary heap and switches one-way to the
-	// calendar queue above CalendarThreshold live events.
-	QueueAuto QueuePolicy = iota
-	// QueueHeap pins the 4-ary heap backend.
-	QueueHeap
-	// QueueCalendar pins the calendar-queue backend from construction.
-	QueueCalendar
-)
-
-// CalendarThreshold is the live pending-set size above which a
-// QueueAuto scheduler migrates from the 4-ary heap to the calendar
-// queue. Heap push/pop is O(log n); by a few thousand pending events
-// the calendar's O(1) amortized operations win despite its bucket
-// bookkeeping. The migration preserves event order exactly, so the
-// threshold only affects speed, never results.
-const CalendarThreshold = 4096
-
 // Scheduler owns the virtual clock and the pending event set.
 // It is not safe for concurrent use; simulations are single-goroutine by
 // design (determinism).
 type Scheduler struct {
 	now     Time
-	queue   []event     // 4-ary min-heap on (at, seq); unused once cal != nil
-	cal     *calendar   // calendar backend; nil while the heap is active
-	policy  QueuePolicy // backend selection, fixed at construction
+	queue   []event     // 4-ary min-heap on (at, seq)
 	slots   []eventSlot // handle table
 	free    []uint32    // retired slot indices, reused LIFO
 	live    int         // scheduled and not yet run or cancelled
@@ -147,22 +114,9 @@ type Scheduler struct {
 }
 
 // NewScheduler returns a scheduler starting at virtual time zero with a
-// deterministic random source derived from seed, using the QueueAuto
-// backend policy.
+// deterministic random source derived from seed.
 func NewScheduler(seed int64) *Scheduler {
-	return NewSchedulerPolicy(seed, QueueAuto)
-}
-
-// NewSchedulerPolicy is NewScheduler with an explicit queue backend
-// policy. All policies produce identical event orderings (and therefore
-// identical fixed-seed results); the policy only selects the data
-// structure holding the pending set.
-func NewSchedulerPolicy(seed int64, policy QueuePolicy) *Scheduler {
-	s := &Scheduler{rng: rand.New(rand.NewSource(seed)), policy: policy}
-	if policy == QueueCalendar {
-		s.calInit(minCalendarBuckets, nil)
-	}
-	return s
+	return &Scheduler{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -190,16 +144,8 @@ func (s *Scheduler) Schedule(at Time, fn func()) (EventID, error) {
 	sl := &s.slots[idx]
 	sl.fn = fn
 	sl.seq = seq
-	e := event{at: at, seq: seq, slot: idx}
-	if s.cal != nil {
-		s.calPush(e)
-	} else {
-		s.push(e)
-	}
+	s.push(event{at: at, seq: seq, slot: idx})
 	s.live++
-	if s.cal == nil && s.policy == QueueAuto && s.live > CalendarThreshold {
-		s.migrateToCalendar()
-	}
 	return EventID(uint64(sl.gen)<<32 | uint64(idx+1)), nil
 }
 
@@ -233,19 +179,10 @@ func (s *Scheduler) Cancel(id EventID) bool {
 	s.retire(idx - 1)
 	s.live--
 	s.dead++
-	if s.dead >= compactMinDead && s.dead > s.queueLen()/2 {
+	if s.dead >= compactMinDead && s.dead > len(s.queue)/2 {
 		s.compact()
 	}
 	return true
-}
-
-// queueLen returns the number of entries (live + cancelled debris)
-// stored in whichever backend is active, for the compaction trigger.
-func (s *Scheduler) queueLen() int {
-	if s.cal != nil {
-		return s.cal.n
-	}
-	return len(s.queue)
 }
 
 // retire frees a slot: the callback is released, the occupying sequence
@@ -260,28 +197,13 @@ func (s *Scheduler) retire(idx uint32) {
 }
 
 // Pending returns the number of events waiting to run. Cancelled events
-// are never counted, even while their queue entries await lazy discard,
-// and the count is backend-independent: it is unaffected by which queue
-// backend is active, by a QueueAuto migration (which Schedule may
-// trigger with Pending() at CalendarThreshold+1), and by compaction.
+// are never counted, even while their heap entries await lazy discard,
+// and compaction does not change the count.
 func (s *Scheduler) Pending() int { return s.live }
 
 // Step executes the earliest pending event, advancing the clock to its
 // timestamp. It reports whether an event was executed.
 func (s *Scheduler) Step() bool {
-	if s.cal != nil {
-		e, ok := s.calPop()
-		if !ok {
-			return false
-		}
-		fn := s.slots[e.slot].fn
-		s.retire(e.slot)
-		s.live--
-		s.now = e.at
-		s.Processed++
-		fn()
-		return true
-	}
 	for len(s.queue) > 0 {
 		e := s.queue[0]
 		live := s.slots[e.slot].seq == e.seq
@@ -329,12 +251,8 @@ func (s *Scheduler) RunUntil(deadline Time) {
 func (s *Scheduler) Stop() { s.stopped = true }
 
 // peek returns the timestamp of the earliest live event, discarding any
-// cancelled debris that has surfaced at the heap root (or that the
-// calendar scan touches along the way).
+// cancelled debris that has surfaced at the heap root.
 func (s *Scheduler) peek() (Time, bool) {
-	if s.cal != nil {
-		return s.calPeek()
-	}
 	for len(s.queue) > 0 {
 		e := s.queue[0]
 		if s.slots[e.slot].seq == e.seq {
@@ -396,15 +314,10 @@ func (s *Scheduler) siftDown(i int, e event) {
 	q[i] = e
 }
 
-// compact filters cancelled entries out of the active backend: a bucket
-// sweep on the calendar, or an in-place filter + re-heapify on the
-// heap. Sift-downs only reorder by (at, seq) comparisons, so the
-// surviving execution order is unchanged either way.
+// compact filters cancelled entries out of the heap in place and
+// re-heapifies. Sift-downs only reorder by (at, seq) comparisons, so
+// the surviving execution order is unchanged.
 func (s *Scheduler) compact() {
-	if s.cal != nil {
-		s.calCompact()
-		return
-	}
 	kept := s.queue[:0]
 	for _, e := range s.queue {
 		if s.slots[e.slot].seq == e.seq {

@@ -142,17 +142,15 @@ func (l *Layout) eachNeighborFn(r units.Meters) func(i int, fn func(j int)) {
 	return func(i int, fn func(j int)) { h.EachInRange(i, r, fn) }
 }
 
-// hashAdjacency is the spatial-hash construction of adjacency's
+// hashAdjacency is the spatial-hash construction of Adjacency's
 // output, byte-identical to the pairwise pass: per-node neighbor lists
 // in ascending index order with aligned distances computed by the same
 // Distance call.
-func (l *Layout) hashAdjacency(r units.Meters, withDist bool) (nb [][]int, dist [][]units.Meters) {
+func (l *Layout) hashAdjacency(r units.Meters) (nb [][]int, dist [][]units.Meters) {
 	n := len(l.positions)
 	h := NewSpatialHash(l, r)
 	nb = make([][]int, n)
-	if withDist {
-		dist = make([][]units.Meters, n)
-	}
+	dist = make([][]units.Meters, n)
 	var scratch []int
 	for i := 0; i < n; i++ {
 		scratch = scratch[:0]
@@ -164,14 +162,12 @@ func (l *Layout) hashAdjacency(r units.Meters, withDist bool) (nb [][]int, dist 
 		row := make([]int, len(scratch))
 		copy(row, scratch)
 		nb[i] = row
-		if withDist {
-			ds := make([]units.Meters, len(row))
-			pi := l.positions[i]
-			for k, j := range row {
-				ds[k] = Distance(pi, l.positions[j])
-			}
-			dist[i] = ds
+		ds := make([]units.Meters, len(row))
+		pi := l.positions[i]
+		for k, j := range row {
+			ds[k] = Distance(pi, l.positions[j])
 		}
+		dist[i] = ds
 	}
 	return nb, dist
 }

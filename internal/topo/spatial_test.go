@@ -93,7 +93,7 @@ func TestAdjacencyPathsIdentical(t *testing.T) {
 					}
 				}
 			}
-			hashNb, hashDist := l.hashAdjacency(r, true)
+			hashNb, hashDist := l.hashAdjacency(r)
 			prodNb, prodDist := l.Adjacency(r)
 			for i := 0; i < n; i++ {
 				assertIntRows(t, name, "hash", i, hashNb[i], refNb[i])

@@ -194,29 +194,16 @@ func (l *Layout) Neighbors(i int, r units.Meters) []int {
 // are built from a uniform-grid index in O(N + edges) with identical
 // output.
 func (l *Layout) Adjacency(r units.Meters) (nb [][]int, dist [][]units.Meters) {
-	return l.adjacency(r, true)
-}
-
-// AdjacencyLists is Adjacency without materializing the distance
-// slices, for callers that only need connectivity.
-func (l *Layout) AdjacencyLists(r units.Meters) [][]int {
-	nb, _ := l.adjacency(r, false)
-	return nb
-}
-
-func (l *Layout) adjacency(r units.Meters, withDist bool) (nb [][]int, dist [][]units.Meters) {
 	n := len(l.positions)
 	if n > spatialThreshold {
 		// Large layouts go through the spatial hash: O(N) grid build plus
 		// per-node window queries instead of the O(N^2) pairwise pass.
 		// The output contract is identical (ascending lists, aligned
 		// distances); spatial_test.go holds both paths to the same bytes.
-		return l.hashAdjacency(r, withDist)
+		return l.hashAdjacency(r)
 	}
 	nb = make([][]int, n)
-	if withDist {
-		dist = make([][]units.Meters, n)
-	}
+	dist = make([][]units.Meters, n)
 	for i := 0; i < n; i++ {
 		pi := l.positions[i]
 		for j := i + 1; j < n; j++ {
@@ -224,10 +211,8 @@ func (l *Layout) adjacency(r units.Meters, withDist bool) (nb [][]int, dist [][]
 			if d <= r {
 				nb[i] = append(nb[i], j)
 				nb[j] = append(nb[j], i)
-				if withDist {
-					dist[i] = append(dist[i], d)
-					dist[j] = append(dist[j], d)
-				}
+				dist[i] = append(dist[i], d)
+				dist[j] = append(dist[j], d)
 			}
 		}
 	}

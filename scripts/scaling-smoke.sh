@@ -17,8 +17,8 @@
 # baseline regeneration (go run ./cmd/bcp-bench -scaling) is a manual
 # step done alongside the fingerprint review, never in CI. Used by CI
 # (.github/workflows/ci.yml); run it locally before touching
-# internal/sim's queues, internal/topo's spatial hash, or the pooled
-# allocators.
+# internal/sim's event heap, internal/topo's spatial hash, or the
+# radio channel's neighbor rows.
 #
 # Environment knobs:
 #   SCALING_NODES        comma-separated node counts (default 1000,5000)
