@@ -2,6 +2,7 @@ package energy
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"bulktx/internal/sim"
@@ -27,12 +28,30 @@ const (
 	Overhear
 )
 
+// numStates is the number of power states; ledgers are arrays of this
+// length indexed by State-1.
+const numStates = int(Overhear)
+
+// allStates is the canonical state order (see States).
+var allStates = [numStates]State{Off, WakingUp, Idle, Rx, Tx, Overhear}
+
 // States lists every power state in a fixed canonical order. Callers
 // aggregating per-state ledgers (e.g. summing float energies across
 // states) must iterate in this order, not in map order, so that totals
-// are bit-identical across runs.
+// are bit-identical across runs. The slice is fresh on every call.
 func States() []State {
-	return []State{Off, WakingUp, Idle, Rx, Tx, Overhear}
+	return slices.Clone(allStates[:])
+}
+
+// valid reports whether s is one of the declared power states.
+func (s State) valid() bool { return s >= Off && s <= Overhear }
+
+// mustValid panics on an undeclared state: only a caller bug can pass
+// one, and the ledgers have no slot for it.
+func mustValid(s State) {
+	if !s.valid() {
+		panic(fmt.Sprintf("energy: invalid power state %v", s))
+	}
 }
 
 // String returns the state name.
@@ -66,16 +85,17 @@ type Meter struct {
 	profile Profile
 	clock   func() sim.Time
 
-	state   State
-	since   sim.Time
-	total   units.Energy
-	byState map[State]units.Energy
-	inState map[State]time.Duration
+	state State
+	since sim.Time
+	total units.Energy
+	// The per-state ledgers are indexed by State-1.
+	byState [numStates]units.Energy
+	inState [numStates]time.Duration
 	wakeups int
 
 	// Charging policy: the paper's "Sensor-ideal" model charges only
 	// tx/rx on sensor radios (idle/overhear free). Free states draw zero.
-	freeStates map[State]bool
+	freeStates [numStates]bool
 
 	// onTransition, when set, observes every effective state change.
 	// Nil costs a single pointer check per Transition — the trace
@@ -87,21 +107,20 @@ type Meter struct {
 // the clock's current time.
 func NewMeter(p Profile, clock func() sim.Time) *Meter {
 	return &Meter{
-		profile:    p,
-		clock:      clock,
-		state:      Off,
-		since:      clock(),
-		byState:    make(map[State]units.Energy),
-		inState:    make(map[State]time.Duration),
-		freeStates: make(map[State]bool),
+		profile: p,
+		clock:   clock,
+		state:   Off,
+		since:   clock(),
 	}
 }
 
 // SetFreeState marks a state as drawing no energy (used by the
 // Sensor-ideal evaluation model which ignores sensor idling costs).
+// It panics if s is not a declared state.
 func (m *Meter) SetFreeState(s State, free bool) {
+	mustValid(s)
 	m.settle()
-	m.freeStates[s] = free
+	m.freeStates[s-1] = free
 }
 
 // Profile returns the radio profile the meter charges against.
@@ -118,8 +137,9 @@ func (m *Meter) SetOnTransition(fn func(from, to State)) { m.onTransition = fn }
 
 // Transition moves the radio to state s, charging for the residency in
 // the previous state. Transitioning Off -> WakingUp charges the profile's
-// fixed wake-up energy.
+// fixed wake-up energy. It panics if s is not a declared state.
 func (m *Meter) Transition(s State) {
+	mustValid(s)
 	m.settle()
 	if m.state == Off && s == WakingUp {
 		m.addEnergy(WakingUp, m.profile.Wakeup)
@@ -133,8 +153,10 @@ func (m *Meter) Transition(s State) {
 }
 
 // ChargeEnergy adds a fixed energy amount attributed to state s; used for
-// overhearing charges and externally computed costs.
+// overhearing charges and externally computed costs. It panics if s is
+// not a declared state.
 func (m *Meter) ChargeEnergy(s State, e units.Energy) {
+	mustValid(s)
 	m.settle()
 	m.addEnergy(s, e)
 }
@@ -145,20 +167,27 @@ func (m *Meter) Total() units.Energy {
 	return m.total
 }
 
-// ByState returns a copy of the per-state energy breakdown up to now.
+// ByState returns the per-state energy breakdown up to now, holding
+// only the states charged non-zero energy.
 func (m *Meter) ByState() map[State]units.Energy {
 	m.settle()
-	out := make(map[State]units.Energy, len(m.byState))
-	for k, v := range m.byState {
-		out[k] = v
+	out := make(map[State]units.Energy, numStates)
+	for i, e := range m.byState {
+		if e != 0 {
+			out[allStates[i]] = e
+		}
 	}
 	return out
 }
 
-// TimeIn returns the cumulative residency in state s up to now.
+// TimeIn returns the cumulative residency in state s up to now (zero for
+// an undeclared state, which no meter can enter).
 func (m *Meter) TimeIn(s State) time.Duration {
 	m.settle()
-	return m.inState[s]
+	if !s.valid() {
+		return 0
+	}
+	return m.inState[s-1]
 }
 
 // StateSnapshot is one power state's accumulated ledger entry: the
@@ -180,9 +209,9 @@ type StateSnapshot struct {
 // order is bit-stable across runs, unlike iterating the ByState map.
 func (m *Meter) Snapshot() []StateSnapshot {
 	m.settle()
-	out := make([]StateSnapshot, 0, len(m.byState))
-	for _, s := range States() {
-		e, t := m.byState[s], m.inState[s]
+	out := make([]StateSnapshot, 0, numStates)
+	for i, s := range allStates {
+		e, t := m.byState[i], m.inState[i]
 		if e == 0 && t == 0 {
 			continue
 		}
@@ -209,8 +238,8 @@ func (m *Meter) settle() {
 	if d == 0 {
 		return
 	}
-	m.inState[m.state] += d
-	if m.freeStates[m.state] {
+	m.inState[m.state-1] += d
+	if m.freeStates[m.state-1] {
 		return
 	}
 	m.addEnergy(m.state, m.draw(m.state).Over(d))
@@ -221,7 +250,7 @@ func (m *Meter) addEnergy(s State, e units.Energy) {
 		return
 	}
 	m.total += e
-	m.byState[s] += e
+	m.byState[s-1] += e
 }
 
 // draw maps a state to the profile's power draw.

@@ -172,8 +172,8 @@ func (c *Channel) neighborsOf(id NodeID) []NodeID {
 	return row
 }
 
-// getArrival hands out a recycled arrival (or mints one with its finish
-// closure bound) with a.t set to the receiving transceiver.
+// getArrival hands out a recycled (or new) arrival with a.t set to the
+// receiving transceiver.
 func (c *Channel) getArrival(t *Transceiver) *arrival {
 	var a *arrival
 	if n := len(c.arrivals); n > 0 {
@@ -181,7 +181,6 @@ func (c *Channel) getArrival(t *Transceiver) *arrival {
 		c.arrivals = c.arrivals[:n-1]
 	} else {
 		a = &arrival{}
-		a.fin = func() { a.t.finishArrival(a) }
 	}
 	a.t = t
 	return a
@@ -189,7 +188,7 @@ func (c *Channel) getArrival(t *Transceiver) *arrival {
 
 // putArrival clears an arrival and returns it to the free list.
 func (c *Channel) putArrival(a *arrival) {
-	*a = arrival{fin: a.fin}
+	*a = arrival{}
 	c.arrivals = append(c.arrivals, a)
 }
 
@@ -236,17 +235,33 @@ func (c *Channel) Neighbors(id NodeID) []NodeID {
 	return c.neighborsOf(id)
 }
 
-// start transmits f from the transceiver, delivering arrivals to every
-// in-range node. Called by Transceiver.Transmit after state checks.
-// The memoized neighbor row makes this a single allocation-free walk
-// in ascending-ID (deterministic) order after the first transmission
-// from a node.
-func (c *Channel) start(f Frame) {
+// start puts tx's frame f on the air: every in-range node that hears
+// it starts an arrival, collected in ascending receiver ID into
+// tx.rxBatch, and one completion event (tx.endTxFn) ends them all and
+// then the transmission when the airtime elapses. Called by
+// Transceiver.Transmit after state checks.
+//
+// The completion is scheduled right after the first arrival starts (or
+// after the walk when nobody hears the frame), where the first of one
+// event per arrival would sit. Those events and the transmitter's own
+// completion would hold consecutive sequence numbers at one instant, so
+// nothing could run between them; one event keeps the executed order.
+func (c *Channel) start(tx *Transceiver, f Frame) {
 	c.stats.Transmissions++
 	airtime := c.Airtime(f.Size)
 	for _, id := range c.neighborsOf(f.Src) {
-		if rx := c.nodes[id]; rx != nil {
-			rx.arrive(f, airtime)
+		rx := c.nodes[id]
+		if rx == nil {
+			continue
 		}
+		if a := rx.arrive(f); a != nil {
+			tx.rxBatch = append(tx.rxBatch, a)
+			if len(tx.rxBatch) == 1 {
+				c.sched.After(airtime, tx.endTxFn)
+			}
+		}
+	}
+	if len(tx.rxBatch) == 0 {
+		c.sched.After(airtime, tx.endTxFn)
 	}
 }

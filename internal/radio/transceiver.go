@@ -37,13 +37,10 @@ var (
 )
 
 // arrival tracks one incoming frame at a receiver. Finished arrivals
-// return to the channel's free list: each carries a finish closure
-// bound once at first allocation (dispatching through the t field,
-// which is set at checkout), so steady-state reception neither
-// allocates the struct nor a new completion callback.
+// return to the channel's free list, so steady-state reception
+// allocates nothing. The transmitter's completion event finishes them.
 type arrival struct {
-	fin      func() // bound once: t.finishArrival(this)
-	t        *Transceiver
+	t        *Transceiver // the receiver
 	frame    Frame
 	forMe    bool
 	chargeRx bool
@@ -68,12 +65,15 @@ type Transceiver struct {
 	arrivals     []*arrival
 	lastBusyEnd  sim.Time
 
-	// txFrame is the frame currently on the air; finishTxFn completes it.
-	// A transceiver is half-duplex with at most one transmission in
-	// flight (Transmit returns ErrRadioBusy otherwise), so one slot
-	// suffices and the completion closure is bound once at Attach.
-	txFrame    Frame
-	finishTxFn func()
+	// txFrame is the frame currently on the air and rxBatch its
+	// arrivals in ascending receiver ID; endTxFn, bound once at Attach,
+	// is the single event that completes them and then the
+	// transmission. A transceiver is half-duplex with at most one
+	// transmission in flight (Transmit returns ErrRadioBusy otherwise),
+	// so one slot suffices.
+	txFrame Frame
+	rxBatch []*arrival
+	endTxFn func()
 
 	wakeTimer sim.Timer
 	observer  func(Event)
@@ -101,7 +101,7 @@ func (c *Channel) Attach(id NodeID, overhear OverhearPolicy, startOn bool) (*Tra
 		overhear: overhear,
 	}
 	t.wakeTimer.Init(c.sched, t.completeWake)
-	t.finishTxFn = t.finishTx
+	t.endTxFn = t.endTx
 	if startOn {
 		t.on = true
 		t.meter.Transition(energy.Idle)
@@ -273,9 +273,25 @@ func (t *Transceiver) Transmit(f Frame) error {
 	t.txFrame = f
 	t.updateMeterState()
 	t.observe(EventTxStart, f.Size)
-	t.ch.start(f)
-	t.ch.sched.After(t.ch.Airtime(f.Size), t.finishTxFn)
+	t.ch.start(t, f)
 	return nil
+}
+
+// endTx is the transmission's completion event: it finishes every
+// arrival of the frame in ascending receiver ID, aborted ones included,
+// then the transmission itself. Each finished arrival is counted as an
+// executed event, as if it had been scheduled on its own. A receive
+// callback that transmits corrupts the arrivals still pending in the
+// batch, exactly as it would between separate events.
+func (t *Transceiver) endTx() {
+	t.ch.sched.CountFolded(len(t.rxBatch))
+	// t is transmitting until finishTx, so no callback can append to
+	// rxBatch during the walk.
+	for _, a := range t.rxBatch {
+		a.t.finishArrival(a)
+	}
+	t.rxBatch = t.rxBatch[:0]
+	t.finishTx()
 }
 
 func (t *Transceiver) finishTx() {
@@ -290,11 +306,12 @@ func (t *Transceiver) finishTx() {
 	}
 }
 
-// arrive begins reception of a frame lasting airtime. Called by the
-// channel for every in-range transceiver.
-func (t *Transceiver) arrive(f Frame, airtime sim.Time) {
+// arrive begins reception of f and returns its arrival, or nil when
+// the radio cannot hear. Called by the channel for every in-range
+// transceiver; the transmitter's completion event finishes the arrival.
+func (t *Transceiver) arrive(f Frame) *arrival {
 	if !t.on || t.failed {
-		return // off, waking or crashed radios do not hear anything
+		return nil // off, waking or crashed radios do not hear anything
 	}
 	a := t.ch.getArrival(t)
 	a.frame = f
@@ -314,7 +331,7 @@ func (t *Transceiver) arrive(f Frame, airtime sim.Time) {
 	if a.chargeRx {
 		t.observe(EventRxStart, f.Size)
 	}
-	t.ch.sched.After(airtime, a.fin)
+	return a
 }
 
 // finishArrival runs exactly once per arrival (aborted ones included)

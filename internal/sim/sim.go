@@ -108,7 +108,8 @@ type Scheduler struct {
 	rng     *rand.Rand
 	stopped bool
 
-	// Processed counts events executed since construction; useful for
+	// Processed counts events executed since construction, plus those
+	// folded into a running callback (see CountFolded); useful for
 	// benchmarks and run diagnostics. Cancelled events never count.
 	Processed uint64
 }
@@ -222,6 +223,13 @@ func (s *Scheduler) Step() bool {
 	}
 	return false
 }
+
+// CountFolded credits n events to Processed that the running callback
+// executed inline instead of scheduling. A layer that folds several
+// same-instant events into one callback (the radio completes every
+// reception of a frame inside the transmission's single completion
+// event) calls it so Processed still counts each of them.
+func (s *Scheduler) CountFolded(n int) { s.Processed += uint64(n) }
 
 // Run executes events until the queue drains or Stop is called.
 func (s *Scheduler) Run() {
