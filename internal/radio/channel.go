@@ -100,11 +100,11 @@ type Channel struct {
 	neighbors [][]NodeID
 	// scratch is the reusable collection buffer for neighbor queries.
 	scratch []NodeID
-	// arrivals is the free list of finished arrival records, shared by
-	// every transceiver on the channel.
-	arrivals []*arrival
-	stats    Stats
-	rng      *rand.Rand
+	// headerCharge is the energy of receiving one frame header, charged
+	// for every header-only overheard frame.
+	headerCharge units.Energy
+	stats        Stats
+	rng          *rand.Rand
 }
 
 // noNeighbors marks a memoized empty neighbor row (distinct from nil =
@@ -124,13 +124,14 @@ func NewChannel(sched *sim.Scheduler, cfg Config, layout *topo.Layout) (*Channel
 		cfg.Range = cfg.Profile.Range
 	}
 	return &Channel{
-		sched:     sched,
-		cfg:       cfg,
-		layout:    layout,
-		nodes:     make([]*Transceiver, layout.Len()),
-		hash:      topo.NewSpatialHash(layout, cfg.Range),
-		neighbors: make([][]NodeID, layout.Len()),
-		rng:       sched.Rand(),
+		sched:        sched,
+		cfg:          cfg,
+		layout:       layout,
+		nodes:        make([]*Transceiver, layout.Len()),
+		hash:         topo.NewSpatialHash(layout, cfg.Range),
+		neighbors:    make([][]NodeID, layout.Len()),
+		headerCharge: cfg.Profile.Rx.Over(cfg.Profile.Rate.TimeFor(cfg.HeaderSize)),
+		rng:          sched.Rand(),
 	}, nil
 }
 
@@ -170,26 +171,6 @@ func (c *Channel) neighborsOf(id NodeID) []NodeID {
 	row := slices.Clone(c.scratch)
 	c.neighbors[id] = row
 	return row
-}
-
-// getArrival hands out a recycled (or new) arrival with a.t set to the
-// receiving transceiver.
-func (c *Channel) getArrival(t *Transceiver) *arrival {
-	var a *arrival
-	if n := len(c.arrivals); n > 0 {
-		a = c.arrivals[n-1]
-		c.arrivals = c.arrivals[:n-1]
-	} else {
-		a = &arrival{}
-	}
-	a.t = t
-	return a
-}
-
-// putArrival clears an arrival and returns it to the free list.
-func (c *Channel) putArrival(a *arrival) {
-	*a = arrival{}
-	c.arrivals = append(c.arrivals, a)
 }
 
 // Config returns the channel configuration (with resolved range).
@@ -235,18 +216,20 @@ func (c *Channel) Neighbors(id NodeID) []NodeID {
 	return c.neighborsOf(id)
 }
 
-// start puts tx's frame f on the air: every in-range node that hears
-// it starts an arrival, collected in ascending receiver ID into
-// tx.rxBatch, and one completion event (tx.endTxFn) ends them all and
-// then the transmission when the airtime elapses. Called by
+// start puts tx's frame (tx.txFrame) on the air: every in-range node
+// that hears it starts a reception, collected in ascending receiver ID
+// into tx.rxBatch, and one completion event (tx.endTxFn) ends them all
+// and then the transmission when the airtime elapses. Called by
 // Transceiver.Transmit after state checks.
 //
-// The completion is scheduled right after the first arrival starts (or
-// after the walk when nobody hears the frame), where the first of one
-// event per arrival would sit. Those events and the transmitter's own
-// completion would hold consecutive sequence numbers at one instant, so
-// nothing could run between them; one event keeps the executed order.
-func (c *Channel) start(tx *Transceiver, f Frame) {
+// The completion is scheduled right after the first reception starts
+// (or after the walk when nobody hears the frame), where the first of
+// one event per reception would sit. Those events and the transmitter's
+// own completion would hold consecutive sequence numbers at one
+// instant, so nothing could run between them; one event keeps the
+// executed order.
+func (c *Channel) start(tx *Transceiver) {
+	f := &tx.txFrame
 	c.stats.Transmissions++
 	airtime := c.Airtime(f.Size)
 	for _, id := range c.neighborsOf(f.Src) {
@@ -254,8 +237,8 @@ func (c *Channel) start(tx *Transceiver, f Frame) {
 		if rx == nil {
 			continue
 		}
-		if a := rx.arrive(f); a != nil {
-			tx.rxBatch = append(tx.rxBatch, a)
+		if r, ok := rx.arrive(f); ok {
+			tx.rxBatch = append(tx.rxBatch, r)
 			if len(tx.rxBatch) == 1 {
 				c.sched.After(airtime, tx.endTxFn)
 			}

@@ -133,7 +133,7 @@ func TestTransmitCycleZeroAllocs(t *testing.T) {
 		}
 		sched.Run()
 	}
-	cycle() // warm the arrival free list, the batch and the scheduler
+	cycle() // warm the reception batch and the scheduler
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 		t.Errorf("transmit cycle allocates %.1f times, want 0", allocs)
 	}

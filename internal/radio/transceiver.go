@@ -36,16 +36,22 @@ var (
 	ErrAlreadyAttached = errors.New("radio: node already attached")
 )
 
-// arrival tracks one incoming frame at a receiver. Finished arrivals
-// return to the channel's free list, so steady-state reception
-// allocates nothing. The transmitter's completion event finishes them.
-type arrival struct {
-	t        *Transceiver // the receiver
-	frame    Frame
-	forMe    bool
-	chargeRx bool
-	corrupt  bool
-	aborted  bool
+// reception is one frame arriving at one receiver, held by value in
+// the transmitter's rxBatch; the transmitter's completion event ends
+// it. Receivers keep no list of their receptions to mark. Instead each
+// keeps two epochs: rxEpoch moves whenever everything it is receiving
+// gets corrupted (an overlapping arrival, or its own transmission), and
+// abortEpoch whenever everything it is receiving is aborted (power-off
+// or crash). A reception records both when it starts and compares them
+// when it ends. The 32-bit epochs could only alias after 2^32 moves
+// within one frame's airtime.
+type reception struct {
+	rx         NodeID
+	forMe      bool
+	chargeRx   bool
+	corrupt    bool // corrupt from the start
+	rxEpoch    uint32
+	abortEpoch uint32
 }
 
 // Transceiver is one node's interface to a Channel: a half-duplex radio
@@ -62,17 +68,24 @@ type Transceiver struct {
 	failed       bool
 	resumeWake   bool
 	transmitting bool
-	arrivals     []*arrival
 	lastBusyEnd  sim.Time
 
+	// rxActive counts the receptions in progress at this radio and
+	// rxCharged those of them that keep it in Rx; rxEpoch and
+	// abortEpoch are the epochs described at reception.
+	rxActive   int
+	rxCharged  int
+	rxEpoch    uint32
+	abortEpoch uint32
+
 	// txFrame is the frame currently on the air and rxBatch its
-	// arrivals in ascending receiver ID; endTxFn, bound once at Attach,
-	// is the single event that completes them and then the
+	// receptions in ascending receiver ID; endTxFn, bound once at
+	// Attach, is the single event that completes them and then the
 	// transmission. A transceiver is half-duplex with at most one
 	// transmission in flight (Transmit returns ErrRadioBusy otherwise),
-	// so one slot suffices.
+	// so one slot suffices, and txFrame stays fixed until finishTx.
 	txFrame Frame
-	rxBatch []*arrival
+	rxBatch []reception
 	endTxFn func()
 
 	wakeTimer sim.Timer
@@ -160,10 +173,7 @@ func (t *Transceiver) SetFailed(down bool) {
 		t.resumeWake = t.resumeWake || t.waking
 		t.wakeTimer.Stop()
 		t.waking = false
-		for _, a := range t.arrivals {
-			a.aborted = true
-		}
-		t.arrivals = t.arrivals[:0]
+		t.abortReceptions()
 		t.noteIdle()
 		t.updateMeterState()
 		return
@@ -179,7 +189,7 @@ func (t *Transceiver) SetFailed(down bool) {
 // Busy reports carrier sense: a transmission in progress or energy on the
 // channel at this receiver.
 func (t *Transceiver) Busy() bool {
-	return t.transmitting || len(t.arrivals) > 0
+	return t.transmitting || t.rxActive > 0
 }
 
 // IdleFor returns how long the medium has been continuously idle at this
@@ -246,10 +256,7 @@ func (t *Transceiver) PowerOff() error {
 	if wasActive {
 		t.observe(EventPowerOff, 0)
 	}
-	for _, a := range t.arrivals {
-		a.aborted = true
-	}
-	t.arrivals = t.arrivals[:0]
+	t.abortReceptions()
 	t.noteIdle()
 	t.meter.Transition(energy.Off)
 	return nil
@@ -266,29 +273,31 @@ func (t *Transceiver) Transmit(f Frame) error {
 		return fmt.Errorf("%w: node %d", ErrRadioBusy, t.id)
 	}
 	f.Src = t.id
-	for _, a := range t.arrivals {
-		a.corrupt = true
+	if t.rxActive > 0 {
+		t.rxEpoch++ // half-duplex: corrupts every reception in progress
 	}
 	t.transmitting = true
 	t.txFrame = f
 	t.updateMeterState()
 	t.observe(EventTxStart, f.Size)
-	t.ch.start(t, f)
+	t.ch.start(t)
 	return nil
 }
 
-// endTx is the transmission's completion event: it finishes every
-// arrival of the frame in ascending receiver ID, aborted ones included,
-// then the transmission itself. Each finished arrival is counted as an
-// executed event, as if it had been scheduled on its own. A receive
-// callback that transmits corrupts the arrivals still pending in the
+// endTx is the transmission's completion event: it ends every
+// reception of the frame in ascending receiver ID, aborted ones
+// included, then the transmission itself. Each reception is counted as
+// an executed event, as if it had been scheduled on its own. A receive
+// callback that transmits corrupts the receptions still pending in the
 // batch, exactly as it would between separate events.
 func (t *Transceiver) endTx() {
 	t.ch.sched.CountFolded(len(t.rxBatch))
 	// t is transmitting until finishTx, so no callback can append to
-	// rxBatch during the walk.
-	for _, a := range t.rxBatch {
-		a.t.finishArrival(a)
+	// rxBatch or change txFrame during the walk.
+	nodes := t.ch.nodes
+	for i := range t.rxBatch {
+		r := &t.rxBatch[i]
+		nodes[r.rx].endReception(r, &t.txFrame)
 	}
 	t.rxBatch = t.rxBatch[:0]
 	t.finishTx()
@@ -306,80 +315,70 @@ func (t *Transceiver) finishTx() {
 	}
 }
 
-// arrive begins reception of f and returns its arrival, or nil when
-// the radio cannot hear. Called by the channel for every in-range
-// transceiver; the transmitter's completion event finishes the arrival.
-func (t *Transceiver) arrive(f Frame) *arrival {
+// arrive begins reception of f and returns it, or false when the
+// radio cannot hear. Called by the channel for every in-range
+// transceiver; the transmitter's completion event ends the reception.
+func (t *Transceiver) arrive(f *Frame) (reception, bool) {
 	if !t.on || t.failed {
-		return nil // off, waking or crashed radios do not hear anything
+		return reception{}, false // off, waking or crashed radios do not hear anything
 	}
-	a := t.ch.getArrival(t)
-	a.frame = f
-	a.forMe = f.Dst == t.id || f.Dst == Broadcast
-	a.chargeRx = a.forMe || t.overhear == OverhearFull
-	if t.transmitting {
-		a.corrupt = true // half-duplex: own transmission drowns the arrival
+	// Half-duplex: the radio's own transmission drowns the arrival.
+	r := reception{rx: t.id, forMe: f.Dst == t.id || f.Dst == Broadcast, corrupt: t.transmitting}
+	r.chargeRx = r.forMe || t.overhear == OverhearFull
+	if t.rxActive > 0 {
+		// The arrival collides with every reception in progress.
+		r.corrupt = true
+		t.rxEpoch++
 	}
-	if len(t.arrivals) > 0 {
-		a.corrupt = true
-		for _, other := range t.arrivals {
-			other.corrupt = true
-		}
+	r.rxEpoch, r.abortEpoch = t.rxEpoch, t.abortEpoch
+	t.rxActive++
+	if r.chargeRx {
+		t.rxCharged++
 	}
-	t.arrivals = append(t.arrivals, a)
 	t.updateMeterState()
-	if a.chargeRx {
+	if r.chargeRx {
 		t.observe(EventRxStart, f.Size)
 	}
-	return a
+	return r, true
 }
 
-// finishArrival runs exactly once per arrival (aborted ones included)
-// and returns it to the channel's free list.
-func (t *Transceiver) finishArrival(a *arrival) {
-	if a.aborted {
-		t.ch.putArrival(a)
+// endReception ends reception r of frame f at t. It runs exactly once
+// per reception; an aborted one ends without effect.
+func (t *Transceiver) endReception(r *reception, f *Frame) {
+	if r.abortEpoch != t.abortEpoch {
 		return
 	}
-	for i, cur := range t.arrivals {
-		if cur == a {
-			t.arrivals = append(t.arrivals[:i], t.arrivals[i+1:]...)
-			break
-		}
+	t.rxActive--
+	if r.chargeRx {
+		t.rxCharged--
 	}
 	t.noteIdle()
 	t.updateMeterState()
-	if a.chargeRx {
-		t.observe(EventRxEnd, a.frame.Size)
+	if r.chargeRx {
+		t.observe(EventRxEnd, f.Size)
 	}
 
-	if !a.forMe && t.overhear == OverhearHeaderOnly {
+	if !r.forMe && t.overhear == OverhearHeaderOnly {
 		// Charged whether or not the frame decoded: the radio listened to
 		// the header either way. The cost lands in the Overhear ledger so
 		// evaluation models can separate it from useful reception.
-		headerAirtime := t.ch.Airtime(t.ch.cfg.HeaderSize)
-		t.meter.ChargeEnergy(energy.Overhear, t.ch.cfg.Profile.Rx.Over(headerAirtime))
+		t.meter.ChargeEnergy(energy.Overhear, t.ch.headerCharge)
 	}
-	// Copy the outcome out and recycle the arrival before dispatching:
-	// the receive callback may transitively start new receptions at this
-	// transceiver, and the freed arrival must be reusable by then.
-	frame, corrupt, forMe := a.frame, a.corrupt, a.forMe
-	t.ch.putArrival(a)
-	if corrupt {
+	if r.corrupt || r.rxEpoch != t.rxEpoch {
 		t.ch.stats.Collisions++
 		return
 	}
-	if p := t.ch.lossProb(frame.Src, t.id); p > 0 && t.ch.rng.Float64() < p {
+	if p := t.ch.lossProb(f.Src, t.id); p > 0 && t.ch.rng.Float64() < p {
 		t.ch.stats.NoiseLosses++
 		return
 	}
-	if !forMe {
+	if !r.forMe {
 		t.ch.stats.Overhears++
 		return
 	}
 	t.ch.stats.Deliveries++
 	if t.onReceive != nil {
-		t.onReceive(frame)
+		t.onReceive(*f)
 	}
 }
 
@@ -394,18 +393,16 @@ func (t *Transceiver) updateMeterState() {
 		t.meter.Transition(energy.Off)
 	case t.transmitting:
 		t.meter.Transition(energy.Tx)
-	case t.charging():
+	case t.rxCharged > 0:
 		t.meter.Transition(energy.Rx)
 	default:
 		t.meter.Transition(energy.Idle)
 	}
 }
 
-func (t *Transceiver) charging() bool {
-	for _, a := range t.arrivals {
-		if a.chargeRx {
-			return true
-		}
-	}
-	return false
+// abortReceptions aborts every reception in progress: each ends without
+// effect when its transmission completes.
+func (t *Transceiver) abortReceptions() {
+	t.abortEpoch++
+	t.rxActive, t.rxCharged = 0, 0
 }

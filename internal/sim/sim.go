@@ -42,6 +42,8 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"time"
 )
@@ -81,13 +83,19 @@ type eventSlot struct {
 }
 
 // before reports whether a runs before b in the deterministic
-// (time, seq) order.
+// (time, seq) order. It compares (at, seq) as one 128-bit unsigned
+// number, without branches: the borrow out of a-b is set exactly when
+// a < b. Reading at as unsigned is exact because queued times are
+// never negative: Schedule rejects times before now, which starts at
+// zero and never decreases.
 func (a event) before(b event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
+	return borrow != 0
 }
+
+// maxTime is the latest representable virtual time.
+const maxTime = Time(math.MaxInt64)
 
 // compactMinDead is the minimum amount of cancelled debris in the queue
 // before compaction is considered; below it the O(n) sweep costs more
@@ -204,16 +212,25 @@ func (s *Scheduler) Pending() int { return s.live }
 
 // Step executes the earliest pending event, advancing the clock to its
 // timestamp. It reports whether an event was executed.
-func (s *Scheduler) Step() bool {
+func (s *Scheduler) Step() bool { return s.stepUntil(maxTime) }
+
+// stepUntil executes the earliest pending event if its timestamp is no
+// later than deadline, discarding cancelled debris that surfaces at the
+// heap root on the way. It reports whether an event was executed.
+func (s *Scheduler) stepUntil(deadline Time) bool {
 	for len(s.queue) > 0 {
 		e := s.queue[0]
-		live := s.slots[e.slot].seq == e.seq
-		fn := s.slots[e.slot].fn
-		s.pop()
-		if !live {
+		sl := &s.slots[e.slot]
+		if sl.seq != e.seq {
+			s.pop()
 			s.dead--
 			continue
 		}
+		if e.at > deadline {
+			return false
+		}
+		fn := sl.fn
+		s.pop()
 		s.retire(e.slot)
 		s.live--
 		s.now = e.at
@@ -243,12 +260,7 @@ func (s *Scheduler) Run() {
 // did not already pass it. It stops early if Stop is called.
 func (s *Scheduler) RunUntil(deadline Time) {
 	s.stopped = false
-	for !s.stopped {
-		at, ok := s.peek()
-		if !ok || at > deadline {
-			break
-		}
-		s.Step()
+	for !s.stopped && s.stepUntil(deadline) {
 	}
 	if s.now < deadline {
 		s.now = deadline
@@ -257,20 +269,6 @@ func (s *Scheduler) RunUntil(deadline Time) {
 
 // Stop halts Run/RunUntil after the currently executing event returns.
 func (s *Scheduler) Stop() { s.stopped = true }
-
-// peek returns the timestamp of the earliest live event, discarding any
-// cancelled debris that has surfaced at the heap root.
-func (s *Scheduler) peek() (Time, bool) {
-	for len(s.queue) > 0 {
-		e := s.queue[0]
-		if s.slots[e.slot].seq == e.seq {
-			return e.at, true
-		}
-		s.pop()
-		s.dead--
-	}
-	return 0, false
-}
 
 // 4-ary heap primitives. Children of i sit at 4i+1..4i+4.
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -337,6 +338,67 @@ func TestRunUntilSkipsCancelledPastDeadline(t *testing.T) {
 	}
 	if s.Pending() != 1 {
 		t.Errorf("Pending() = %d, want 1", s.Pending())
+	}
+}
+
+// Cancelled debris at the heap root is discarded on the way to the
+// deadline check, whether the debris itself lies before or past the
+// deadline, and Pending keeps counting only the live event.
+func TestRunUntilDiscardsDebrisAheadOfLateEvent(t *testing.T) {
+	s := NewScheduler(1)
+	early := s.After(1*time.Second, func() {})
+	late := s.After(3*time.Second, func() {})
+	ran := false
+	s.After(5*time.Second, func() { ran = true })
+	s.Cancel(early)
+	s.Cancel(late)
+	if s.Pending() != 1 {
+		t.Fatalf("Pending() = %d after cancels, want 1", s.Pending())
+	}
+	s.RunUntil(2 * time.Second)
+	if ran {
+		t.Error("RunUntil(2s) executed the 5s event")
+	}
+	if s.Pending() != 1 || len(s.queue) != 1 || s.dead != 0 {
+		t.Errorf("after RunUntil(2s): Pending() = %d, queue %d, dead %d; want 1, 1, 0",
+			s.Pending(), len(s.queue), s.dead)
+	}
+	if s.Now() != 2*time.Second {
+		t.Errorf("Now() = %v, want 2s", s.Now())
+	}
+	s.RunUntil(5 * time.Second)
+	if !ran || s.Pending() != 0 || len(s.queue) != 0 {
+		t.Errorf("after RunUntil(5s): ran %v, Pending() = %d, queue %d; want true, 0, 0", ran, s.Pending(), len(s.queue))
+	}
+}
+
+// The branchless 128-bit (at, seq) comparison must agree with the
+// two-branch lexicographic definition on every boundary pair.
+func TestEventBeforeMatchesBranchyOrder(t *testing.T) {
+	branchy := func(a, b event) bool {
+		if a.at != b.at {
+			return a.at < b.at
+		}
+		return a.seq < b.seq
+	}
+	ats := []Time{0, 1, 2, time.Second, math.MaxInt64 / 2, math.MaxInt64/2 + 1, math.MaxInt64 - 1, math.MaxInt64}
+	seqs := []uint64{0, 1, 2, math.MaxUint32, math.MaxUint32 + 1, 1<<63 - 1, 1 << 63, math.MaxUint64 - 1, math.MaxUint64}
+	var evs []event
+	for _, at := range ats {
+		for _, seq := range seqs {
+			evs = append(evs, event{at: at, seq: seq})
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 200 {
+		evs = append(evs, event{at: Time(rng.Int63()), seq: rng.Uint64()})
+	}
+	for _, a := range evs {
+		for _, b := range evs {
+			if got, want := a.before(b), branchy(a, b); got != want {
+				t.Fatalf("(%d,%d).before(%d,%d) = %v, want %v", a.at, a.seq, b.at, b.seq, got, want)
+			}
+		}
 	}
 }
 
