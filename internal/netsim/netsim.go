@@ -282,6 +282,10 @@ func (c Config) Validate() error {
 		return bad("SensorLoss", "loss probability %v outside [0,1)", c.SensorLoss)
 	case c.WifiLoss < 0 || c.WifiLoss >= 1:
 		return bad("WifiLoss", "loss probability %v outside [0,1)", c.WifiLoss)
+	case c.WifiRange < 0:
+		return bad("WifiRange", "negative wifi range %v", c.WifiRange)
+	case c.PostBurstLinger < 0:
+		return bad("PostBurstLinger", "negative post-burst linger %v", c.PostBurstLinger)
 	case c.MinGrantPackets < 0:
 		return bad("MinGrantPackets", "negative min grant %d", c.MinGrantPackets)
 	case c.AdaptiveThresholdAlpha < 0:

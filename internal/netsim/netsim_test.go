@@ -366,6 +366,8 @@ func TestValidateNamesOffendingField(t *testing.T) {
 		{func(c *Config) { c.BurstPackets = 0 }, "BurstPackets"},
 		{func(c *Config) { c.SensorLoss = 1.5 }, "SensorLoss"},
 		{func(c *Config) { c.WifiLoss = -0.1 }, "WifiLoss"},
+		{func(c *Config) { c.WifiRange = -1 }, "WifiRange"},
+		{func(c *Config) { c.PostBurstLinger = -time.Millisecond }, "PostBurstLinger"},
 		{func(c *Config) { c.ChurnRate = -1 }, "ChurnRate"},
 		{func(c *Config) { c.Topology = "torus" }, "Topology"},
 	}

@@ -15,6 +15,7 @@ import (
 	"bulktx/internal/radio"
 	"bulktx/internal/routing"
 	"bulktx/internal/sim"
+	"bulktx/internal/topo"
 	"bulktx/internal/trace"
 	"bulktx/internal/units"
 	"bulktx/internal/workload"
@@ -90,166 +91,6 @@ func (f *forwarder) receive(frame radio.Frame) {
 	f.submit(p)
 }
 
-// Run executes one simulation described by the flat compatibility
-// Config and returns its outcomes. New code should prefer NewScenario +
-// RunScenario.
-func Run(cfg Config) (Result, error) {
-	s, err := cfg.Scenario()
-	if err != nil {
-		return Result{}, err
-	}
-	return runInstrumented(s, nil)
-}
-
-// RunScenario executes one simulation of a built Scenario.
-func RunScenario(s *Scenario) (Result, error) {
-	return runInstrumented(s, nil)
-}
-
-// runInstrumented executes a scenario with an optional per-node wifi
-// meter probe.
-func runInstrumented(s *Scenario, probe func(i int, wifi *energy.Meter, on bool)) (Result, error) {
-	sched := sim.NewScheduler(s.seed)
-	recorder := workload.NewRecorder(sched)
-	var tr *trace.Collector
-	if s.traceOn {
-		tr = trace.NewCollector(s.traceOpts, sched.Now)
-	}
-	var (
-		res     Result
-		emit    []func(core.Packet) // per-node packet entry point
-		sensorM []*mac.MAC
-		wifiM   []*mac.MAC
-		agents  []*core.Agent
-		err     error
-	)
-
-	switch s.model {
-	case ModelSensor:
-		sensorM, emit, err = buildSensorModel(s, sched, recorder, tr)
-	case ModelWifi:
-		wifiM, emit, err = buildWifiModel(s, sched, recorder, tr)
-	case ModelDual:
-		sensorM, wifiM, agents, emit, err = buildDualModel(s, sched, recorder, tr)
-	default:
-		err = fmt.Errorf("netsim: unhandled model %v", s.model)
-	}
-	if err != nil {
-		return Result{}, err
-	}
-
-	// Workload: senders toward the sink. Dual-model CBR senders stagger
-	// their start across one burst-accumulation interval so threshold
-	// crossings do not synchronize into an artificial burst storm (the
-	// random processes desynchronize naturally).
-	var generators []source
-	for i, sender := range s.senderIDs {
-		rate := s.workload.RateFor(i)
-		var startWindow time.Duration
-		if s.model == ModelDual {
-			period := time.Duration(float64(params.SensorPayload.Bits()) /
-				rate.BitsPerSecond() * float64(time.Second))
-			startWindow = period * time.Duration(s.burstPackets)
-		}
-		emitFn := emit[sender]
-		if tr != nil {
-			node, inner := sender, emitFn
-			emitFn = func(p core.Packet) {
-				tr.PacketGenerated(node, p.Src, p.Dst, p.Seq)
-				inner(p)
-			}
-		}
-		g, err := newSource(s, sched, rate, sender, s.sinkID, startWindow, emitFn)
-		if err != nil {
-			return Result{}, err
-		}
-		generators = append(generators, g)
-	}
-
-	// Periodic energy sampling rides the ordinary event queue; it is
-	// scheduled at all only when the trace options ask for it, so the
-	// untraced queue carries no extra events.
-	if tr != nil && tr.SampleInterval() > 0 {
-		interval := tr.SampleInterval()
-		var tick func()
-		tick = func() {
-			tr.TakeSample()
-			sched.After(interval, tick)
-		}
-		sched.After(interval, tick)
-	}
-
-	// Churn: the schedule was resolved and validated at build time; each
-	// event toggles every radio of its node.
-	for _, ev := range s.churnEvents {
-		ev := ev
-		if _, err := sched.Schedule(sim.Time(ev.At), func() {
-			if ev.Node < len(sensorM) && sensorM != nil {
-				sensorM[ev.Node].Transceiver().SetFailed(ev.Down)
-			}
-			if ev.Node < len(wifiM) && wifiM != nil {
-				wifiM[ev.Node].Transceiver().SetFailed(ev.Down)
-			}
-		}); err != nil {
-			return Result{}, err
-		}
-	}
-
-	sched.RunUntil(s.duration)
-	for _, g := range generators {
-		g.Stop()
-	}
-
-	// Collect metrics.
-	for _, g := range generators {
-		_, bits := g.Generated()
-		res.GeneratedBits += bits
-	}
-	res.DeliveredBits = recorder.DeliveredBits()
-	res.Delays = recorder.Delays()
-	res.Events = sched.Processed
-
-	var overhear units.Energy
-	for _, m := range sensorM {
-		by := m.Transceiver().Meter().ByState()
-		// Sum in canonical state order: float addition is not
-		// associative, and map-order iteration would make TotalEnergy
-		// vary in its last bits from run to run.
-		for _, state := range energy.States() {
-			e, ok := by[state]
-			if !ok {
-				continue
-			}
-			if state == energy.Overhear {
-				overhear += e
-			}
-			res.TotalEnergy += e
-		}
-		addStats := m.Transceiver().Channel().Stats()
-		res.SensorStats = addStats
-	}
-	for _, m := range wifiM {
-		res.TotalEnergy += m.Transceiver().Meter().Total()
-		res.WifiStats = m.Transceiver().Channel().Stats()
-	}
-	res.IdealEnergy = res.TotalEnergy - overhear
-	for _, a := range agents {
-		res.AgentStats = addAgentStats(res.AgentStats, a.Stats())
-	}
-	if tr != nil {
-		rec := tr.Finish()
-		res.PerNode = rec.PerNode
-		res.Trace = rec
-	}
-	if probe != nil {
-		for i, m := range wifiM {
-			x := m.Transceiver()
-			probe(i, x.Meter(), x.On() || x.Waking())
-		}
-	}
-	return res, nil
-}
-
 // wireTraceRadio registers a radio's meter with the collector and
 // forwards its effective state transitions as trace events. A nil
 // collector leaves the meter's transition hook nil — the zero-cost
@@ -310,220 +151,326 @@ func wireTraceAgent(tr *trace.Collector, node int, a *core.Agent) {
 	})
 }
 
-// buildSensorModel attaches only sensor radios with hop-by-hop
-// forwarding. Idle is free (a base cost, per the paper); overhearing is
-// charged into the Overhear ledger so both Sensor-ideal and
-// Sensor-header totals come out of one run.
-func buildSensorModel(
-	s *Scenario,
-	sched *sim.Scheduler,
-	recorder *workload.Recorder,
-	tr *trace.Collector,
-) ([]*mac.MAC, []func(core.Packet), error) {
-	layout, sink := s.layout, s.sinkID
-	nodes := layout.Len()
-	ch, err := radio.NewChannel(sched, radio.Config{
-		Name:       "sensor",
-		Profile:    s.sensorProfile,
-		LossProb:   s.links.SensorLoss,
-		LossAt:     s.links.SensorLossAt,
-		HeaderSize: params.SensorHeader,
-	}, layout)
+// Run executes one simulation described by the flat compatibility
+// Config and returns its outcomes. New code should prefer NewScenario +
+// RunScenario.
+func Run(cfg Config) (Result, error) {
+	s, err := cfg.Scenario()
 	if err != nil {
-		return nil, nil, err
+		return Result{}, err
 	}
-	tree, err := routing.BuildTree(layout, sink, s.sensorProfile.Range)
-	if err != nil {
-		return nil, nil, err
-	}
-	macs := make([]*mac.MAC, nodes)
-	emit := make([]func(core.Packet), nodes)
-	for i := 0; i < nodes; i++ {
-		x, err := ch.Attach(radio.NodeID(i), radio.OverhearHeaderOnly, true)
-		if err != nil {
-			return nil, nil, err
-		}
-		x.Meter().SetFreeState(energy.Idle, true)
-		m, err := mac.New(mac.SensorParams(), sched, x)
-		if err != nil {
-			return nil, nil, err
-		}
-		macs[i] = m
-		wireTraceRadio(tr, i, "sensor", x)
-		wireTraceMACDrops(tr, i, m)
-		var deliver func(core.Packet)
-		if i == sink {
-			deliver = tracedDeliver(tr, i, recorder.Receive)
-		}
-		f := newForwarder(i, m, tree, params.SensorHeader, deliver, tr)
-		emit[i] = f.submit
-	}
-	return macs, emit, nil
+	return RunScenario(s)
 }
 
-// buildWifiModel attaches only 802.11 radios, always on, fully charged.
-func buildWifiModel(
-	s *Scenario,
-	sched *sim.Scheduler,
-	recorder *workload.Recorder,
-	tr *trace.Collector,
-) ([]*mac.MAC, []func(core.Packet), error) {
-	layout, sink := s.layout, s.sinkID
-	nodes := layout.Len()
-	wifiRange := s.wifiRange
-	if wifiRange == 0 {
-		wifiRange = s.wifiProfile.Range
+// RunScenario executes one simulation of a built Scenario.
+func RunScenario(s *Scenario) (Result, error) {
+	sched := sim.NewScheduler(s.seed)
+	recorder := workload.NewRecorder(sched)
+	var tr *trace.Collector
+	if s.traceOn {
+		tr = trace.NewCollector(s.traceOpts, sched.Now)
 	}
-	ch, err := radio.NewChannel(sched, radio.Config{
-		Name:       "wifi",
-		Profile:    s.wifiProfile,
-		Range:      wifiRange,
-		LossProb:   s.links.WifiLoss,
-		LossAt:     s.links.WifiLossAt,
-		HeaderSize: params.WifiHeader,
-	}, layout)
+	net, err := buildNetwork(s, sched, recorder, tr)
 	if err != nil {
-		return nil, nil, err
+		return Result{}, err
 	}
-	tree, err := routing.BuildTree(layout, sink, wifiRange)
-	if err != nil {
-		return nil, nil, err
-	}
-	macs := make([]*mac.MAC, nodes)
-	emit := make([]func(core.Packet), nodes)
-	for i := 0; i < nodes; i++ {
-		x, err := ch.Attach(radio.NodeID(i), radio.OverhearFull, true)
+
+	// Workload: senders toward the sink. Dual-model CBR senders stagger
+	// their start across one burst-accumulation interval so threshold
+	// crossings do not synchronize into an artificial burst storm (the
+	// random processes desynchronize naturally).
+	var generators []source
+	for i, sender := range s.senderIDs {
+		rate := s.workload.RateFor(i)
+		var startWindow time.Duration
+		if s.model == ModelDual {
+			period := time.Duration(float64(params.SensorPayload.Bits()) /
+				rate.BitsPerSecond() * float64(time.Second))
+			startWindow = period * time.Duration(s.burstPackets)
+		}
+		emitFn := net.emit[sender]
+		if tr != nil {
+			node, inner := sender, emitFn
+			emitFn = func(p core.Packet) {
+				tr.PacketGenerated(node, p.Src, p.Dst, p.Seq)
+				inner(p)
+			}
+		}
+		g, err := newSource(s, sched, rate, sender, s.sinkID, startWindow, emitFn)
 		if err != nil {
-			return nil, nil, err
+			return Result{}, err
 		}
-		m, err := mac.New(mac.WifiParams(), sched, x)
-		if err != nil {
-			return nil, nil, err
-		}
-		macs[i] = m
-		wireTraceRadio(tr, i, "wifi", x)
-		wireTraceMACDrops(tr, i, m)
-		var deliver func(core.Packet)
-		if i == sink {
-			deliver = tracedDeliver(tr, i, recorder.Receive)
-		}
-		// The pure-802.11 model sends each sensor packet as its own
-		// (inefficient) small frame, as nodes have no reason to batch.
-		f := newForwarder(i, m, tree, params.WifiHeader, deliver, tr)
-		emit[i] = f.submit
+		generators = append(generators, g)
 	}
-	return macs, emit, nil
+
+	// Periodic energy sampling rides the ordinary event queue; it is
+	// scheduled at all only when the trace options ask for it, so the
+	// untraced queue carries no extra events.
+	if tr != nil && tr.SampleInterval() > 0 {
+		interval := tr.SampleInterval()
+		var tick func()
+		tick = func() {
+			tr.TakeSample()
+			sched.After(interval, tick)
+		}
+		sched.After(interval, tick)
+	}
+
+	// Churn: the schedule was resolved and validated at build time; each
+	// event toggles every radio of its node.
+	for _, ev := range s.churnEvents {
+		ev := ev
+		if _, err := sched.Schedule(sim.Time(ev.At), func() {
+			for _, r := range net.radios {
+				r.macs[ev.Node].Transceiver().SetFailed(ev.Down)
+			}
+		}); err != nil {
+			return Result{}, err
+		}
+	}
+
+	sched.RunUntil(s.duration)
+	for _, g := range generators {
+		g.Stop()
+	}
+
+	// Collect metrics.
+	var res Result
+	for _, g := range generators {
+		_, bits := g.Generated()
+		res.GeneratedBits += bits
+	}
+	res.DeliveredBits = recorder.DeliveredBits()
+	res.Delays = recorder.Delays()
+	res.Events = sched.Processed
+
+	var overhear units.Energy
+	if r := net.sensor; r != nil {
+		for _, m := range r.macs {
+			by := m.Transceiver().Meter().ByState()
+			// Sum in canonical state order: float addition is not
+			// associative, and map-order iteration would make TotalEnergy
+			// vary in its last bits from run to run.
+			for _, state := range energy.States() {
+				e, ok := by[state]
+				if !ok {
+					continue
+				}
+				if state == energy.Overhear {
+					overhear += e
+				}
+				res.TotalEnergy += e
+			}
+		}
+		res.SensorStats = r.ch.Stats()
+	}
+	if r := net.wifi; r != nil {
+		for _, m := range r.macs {
+			res.TotalEnergy += m.Transceiver().Meter().Total()
+		}
+		res.WifiStats = r.ch.Stats()
+	}
+	res.IdealEnergy = res.TotalEnergy - overhear
+	for _, a := range net.agents {
+		res.AgentStats = addAgentStats(res.AgentStats, a.Stats())
+	}
+	if tr != nil {
+		rec := tr.Finish()
+		res.PerNode = rec.PerNode
+		res.Trace = rec
+	}
+	return res, nil
 }
 
-// buildDualModel attaches both radios and a BCP agent per node.
-func buildDualModel(
+// radioSpec is one radio of a model: its channel, how each node
+// attaches to it, and the MAC on top.
+type radioSpec struct {
+	cfg      radio.Config
+	overhear radio.OverhearPolicy
+	// startOn attaches the radio powered on; radios attached off wake
+	// on demand.
+	startOn bool
+	// freeIdle makes idling a free base cost (the paper's charging of
+	// the sensor radio).
+	freeIdle bool
+	mac      mac.Params
+}
+
+// radioSpecs returns the sensor and 802.11 radios as the baseline
+// models use them. The sensor radio's idle is free and its overhearing
+// is charged into the Overhear ledger, so both Sensor-ideal and
+// Sensor-header totals come out of one run; the 802.11 radio is always
+// on and charged in full.
+func (s *Scenario) radioSpecs() (sensor, wifi radioSpec) {
+	sensor = radioSpec{
+		cfg: radio.Config{
+			Name:       "sensor",
+			Profile:    s.sensorProfile,
+			LossProb:   s.links.SensorLoss,
+			LossAt:     s.links.SensorLossAt,
+			HeaderSize: params.SensorHeader,
+		},
+		overhear: radio.OverhearHeaderOnly,
+		startOn:  true,
+		freeIdle: true,
+		mac:      mac.SensorParams(),
+	}
+	wifi = radioSpec{
+		cfg: radio.Config{
+			Name:       "wifi",
+			Profile:    s.wifiProfile,
+			Range:      s.wifiRange,
+			LossProb:   s.links.WifiLoss,
+			LossAt:     s.links.WifiLossAt,
+			HeaderSize: params.WifiHeader,
+		},
+		overhear: radio.OverhearFull,
+		startOn:  true,
+		mac:      mac.WifiParams(),
+	}
+	return sensor, wifi
+}
+
+// radioNet is one attached radio: its channel and each node's MAC, in
+// node order.
+type radioNet struct {
+	ch   *radio.Channel
+	macs []*mac.MAC
+}
+
+// attachRadio creates the spec's channel over the layout and attaches
+// every node to it with its MAC. Neither Attach nor mac.New schedules
+// an event or draws a random number, so attaching all of one radio's
+// nodes before the next radio's leaves the run unchanged.
+func attachRadio(sched *sim.Scheduler, layout *topo.Layout, spec radioSpec) (*radioNet, error) {
+	ch, err := radio.NewChannel(sched, spec.cfg, layout)
+	if err != nil {
+		return nil, err
+	}
+	r := &radioNet{ch: ch, macs: make([]*mac.MAC, layout.Len())}
+	for i := range r.macs {
+		x, err := ch.Attach(radio.NodeID(i), spec.overhear, spec.startOn)
+		if err != nil {
+			return nil, err
+		}
+		if spec.freeIdle {
+			x.Meter().SetFreeState(energy.Idle, true)
+		}
+		if r.macs[i], err = mac.New(spec.mac, sched, x); err != nil {
+			return nil, err
+		}
+	}
+	return r, nil
+}
+
+// network is one built model: its attached radios, the BCP agents
+// (dual model only) and each node's packet entry point.
+type network struct {
+	// radios lists the attached radios, sensor first; sensor and wifi
+	// name them (nil when the model lacks that radio).
+	radios       []*radioNet
+	sensor, wifi *radioNet
+	agents       []*core.Agent
+	emit         []func(core.Packet)
+}
+
+// buildNetwork attaches the model's radios and wires each node's data
+// plane: a hop-by-hop forwarder over the one radio of the sensor and
+// 802.11 models, a BCP agent over both radios of the dual model.
+func buildNetwork(
 	s *Scenario,
 	sched *sim.Scheduler,
 	recorder *workload.Recorder,
 	tr *trace.Collector,
-) ([]*mac.MAC, []*mac.MAC, []*core.Agent, []func(core.Packet), error) {
+) (*network, error) {
 	layout, sink := s.layout, s.sinkID
 	nodes := layout.Len()
-	sensorCh, err := radio.NewChannel(sched, radio.Config{
-		Name:       "sensor",
-		Profile:    s.sensorProfile,
-		LossProb:   s.links.SensorLoss,
-		LossAt:     s.links.SensorLossAt,
-		HeaderSize: params.SensorHeader,
-	}, layout)
-	if err != nil {
-		return nil, nil, nil, nil, err
+	sensor, wifi := s.radioSpecs()
+	if s.model == ModelDual {
+		// Under BCP the sensor radio carries control and overhears for
+		// free; the 802.11 radio sleeps between bursts and pays a
+		// wake-up latency.
+		sensor.overhear = radio.OverhearFree
+		wifi.startOn = false
+		wifi.cfg.WakeupLatency = params.WifiWakeupLatency
 	}
-	wifiRange := s.wifiRange
-	if wifiRange == 0 {
-		wifiRange = s.wifiProfile.Range
+	net := &network{emit: make([]func(core.Packet), nodes)}
+	var err error
+	if s.model != ModelWifi {
+		if net.sensor, err = attachRadio(sched, layout, sensor); err != nil {
+			return nil, err
+		}
+		net.radios = append(net.radios, net.sensor)
 	}
-	wifiCh, err := radio.NewChannel(sched, radio.Config{
-		Name:          "wifi",
-		Profile:       s.wifiProfile,
-		Range:         wifiRange,
-		LossProb:      s.links.WifiLoss,
-		LossAt:        s.links.WifiLossAt,
-		WakeupLatency: params.WifiWakeupLatency,
-		HeaderSize:    params.WifiHeader,
-	}, layout)
-	if err != nil {
-		return nil, nil, nil, nil, err
+	if s.model != ModelSensor {
+		if net.wifi, err = attachRadio(sched, layout, wifi); err != nil {
+			return nil, err
+		}
+		net.radios = append(net.radios, net.wifi)
 	}
 
-	mesh, err := routing.BuildMesh(layout, s.sensorProfile.Range)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	var wifiRoute core.NextHopper
-	if s.useShortcutLearner {
-		sensorTree, err := routing.BuildTree(layout, sink, s.sensorProfile.Range)
-		if err != nil {
-			return nil, nil, nil, nil, err
+	// The forwarding models route along a tree at their one radio's
+	// range; BCP agents route control over the sensor mesh and bursts
+	// over a wifi tree or the shortcut learner.
+	first := net.radios[0]
+	firstCfg := first.ch.Config()
+	var (
+		tree      *routing.Tree
+		mesh      *routing.Mesh
+		wifiRoute core.NextHopper
+		addr      *routing.AddrMap
+	)
+	if s.model == ModelDual {
+		if mesh, err = routing.BuildMesh(layout, s.sensorProfile.Range); err != nil {
+			return nil, err
 		}
-		wifiRoute = routing.NewLearner(sensorTree, layout, wifiRange, true)
-	} else {
-		wifiTree, err := routing.BuildTree(layout, sink, wifiRange)
-		if err != nil {
-			return nil, nil, nil, nil, err
+		if s.useShortcutLearner {
+			sensorTree, err := routing.BuildTree(layout, sink, s.sensorProfile.Range)
+			if err != nil {
+				return nil, err
+			}
+			wifiRoute = routing.NewLearner(sensorTree, layout, s.wifiRange, true)
+		} else if wifiRoute, err = routing.BuildTree(layout, sink, s.wifiRange); err != nil {
+			return nil, err
 		}
-		wifiRoute = wifiTree
+		addr = routing.IdentityAddrMap(nodes)
+	} else if tree, err = routing.BuildTree(layout, sink, firstCfg.Range); err != nil {
+		return nil, err
 	}
-	addr := routing.IdentityAddrMap(nodes)
 
-	sensorM := make([]*mac.MAC, nodes)
-	wifiM := make([]*mac.MAC, nodes)
-	agents := make([]*core.Agent, nodes)
-	emit := make([]func(core.Packet), nodes)
+	// Trace registration stays node-major (each node's radios in order,
+	// then its agent): the collector's registration order is the row
+	// order of its samples.
 	for i := 0; i < nodes; i++ {
-		sx, err := sensorCh.Attach(radio.NodeID(i), radio.OverhearFree, true)
-		if err != nil {
-			return nil, nil, nil, nil, err
+		for _, r := range net.radios {
+			wireTraceRadio(tr, i, r.ch.Config().Name, r.macs[i].Transceiver())
 		}
-		sx.Meter().SetFreeState(energy.Idle, true)
-		wx, err := wifiCh.Attach(radio.NodeID(i), radio.OverhearFull, false)
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		sm, err := mac.New(mac.SensorParams(), sched, sx)
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		wm, err := mac.New(mac.WifiParams(), sched, wx)
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		sensorM[i], wifiM[i] = sm, wm
-		wireTraceRadio(tr, i, "sensor", sx)
-		wireTraceRadio(tr, i, "wifi", wx)
-		// The agent owns the wifi MAC's drop callback (burst-frame
-		// accounting) but leaves the sensor MAC's free; wiring it
-		// catches delay-bound data packets the CSMA MAC abandons.
-		wireTraceMACDrops(tr, i, sm)
-
-		agentCfg := core.DefaultConfig(i, s.burstPackets)
-		agentCfg.PostBurstLinger = s.postBurstLinger
-		if s.minGrantPackets > 0 {
-			agentCfg.MinGrant = units.ByteSize(s.minGrantPackets) * params.SensorPayload
-		}
-		if s.adaptiveAlpha > 0 {
-			agentCfg.AdaptiveThreshold = true
-			agentCfg.ThresholdAlpha = s.adaptiveAlpha
-		}
-		agentCfg.DelayBound = s.delayBound
+		// In the dual model the agent owns the wifi MAC's drop callback
+		// (burst-frame accounting) but leaves the sensor MAC's free;
+		// wiring it catches delay-bound data packets the CSMA MAC
+		// abandons.
+		wireTraceMACDrops(tr, i, first.macs[i])
 		var deliver func(core.Packet)
 		if i == sink {
 			deliver = tracedDeliver(tr, i, recorder.Receive)
 		}
-		a, err := core.NewAgent(agentCfg, sched, sm, wm, mesh, wifiRoute, addr, deliver)
-		if err != nil {
-			return nil, nil, nil, nil, err
+		if s.model != ModelDual {
+			// The pure-802.11 model sends each sensor packet as its own
+			// (inefficient) small frame, as nodes have no reason to batch.
+			f := newForwarder(i, first.macs[i], tree, firstCfg.HeaderSize, deliver, tr)
+			net.emit[i] = f.submit
+			continue
 		}
-		agents[i] = a
+		a, err := core.NewAgent(s.agentConfig(i), sched,
+			net.sensor.macs[i], net.wifi.macs[i], mesh, wifiRoute, addr, deliver)
+		if err != nil {
+			return nil, err
+		}
+		net.agents = append(net.agents, a)
 		wireTraceAgent(tr, i, a)
-		emit[i] = a.Buffer
+		net.emit[i] = a.Buffer
 	}
-	return sensorM, wifiM, agents, emit, nil
+	return net, nil
 }
 
 // source is the common surface of the workload generators.
@@ -605,13 +552,7 @@ func addAgentStats(a, b core.Stats) core.Stats {
 // the sweep package, which adds cross-cell batching and result
 // caching on top of the same parallelism.
 func RunMany(cfg Config, runs int, baseSeed int64) ([]Result, error) {
-	return RunManyWorkers(cfg, runs, baseSeed, 0)
-}
-
-// RunManyWorkers is RunMany with an explicit concurrency limit
-// (workers < 1 selects runtime.NumCPU()).
-func RunManyWorkers(cfg Config, runs int, baseSeed int64, workers int) ([]Result, error) {
-	return runSeeded(runs, workers, func(r int) (Result, error) {
+	return runSeeded(runs, func(r int) (Result, error) {
 		c := cfg
 		c.Seed = baseSeed + int64(r)
 		return Run(c)
@@ -624,22 +565,18 @@ func RunManyWorkers(cfg Config, runs int, baseSeed int64, workers int) ([]Result
 // across repetitions; only the run seed (channel noise, MAC backoff,
 // arrival processes) varies.
 func RunScenarioMany(s *Scenario, runs int, baseSeed int64) ([]Result, error) {
-	return runSeeded(runs, 0, func(r int) (Result, error) {
+	return runSeeded(runs, func(r int) (Result, error) {
 		return RunScenario(s.withSeed(baseSeed + int64(r)))
 	})
 }
 
-// runSeeded fans repetitions over a worker pool, preserving order.
-func runSeeded(runs, workers int, run func(r int) (Result, error)) ([]Result, error) {
+// runSeeded fans repetitions over up to runtime.NumCPU workers,
+// preserving order.
+func runSeeded(runs int, run func(r int) (Result, error)) ([]Result, error) {
 	if runs < 1 {
 		return nil, fmt.Errorf("netsim: runs %d < 1", runs)
 	}
-	if workers < 1 {
-		workers = runtime.NumCPU()
-	}
-	if workers > runs {
-		workers = runs
-	}
+	workers := min(runtime.NumCPU(), runs)
 	out := make([]Result, runs)
 	errs := make([]error, runs)
 	var next atomic.Int64
@@ -686,15 +623,4 @@ func Summaries(results []Result) (goodput, normEnergy, idealEnergy metrics.Summa
 		meanDelay = delaySum / time.Duration(delayN)
 	}
 	return metrics.Summarize(gs), metrics.Summarize(es), metrics.Summarize(is), meanDelay
-}
-
-// RunDebug executes one run and reports each node's wifi meter to probe
-// (test/diagnostic hook; the callback receives the node index, its wifi
-// meter and whether the radio is still on at the end of the run).
-func RunDebug(cfg Config, probe func(i int, wifi *energy.Meter, on bool)) (Result, error) {
-	s, err := cfg.Scenario()
-	if err != nil {
-		return Result{}, err
-	}
-	return runInstrumented(s, probe)
 }

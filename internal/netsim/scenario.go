@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"bulktx/internal/core"
 	"bulktx/internal/energy"
 	"bulktx/internal/params"
 	"bulktx/internal/topo"
@@ -312,6 +313,9 @@ func (s *Scenario) build() error {
 	case s.wifiRange < 0:
 		return fmt.Errorf("netsim: negative wifi range %v", s.wifiRange)
 	}
+	if s.wifiRange == 0 {
+		s.wifiRange = s.wifiProfile.Range
+	}
 	if err := s.workload.validate(); err != nil {
 		return err
 	}
@@ -365,9 +369,6 @@ func (s *Scenario) build() error {
 	radioName := "sensor"
 	if s.model == ModelWifi {
 		reqRange = s.wifiRange
-		if reqRange == 0 {
-			reqRange = s.wifiProfile.Range
-		}
 		radioName = "wifi"
 	}
 	if !layout.Connected(sink, reqRange) {
@@ -388,6 +389,22 @@ func (s *Scenario) build() error {
 		s.churnEvents = events
 	}
 	return nil
+}
+
+// agentConfig is node i's BCP agent configuration: the scenario's burst
+// threshold plus whichever extensions it enables.
+func (s *Scenario) agentConfig(i int) core.Config {
+	cfg := core.DefaultConfig(i, s.burstPackets)
+	cfg.PostBurstLinger = s.postBurstLinger
+	if s.minGrantPackets > 0 {
+		cfg.MinGrant = units.ByteSize(s.minGrantPackets) * params.SensorPayload
+	}
+	if s.adaptiveAlpha > 0 {
+		cfg.AdaptiveThreshold = true
+		cfg.ThresholdAlpha = s.adaptiveAlpha
+	}
+	cfg.DelayBound = s.delayBound
+	return cfg
 }
 
 // Model returns the evaluation model.

@@ -265,6 +265,7 @@ func TestMalformedSpecs(t *testing.T) {
 		{"bad-topology", "/v1/runs", `{"topology": "torus"}`, "topologies"},
 		{"bad-senders", "/v1/runs", `{"senders": 99}`, "Senders"},
 		{"bad-loss", "/v1/runs", `{"sensor_loss": 2.0}`, "SensorLoss"},
+		{"negative-linger", "/v1/sweeps", `{"post_burst_linger_ms": -5}`, "PostBurstLinger"},
 	}
 	for _, tc := range cases {
 		resp, data := postJSON(t, ts.URL+tc.path, tc.body)
