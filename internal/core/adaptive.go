@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"time"
 
 	"bulktx/internal/analysis"
@@ -117,17 +116,11 @@ func (a *Agent) checkDeadlines() {
 	const controlSlack = 8
 	headroom := a.sensor.Params().QueueCap - a.sensor.QueueLen() - controlSlack
 	backlog := false
-	// Walk next hops in ascending order: map iteration order would vary
-	// run to run, and both the reroute order into the shared sensor MAC
-	// and the choice of which overdue packets wait when headroom runs
-	// out must be deterministic for fixed-seed reproducibility.
-	hops := make([]int, 0, len(a.buffers))
-	for nh := range a.buffers {
-		hops = append(hops, nh)
-	}
-	sort.Ints(hops)
-	for _, nh := range hops {
-		q := a.buffers[nh]
+	// The buffers are in ascending next-hop order, so both the reroute
+	// order into the shared sensor MAC and the choice of which overdue
+	// packets wait when headroom runs out are deterministic.
+	for i := range a.buffers {
+		q := &a.buffers[i]
 		kept := q.pkts[:0]
 		for _, p := range q.pkts {
 			if now-p.Created >= budget {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"bulktx/internal/mac"
 	"bulktx/internal/radio"
@@ -52,10 +53,13 @@ type Agent struct {
 	wifiRoute NextHopper
 	addr      *routing.AddrMap
 
-	// buffers holds one queue per high-power next hop. Byte totals are
+	// buffers holds one queue per high-power next hop, in ascending
+	// next-hop order, so every walk over them (threshold check, deadline
+	// check) is deterministic without sorting. Byte totals are
 	// maintained incrementally, so the threshold check on every buffered
-	// packet is O(hops) instead of a rescan of the queues.
-	buffers       map[int]*hopQueue
+	// packet is O(hops) instead of a rescan of the queues. Queues are
+	// never removed: a node has only a handful of next hops over a run.
+	buffers       []hopQueue
 	bufferedBytes units.ByteSize
 
 	// Sender state: one handshake/burst in flight at a time.
@@ -168,7 +172,6 @@ func NewAgent(
 		wifiRoute: wifiRoute,
 		addr:      addr,
 		onDeliver: onDeliver,
-		buffers:   make(map[int]*hopQueue),
 		recv:      make(map[int]*recvSession),
 		lastDone:  make(map[int]uint64),
 	}
@@ -215,11 +218,7 @@ func (a *Agent) Buffer(p Packet) {
 		a.notePacket(PacketDroppedBufferFull, p)
 		return
 	}
-	q := a.buffers[nh]
-	if q == nil {
-		q = &hopQueue{}
-		a.buffers[nh] = q
-	}
+	q := a.queue(nh)
 	q.pkts = append(q.pkts, p)
 	q.bytes += p.Size
 	a.bufferedBytes += p.Size
@@ -229,15 +228,44 @@ func (a *Agent) Buffer(p Packet) {
 
 // hopQueue is the buffered backlog toward one high-power next hop.
 type hopQueue struct {
+	nh    int
 	pkts  []Packet
 	bytes units.ByteSize
+}
+
+// find returns the index of next hop nh's queue, or where it would be
+// inserted to keep the buffers in ascending next-hop order.
+func (a *Agent) find(nh int) (int, bool) {
+	for i := range a.buffers {
+		if a.buffers[i].nh >= nh {
+			return i, a.buffers[i].nh == nh
+		}
+	}
+	return len(a.buffers), false
+}
+
+// queue returns next hop nh's queue, creating it in order if missing.
+// A new queue has room for one burst (the threshold in packets, capped
+// by the buffer capacity), so it does not re-grow on the way to its
+// first handshake. The pointer is valid until the next queue is
+// created.
+func (a *Agent) queue(nh int) *hopQueue {
+	i, ok := a.find(nh)
+	if !ok {
+		bytes := min(a.cfg.BurstThreshold, a.cfg.BufferCap)
+		a.buffers = slices.Insert(a.buffers, i, hopQueue{
+			nh:   nh,
+			pkts: make([]Packet, 0, int(bytes/a.cfg.SensorPayload)),
+		})
+	}
+	return &a.buffers[i]
 }
 
 // bufferedFor returns the bytes waiting for one next hop (maintained
 // incrementally by Buffer and the drain paths).
 func (a *Agent) bufferedFor(nh int) units.ByteSize {
-	if q := a.buffers[nh]; q != nil {
-		return q.bytes
+	if i, ok := a.find(nh); ok {
+		return a.buffers[i].bytes
 	}
 	return 0
 }
@@ -252,8 +280,9 @@ func (a *Agent) Flush() {
 }
 
 // maybeStart begins a handshake when idle and some next hop has passed
-// the burst threshold. Next hops are scanned in ascending order for
-// determinism.
+// the burst threshold. The lowest qualifying next hop wins, for
+// determinism: the buffers are in ascending next-hop order, so that is
+// the first one.
 func (a *Agent) maybeStart() {
 	if a.sending {
 		return
@@ -266,22 +295,18 @@ func (a *Agent) maybeStart() {
 			threshold = 1
 		}
 	}
-	// Lowest qualifying next hop wins, for determinism (equivalent to
-	// collecting and sorting, without the allocation).
-	target := -1
-	for nh, q := range a.buffers {
-		if q.bytes >= threshold && (target < 0 || nh < target) {
-			target = nh
-		}
+	i := 0
+	for i < len(a.buffers) && a.buffers[i].bytes < threshold {
+		i++
 	}
-	if target < 0 {
+	if i == len(a.buffers) {
 		return
 	}
 	a.sending = true
-	a.curTarget = target
+	a.curTarget = a.buffers[i].nh
 	a.handshakeSeq++
 	a.curID = a.handshakeSeq
-	a.curBurstReq = a.bufferedFor(a.curTarget)
+	a.curBurstReq = a.buffers[i].bytes
 	a.wakeupTries = 0
 	a.stats.Handshakes++
 	a.sendWakeup()
@@ -473,21 +498,21 @@ func (a *Agent) startBurst(sendBytes units.ByteSize) {
 	if !a.sending {
 		return
 	}
-	q := a.buffers[a.curTarget]
-	var queue []Packet
-	if q != nil {
-		queue = q.pkts
-	}
-	nPackets := int(sendBytes / a.cfg.SensorPayload)
-	if nPackets > len(queue) {
-		nPackets = len(queue)
+	var q *hopQueue
+	nPackets := 0
+	if i, ok := a.find(a.curTarget); ok {
+		q = &a.buffers[i]
+		nPackets = min(int(sendBytes/a.cfg.SensorPayload), len(q.pkts))
 	}
 	if nPackets == 0 {
 		a.finishBurst()
 		return
 	}
-	burst := queue[:nPackets]
-	q.pkts = queue[nPackets:]
+	// The burst is copied once, since the queue's array is reused; the
+	// frames below share that copy. The rest of the backlog moves to
+	// the front of the queue.
+	burst := append([]Packet(nil), q.pkts[:nPackets]...)
+	q.pkts = q.pkts[:copy(q.pkts, q.pkts[nPackets:])]
 	for _, p := range burst {
 		a.bufferedBytes -= p.Size
 		q.bytes -= p.Size
@@ -515,7 +540,7 @@ func (a *Agent) startBurst(sendBytes units.ByteSize) {
 		if hi > nPackets {
 			hi = nPackets
 		}
-		chunk := append([]Packet(nil), burst[lo:hi]...)
+		chunk := burst[lo:hi:hi]
 		var size units.ByteSize
 		for _, p := range chunk {
 			size += p.Size

@@ -573,3 +573,70 @@ func TestEnergyFollowsBreakEvenDirection(t *testing.T) {
 			smallDual, sensorCost(10))
 	}
 }
+
+// fillQueue buffers n packets for the sink (node 2) toward next hop nh,
+// bypassing routing, with sequence numbers base, base+1, ... and the
+// given creation time.
+func fillQueue(a *Agent, nh, n int, base uint64, created sim.Time) {
+	q := a.queue(nh)
+	for i := 0; i < n; i++ {
+		p := Packet{Src: a.cfg.NodeID, Dst: 2, Seq: base + uint64(i),
+			Size: params.SensorPayload, Created: created}
+		q.pkts = append(q.pkts, p)
+		q.bytes += p.Size
+		a.bufferedBytes += p.Size
+	}
+}
+
+func TestHopQueuesServedInAscendingOrder(t *testing.T) {
+	t.Run("lowest qualifying next hop starts first", func(t *testing.T) {
+		h := newHarness(t, harnessOpts{nodes: 3, burstPackets: 10})
+		a := h.agents[0]
+		// Queues created in descending next-hop order end up ascending.
+		fillQueue(a, 2, 12, 200, 0)
+		fillQueue(a, 1, 10, 100, 0)
+		if len(a.buffers) != 2 || a.buffers[0].nh != 1 || a.buffers[1].nh != 2 {
+			t.Fatalf("queues not in next-hop order: %+v", a.buffers)
+		}
+		a.maybeStart()
+		if !a.sending || a.curTarget != 1 {
+			t.Fatalf("handshake toward %d (sending %v), want next hop 1", a.curTarget, a.sending)
+		}
+		if want := 10 * params.SensorPayload; a.curBurstReq != want {
+			t.Errorf("burst request %v, want %v (next hop 1's backlog)", a.curBurstReq, want)
+		}
+	})
+
+	t.Run("deadline reroutes drain lower hops first", func(t *testing.T) {
+		h := newHarness(t, harnessOpts{
+			nodes:        3,
+			burstPackets: 100,
+			cfgMut: func(i int, c *Config) {
+				c.DelayBound = 2 * time.Second
+			},
+		})
+		h.sched.RunUntil(time.Minute)
+		a := h.agents[0]
+		headroom := a.sensor.Params().QueueCap - a.sensor.QueueLen() - 8
+		perHop := headroom*2/3 + 1
+		// Both backlogs are overdue, and together exceed the headroom.
+		fillQueue(a, 2, perHop, 200, 0)
+		fillQueue(a, 1, perHop, 100, 0)
+		a.checkDeadlines()
+		if got := a.Stats().SensorSends; got != uint64(headroom) {
+			t.Fatalf("SensorSends = %d, want the headroom %d", got, headroom)
+		}
+		if got := a.bufferedFor(1); got != 0 {
+			t.Errorf("next hop 1 kept %v, want it drained first", got)
+		}
+		kept := a.buffers[1].pkts
+		if want := 2*perHop - headroom; len(kept) != want {
+			t.Fatalf("next hop 2 kept %d packets, want %d", len(kept), want)
+		}
+		for i, p := range kept {
+			if want := uint64(200 + perHop - len(kept) + i); p.Seq != want {
+				t.Errorf("kept[%d].Seq = %d, want %d (the queue's tail)", i, p.Seq, want)
+			}
+		}
+	})
+}

@@ -119,8 +119,8 @@ func TestZeroGrantWhenFullNoAck(t *testing.T) {
 	})
 	receiver := h.agents[1]
 	// Fill the receiver's buffer by hand (packets not destined to it).
-	q := &hopQueue{}
-	receiver.buffers[0] = q
+	receiver.buffers = []hopQueue{{nh: 0}}
+	q := &receiver.buffers[0]
 	for i := 0; i < 10; i++ {
 		q.pkts = append(q.pkts,
 			Packet{Src: 1, Dst: 0, Seq: uint64(i), Size: params.SensorPayload})

@@ -2,14 +2,19 @@ package sweep
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
+	"time"
 
 	"bulktx/internal/faultinject"
+	"bulktx/internal/metrics"
 	"bulktx/internal/netsim"
 )
 
@@ -63,15 +68,95 @@ func JobsKey(jobs []Job) (string, error) {
 // persisted as one JSON file per key under the cache directory, so
 // results survive across processes. All methods are safe for
 // concurrent use.
+//
+// The memory tier holds each result packed (see cacheEntry): Put keeps
+// no reference to the caller's slices, and every Get returns fresh
+// ones, so callers may modify what they put or got.
 type Cache struct {
 	mu  sync.Mutex
-	mem map[string]netsim.Result
+	mem map[string]cacheEntry
 	dir string // "" = memory only
 }
 
 // NewCache returns an in-memory (process-lifetime) cache.
 func NewCache() *Cache {
-	return &Cache{mem: make(map[string]netsim.Result)}
+	return &Cache{mem: make(map[string]cacheEntry)}
+}
+
+// cacheEntry is one result in the memory tier. Per-packet delays are
+// most of a result's bytes, so they are stored as zigzag varints of
+// the difference to the previous delay (the first against zero): about
+// 4 bytes per delay in the paper's runs instead of 8. Differences wrap
+// in int64, and decoding wraps them back, so every value round-trips
+// exactly.
+type cacheEntry struct {
+	res    netsim.Result // Delays nil, PerNode a private copy
+	delays []byte
+	n      int // len(Delays), or -1 for a nil Delays
+}
+
+// packResult builds the memory-tier entry of res.
+func packResult(res netsim.Result) cacheEntry {
+	e := cacheEntry{n: -1}
+	if res.Delays != nil {
+		e.n = len(res.Delays)
+		// Size the buffer exactly: an entry lives as long as the cache.
+		size, prev := 0, int64(0)
+		for _, d := range res.Delays {
+			size += uvarintLen(zigzag(int64(d) - prev))
+			prev = int64(d)
+		}
+		e.delays, prev = make([]byte, 0, size), 0
+		for _, d := range res.Delays {
+			e.delays = binary.AppendUvarint(e.delays, zigzag(int64(d)-prev))
+			prev = int64(d)
+		}
+	}
+	e.res = res
+	e.res.Delays = nil
+	e.res.PerNode = clonePerNode(res.PerNode)
+	return e
+}
+
+// result decodes the entry into a Result that shares no slices with it.
+func (e cacheEntry) result() netsim.Result {
+	res := e.res
+	res.PerNode = clonePerNode(e.res.PerNode)
+	if e.n < 0 {
+		return res
+	}
+	res.Delays = make([]time.Duration, e.n)
+	buf, prev := e.delays, int64(0)
+	for i := range res.Delays {
+		u, k := binary.Uvarint(buf)
+		buf = buf[k:]
+		prev += int64(u>>1) ^ -int64(u&1)
+		res.Delays[i] = time.Duration(prev)
+	}
+	return res
+}
+
+// zigzag maps signed to unsigned so small magnitudes of either sign
+// take few varint bytes.
+func zigzag(x int64) uint64 { return uint64(x<<1) ^ uint64(x>>63) }
+
+// uvarintLen is the length of binary.AppendUvarint's encoding of u.
+func uvarintLen(u uint64) int { return 1 + (bits.Len64(u)-1)/7 }
+
+// clonePerNode deep-copies a per-node breakdown, keeping nil and empty
+// slices apart (their JSON encodings differ).
+func clonePerNode(nodes []metrics.NodeEnergy) []metrics.NodeEnergy {
+	if nodes == nil {
+		return nil
+	}
+	out := slices.Clone(nodes)
+	for i := range out {
+		out[i].Radios = slices.Clone(out[i].Radios)
+		for j := range out[i].Radios {
+			out[i].Radios[j].States = slices.Clone(out[i].Radios[j].States)
+		}
+	}
+	return out
 }
 
 // NewDiskCache returns a cache backed by dir (created if missing) in
@@ -83,7 +168,7 @@ func NewDiskCache(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("sweep: creating cache dir: %w", err)
 	}
-	return &Cache{mem: make(map[string]netsim.Result), dir: dir}, nil
+	return &Cache{mem: make(map[string]cacheEntry), dir: dir}, nil
 }
 
 // Dir reports the on-disk directory ("" for memory-only caches).
@@ -115,10 +200,13 @@ func (c *Cache) Get(key string) (netsim.Result, bool) {
 		return netsim.Result{}, false
 	}
 	c.mu.Lock()
-	res, ok := c.mem[key]
+	e, ok := c.mem[key]
 	c.mu.Unlock()
-	if ok || c.dir == "" {
-		return res, ok
+	if ok {
+		return e.result(), true
+	}
+	if c.dir == "" {
+		return netsim.Result{}, false
 	}
 	data, err := os.ReadFile(c.path(key))
 	if err != nil {
@@ -128,8 +216,9 @@ func (c *Cache) Get(key string) (netsim.Result, bool) {
 	if err := json.Unmarshal(data, &disk); err != nil {
 		return netsim.Result{}, false
 	}
+	e = packResult(disk)
 	c.mu.Lock()
-	c.mem[key] = disk
+	c.mem[key] = e
 	c.mu.Unlock()
 	return disk, true
 }
@@ -141,8 +230,9 @@ func (c *Cache) Put(key string, res netsim.Result) error {
 	if c == nil {
 		return nil
 	}
+	e := packResult(res)
 	c.mu.Lock()
-	c.mem[key] = res
+	c.mem[key] = e
 	c.mu.Unlock()
 	if c.dir == "" {
 		return nil
