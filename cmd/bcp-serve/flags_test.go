@@ -12,22 +12,15 @@ import (
 func goodFlags() flagValues {
 	return flagValues{
 		workers: 0, queue: 16, jobWorkers: 1,
-		maxCells: 100, maxJobs: 64, cellAttempts: 1, leaseCells: 4,
+		maxCells: 100, maxJobs: 64, cellAttempts: 1,
 		drain: 30 * time.Second, readHdrTO: 10 * time.Second,
 		readTO: 30 * time.Second, writeTO: 0, idleTO: 2 * time.Minute,
-		leaseTTL: 10 * time.Second, stealAfter: 5 * time.Second,
 	}
 }
 
 func TestValidateFlags(t *testing.T) {
 	if err := validateFlags(goodFlags()); err != nil {
 		t.Fatalf("baseline flags rejected: %v", err)
-	}
-	worker := goodFlags()
-	worker.worker = true
-	worker.coordinator = "http://coord:8080"
-	if err := validateFlags(worker); err != nil {
-		t.Fatalf("valid worker flags rejected: %v", err)
 	}
 
 	cases := []struct {
@@ -45,14 +38,6 @@ func TestValidateFlags(t *testing.T) {
 		{"negative read timeout", func(v *flagValues) { v.readTO = -time.Second }},
 		{"negative write timeout", func(v *flagValues) { v.writeTO = -time.Second }},
 		{"negative idle timeout", func(v *flagValues) { v.idleTO = -time.Second }},
-		{"zero lease ttl", func(v *flagValues) { v.leaseTTL = 0 }},
-		{"negative steal after", func(v *flagValues) { v.stealAfter = -time.Second }},
-		{"zero lease cells", func(v *flagValues) { v.leaseCells = 0 }},
-		{"worker without coordinator", func(v *flagValues) { v.worker = true }},
-		{"coordinator without worker", func(v *flagValues) { v.coordinator = "http://coord:8080" }},
-		{"coordinator not a url", func(v *flagValues) { v.worker = true; v.coordinator = "coord:8080" }},
-		{"coordinator bad scheme", func(v *flagValues) { v.worker = true; v.coordinator = "ftp://coord" }},
-		{"coordinator without host", func(v *flagValues) { v.worker = true; v.coordinator = "http://" }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

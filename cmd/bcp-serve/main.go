@@ -14,17 +14,6 @@
 //	bcp-serve -queue 16 -job-workers 2 -cell-attempts 3
 //	bcp-serve -log-format json -log-level debug
 //	bcp-serve -pprof 127.0.0.1:6060             # profiling on a separate listener
-//	bcp-serve -addr :8080 -lease-ttl 10s        # fleet coordinator (default role)
-//	bcp-serve -addr :8081 -worker -coordinator http://coord:8080
-//
-// Cluster mode: every bcp-serve is a coordinator — the /v1/cluster
-// routes are always live — and any bcp-serve becomes a worker peer
-// with -worker -coordinator=<url>: it registers, leases cells,
-// simulates them on its own pool (and disk cache), and uploads
-// content-keyed results, while still serving its own HTTP surface.
-// Submitted sweeps shard across live workers with work stealing;
-// a worker whose heartbeat lapses has its leased cells requeued, and
-// the merged results are byte-identical to a single-process run.
 //
 // Identical submissions collapse onto one job (content-keyed dedupe);
 // a full job queue answers 429 with a Retry-After computed from the
@@ -54,14 +43,12 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"net/url"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
 	"bulktx/internal/cli"
-	"bulktx/internal/cluster"
 	"bulktx/internal/faultinject"
 	"bulktx/internal/service"
 	"bulktx/internal/sweep"
@@ -82,9 +69,6 @@ type serveConfig struct {
 	maxCells     int
 	maxJobs      int
 	cellAttempts int
-	leaseTTL     time.Duration
-	stealAfter   time.Duration
-	leaseCells   int
 	log          *slog.Logger
 }
 
@@ -99,37 +83,30 @@ func buildService(cfg serveConfig) (*service.Server, error) {
 		}
 	}
 	return service.New(service.Options{
-		Workers:           cfg.workers,
-		Cache:             cache,
-		QueueLimit:        cfg.queue,
-		JobWorkers:        cfg.jobWorkers,
-		MaxCells:          cfg.maxCells,
-		MaxJobs:           cfg.maxJobs,
-		Logger:            cfg.log,
-		StateDir:          cfg.stateDir,
-		Retry:             sweep.RetryPolicy{MaxAttempts: cfg.cellAttempts},
-		ClusterLeaseTTL:   cfg.leaseTTL,
-		ClusterStealAfter: cfg.stealAfter,
-		ClusterLeaseCells: cfg.leaseCells,
+		Workers:    cfg.workers,
+		Cache:      cache,
+		QueueLimit: cfg.queue,
+		JobWorkers: cfg.jobWorkers,
+		MaxCells:   cfg.maxCells,
+		MaxJobs:    cfg.maxJobs,
+		Logger:     cfg.log,
+		StateDir:   cfg.stateDir,
+		Retry:      sweep.RetryPolicy{MaxAttempts: cfg.cellAttempts},
 	})
 }
 
-// flagValues is validateFlags's input: every numeric or role flag that
-// can be handed a nonsensical value, decoded but unvalidated.
+// flagValues is validateFlags's input: every numeric flag that can be
+// handed a nonsensical value, decoded but unvalidated.
 type flagValues struct {
 	workers, queue, jobWorkers int
 	maxCells, maxJobs          int
-	cellAttempts, leaseCells   int
+	cellAttempts               int
 	drain, readHdrTO, readTO   time.Duration
 	writeTO, idleTO            time.Duration
-	leaseTTL, stealAfter       time.Duration
-	worker                     bool
-	coordinator                string
 }
 
 // validateFlags rejects nonsensical flag values — a zero cell-attempts
-// budget, a negative queue bound, a worker with nowhere to pull from —
-// as usage errors (exit 2 with a usage hint) instead of letting them
+// budget, a negative queue bound — as usage errors (exit 2 with a usage hint) instead of letting them
 // misconfigure a running service.
 func validateFlags(v flagValues) error {
 	switch {
@@ -155,22 +132,6 @@ func validateFlags(v flagValues) error {
 		return cli.Usagef("-write-timeout %s: must be >= 0", v.writeTO)
 	case v.idleTO < 0:
 		return cli.Usagef("-idle-timeout %s: must be >= 0", v.idleTO)
-	case v.leaseTTL <= 0:
-		return cli.Usagef("-lease-ttl %s: must be > 0", v.leaseTTL)
-	case v.stealAfter < 0:
-		return cli.Usagef("-steal-after %s: must be >= 0", v.stealAfter)
-	case v.leaseCells < 1:
-		return cli.Usagef("-lease-cells %d: must be >= 1", v.leaseCells)
-	case v.worker && v.coordinator == "":
-		return cli.Usagef("-worker requires -coordinator=<url>")
-	case !v.worker && v.coordinator != "":
-		return cli.Usagef("-coordinator only applies with -worker")
-	}
-	if v.coordinator != "" {
-		u, err := url.Parse(v.coordinator)
-		if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-			return cli.Usagef("-coordinator %q: must be an http(s) URL like http://host:8080", v.coordinator)
-		}
 	}
 	return nil
 }
@@ -192,12 +153,6 @@ func run() error {
 		writeTO      = flag.Duration("write-timeout", 0, "max response write time; 0 = unbounded (SSE clears its own deadline either way)")
 		idleTO       = flag.Duration("idle-timeout", 2*time.Minute, "max keep-alive idle time per connection")
 		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this separate address (empty = off; keep it loopback)")
-		worker       = flag.Bool("worker", false, "also run as a fleet worker: pull cell leases from -coordinator and upload results")
-		coordinator  = flag.String("coordinator", "", "coordinator base URL to pull work from (requires -worker)")
-		workerName   = flag.String("worker-name", "", "advertised worker name (default: hostname)")
-		leaseTTL     = flag.Duration("lease-ttl", cluster.DefaultLeaseTTL, "worker liveness window: a silent worker's leased cells requeue after this")
-		stealAfter   = flag.Duration("steal-after", cluster.DefaultStealAfter, "straggler threshold: a cell leased longer may be duplicated onto an idle worker (0 = never)")
-		leaseCells   = flag.Int("lease-cells", cluster.DefaultLeaseCells, "max cells handed out per worker lease call")
 		tel          = telemetry.RegisterFlags(flag.CommandLine)
 	)
 	flag.Parse()
@@ -206,12 +161,9 @@ func run() error {
 	}
 	if err := validateFlags(flagValues{
 		workers: *workers, queue: *queue, jobWorkers: *jobWorkers,
-		maxCells: *maxCells, maxJobs: *maxJobs,
-		cellAttempts: *cellAttempts, leaseCells: *leaseCells,
+		maxCells: *maxCells, maxJobs: *maxJobs, cellAttempts: *cellAttempts,
 		drain: *drain, readHdrTO: *readHdrTO, readTO: *readTO,
 		writeTO: *writeTO, idleTO: *idleTO,
-		leaseTTL: *leaseTTL, stealAfter: *stealAfter,
-		worker: *worker, coordinator: *coordinator,
 	}); err != nil {
 		return err
 	}
@@ -233,9 +185,7 @@ func run() error {
 	svc, err := buildService(serveConfig{
 		workers: *workers, cacheDir: *cacheDir, stateDir: *stateDir,
 		queue: *queue, jobWorkers: *jobWorkers,
-		maxCells: *maxCells, maxJobs: *maxJobs,
-		cellAttempts: *cellAttempts,
-		leaseTTL:     *leaseTTL, stealAfter: *stealAfter, leaseCells: *leaseCells,
+		maxCells: *maxCells, maxJobs: *maxJobs, cellAttempts: *cellAttempts,
 		log: log,
 	})
 	if err != nil {
@@ -274,27 +224,6 @@ func run() error {
 	defer stop()
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	// Worker role: pull cell leases from the coordinator onto this
-	// process's own pool (and disk cache) while the local HTTP surface
-	// keeps serving. The pull loop ends with the signal context; leases
-	// still held simply expire and requeue on the coordinator.
-	if *worker {
-		name := *workerName
-		if name == "" {
-			if name, err = os.Hostname(); err != nil {
-				name = ln.Addr().String()
-			}
-		}
-		wk := &cluster.Worker{
-			Coordinator: *coordinator,
-			Name:        name,
-			Pool:        svc.Pool(),
-			Log:         log,
-		}
-		log.Info("worker mode: pulling cell leases", "coordinator", *coordinator, "name", name)
-		go wk.Run(ctx) //nolint:errcheck // only returns the signal ctx's cause
-	}
 
 	select {
 	case err := <-serveErr:

@@ -129,7 +129,9 @@ func Parse(spec string) (*Plan, error) {
 			switch k {
 			case "p":
 				rule.Prob, err = strconv.ParseFloat(v, 64)
-				if err == nil && (rule.Prob < 0 || rule.Prob > 1) {
+				// Written so NaN fails too: every comparison with NaN
+				// is false, and fire would skip its Prob < 1 check.
+				if err == nil && !(rule.Prob >= 0 && rule.Prob <= 1) {
 					err = errors.New("probability outside [0,1]")
 				}
 			case "count":

@@ -12,6 +12,7 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		"nosuch.point",
 		"cell.panic:count=-1",
 		"cell.panic:p=1.5",
+		"cell.panic:p=NaN",
 		"cell.stall:delay=-5ms",
 		"cell.panic:frequency=2",
 		"cell.panic:p",
@@ -173,4 +174,27 @@ func TestLoadEnv(t *testing.T) {
 	if Active() {
 		t.Error("empty env left a plan active")
 	}
+}
+
+// FuzzFaultPlan: Parse never panics, and every rule it accepts is one
+// the hooks can evaluate: a probability in [0,1] (not NaN) and
+// non-negative count and delay.
+func FuzzFaultPlan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := Parse(spec)
+		if err != nil || p == nil {
+			return
+		}
+		for name, rs := range p.rules {
+			if !points[name] || rs.Point != name {
+				t.Errorf("Parse(%q): rule %q keyed under %q", spec, rs.Point, name)
+			}
+			if !(rs.Prob >= 0 && rs.Prob <= 1) {
+				t.Errorf("Parse(%q): %s accepted p=%v", spec, name, rs.Prob)
+			}
+			if rs.Count < 0 || rs.Delay < 0 {
+				t.Errorf("Parse(%q): %s accepted count=%d delay=%v", spec, name, rs.Count, rs.Delay)
+			}
+		}
+	})
 }

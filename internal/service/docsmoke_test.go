@@ -161,11 +161,6 @@ func TestAPIDocCoversEveryRoute(t *testing.T) {
 		"GET /v1/jobs/{id}/artifacts/{name}",
 		"GET /healthz",
 		"GET /metrics",
-		"GET /v1/cluster",
-		"POST /v1/cluster/workers",
-		"POST /v1/cluster/workers/{id}/heartbeat",
-		"POST /v1/cluster/lease",
-		"POST /v1/cluster/results",
 	} {
 		if !strings.Contains(string(doc), route) {
 			t.Errorf("route %q undocumented in docs/API.md", route)
@@ -188,11 +183,6 @@ func TestAPIDocCoversEveryRoute(t *testing.T) {
 		"bulktx_cell_retries_total", "bulktx_cache_write_errors_total",
 		"bulktx_journal_write_errors_total", "bulktx_cells_per_sec",
 		"bulktx_build_info",
-		"bulktx_cluster_workers", "bulktx_cluster_workers_registered_total",
-		"bulktx_cluster_workers_expired_total", "bulktx_cluster_cells_dispatched_total",
-		"bulktx_cluster_cells_stolen_total", "bulktx_cluster_leases_requeued_total",
-		"bulktx_cluster_results_total", "bulktx_cluster_results_duplicate_total",
-		"bulktx_cluster_cells_local_total", "bulktx_cluster_cell_seconds",
 		"bulktx_http_request_duration_seconds",
 		"bulktx_job_queue_wait_seconds",
 		"bulktx_job_execution_seconds",

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"bulktx/internal/cluster"
 	"bulktx/internal/netsim"
 	"bulktx/internal/sweep"
 	"bulktx/internal/trace"
@@ -205,7 +204,6 @@ func (j *job) status() JobStatus {
 type Server struct {
 	mux        *http.ServeMux
 	pool       *sweep.Pool
-	cluster    *cluster.Coordinator
 	queueLimit int
 	maxCells   int
 	maxJobs    int
@@ -434,9 +432,6 @@ type cellEvent struct {
 	// DurationS is the cell's simulation wall-clock in seconds; 0 for
 	// cached cells, which never simulate.
 	DurationS float64 `json:"duration_s"`
-	// Worker names the fleet worker that simulated the cell when the
-	// job ran on a cluster dispatch; empty for local and cached cells.
-	Worker string `json:"worker,omitempty"`
 	// Done and Total are the job's progress counters.
 	Done  int `json:"done"`
 	Total int `json:"total"`
@@ -491,24 +486,12 @@ func (s *Server) runJob(j *job) {
 	s.counters.running.Add(1)
 	s.log.Info("job running", "job", j.id, "kind", j.kind,
 		"cells", len(j.jobs), "queue_wait_s", queueWait.Seconds())
-	// Dispatch across the fleet when live workers exist, else run on
-	// the local pool. Both paths deliver identical JobUpdates and
-	// produce identical Outcomes (merge invariant), so everything below
-	// is dispatch-agnostic.
-	fleet := s.cluster.LiveWorkers()
-	execute := s.pool.RunJobsProgressContext
-	if fleet > 0 {
-		execute = s.cluster.RunJobs
-	}
 	j.stream.publish("started", struct {
-		// Cells is the number of simulations about to run; Workers is
-		// the live fleet size when the job dispatches across a cluster
-		// (absent for local execution).
-		Cells   int `json:"cells"`
-		Workers int `json:"workers,omitempty"`
-	}{len(j.jobs), fleet})
+		// Cells is the number of simulations about to run.
+		Cells int `json:"cells"`
+	}{len(j.jobs)})
 
-	outcome, err := execute(ctx, j.jobs, func(u sweep.JobUpdate) {
+	outcome, err := s.pool.RunJobsProgressContext(ctx, j.jobs, func(u sweep.JobUpdate) {
 		if !u.Cached && u.Err == nil {
 			s.hist.cellSim.ObserveDuration(u.Duration)
 		}
@@ -519,7 +502,6 @@ func (s *Server) runJob(j *job) {
 			Index: u.Index, Point: u.Point.String(), Rep: u.Rep,
 			Cached: u.Cached, Attempts: u.Attempts,
 			DurationS: u.Duration.Seconds(),
-			Worker:    u.Worker,
 			Done:      u.Done, Total: u.Total,
 		}
 		j.mu.Lock()

@@ -202,27 +202,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		emit("bulktx_cells_per_sec", "gauge",
 			"Cells resolved per second of cumulative job-execution wall-clock; absent until at least one job has accrued nonzero execution time.", perSec)
 	}
-	cc := s.cluster.Counters()
-	emit("bulktx_cluster_workers", "gauge",
-		"Workers currently inside their liveness window.", float64(s.cluster.LiveWorkers()))
-	emit("bulktx_cluster_workers_registered_total", "counter",
-		"Workers admitted into the fleet.", float64(cc.Registered))
-	emit("bulktx_cluster_workers_expired_total", "counter",
-		"Workers expired after a lapsed liveness window.", float64(cc.Expired))
-	emit("bulktx_cluster_cells_dispatched_total", "counter",
-		"Cell leases handed to workers (steals included).", float64(cc.Dispatched))
-	emit("bulktx_cluster_cells_stolen_total", "counter",
-		"Leases that took another worker's planned or overdue cell.", float64(cc.Stolen))
-	emit("bulktx_cluster_leases_requeued_total", "counter",
-		"Leased cells returned to pending after their worker expired.", float64(cc.Requeued))
-	emit("bulktx_cluster_results_total", "counter",
-		"Cell results accepted from workers.", float64(cc.Results))
-	emit("bulktx_cluster_results_duplicate_total", "counter",
-		"Uploads for cells already resolved elsewhere (dropped).", float64(cc.Duplicates))
-	emit("bulktx_cluster_cells_local_total", "counter",
-		"Dispatched cells the coordinator ran on its own pool because no live worker remained.", float64(cc.LocalCells))
-	telemetry.WriteHistogramVec(w, "bulktx_cluster_cell_seconds",
-		"Per-cell simulation wall-clock as reported by each fleet worker.", s.cluster.CellHist())
 	telemetry.WriteHistogramVec(w, "bulktx_http_request_duration_seconds",
 		"HTTP request latency by route pattern, SSE streams measured to stream end.", s.hist.httpDuration)
 	telemetry.WriteHistogram(w, "bulktx_job_queue_wait_seconds",

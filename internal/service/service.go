@@ -14,11 +14,6 @@
 //	GET    /v1/jobs/{id}/artifacts/{name} results.json | results.csv | report.md | trace.jsonl
 //	GET    /healthz                       liveness + queue depth
 //	GET    /metrics                       Prometheus text metrics
-//	GET    /v1/cluster                    fleet membership + lease-table snapshot
-//	POST   /v1/cluster/workers            worker registration
-//	POST   /v1/cluster/workers/{id}/heartbeat  worker liveness refresh
-//	POST   /v1/cluster/lease              lease a batch of cells to a worker
-//	POST   /v1/cluster/results            upload a batch of cell results
 //
 // Submissions are content-keyed: the job id is a hash over the compiled
 // job list, so identical specs — regardless of JSON formatting —
@@ -30,14 +25,6 @@
 // and a Retry-After header computed from the observed drain rate
 // (backpressure instead of unbounded memory). Close drains the service
 // gracefully: accepted jobs finish, new submissions get 503.
-//
-// Cluster mode: the service doubles as a fleet coordinator. Worker
-// peers (bcp-serve -worker -coordinator=<url>) register, lease cells,
-// and upload content-keyed results; any submitted job is sharded
-// across live workers — with work stealing and lease requeue on worker
-// loss — and the merged outcome (and its results.csv) is byte-identical
-// to single-process execution. With no live workers the routes stay
-// registered and jobs run on the local pool as before.
 //
 // Resilience: with Options.StateDir set, every accepted job is recorded
 // in an append-only journal before the submission is acknowledged, and
@@ -57,7 +44,6 @@ import (
 	"strconv"
 	"time"
 
-	"bulktx/internal/cluster"
 	"bulktx/internal/netsim"
 	"bulktx/internal/report"
 	"bulktx/internal/sweep"
@@ -123,16 +109,6 @@ type Options struct {
 	// Retry is the per-cell retry policy handed to the sweep pool. The
 	// zero value means one attempt per cell (no retries).
 	Retry sweep.RetryPolicy
-	// ClusterLeaseTTL is the cluster coordinator's worker liveness
-	// window (cluster.DefaultLeaseTTL if zero): a worker silent for
-	// longer is expired and its leased cells requeued.
-	ClusterLeaseTTL time.Duration
-	// ClusterStealAfter is how long a cell may stay leased before an
-	// idle worker duplicates it (cluster.DefaultStealAfter if zero).
-	ClusterStealAfter time.Duration
-	// ClusterLeaseCells caps cells per lease call
-	// (cluster.DefaultLeaseCells if zero).
-	ClusterLeaseCells int
 }
 
 // New builds a Server and starts its job executors. It fails only when
@@ -171,13 +147,6 @@ func New(o Options) (*Server, error) {
 		hist:       newHistograms(),
 		jobs:       make(map[string]*job),
 	}
-	s.cluster = cluster.New(cluster.Options{
-		LeaseTTL:   o.ClusterLeaseTTL,
-		StealAfter: o.ClusterStealAfter,
-		LeaseCells: o.ClusterLeaseCells,
-		Pool:       s.pool,
-		Log:        log,
-	})
 	// A full disk degrades the cache to its memory tier instead of
 	// failing cells: log once, count every occurrence, keep the result.
 	s.pool.OnCacheError = func(_ string, err error) {
@@ -216,11 +185,6 @@ func New(o Options) (*Server, error) {
 	mux.HandleFunc("GET /v1/jobs/{id}/artifacts/{name}", s.handleJobArtifact)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /v1/cluster", s.handleClusterStatus)
-	mux.HandleFunc("POST /v1/cluster/workers", s.handleClusterRegister)
-	mux.HandleFunc("POST /v1/cluster/workers/{id}/heartbeat", s.handleClusterHeartbeat)
-	mux.HandleFunc("POST /v1/cluster/lease", s.handleClusterLease)
-	mux.HandleFunc("POST /v1/cluster/results", s.handleClusterResults)
 	s.mux = mux
 	s.recoverPending(pending)
 	for w := 0; w < o.JobWorkers; w++ {
@@ -355,14 +319,7 @@ func (r RunRequest) specDoc() sweep.SpecDoc {
 // decodeBody decodes the request body into v, rejecting unknown fields
 // and oversized bodies.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	return decodeBodyLimit(w, r, v, maxBodyBytes)
-}
-
-// decodeBodyLimit is decodeBody with an explicit size cap, for routes
-// whose legitimate bodies outgrow the spec-sized default (cluster
-// result uploads).
-func decodeBodyLimit(w http.ResponseWriter, r *http.Request, v any, limit int64) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("parsing request body: %w", err)
@@ -404,6 +361,13 @@ func (s *Server) submit(w http.ResponseWriter, kind string, doc sweep.SpecDoc, d
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	// Bound the grid before compiling it: a few bytes of JSON can
+	// declare billions of cells.
+	if n := spec.Size(); n > s.maxCells {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("spec compiles to %d simulations, limit %d", n, s.maxCells))
+		return
+	}
 	jobs, err := spec.Jobs()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -411,11 +375,6 @@ func (s *Server) submit(w http.ResponseWriter, kind string, doc sweep.SpecDoc, d
 	}
 	if len(jobs) == 0 {
 		writeError(w, http.StatusBadRequest, errors.New("spec compiles to zero simulations"))
-		return
-	}
-	if len(jobs) > s.maxCells {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("spec compiles to %d simulations, limit %d", len(jobs), s.maxCells))
 		return
 	}
 	rawDoc, err := json.Marshal(doc)

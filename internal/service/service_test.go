@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -282,11 +283,27 @@ func TestMalformedSpecs(t *testing.T) {
 			t.Errorf("%s: field %q, want %q (error %q)", tc.name, e.Field, tc.wantField, e.Error)
 		}
 	}
-	// Grids past the cell limit are rejected up front.
+	// Grids past the cell limit are rejected up front, before the grid
+	// is compiled: a tiny body declaring a million (or, overflowing a
+	// naive product, 2^63) cells must not allocate its job list. The
+	// million-cell body runs first so a compile-then-count server fails
+	// on the allocation bound instead of exhausting memory on the next.
 	_, ts2 := newTestService(t, Options{MaxCells: 10})
-	resp, data := postJSON(t, ts2.URL+"/v1/sweeps", `{"senders": [5,6,7,8,9,10], "runs": 2}`)
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("over-limit grid: %d (%s)", resp.StatusCode, data)
+	for _, body := range []string{
+		`{"senders": [5,6,7,8,9,10], "runs": 2}`,
+		`{"runs":1000000}`,
+		`{"runs":4611686018427387904,"models":["sensor","wifi"]}`,
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp, data := postJSON(t, ts2.URL+"/v1/sweeps", body)
+		runtime.ReadMemStats(&after)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("over-limit grid %s: %d (%s)", body, resp.StatusCode, data)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<20 {
+			t.Fatalf("over-limit grid %s: allocated %d MB before the 413", body, grew>>20)
+		}
 	}
 }
 

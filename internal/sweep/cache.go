@@ -45,6 +45,22 @@ func Key(cfg netsim.Config) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
+// JobKeys derives the per-cell content key of every job in the list —
+// the same keys Pool uses for its cache and in-flight dedupe. Index i
+// of the result is job i's key; duplicate configurations yield
+// duplicate keys.
+func JobKeys(jobs []Job) ([]string, error) {
+	keys := make([]string, len(jobs))
+	for i, job := range jobs {
+		key, err := Key(job.Config)
+		if err != nil {
+			return nil, err
+		}
+		keys[i] = key
+	}
+	return keys, nil
+}
+
 // JobsKey derives the content key of a whole compiled job list: a
 // SHA-256 over the cache schema version and every job's configuration
 // key, in job order. Two submissions share a key iff they compile to

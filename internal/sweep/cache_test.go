@@ -136,3 +136,35 @@ func FuzzCacheEntry(f *testing.F) {
 		checkCacheRoundTrip(t, in)
 	})
 }
+
+// TestJobKeysMatchCellKeys: JobKeys is index-aligned and derives the
+// exact per-cell key Key produces, which JobsKey hashes in job order.
+func TestJobKeysMatchCellKeys(t *testing.T) {
+	spec, err := ParseSpecJSON([]byte(`{
+		"models": ["sensor", "dual"], "senders": [5, 10, 15],
+		"bursts": [10], "runs": 1, "duration_s": 30, "rate_bps": 2000
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := spec.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := JobKeys(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != len(jobs) {
+		t.Fatalf("JobKeys returned %d keys for %d jobs", len(keys), len(jobs))
+	}
+	for i, job := range jobs {
+		want, err := Key(job.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if keys[i] != want {
+			t.Errorf("key[%d] = %s, want %s", i, keys[i], want)
+		}
+	}
+}

@@ -94,10 +94,6 @@ type JobUpdate struct {
 	// per-cell latency histograms of telemetry consumers (the HTTP
 	// service's bulktx_cell_simulation_seconds).
 	Duration time.Duration
-	// Worker names the fleet worker that simulated the cell when the
-	// sweep executed on a cluster dispatch (internal/cluster); empty
-	// for local pool execution and cached cells.
-	Worker string
 	// Done and Total are the Run call's resolved-job counter after this
 	// job and its total job count.
 	Done, Total int

@@ -1,7 +1,10 @@
 package sweep
 
 import (
+	"encoding/json"
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -245,4 +248,78 @@ func TestSpecErrorsNameOffendingField(t *testing.T) {
 	if !errors.As(err, &fe) || fe.Field != "Senders" {
 		t.Errorf("invalid senders error %v does not name the Senders field", err)
 	}
+}
+
+// fuzzMaxCells bounds the grids FuzzSpecDoc compiles: larger specs
+// still exercise Size, but compiling them would only slow the fuzzer.
+const fuzzMaxCells = 64
+
+// FuzzSpecDoc feeds arbitrary bytes through the sweep-spec document
+// path the service and bcp-sweep take: ParseSpecJSON, Size, Jobs and
+// JobKeys. Nothing may panic; Size is never negative and counts exactly
+// the jobs Jobs compiles; keys are stable across compilations; and the
+// document's json.Marshal encoding (what the service journals and
+// replays after a restart) compiles to the same JobsKey.
+func FuzzSpecDoc(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := ParseSpecJSON(data)
+		if err != nil {
+			return
+		}
+		n := spec.Size()
+		if n < 0 {
+			t.Fatalf("Size() = %d for %s", n, data)
+		}
+		if n > fuzzMaxCells {
+			return
+		}
+		jobs, err := spec.Jobs()
+		if err != nil {
+			return
+		}
+		if n != len(jobs) {
+			t.Fatalf("Size() = %d, Jobs() compiled %d for %s", n, len(jobs), data)
+		}
+		keys, err := JobKeys(jobs)
+		if err != nil {
+			t.Fatalf("JobKeys: %v for %s", err, data)
+		}
+		again, err := spec.Jobs()
+		if err != nil {
+			t.Fatalf("second Jobs(): %v for %s", err, data)
+		}
+		if keys2, err := JobKeys(again); err != nil || !slices.Equal(keys, keys2) {
+			t.Fatalf("keys changed between compilations (%v) for %s", err, data)
+		}
+		want, err := JobsKey(jobs)
+		if err != nil {
+			t.Fatalf("JobsKey: %v for %s", err, data)
+		}
+
+		var doc SpecDoc
+		dec := json.NewDecoder(strings.NewReader(string(data)))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&doc); err != nil {
+			t.Fatalf("SpecDoc decode failed after ParseSpecJSON succeeded: %v", err)
+		}
+		enc, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatalf("re-encoding %s: %v", data, err)
+		}
+		var replayed SpecDoc
+		if err := json.Unmarshal(enc, &replayed); err != nil {
+			t.Fatalf("decoding re-encoded %s: %v", enc, err)
+		}
+		rspec, err := replayed.Spec()
+		if err != nil {
+			t.Fatalf("re-encoded %s no longer materializes: %v", enc, err)
+		}
+		rjobs, err := rspec.Jobs()
+		if err != nil {
+			t.Fatalf("re-encoded %s no longer compiles: %v", enc, err)
+		}
+		if got, err := JobsKey(rjobs); err != nil || got != want {
+			t.Fatalf("JobsKey %s -> %s (%v) after re-encoding %s as %s", want, got, err, data, enc)
+		}
+	})
 }

@@ -16,6 +16,7 @@ package sweep
 
 import (
 	"fmt"
+	"math"
 
 	"bulktx/internal/netsim"
 )
@@ -199,16 +200,38 @@ func (s Spec) Jobs() ([]Job, error) {
 }
 
 // Size is the number of jobs the spec compiles to, without validating
-// them.
+// or compiling them, so a caller can bound a grid before paying for it.
+// It saturates at math.MaxInt, and is 0 for negative Runs (which Jobs
+// rejects).
 func (s Spec) Size() int {
 	models, senders, bursts, traffics, topologies, churns, runs := s.axes()
+	if runs < 0 {
+		return 0
+	}
+	per := mulSat(mulSat(len(senders), len(traffics)), runs)
 	n := 0
 	for _, m := range models {
-		per := len(senders) * len(traffics) * runs
 		if m == netsim.ModelDual {
-			per *= len(bursts)
+			n = addSat(n, mulSat(per, len(bursts)))
+		} else {
+			n = addSat(n, per)
 		}
-		n += per
 	}
-	return n * len(topologies) * len(churns)
+	return mulSat(mulSat(n, len(topologies)), len(churns))
+}
+
+// mulSat and addSat are non-negative int arithmetic saturating at
+// math.MaxInt.
+func mulSat(a, b int) int {
+	if a != 0 && b > math.MaxInt/a {
+		return math.MaxInt
+	}
+	return a * b
+}
+
+func addSat(a, b int) int {
+	if a > math.MaxInt-b {
+		return math.MaxInt
+	}
+	return a + b
 }
