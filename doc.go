@@ -74,9 +74,9 @@
 // several figures reuses every overlapping grid cell. The cmd/bcp-sweep
 // executable exposes the engine directly for ad-hoc grids, and
 // NewSimService wraps it in a long-lived HTTP job API (cmd/bcp-serve):
-// content-keyed submissions that dedupe onto in-flight or cached work,
-// SSE progress streams, artifact exports, bounded-queue backpressure
-// and graceful drain — see docs/API.md.
+// content-keyed submissions that dedupe onto an existing job, cached
+// cells, SSE progress streams, artifact exports, bounded-queue
+// backpressure and graceful drain — see docs/API.md.
 //
 // # Tracing
 //

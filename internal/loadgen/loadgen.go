@@ -1,7 +1,7 @@
 // Package loadgen drives a live bcp-serve the way real clients would:
 // composable, seed-deterministic sequences of randomized client
 // behaviors — mixed single runs, overlapping sweep grids that exercise
-// the content-keyed and in-flight dedupe layers, SSE subscribers that
+// content-keyed job dedupe and the result cache, SSE subscribers that
 // connect late or disconnect rudely mid-stream, job cancellations
 // mid-sweep, and 429 storms against the bounded queue that honor (and
 // record) the adaptive Retry-After hint.
@@ -11,10 +11,9 @@
 // request is sent, so two invocations with the same seed issue the
 // identical request schedule, and the report's Counters section —
 // requests, dedupe hits, 429 rejections, SSE replays — matches across
-// runs against the same server. Wall-clock observations (latency
-// percentiles, cells/sec, the observed Retry-After) are reported
-// separately in the Observed and Routes sections and are naturally
-// machine-dependent.
+// runs against the same server. The only wall-clock observations are
+// the storm's Retry-After hints, reported separately in the Observed
+// section and never gated.
 //
 // The deterministic-backpressure trick: the storm first submits
 // Profile.JobWorkers "plug" sweeps and waits (via SSE) until every
@@ -27,10 +26,12 @@
 // requires the target server to run with matching -queue and
 // -job-workers values; see docs/OPERATIONS.md.
 //
-// Results land in BENCH_SERVE.json (see Report) with a regression gate
-// shared with cmd/bcp-bench via internal/bench: structural counters
-// must match the committed baseline exactly, and the gated throughput
-// metrics may not regress beyond -max-regress.
+// Results land in BENCH_SERVE.json (see Report), and CompareReports
+// gates behavior only: the run must be clean and its seed, schedule
+// hash and counters must match the committed baseline exactly. Service
+// throughput and latency are measured by the perfbench serve-mixed
+// workload and the service's bulktx_http_request_duration_seconds
+// histogram, not here.
 package loadgen
 
 import (
@@ -50,7 +51,7 @@ type Profile struct {
 	Singles int `json:"singles"`
 	// SweepPairs is the number of overlapping sweep-grid pairs in the
 	// mixed phase: each pair shares grid cells, exercising the pool's
-	// cache and in-flight dedupe.
+	// result cache.
 	SweepPairs int `json:"sweep_pairs"`
 	// Resubmits is how many duplicate submissions each pair's first
 	// grid receives, exercising content-keyed job dedupe.

@@ -230,7 +230,7 @@ func TestRunDeterministicAgainstSameService(t *testing.T) {
 		t.Error("storm recorded no Retry-After hint")
 	}
 	var sb strings.Builder
-	if err := CompareReports(&sb, rep1, rep2, 0.9); err != nil {
+	if err := CompareReports(&sb, rep1, rep2); err != nil {
 		t.Errorf("gate rejected run 2 against run 1: %v\n%s", err, sb.String())
 	}
 }
@@ -254,7 +254,7 @@ func TestReportSchema(t *testing.T) {
 	}
 	for _, key := range []string{
 		"go_version", "goos", "goarch", "num_cpu", "seed", "profile",
-		"schedule_sha256", "schedule_ops", "counters", "observed", "routes",
+		"schedule_sha256", "schedule_ops", "counters", "observed",
 	} {
 		if _, ok := top[key]; !ok {
 			t.Errorf("report is missing top-level key %q", key)
@@ -292,7 +292,6 @@ func TestCompareReportsRejects(t *testing.T) {
 		Seed:           1,
 		ScheduleSHA256: "aaaa",
 		Counters:       Counters{Requests: 10, DedupeAttempts: 2, DedupeHits: 2},
-		Observed:       Observed{CellsPerSec: 100},
 	}
 	clean := func() *Report {
 		r := *base
@@ -301,58 +300,35 @@ func TestCompareReportsRejects(t *testing.T) {
 	t.Run("seed mismatch", func(t *testing.T) {
 		cur := clean()
 		cur.Seed = 2
-		if err := CompareReports(io.Discard, base, cur, 0.5); err == nil || !strings.Contains(err.Error(), "seed mismatch") {
+		if err := CompareReports(io.Discard, base, cur); err == nil || !strings.Contains(err.Error(), "seed mismatch") {
 			t.Errorf("got %v, want seed mismatch", err)
 		}
 	})
 	t.Run("schedule mismatch", func(t *testing.T) {
 		cur := clean()
 		cur.ScheduleSHA256 = "bbbb"
-		if err := CompareReports(io.Discard, base, cur, 0.5); err == nil || !strings.Contains(err.Error(), "schedule mismatch") {
+		if err := CompareReports(io.Discard, base, cur); err == nil || !strings.Contains(err.Error(), "schedule mismatch") {
 			t.Errorf("got %v, want schedule mismatch", err)
 		}
 	})
 	t.Run("unclean run", func(t *testing.T) {
 		cur := clean()
 		cur.Counters.UnexpectedErrors = 1
-		if err := CompareReports(io.Discard, base, cur, 0.5); err == nil || !strings.Contains(err.Error(), "not clean") {
+		if err := CompareReports(io.Discard, base, cur); err == nil || !strings.Contains(err.Error(), "not clean") {
 			t.Errorf("got %v, want not clean", err)
 		}
 	})
 	t.Run("counter divergence", func(t *testing.T) {
 		cur := clean()
 		cur.Counters.Requests = 11
-		err := CompareReports(io.Discard, base, cur, 0.5)
+		err := CompareReports(io.Discard, base, cur)
 		if err == nil || !strings.Contains(err.Error(), "requests: baseline 10, current 11") {
 			t.Errorf("got %v, want a requests divergence", err)
 		}
 	})
-	t.Run("throughput regression", func(t *testing.T) {
-		cur := clean()
-		cur.Observed.CellsPerSec = 10
-		if err := CompareReports(io.Discard, base, cur, 0.5); err == nil || !strings.Contains(err.Error(), "regression gate failed") {
-			t.Errorf("got %v, want regression failure", err)
-		}
-	})
 	t.Run("identical passes", func(t *testing.T) {
-		if err := CompareReports(io.Discard, base, clean(), 0.5); err != nil {
+		if err := CompareReports(io.Discard, base, clean()); err != nil {
 			t.Errorf("identical reports failed the gate: %v", err)
 		}
 	})
-}
-
-func TestPercentileNearestRank(t *testing.T) {
-	ds := []time.Duration{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	cases := []struct {
-		p    int
-		want time.Duration
-	}{{50, 5}, {95, 10}, {99, 10}, {100, 10}, {1, 1}}
-	for _, c := range cases {
-		if got := percentile(ds, c.p); got != c.want {
-			t.Errorf("percentile(%d) = %d, want %d", c.p, got, c.want)
-		}
-	}
-	if got := percentile(nil, 50); got != 0 {
-		t.Errorf("percentile of empty = %d, want 0", got)
-	}
 }

@@ -6,11 +6,7 @@ import (
 	"io"
 	"os"
 	"reflect"
-	"sort"
 	"strings"
-	"time"
-
-	"bulktx/internal/bench"
 )
 
 // Counters are the deterministic outcomes of one run: with the same
@@ -53,24 +49,11 @@ type Counters struct {
 	UnexpectedErrors int `json:"unexpected_errors"`
 }
 
-// Observed are the machine-dependent measurements of one run. Only
-// CellsPerSec is gated (through bench.Compare, with the -max-regress
-// allowance); the rest are recorded for capacity planning.
+// Observed are the machine-dependent measurements of the storm's
+// Retry-After handling. They are recorded, never gated: service
+// throughput and latency are measured by the perfbench serve-mixed
+// workload and the service's own request-duration histogram.
 type Observed struct {
-	// WallClockS is the whole run's duration in seconds.
-	WallClockS float64 `json:"wall_clock_s"`
-	// JobsDone counts jobs observed in state done via status GETs.
-	JobsDone int `json:"jobs_done"`
-	// CellsDone and CellsCached sum those jobs' cell counters.
-	CellsDone int `json:"cells_done"`
-	// CellsCached counts cells served from the result cache.
-	CellsCached int `json:"cells_cached"`
-	// ExecutionS sums the done jobs' execution phases; CellsPerSec is
-	// CellsDone/ExecutionS — the gated service-throughput metric.
-	ExecutionS float64 `json:"execution_s"`
-	// CellsPerSec is the gated throughput: completed cells per second
-	// of job execution time.
-	CellsPerSec float64 `json:"cells_per_sec"`
 	// RetryAfterMinS and RetryAfterMaxS bracket the Retry-After hints
 	// advertised with 429 rejections during the storm.
 	RetryAfterMinS float64 `json:"retry_after_min_s"`
@@ -79,22 +62,6 @@ type Observed struct {
 	// HonoredWaitS is how long the generator actually slept honoring
 	// the hint (capped by Profile.RetryAfterCapS).
 	HonoredWaitS float64 `json:"honored_wait_s"`
-}
-
-// RouteLatency is one route's client-observed latency distribution.
-// For the SSE route the latency is time-to-first-event.
-type RouteLatency struct {
-	// Count is the number of observations.
-	Count int `json:"count"`
-	// P50Ms, P95Ms, P99Ms and MaxMs are nearest-rank percentiles in
-	// milliseconds.
-	P50Ms float64 `json:"p50_ms"`
-	// P95Ms is the 95th-percentile latency.
-	P95Ms float64 `json:"p95_ms"`
-	// P99Ms is the 99th-percentile latency.
-	P99Ms float64 `json:"p99_ms"`
-	// MaxMs is the slowest observation.
-	MaxMs float64 `json:"max_ms"`
 }
 
 // Report is the serialized outcome of one loadgen run — the schema of
@@ -121,10 +88,8 @@ type Report struct {
 	ScheduleOps int `json:"schedule_ops"`
 	// Counters are the deterministic outcomes (gated for equality).
 	Counters Counters `json:"counters"`
-	// Observed are the wall-clock measurements (CellsPerSec gated).
+	// Observed are the storm's Retry-After measurements (not gated).
 	Observed Observed `json:"observed"`
-	// Routes maps each route to its latency distribution.
-	Routes map[string]RouteLatency `json:"routes"`
 	// Errors details the first UnexpectedErrors/SSEReplayErrors
 	// occurrences (capped; the counters are uncapped).
 	Errors []string `json:"errors,omitempty"`
@@ -139,64 +104,12 @@ func (rep *Report) WriteFile(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// recorder accumulates per-route latency samples.
-type recorder struct {
-	samples map[string][]time.Duration
-}
-
-func newRecorder() *recorder {
-	return &recorder{samples: make(map[string][]time.Duration)}
-}
-
-// observe records one sample for a route.
-func (r *recorder) observe(route string, d time.Duration) {
-	r.samples[route] = append(r.samples[route], d)
-}
-
-// routes summarizes the samples into per-route distributions.
-func (r *recorder) routes() map[string]RouteLatency {
-	out := make(map[string]RouteLatency, len(r.samples))
-	for route, ds := range r.samples {
-		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-		ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-		out[route] = RouteLatency{
-			Count: len(ds),
-			P50Ms: ms(percentile(ds, 50)),
-			P95Ms: ms(percentile(ds, 95)),
-			P99Ms: ms(percentile(ds, 99)),
-			MaxMs: ms(ds[len(ds)-1]),
-		}
-	}
-	return out
-}
-
-// percentile returns the nearest-rank p-th percentile of sorted ds.
-func percentile(ds []time.Duration, p int) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	rank := (p*len(ds) + 99) / 100 // ceil(p/100 * n)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(ds) {
-		rank = len(ds)
-	}
-	return ds[rank-1]
-}
-
-// CompareReports gates a fresh report against the committed baseline:
-// the current run must be behaviorally clean (zero unexpected errors,
-// zero replay violations), the schedules must be the same experiment
-// (matching seed and schedule hash), the deterministic counters must
-// match exactly, and the throughput metrics may not regress beyond
-// maxRegress (via the bench.Compare gate shared with bcp-bench).
-// Latency percentiles are reported but not gated — they swing too
-// wildly across runner hardware for a fractional threshold.
-func CompareReports(w io.Writer, baseline, current *Report, maxRegress float64) error {
-	if err := bench.ValidateMaxRegress(maxRegress); err != nil {
-		return err
-	}
+// CompareReports gates a fresh report against the committed baseline
+// on behavior only: the current run must be clean (zero unexpected
+// errors, zero replay violations), the schedules must be the same
+// experiment (matching seed and schedule hash), and the deterministic
+// counters must match exactly.
+func CompareReports(w io.Writer, baseline, current *Report) error {
 	if current.Counters.UnexpectedErrors > 0 || current.Counters.SSEReplayErrors > 0 {
 		return fmt.Errorf("run was not clean: %d unexpected errors, %d SSE replay errors\n  %s",
 			current.Counters.UnexpectedErrors, current.Counters.SSEReplayErrors,
@@ -215,21 +128,7 @@ func CompareReports(w io.Writer, baseline, current *Report, maxRegress float64) 
 	}
 	fmt.Fprintf(w, "counters match baseline (%d requests, %d dedupe hits, %d x 429)\n",
 		current.Counters.Requests, current.Counters.DedupeHits, current.Counters.Rejected429)
-	metrics := []bench.Metric{{
-		Name:           "cells/s",
-		Baseline:       baseline.Observed.CellsPerSec,
-		Current:        current.Observed.CellsPerSec,
-		HigherIsBetter: true,
-	}}
-	if baseline.Counters.DedupeAttempts > 0 && current.Counters.DedupeAttempts > 0 {
-		metrics = append(metrics, bench.Metric{
-			Name:           "dedupe hit rate",
-			Baseline:       float64(baseline.Counters.DedupeHits) / float64(baseline.Counters.DedupeAttempts),
-			Current:        float64(current.Counters.DedupeHits) / float64(current.Counters.DedupeAttempts),
-			HigherIsBetter: true,
-		})
-	}
-	return bench.Compare(w, metrics, maxRegress)
+	return nil
 }
 
 // diffCounters lists the counter fields whose values differ, by their

@@ -28,7 +28,6 @@ const requestTimeout = 30 * time.Second
 type runner struct {
 	o     Options
 	ops   []Op
-	rec   *recorder
 	c     Counters
 	obs   Observed
 	errs  []string
@@ -60,7 +59,6 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 	r := &runner{
 		o:     o,
 		ops:   ops,
-		rec:   newRecorder(),
 		ids:   make([]string, countSubmits(ops)),
 		cells: make([]int, countSubmits(ops)),
 		sleep: o.Sleep,
@@ -68,7 +66,6 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 	if r.sleep == nil {
 		r.sleep = time.Sleep
 	}
-	start := time.Now()
 	phase := ""
 	for i, op := range ops {
 		if err := ctx.Err(); err != nil {
@@ -79,10 +76,6 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 			o.Log.Info("phase", "name", phase)
 		}
 		r.exec(ctx, op)
-	}
-	r.obs.WallClockS = time.Since(start).Seconds()
-	if r.obs.ExecutionS > 0 {
-		r.obs.CellsPerSec = float64(r.obs.CellsDone) / r.obs.ExecutionS
 	}
 	rep := &Report{
 		GoVersion:      runtime.Version(),
@@ -95,7 +88,6 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 		ScheduleOps:    len(ops),
 		Counters:       r.c,
 		Observed:       r.obs,
-		Routes:         r.rec.routes(),
 		Errors:         r.errs,
 	}
 	return rep, nil
@@ -150,7 +142,6 @@ func (r *runner) post(ctx context.Context, path string, body []byte) (*http.Resp
 		return nil, nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	start := time.Now()
 	resp, err := r.o.Client.Do(req)
 	r.c.Requests++
 	if err != nil {
@@ -158,7 +149,6 @@ func (r *runner) post(ctx context.Context, path string, body []byte) (*http.Resp
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
-	r.rec.observe("POST "+path, time.Since(start))
 	if err != nil {
 		return resp, nil, err
 	}
@@ -244,8 +234,8 @@ func (r *runner) findSubmit(ref int) *Op {
 	return nil
 }
 
-// status GETs a job's status, folding done-job timings into the
-// throughput observation.
+// status GETs a job's status, checking that it answers with a
+// decodable JobStatus.
 func (r *runner) status(ctx context.Context, op Op) {
 	id := r.ids[op.Ref]
 	if id == "" {
@@ -259,7 +249,6 @@ func (r *runner) status(ctx context.Context, op Op) {
 		r.fail(op, "build status request: %v", err)
 		return
 	}
-	start := time.Now()
 	resp, err := r.o.Client.Do(req)
 	r.c.Requests++
 	if err != nil {
@@ -268,7 +257,6 @@ func (r *runner) status(ctx context.Context, op Op) {
 	}
 	defer resp.Body.Close()
 	data, _ := io.ReadAll(resp.Body)
-	r.rec.observe("GET /v1/jobs/{id}", time.Since(start))
 	if resp.StatusCode != http.StatusOK {
 		r.fail(op, "GET status = %d: %s", resp.StatusCode, truncate(data))
 		return
@@ -276,15 +264,6 @@ func (r *runner) status(ctx context.Context, op Op) {
 	var st service.JobStatus
 	if err := json.Unmarshal(data, &st); err != nil {
 		r.fail(op, "undecodable status: %v (%s)", err, truncate(data))
-		return
-	}
-	if st.State == "done" {
-		r.obs.JobsDone++
-		r.obs.CellsDone += st.Cells
-		r.obs.CellsCached += st.CellsCached
-		if st.Timings != nil {
-			r.obs.ExecutionS += st.Timings.ExecutionS
-		}
 	}
 }
 
@@ -302,7 +281,6 @@ func (r *runner) cancel(ctx context.Context, op Op) {
 		r.fail(op, "build cancel request: %v", err)
 		return
 	}
-	start := time.Now()
 	resp, err := r.o.Client.Do(req)
 	r.c.Requests++
 	if err != nil {
@@ -311,7 +289,6 @@ func (r *runner) cancel(ctx context.Context, op Op) {
 	}
 	defer resp.Body.Close()
 	data, _ := io.ReadAll(resp.Body)
-	r.rec.observe("DELETE /v1/jobs/{id}", time.Since(start))
 	if resp.StatusCode != http.StatusAccepted {
 		r.fail(op, "DELETE = %d, want 202: %s", resp.StatusCode, truncate(data))
 		return
@@ -345,7 +322,6 @@ func (r *runner) sse(ctx context.Context, op Op) {
 		r.fail(op, "build events request: %v", err)
 		return
 	}
-	start := time.Now()
 	resp, err := r.o.Client.Do(req)
 	r.c.Requests++
 	r.c.SSEStreams++
@@ -355,13 +331,11 @@ func (r *runner) sse(ctx context.Context, op Op) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		r.rec.observe("GET /v1/jobs/{id}/events", time.Since(start))
 		r.fail(op, "GET events = %d", resp.StatusCode)
 		return
 	}
 
 	var events []sseEvent
-	firstEvent := time.Duration(0)
 	stop := func(ev sseEvent) bool {
 		switch op.Kind {
 		case OpAwait:
@@ -388,9 +362,6 @@ func (r *runner) sse(ctx context.Context, op Op) {
 		case strings.HasPrefix(line, "data: "):
 			cur.data = []byte(line[len("data: "):])
 		case line == "" && cur.name != "":
-			if firstEvent == 0 {
-				firstEvent = time.Since(start)
-			}
 			events = append(events, cur)
 			done := stop(cur)
 			cur = sseEvent{}
@@ -402,10 +373,6 @@ func (r *runner) sse(ctx context.Context, op Op) {
 			break
 		}
 	}
-	if firstEvent == 0 {
-		firstEvent = time.Since(start)
-	}
-	r.rec.observe("GET /v1/jobs/{id}/events", firstEvent)
 	if err := scanner.Err(); err != nil && !truncated {
 		r.fail(op, "reading events: %v", err)
 		return

@@ -184,8 +184,9 @@ func BuildSchedule(seed int64, p Profile) ([]Op, error) {
 		}
 		// An overlapping pair: grid G over senders {a,b}, grid Gov over
 		// {b,c} with the same seed and scenario, so the b-cells are
-		// identical configurations resolved once between the two jobs
-		// (in-flight dedupe or cache, depending on interleaving).
+		// identical configurations: the later job reads them from the
+		// result cache when the earlier one has finished them, and
+		// simulates them again when the two jobs overlap.
 		perm := rng.Perm(len(senderChoices))
 		a, bb, c := senderChoices[perm[0]], senderChoices[perm[1]], senderChoices[perm[2]]
 		pairSeed := rng.Int63n(1 << 40)

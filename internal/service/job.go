@@ -76,7 +76,6 @@ type job struct {
 	cellsCached int
 	cellsFailed int
 	cellErrs    []CellErrorDetail // capped at maxCellErrorDetails
-	canceled    bool              // cancellation requested via DELETE
 	cancel      context.CancelCauseFunc
 	traced      []sweep.TracedRun // lazy trace.jsonl artifact (run jobs)
 	tracedErr   error
@@ -438,15 +437,13 @@ type cellEvent struct {
 }
 
 // finish moves the job to a terminal state under its lock and stamps
-// the transition, returning the snapshot time.
-func (j *job) finish(state jobState, errText string) time.Time {
-	now := time.Now()
+// the transition.
+func (j *job) finish(state jobState, errText string) {
 	j.mu.Lock()
 	j.state = state
 	j.errText = errText
-	j.finishedAt = now
+	j.finishedAt = time.Now()
 	j.mu.Unlock()
-	return now
 }
 
 // runJob executes one job on the shared pool, streaming per-cell
@@ -536,8 +533,7 @@ func (s *Server) runJob(j *job) {
 			s.finishCanceled(j, execution)
 			return
 		}
-		finished := j.finish(jobFailed, err.Error())
-		_ = finished
+		j.finish(jobFailed, err.Error())
 		s.counters.failed.Add(1)
 		s.drains.record(time.Now())
 		s.journal.append(journalRecord{Op: opFailed, ID: j.id, Error: err.Error()})
@@ -616,7 +612,6 @@ func (s *Server) cancelJob(j *job) (accepted bool) {
 		j.mu.Unlock()
 		return false
 	case jobRunning:
-		j.canceled = true
 		cancel := j.cancel
 		j.mu.Unlock()
 		if cancel != nil {
@@ -625,7 +620,6 @@ func (s *Server) cancelJob(j *job) (accepted bool) {
 		s.log.Info("job cancel requested", "job", j.id)
 		return true
 	default: // queued
-		j.canceled = true
 		j.state = jobCanceled
 		j.finishedAt = time.Now()
 		j.mu.Unlock()

@@ -157,10 +157,15 @@ func replayJournal(path string) ([]journalRecord, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("service: reading journal: %w", err)
 	}
+	// A job resubmitted after its terminal record appears in order
+	// twice; emit it once, at its first submission, so recovery never
+	// adopts it twice (the second adoption would dedupe and journal a
+	// drop for the live job).
 	var pending []journalRecord
 	for _, id := range order {
 		if rec, ok := open[id]; ok {
 			pending = append(pending, rec)
+			delete(open, id)
 		}
 	}
 	return pending, nil

@@ -26,8 +26,8 @@ type counters struct {
 	// queued and running are live gauges of the job pipeline.
 	queued, running atomic.Int64
 	// cellsSimulated counts simulations actually executed;
-	// cellsCached counts cells served from the cache, an intra-job
-	// duplicate, or another job's in-flight execution.
+	// cellsCached counts cells served from the cache or an intra-job
+	// duplicate.
 	cellsSimulated, cellsCached atomic.Int64
 	// cellsFailed counts cells quarantined after exhausting their
 	// retry budget; cellRetries counts the extra execution attempts
@@ -182,7 +182,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	emit("bulktx_cells_simulated_total", "counter",
 		"Grid cells actually simulated.", float64(c.cellsSimulated.Load()))
 	emit("bulktx_cells_cached_total", "counter",
-		"Grid cells served from the cache or an in-flight duplicate.", float64(c.cellsCached.Load()))
+		"Grid cells served from the cache or an intra-job duplicate.", float64(c.cellsCached.Load()))
 	emit("bulktx_cells_failed_total", "counter",
 		"Grid cells quarantined after exhausting their retry budget.", float64(c.cellsFailed.Load()))
 	emit("bulktx_cell_retries_total", "counter",

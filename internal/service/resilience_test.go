@@ -148,6 +148,31 @@ func TestNegativeDeadlineRejected(t *testing.T) {
 	}
 }
 
+func TestOverflowingDeadlineRejected(t *testing.T) {
+	_, ts := newTestService(t, Options{})
+	for _, c := range []struct{ path, body string }{
+		{"/v1/runs", `{"model": "sensor", "senders": 5, "duration_s": 10, "deadline_s": 1e10}`},
+		{"/v1/runs", `{"senders": 5, "deadline_s": 9223372036.854775808}`},
+		{"/v1/sweeps", `{"models": ["sensor"], "senders": [5], "deadline_s": 1e300}`},
+	} {
+		resp, data := postJSON(t, ts.URL+c.path, c.body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s %s = %d: %s", c.path, c.body, resp.StatusCode, data)
+			continue
+		}
+		var body apiError
+		if err := json.Unmarshal(data, &body); err != nil || body.Field != "deadline_s" {
+			t.Errorf("error body %s does not name deadline_s", data)
+		}
+	}
+	// The longest representable deadline is still accepted.
+	st := submit(t, ts.URL+"/v1/runs",
+		`{"model": "sensor", "senders": 5, "duration_s": 10, "deadline_s": 9223372036}`, http.StatusAccepted)
+	if st.DeadlineS <= 0 {
+		t.Errorf("accepted status deadline_s = %g, want the submitted bound", st.DeadlineS)
+	}
+}
+
 func TestPartialFailureReportsCellDetail(t *testing.T) {
 	// One fault budget, four cells: exactly one cell quarantines (the
 	// service's default retry policy is one attempt) and the job still
@@ -254,6 +279,29 @@ func TestJournalReplayAndCompaction(t *testing.T) {
 	}
 	if len(pending2) != 1 || pending2[0].ID != "cccc" {
 		t.Fatalf("second replay pending = %+v, want exactly cccc", pending2)
+	}
+}
+
+func TestJournalReplayResubmitAfterTerminal(t *testing.T) {
+	// A failed job resubmitted before a crash: the journal holds its id
+	// twice with a terminal record between. Replay must return it once,
+	// or recovery adopts it twice and journals a drop for the live job.
+	dir := t.TempDir()
+	lines := `{"op":"submitted","id":"aaaa","kind":"run","doc":{}}
+{"op":"failed","id":"aaaa","error":"boom"}
+{"op":"submitted","id":"bbbb","kind":"run","doc":{}}
+{"op":"submitted","id":"aaaa","kind":"run","doc":{}}
+`
+	if err := os.WriteFile(filepath.Join(dir, journalFile), []byte(lines), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jl, pending, err := openJournal(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jl.close()
+	if len(pending) != 2 || pending[0].ID != "aaaa" || pending[1].ID != "bbbb" {
+		t.Fatalf("pending = %+v, want aaaa then bbbb, once each", pending)
 	}
 }
 

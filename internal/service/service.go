@@ -19,8 +19,8 @@
 // job list, so identical specs — regardless of JSON formatting —
 // collapse onto one queued, running or completed job, and the second
 // client is answered immediately with the first job's id. Beneath that,
-// the shared sweep.Pool dedupes identical in-flight configurations
-// across concurrent jobs and serves repeated cells from its cache. The
+// the shared sweep.Pool simulates duplicate cells within one job once
+// and serves cells any earlier job finished from its cache. The
 // job queue is bounded: when full, submissions are rejected with 429
 // and a Retry-After header computed from the observed drain rate
 // (backpressure instead of unbounded memory). Close drains the service
@@ -40,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -354,6 +355,13 @@ func (s *Server) submit(w http.ResponseWriter, kind string, doc sweep.SpecDoc, d
 	if deadlineS < 0 {
 		writeError(w, http.StatusBadRequest,
 			&netsim.FieldError{Field: "deadline_s", Reason: "must be >= 0"})
+		return
+	}
+	// float64(math.MaxInt64) is 2^63, the first nanosecond count a
+	// time.Duration cannot hold.
+	if deadlineS*float64(time.Second) >= math.MaxInt64 {
+		writeError(w, http.StatusBadRequest,
+			&netsim.FieldError{Field: "deadline_s", Reason: "exceeds the longest representable duration (~292 years)"})
 		return
 	}
 	spec, err := doc.Spec()

@@ -46,7 +46,7 @@ func Key(cfg netsim.Config) (string, error) {
 }
 
 // JobKeys derives the per-cell content key of every job in the list —
-// the same keys Pool uses for its cache and in-flight dedupe. Index i
+// the same keys Pool uses for its cache and intra-batch dedupe. Index i
 // of the result is job i's key; duplicate configurations yield
 // duplicate keys.
 func JobKeys(jobs []Job) ([]string, error) {

@@ -18,9 +18,8 @@ type Outcome struct {
 	// excluded from grouping and summaries.
 	Results []netsim.Result
 	// Cached counts the jobs served without simulating: result-cache
-	// hits, intra-batch duplicates, and adoptions of another Run
-	// call's in-flight execution (it matches the number of JobUpdates
-	// delivered with Cached true).
+	// hits and intra-batch duplicates (it matches the number of
+	// JobUpdates delivered with Cached true).
 	Cached int
 	// Errors lists the quarantined jobs of a partially failed sweep in
 	// index order — cells that still failed (or panicked) after their

@@ -17,11 +17,12 @@ import (
 
 // Pool executes sweep jobs on a fixed-size worker pool. The zero value
 // is usable: runtime.NumCPU workers, no cache, no progress reporting,
-// no retries. A Pool is safe for concurrent use; one Run call's jobs
-// never interleave state with another's (netsim runs share nothing),
-// and concurrent Run calls submitting the same configuration collapse
-// onto one in-flight simulation (the later call waits for the earlier
-// one's result instead of re-simulating).
+// no retries. A Pool is safe for concurrent use: it holds only
+// settings, and one Run call's jobs never interleave state with
+// another's (netsim runs share nothing). Duplicate configurations
+// within one Run call are simulated once; across calls the Cache is
+// the only dedupe, so concurrent calls that miss it on the same
+// configuration each simulate it and Put identical bytes.
 //
 // Cell execution is panic-isolated: a panicking simulation is
 // recovered into a *PanicError on that cell instead of crashing the
@@ -51,22 +52,6 @@ type Pool struct {
 	// so the hook exists for logging and counting, never for control
 	// flow. Calls may come from any worker goroutine.
 	OnCacheError func(key string, err error)
-
-	// mu guards inflight, the cross-Run-call dedupe table: content key
-	// -> the flight currently simulating that configuration.
-	mu       sync.Mutex
-	inflight map[string]*flight
-}
-
-// flight is one in-flight simulation of a unique configuration. The
-// worker that claims a key fills res/err/attempts and closes done;
-// workers of other Run calls carrying the same key wait on done
-// instead of re-simulating.
-type flight struct {
-	done     chan struct{}
-	res      netsim.Result
-	err      error
-	attempts int
 }
 
 // JobUpdate describes one resolved job of a Run call, as delivered to
@@ -79,8 +64,7 @@ type JobUpdate struct {
 	// Rep is the seeded repetition index within the point.
 	Rep int
 	// Cached reports that the job resolved without simulating: a cache
-	// hit, an intra-batch duplicate, or a wait on another Run call's
-	// in-flight execution of the same configuration.
+	// hit or an intra-batch duplicate.
 	Cached bool
 	// Attempts is how many times the cell was executed (1 for a
 	// first-try success, more after retries; 0 for cached jobs).
@@ -104,33 +88,6 @@ func (p *Pool) workers() int {
 		return p.Workers
 	}
 	return runtime.NumCPU()
-}
-
-// claim registers interest in simulating key. It returns the flight to
-// fill (owner true) or the flight some other Run call is already
-// filling (owner false).
-func (p *Pool) claim(key string) (f *flight, owner bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if f, ok := p.inflight[key]; ok {
-		return f, false
-	}
-	if p.inflight == nil {
-		p.inflight = make(map[string]*flight)
-	}
-	f = &flight{done: make(chan struct{})}
-	p.inflight[key] = f
-	return f, true
-}
-
-// release resolves an owned flight: the result becomes visible to
-// waiters and the key is freed (later arrivals hit the cache instead).
-func (p *Pool) release(key string, f *flight, res netsim.Result, err error) {
-	f.res, f.err = res, err
-	p.mu.Lock()
-	delete(p.inflight, key)
-	p.mu.Unlock()
-	close(f.done)
 }
 
 // isCtxErr distinguishes cancellation/deadline unwinding from genuine
@@ -191,8 +148,8 @@ func (p *Pool) run(ctx context.Context, jobs []Job, onJob func(JobUpdate), parti
 	// content key to the first job index carrying it; later indices
 	// with the same key become aliases filled in after execution.
 	// cached counts every job resolved without simulating — cache
-	// hits, intra-batch aliases, and adoptions of another Run call's
-	// in-flight execution — matching the Cached flag of the JobUpdates.
+	// hits and intra-batch aliases — matching the Cached flag of the
+	// JobUpdates.
 	keys := make([]string, total)
 	primary := make(map[string]int, total)
 	var execIdx []int // indices to actually simulate
@@ -273,83 +230,47 @@ func (p *Pool) run(ctx context.Context, jobs []Job, onJob func(JobUpdate), parti
 		notify(i, false, attempts, err, 0)
 	}
 	execute := func(i int) {
-		for {
-			f, owner := p.claim(keys[i])
-			if !owner {
-				// Another Run call is simulating this exact
-				// configuration; adopt its result instead of
-				// duplicating the work.
-				<-f.done
-				if f.err != nil {
-					// The owner may have unwound for its own
-					// cancellation, not because the cell is bad; if we
-					// are still live, claim the key ourselves.
-					if isCtxErr(f.err) && ctx.Err() == nil {
-						continue
-					}
-					quarantine(i, f.attempts, f.err)
-					return
-				}
-				results[i] = f.res
-				notify(i, true, 0, nil, 0)
-				return
+		attempts := p.Retry.attempts()
+		var (
+			res    netsim.Result
+			err    error
+			simDur time.Duration
+			att    int
+		)
+		for att = 1; att <= attempts; att++ {
+			if err = ctx.Err(); err != nil {
+				break
 			}
-			// Re-check the cache now that we own the key: another
-			// Run call may have finished (and cached) this
-			// configuration between our pre-scan and this claim.
-			if res, ok := p.Cache.Get(keys[i]); ok {
-				p.release(keys[i], f, res, nil)
-				results[i] = res
-				notify(i, true, 0, nil, 0)
-				return
+			faultinject.Stall(ctx, faultinject.CellStall, attemptKey(keys[i], att))
+			if err = ctx.Err(); err != nil {
+				break
 			}
-			attempts := p.Retry.attempts()
-			var (
-				res    netsim.Result
-				err    error
-				simDur time.Duration
-				att    int
-			)
-			for att = 1; att <= attempts; att++ {
-				if err = ctx.Err(); err != nil {
-					break
-				}
-				faultinject.Stall(ctx, faultinject.CellStall, attemptKey(keys[i], att))
-				if err = ctx.Err(); err != nil {
-					break
-				}
-				simStart := time.Now()
-				res, err = runCell(jobs[i].Config, attemptKey(keys[i], att))
-				simDur = time.Since(simStart)
-				if err == nil {
-					break
-				}
-				if att < attempts && !sleepCtx(ctx, p.Retry.backoff(keys[i], att)) {
-					err = ctx.Err()
-					break
-				}
-			}
-			if att > attempts {
-				att = attempts
-			}
+			simStart := time.Now()
+			res, err = runCell(jobs[i].Config, attemptKey(keys[i], att))
+			simDur = time.Since(simStart)
 			if err == nil {
-				// A failed cache write is not a failed cell: the result
-				// is already held in memory, so degrade to mem-only and
-				// let the hook log/count the disk problem.
-				if cerr := p.Cache.Put(keys[i], res); cerr != nil && p.OnCacheError != nil {
-					p.OnCacheError(keys[i], cerr)
-				}
+				break
 			}
-			f.attempts = att
-			p.release(keys[i], f, res, err)
-			if err != nil {
-				quarantine(i, att, err)
-				return
+			if att < attempts && !sleepCtx(ctx, p.Retry.backoff(keys[i], att)) {
+				err = ctx.Err()
+				break
 			}
-			results[i] = res
-			notify(i, false, att, nil, simDur)
+		}
+		if att > attempts {
+			att = attempts
+		}
+		if err != nil {
+			quarantine(i, att, err)
 			return
 		}
+		// A failed cache write is not a failed cell: the result is
+		// already held in memory, so degrade to mem-only and let the
+		// hook log/count the disk problem.
+		if cerr := p.Cache.Put(keys[i], res); cerr != nil && p.OnCacheError != nil {
+			p.OnCacheError(keys[i], cerr)
+		}
+		results[i] = res
+		notify(i, false, att, nil, simDur)
 	}
 	work := make(chan int)
 	workers := p.workers()

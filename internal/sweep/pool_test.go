@@ -9,7 +9,7 @@ import (
 	"bulktx/internal/params"
 )
 
-// smallJob compiles one fast single-run job list for the dedupe tests.
+// smallJob compiles one fast single-run job list for the pool tests.
 func smallJob(t *testing.T, seed int64) []Job {
 	t.Helper()
 	base := netsim.DefaultConfig(netsim.ModelSensor, 5, 1, seed)
@@ -79,96 +79,6 @@ func TestRunJobsProgressReportsEveryJob(t *testing.T) {
 		}
 	}
 }
-
-func TestInflightDedupeAdoptsOtherRunsResult(t *testing.T) {
-	jobs := smallJob(t, 42)
-	key, err := Key(jobs[0].Config)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Pre-claim the job's key as if another Run call were simulating
-	// it, then resolve the flight with a sentinel result: if the pool
-	// returns the sentinel, the waiter adopted the in-flight execution
-	// instead of re-simulating.
-	pool := &Pool{Workers: 2} // no cache: the flight is the only source
-	f, owner := pool.claim(key)
-	if !owner {
-		t.Fatal("fresh pool already had the key in flight")
-	}
-	var sentinel netsim.Result
-	sentinel.Events = 12345
-
-	var (
-		got     []netsim.Result
-		updates []JobUpdate
-		runErr  error
-		done    = make(chan struct{})
-	)
-	go func() {
-		defer close(done)
-		out, err := pool.RunJobsProgress(jobs, func(u JobUpdate) {
-			updates = append(updates, u)
-		})
-		if err != nil {
-			runErr = err
-			return
-		}
-		got = out.Results
-	}()
-
-	select {
-	case <-done:
-		t.Fatal("Run completed while the key was still in flight")
-	case <-time.After(50 * time.Millisecond):
-	}
-	pool.release(key, f, sentinel, nil)
-	<-done
-
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	if got[0].Events != sentinel.Events {
-		t.Errorf("waiter re-simulated instead of adopting the in-flight result (events = %d)",
-			got[0].Events)
-	}
-	if len(updates) != 1 || !updates[0].Cached {
-		t.Errorf("in-flight adoption not reported as cached: %+v", updates)
-	}
-	pool.mu.Lock()
-	if len(pool.inflight) != 0 {
-		t.Errorf("inflight table not drained: %d entries", len(pool.inflight))
-	}
-	pool.mu.Unlock()
-}
-
-func TestInflightDedupePropagatesError(t *testing.T) {
-	jobs := smallJob(t, 43)
-	key, err := Key(jobs[0].Config)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := &Pool{Workers: 1}
-	f, _ := pool.claim(key)
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := pool.Run(jobs)
-		done <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-	pool.release(key, f, netsim.Result{}, errTest)
-	if err := <-done; err == nil {
-		t.Error("in-flight error not propagated to the waiting Run call")
-	}
-}
-
-// errTest is a distinguishable failure for the in-flight error test.
-var errTest = &testError{}
-
-type testError struct{}
-
-func (*testError) Error() string { return "test failure" }
 
 func TestConcurrentRunsShareOnePool(t *testing.T) {
 	// A stress companion to the deterministic dedupe tests: many

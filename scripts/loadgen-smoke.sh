@@ -7,11 +7,12 @@
 #      schedule and produce identical deterministic counters
 #      (requests, dedupe hits, 429 rejections) — compared field by
 #      field, not approximately.
-#   2. Regression gate: a run on a freshly started server must pass
-#      -compare against the committed BENCH_SERVE.json baseline. The
-#      gate needs a fresh server because repeated runs progressively
-#      fill the result cache until canceled jobs finish before their
-#      DELETEs (see internal/loadgen's package docs).
+#   2. Behavior gate: a run on a freshly started server must pass
+#      -compare against the committed BENCH_SERVE.json baseline — a
+#      clean run whose seed, schedule hash and counters match exactly.
+#      The gate needs a fresh server because repeated runs
+#      progressively fill the result cache until canceled jobs finish
+#      before their DELETEs (see internal/loadgen's package docs).
 #
 # The server shape (-queue/-job-workers/-workers) must match the
 # loadgen profile; this script pins both sides to the short profile's
@@ -23,7 +24,6 @@
 #   LOADGEN_PORT         listen port (default 18110)
 #   LOADGEN_SEED         schedule seed (default 1, matching the baseline)
 #   LOADGEN_PROFILE      profile name (default short)
-#   LOADGEN_MAX_REGRESS  gate threshold (default 0.5)
 #   LOADGEN_BASELINE     baseline path for phase 2 (default
 #                        BENCH_SERVE.json); set empty to skip the gate —
 #                        the soak profile's schedule intentionally does
@@ -37,7 +37,6 @@ command -v jq >/dev/null || { echo "loadgen-smoke: jq not found" >&2; exit 1; }
 PORT="${LOADGEN_PORT:-18110}"
 SEED="${LOADGEN_SEED:-1}"
 PROFILE="${LOADGEN_PROFILE:-short}"
-MAX_REGRESS="${LOADGEN_MAX_REGRESS:-0.5}"
 BASELINE="${LOADGEN_BASELINE-BENCH_SERVE.json}"
 BASE="http://127.0.0.1:$PORT"
 WORK=$(mktemp -d)
@@ -101,9 +100,9 @@ echo "   counters and schedule hash identical across runs ($SHA1)"
 stop
 
 if [ -n "$BASELINE" ]; then
-  echo "== phase 2: regression gate against $BASELINE (fresh server)"
+  echo "== phase 2: behavior gate against $BASELINE (fresh server)"
   start
-  loadgen -compare "$BASELINE" -max-regress "$MAX_REGRESS"
+  loadgen -compare "$BASELINE"
   stop
 else
   echo "== phase 2 skipped (LOADGEN_BASELINE is empty)"
