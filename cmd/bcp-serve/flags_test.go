@@ -22,6 +22,14 @@ func TestValidateFlags(t *testing.T) {
 	if err := validateFlags(goodFlags()); err != nil {
 		t.Fatalf("baseline flags rejected: %v", err)
 	}
+	// -job-workers 0 is the default: one job executor per -workers slot.
+	t.Run("zero job workers", func(t *testing.T) {
+		v := goodFlags()
+		v.jobWorkers = 0
+		if err := validateFlags(v); err != nil {
+			t.Fatalf("-job-workers 0 rejected: %v", err)
+		}
+	})
 
 	cases := []struct {
 		name   string
@@ -29,7 +37,7 @@ func TestValidateFlags(t *testing.T) {
 	}{
 		{"negative workers", func(v *flagValues) { v.workers = -1 }},
 		{"zero queue", func(v *flagValues) { v.queue = 0 }},
-		{"zero job workers", func(v *flagValues) { v.jobWorkers = 0 }},
+		{"negative job workers", func(v *flagValues) { v.jobWorkers = -1 }},
 		{"zero max cells", func(v *flagValues) { v.maxCells = 0 }},
 		{"zero max jobs", func(v *flagValues) { v.maxJobs = 0 }},
 		{"zero cell attempts", func(v *flagValues) { v.cellAttempts = 0 }},

@@ -15,6 +15,12 @@
 //	bcp-serve -log-format json -log-level debug
 //	bcp-serve -pprof 127.0.0.1:6060             # profiling on a separate listener
 //
+// -workers bounds the simulations running at once across every job;
+// jobs execute side by side, one per -workers slot unless -job-workers
+// says otherwise. The in-memory result cache is capped at 64 MiB and
+// evicts least recently used results (with -cache-dir, an evicted
+// result is re-read from disk).
+//
 // Identical submissions collapse onto one job (content-keyed dedupe);
 // a full job queue answers 429 with a Retry-After computed from the
 // observed drain rate. Every request gets one structured access-log
@@ -114,8 +120,8 @@ func validateFlags(v flagValues) error {
 		return cli.Usagef("-workers %d: must be >= 0 (0 = all cores)", v.workers)
 	case v.queue < 1:
 		return cli.Usagef("-queue %d: must be >= 1", v.queue)
-	case v.jobWorkers < 1:
-		return cli.Usagef("-job-workers %d: must be >= 1", v.jobWorkers)
+	case v.jobWorkers < 0:
+		return cli.Usagef("-job-workers %d: must be >= 0 (0 = one per -workers slot)", v.jobWorkers)
 	case v.maxCells < 1:
 		return cli.Usagef("-max-cells %d: must be >= 1", v.maxCells)
 	case v.maxJobs < 1:
@@ -139,11 +145,11 @@ func validateFlags(v flagValues) error {
 func run() error {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
-		workers      = flag.Int("workers", 0, "sweep worker pool size (0 = all cores)")
+		workers      = flag.Int("workers", 0, "simulations running at once across all jobs (0 = all cores)")
 		cacheDir     = flag.String("cache-dir", "", "on-disk result cache directory (empty = in-memory only)")
 		stateDir     = flag.String("state-dir", "", "crash-safe job journal directory: unfinished jobs resubmit on restart (empty = off)")
 		queue        = flag.Int("queue", service.DefaultQueueLimit, "max queued jobs before submissions get 429")
-		jobWorkers   = flag.Int("job-workers", 1, "jobs executing concurrently (cells within a job are already parallel)")
+		jobWorkers   = flag.Int("job-workers", 0, "jobs executing concurrently, sharing the -workers budget (0 = one per -workers slot)")
 		maxCells     = flag.Int("max-cells", service.DefaultMaxCells, "max simulations one submission may compile to")
 		maxJobs      = flag.Int("max-jobs", service.DefaultMaxJobs, "terminal jobs retained before the oldest are evicted")
 		cellAttempts = flag.Int("cell-attempts", 1, "execution attempts per cell before it is quarantined (1 = no retries)")

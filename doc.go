@@ -60,7 +60,8 @@
 //
 // A SweepSpec declares axes (model, senders, burst threshold, traffic,
 // seeds) over a SimConfig template; the sweep engine compiles it into a
-// flat job list and executes it on a worker pool sized to the machine.
+// flat job list and executes it on a worker pool sized to the machine;
+// concurrent sweeps on one pool share its simulation budget.
 // Each run derives all of its randomness from its own seed, so parallel
 // results are byte-identical to serial execution. An optional
 // SweepCache memoizes results keyed by a hash of the full run
@@ -76,7 +77,9 @@
 // NewSimService wraps it in a long-lived HTTP job API (cmd/bcp-serve):
 // content-keyed submissions that dedupe onto an existing job, cached
 // cells, SSE progress streams, artifact exports, bounded-queue
-// backpressure and graceful drain — see docs/API.md.
+// backpressure and graceful drain — see docs/API.md. Its jobs run side
+// by side under the pool's simulation budget, and its result cache keeps
+// at most 64 MiB in memory, evicting least recently used results.
 //
 // # Tracing
 //

@@ -182,7 +182,8 @@ func TestAPIDocCoversEveryRoute(t *testing.T) {
 		"bulktx_cells_cached_total", "bulktx_cells_failed_total",
 		"bulktx_cell_retries_total", "bulktx_cache_write_errors_total",
 		"bulktx_journal_write_errors_total", "bulktx_cells_per_sec",
-		"bulktx_build_info",
+		"bulktx_result_cache_bytes", "bulktx_result_cache_entries",
+		"bulktx_result_cache_evictions_total", "bulktx_build_info",
 		"bulktx_http_request_duration_seconds",
 		"bulktx_job_queue_wait_seconds",
 		"bulktx_job_execution_seconds",

@@ -204,6 +204,7 @@ type Server struct {
 	mux        *http.ServeMux
 	pool       *sweep.Pool
 	queueLimit int
+	jobWorkers int
 	maxCells   int
 	maxJobs    int
 	retryAfter time.Duration
@@ -211,12 +212,13 @@ type Server struct {
 	hist       *histograms
 	journal    *journal
 
-	mu     sync.Mutex
-	closed bool
-	jobs   map[string]*job
-	order  []*job
-	queue  chan *job
-	wg     sync.WaitGroup
+	mu        sync.Mutex
+	closed    bool
+	jobs      map[string]*job
+	order     []*job
+	queue     chan *job
+	executors int // started so far, up to jobWorkers
+	wg        sync.WaitGroup
 
 	counters counters
 	drains   drainStats
@@ -331,6 +333,14 @@ func (s *Server) adopt(kind string, jobs []sweep.Job, rawDoc json.RawMessage, de
 		})
 	}
 	s.queue <- j // cannot block: the queue was sized for limit + recovery backlog
+	// Executors start on demand and then live until Close: every queued
+	// job starts one until jobWorkers exist, so a queued job never
+	// waits while an executor it could have had is missing.
+	if s.executors < s.jobWorkers {
+		s.executors++
+		s.wg.Add(1)
+		go s.executor()
+	}
 	s.log.Info("job queued", "job", j.id, "kind", j.kind, "cells", len(j.jobs))
 	return j, submitNew
 }
@@ -437,11 +447,14 @@ type cellEvent struct {
 }
 
 // finish moves the job to a terminal state under its lock and stamps
-// the transition.
-func (j *job) finish(state jobState, errText string) {
+// the transition. Callers count, journal and log the transition first,
+// so a client that sees the terminal state also sees it in /metrics
+// and the logs.
+func (j *job) finish(state jobState, errText string, outcome *sweep.Outcome) {
 	j.mu.Lock()
 	j.state = state
 	j.errText = errText
+	j.outcome = outcome
 	j.finishedAt = time.Now()
 	j.mu.Unlock()
 }
@@ -480,7 +493,7 @@ func (s *Server) runJob(j *job) {
 	j.mu.Unlock()
 	queueWait := start.Sub(j.submittedAt)
 	s.hist.queueWait.ObserveDuration(queueWait)
-	s.counters.running.Add(1)
+	s.counters.busy.start(start)
 	s.log.Info("job running", "job", j.id, "kind", j.kind,
 		"cells", len(j.jobs), "queue_wait_s", queueWait.Seconds())
 	j.stream.publish("started", struct {
@@ -523,9 +536,9 @@ func (s *Server) runJob(j *job) {
 		j.stream.publish("cell", ev)
 	})
 
-	s.counters.running.Add(-1)
-	execution := time.Since(start)
-	s.counters.busyNanos.Add(int64(execution))
+	end := time.Now()
+	s.counters.busy.stop(end)
+	execution := end.Sub(start)
 	s.hist.execution.ObserveDuration(execution)
 
 	if err != nil {
@@ -533,49 +546,30 @@ func (s *Server) runJob(j *job) {
 			s.finishCanceled(j, execution)
 			return
 		}
-		j.finish(jobFailed, err.Error())
-		s.counters.failed.Add(1)
-		s.drains.record(time.Now())
-		s.journal.append(journalRecord{Op: opFailed, ID: j.id, Error: err.Error()})
-		s.log.Error("job failed", "job", j.id, "kind", j.kind,
-			"execution_s", execution.Seconds(), "error", err.Error())
-		j.stream.publish("failed", apiError{Error: err.Error()})
-		j.stream.close()
+		s.finishFailed(j, err.Error(), execution)
 		return
 	}
 
 	j.mu.Lock()
-	failedCells := j.cellsFailed
+	failedCells, cached := j.cellsFailed, j.cellsCached
 	j.mu.Unlock()
 	if failedCells > 0 && failedCells == len(j.jobs) {
 		// Nothing survived: report the job itself as failed, with the
 		// per-cell detail still attached for diagnosis.
 		msg := fmt.Sprintf("all %d cells failed; first: %s", failedCells, outcome.Errors[0].Error())
-		j.finish(jobFailed, msg)
-		s.counters.failed.Add(1)
-		s.drains.record(time.Now())
-		s.journal.append(journalRecord{Op: opFailed, ID: j.id, Error: msg})
-		s.log.Error("job failed", "job", j.id, "kind", j.kind,
-			"execution_s", execution.Seconds(), "error", msg)
-		j.stream.publish("failed", apiError{Error: msg})
-		j.stream.close()
+		s.finishFailed(j, msg, execution)
 		return
 	}
 
-	j.mu.Lock()
-	j.state = jobDone
-	j.finishedAt = time.Now()
-	j.outcome = outcome
-	cached := j.cellsCached
-	j.mu.Unlock()
+	s.counters.cellsCached.Add(int64(cached))
+	s.counters.cellsSimulated.Add(int64(len(j.jobs) - cached - failedCells))
 	s.counters.done.Add(1)
 	s.drains.record(time.Now())
 	s.journal.append(journalRecord{Op: opDone, ID: j.id})
 	s.log.Info("job done", "job", j.id, "kind", j.kind,
 		"execution_s", execution.Seconds(),
 		"cells", len(j.jobs), "cells_cached", cached, "cells_failed", failedCells)
-	s.counters.cellsCached.Add(int64(cached))
-	s.counters.cellsSimulated.Add(int64(len(j.jobs) - cached - failedCells))
+	j.finish(jobDone, "", outcome)
 	j.stream.publish("done", struct {
 		// CellsDone, CellsCached and CellsFailed are the final progress
 		// counters; a nonzero CellsFailed marks a partial completion.
@@ -586,15 +580,28 @@ func (s *Server) runJob(j *job) {
 	j.stream.close()
 }
 
+// finishFailed finalizes a job that failed outright or lost every
+// cell.
+func (s *Server) finishFailed(j *job, msg string, execution time.Duration) {
+	s.counters.failed.Add(1)
+	s.drains.record(time.Now())
+	s.journal.append(journalRecord{Op: opFailed, ID: j.id, Error: msg})
+	s.log.Error("job failed", "job", j.id, "kind", j.kind,
+		"execution_s", execution.Seconds(), "error", msg)
+	j.finish(jobFailed, msg, nil)
+	j.stream.publish("failed", apiError{Error: msg})
+	j.stream.close()
+}
+
 // finishCanceled finalizes a DELETE-canceled job that was unwound
 // mid-execution.
 func (s *Server) finishCanceled(j *job, execution time.Duration) {
-	j.finish(jobCanceled, "")
 	s.counters.canceled.Add(1)
 	s.drains.record(time.Now())
 	s.journal.append(journalRecord{Op: opCanceled, ID: j.id})
 	s.log.Info("job canceled", "job", j.id, "kind", j.kind,
 		"execution_s", execution.Seconds())
+	j.finish(jobCanceled, "", nil)
 	j.stream.publish("canceled", struct {
 		// ID names the canceled job.
 		ID string `json:"id"`

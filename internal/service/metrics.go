@@ -23,8 +23,9 @@ type counters struct {
 	done, failed, canceled atomic.Int64
 	// recovered counts journaled jobs resubmitted after a restart.
 	recovered atomic.Int64
-	// queued and running are live gauges of the job pipeline.
-	queued, running atomic.Int64
+	// queued is the live gauge of jobs waiting for an executor;
+	// running jobs are counted by busy.
+	queued atomic.Int64
 	// cellsSimulated counts simulations actually executed;
 	// cellsCached counts cells served from the cache or an intra-job
 	// duplicate.
@@ -37,9 +38,53 @@ type counters struct {
 	// degrades to its memory tier); journalErrors counts journal
 	// appends that failed (jobs keep running, durability degrades).
 	cacheWriteErrors, journalErrors atomic.Int64
-	// busyNanos accumulates wall-clock time spent executing jobs, the
-	// denominator of the cells-per-second gauge.
-	busyNanos atomic.Int64
+	// busy counts executing jobs and the wall-clock time during which
+	// at least one was executing.
+	busy busyClock
+}
+
+// busyClock tracks the running-jobs gauge and the service's busy time,
+// the denominator of the cells-per-second gauge. Busy time is wall
+// time with at least one job executing: a busy period opens when the
+// first job starts and closes when the last one ends, so overlapping
+// jobs share their wall time instead of each adding it.
+type busyClock struct {
+	mu      sync.Mutex
+	running int64
+	since   time.Time     // start of the open busy period (running > 0)
+	closed  time.Duration // length of the busy periods already closed
+}
+
+// start counts a job starting at now.
+func (b *busyClock) start(now time.Time) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.running == 0 {
+		b.since = now
+	}
+	b.running++
+}
+
+// stop counts a job ending at now.
+func (b *busyClock) stop(now time.Time) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.running--
+	if b.running == 0 {
+		b.closed += now.Sub(b.since)
+	}
+}
+
+// read reports the number of executing jobs and the busy time up to
+// now, an open busy period included.
+func (b *busyClock) read(now time.Time) (running int64, busy time.Duration) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	busy = b.closed
+	if b.running > 0 {
+		busy += now.Sub(b.since)
+	}
+	return b.running, busy
 }
 
 // Adaptive Retry-After tuning.
@@ -100,7 +145,8 @@ func (d *drainStats) rate(now time.Time) float64 {
 func (s *Server) retryAfterHint(now time.Time) time.Duration {
 	hint := s.retryAfter
 	if rate := s.drains.rate(now); rate > 0 {
-		backlog := s.counters.queued.Load() + s.counters.running.Load() + 1
+		running, _ := s.counters.busy.read(now)
+		backlog := s.counters.queued.Load() + running + 1
 		if est := time.Duration(float64(backlog) / rate * float64(time.Second)); est > hint {
 			hint = est
 		}
@@ -157,6 +203,8 @@ func newHistograms() *histograms {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	c := &s.counters
+	running, busy := c.busy.read(time.Now())
+	stats := s.pool.Cache.Stats()
 	emit := func(name, kind, help string, value float64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", name, help, name, kind, name, value)
 	}
@@ -178,7 +226,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	emit("bulktx_jobs_queued", "gauge",
 		"Jobs waiting for an executor.", float64(c.queued.Load()))
 	emit("bulktx_jobs_running", "gauge",
-		"Jobs currently executing.", float64(c.running.Load()))
+		"Jobs currently executing.", float64(running))
 	emit("bulktx_cells_simulated_total", "counter",
 		"Grid cells actually simulated.", float64(c.cellsSimulated.Load()))
 	emit("bulktx_cells_cached_total", "counter",
@@ -191,16 +239,22 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		"Disk cache writes that failed; results continued in memory only.", float64(c.cacheWriteErrors.Load()))
 	emit("bulktx_journal_write_errors_total", "counter",
 		"Job journal appends that failed; jobs continued, durability degraded.", float64(c.journalErrors.Load()))
+	emit("bulktx_result_cache_bytes", "gauge",
+		"Accounted footprint of the result cache's memory tier.", float64(stats.Bytes))
+	emit("bulktx_result_cache_entries", "gauge",
+		"Results held in the result cache's memory tier.", float64(stats.Entries))
+	emit("bulktx_result_cache_evictions_total", "counter",
+		"Results evicted from the memory tier to stay within its budget.", float64(stats.Evictions))
 	// The throughput gauge only exists once busy time has accrued:
 	// cache-only jobs complete in ~zero wall-clock, and dividing by
 	// that would report 0 cells/sec right after the service served
 	// thousands of cached cells. Cached volume is already visible in
 	// bulktx_cells_cached_total; the latency histograms below are the
 	// finer-grained signal either way.
-	if ns := c.busyNanos.Load(); ns > 0 {
-		perSec := float64(c.cellsSimulated.Load()+c.cellsCached.Load()) / (float64(ns) / 1e9)
+	if busy > 0 {
+		perSec := float64(c.cellsSimulated.Load()+c.cellsCached.Load()) / busy.Seconds()
 		emit("bulktx_cells_per_sec", "gauge",
-			"Cells resolved per second of cumulative job-execution wall-clock; absent until at least one job has accrued nonzero execution time.", perSec)
+			"Cells resolved per second of wall-clock with at least one job executing; absent until such time has accrued.", perSec)
 	}
 	telemetry.WriteHistogramVec(w, "bulktx_http_request_duration_seconds",
 		"HTTP request latency by route pattern, SSE streams measured to stream end.", s.hist.httpDuration)

@@ -20,7 +20,10 @@
 // collapse onto one queued, running or completed job, and the second
 // client is answered immediately with the first job's id. Beneath that,
 // the shared sweep.Pool simulates duplicate cells within one job once
-// and serves cells any earlier job finished from its cache. The
+// and serves cells any earlier job finished from its cache. Jobs
+// execute side by side, by default one per pool slot, and all of them
+// draw their simulations from the pool's one Workers budget; the
+// cache's memory tier is capped at CacheMemoryBudget. The
 // job queue is bounded: when full, submissions are rejected with 429
 // and a Retry-After header computed from the observed drain rate
 // (backpressure instead of unbounded memory). Close drains the service
@@ -42,6 +45,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"runtime"
 	"strconv"
 	"time"
 
@@ -63,27 +67,35 @@ const (
 	DefaultMaxJobs = 1024
 	// DefaultRetryAfter is the advertised backoff on 429 responses.
 	DefaultRetryAfter = time.Second
+	// CacheMemoryBudget caps the result cache's memory tier; least
+	// recently used results beyond it are evicted. 64 MiB holds about
+	// 4,600 results of the paper's single-hop runs, several times the
+	// DefaultMaxJobs store, so a resubmitted evicted job still hits.
+	CacheMemoryBudget = 64 << 20
 	// maxBodyBytes bounds request bodies; specs are small JSON
 	// documents.
 	maxBodyBytes = 1 << 20
 )
 
 // Options configures a Server. The zero value is usable: all cores, a
-// fresh in-memory cache, one job executor and the default limits.
+// fresh in-memory cache, one job executor per core and the default
+// limits. Options holds only settings; New reads them once.
 type Options struct {
-	// Workers is the sweep pool's worker count (<= 0 selects all
-	// cores). Cells of one job run on this pool in parallel.
+	// Workers bounds how many simulations the whole service runs at
+	// once, across all executing jobs (<= 0 selects all cores).
 	Workers int
 	// Cache memoizes simulation results across jobs; nil selects a
 	// fresh in-memory cache (pass a disk cache to persist results
-	// across service restarts).
+	// across service restarts). New caps the cache's memory tier at
+	// CacheMemoryBudget.
 	Cache *sweep.Cache
 	// QueueLimit bounds how many jobs may wait behind the executors
 	// before submissions are rejected with 429 (<= 0 selects
 	// DefaultQueueLimit).
 	QueueLimit int
 	// JobWorkers is how many jobs execute concurrently (<= 0 selects
-	// 1; cells within a job are already parallel).
+	// one per Workers slot). Concurrent jobs share the Workers budget,
+	// so more job executors never mean more simulations at once.
 	JobWorkers int
 	// MaxCells rejects submissions whose spec compiles to more than
 	// this many simulations (<= 0 selects DefaultMaxCells).
@@ -112,14 +124,18 @@ type Options struct {
 	Retry sweep.RetryPolicy
 }
 
-// New builds a Server and starts its job executors. It fails only when
-// a configured StateDir cannot be opened or its journal is unreadable.
+// New builds a Server; its job executors start with the first jobs
+// queued. It fails only when a configured StateDir cannot be opened or
+// its journal is unreadable.
 func New(o Options) (*Server, error) {
 	if o.QueueLimit <= 0 {
 		o.QueueLimit = DefaultQueueLimit
 	}
+	if o.Workers <= 0 {
+		o.Workers = runtime.NumCPU()
+	}
 	if o.JobWorkers <= 0 {
-		o.JobWorkers = 1
+		o.JobWorkers = o.Workers
 	}
 	if o.MaxCells <= 0 {
 		o.MaxCells = DefaultMaxCells
@@ -134,6 +150,7 @@ func New(o Options) (*Server, error) {
 	if cache == nil {
 		cache = sweep.NewCache()
 	}
+	cache.SetMemoryBudget(CacheMemoryBudget)
 	log := o.Logger
 	if log == nil {
 		log = telemetry.NopLogger()
@@ -141,6 +158,7 @@ func New(o Options) (*Server, error) {
 	s := &Server{
 		pool:       &sweep.Pool{Workers: o.Workers, Cache: cache, Retry: o.Retry},
 		queueLimit: o.QueueLimit,
+		jobWorkers: o.JobWorkers,
 		maxCells:   o.MaxCells,
 		maxJobs:    o.MaxJobs,
 		retryAfter: o.RetryAfter,
@@ -188,10 +206,6 @@ func New(o Options) (*Server, error) {
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux = mux
 	s.recoverPending(pending)
-	for w := 0; w < o.JobWorkers; w++ {
-		s.wg.Add(1)
-		go s.executor()
-	}
 	return s, nil
 }
 
@@ -503,6 +517,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	closed := s.closed
 	s.mu.Unlock()
+	running, _ := s.counters.busy.read(time.Now())
 	status := "ok"
 	if closed {
 		status = "draining"
@@ -513,5 +528,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		// JobsQueued and JobsRunning are the live queue depths.
 		JobsQueued  int64 `json:"jobs_queued"`
 		JobsRunning int64 `json:"jobs_running"`
-	}{status, s.counters.queued.Load(), s.counters.running.Load()})
+	}{status, s.counters.queued.Load(), running})
 }

@@ -865,3 +865,90 @@ func TestJobStoreEviction(t *testing.T) {
 			done.Cells-done.CellsCached)
 	}
 }
+
+// TestJobsRunConcurrentlyByDefault: under zero-value Options the
+// service runs one job per pool slot, so a second single-cell job
+// starts before the first finishes.
+func TestJobsRunConcurrentlyByDefault(t *testing.T) {
+	if runtime.NumCPU() < 2 {
+		t.Skip("needs two cores: the default runs one job per core")
+	}
+	svc, ts := newTestService(t, Options{})
+	entered := make(chan string, 2)
+	release := make(chan struct{})
+	setGate(svc, func(j *job) { entered <- j.id; <-release })
+
+	a := submit(t, ts.URL+"/v1/runs", runBody, http.StatusAccepted)
+	b := submit(t, ts.URL+"/v1/runs",
+		strings.Replace(runBody, `"senders": 5`, `"senders": 6`, 1), http.StatusAccepted)
+	for i := 0; i < 2; i++ {
+		select {
+		case <-entered:
+		case <-time.After(10 * time.Second):
+			close(release)
+			t.Fatal("second job never started while the first was running")
+		}
+	}
+	close(release)
+	for _, id := range []string{a.ID, b.ID} {
+		if st := waitDone(t, ts.URL, id); st.State != "done" {
+			t.Errorf("job %s ended %s", id, st.State)
+		}
+	}
+}
+
+// TestCellsPerSecCountsOverlapOnce: two overlapping jobs share their
+// wall time in the throughput gauge's denominator instead of each
+// adding it, so the gauge is at least cells over the wall time that
+// brackets both executions.
+func TestCellsPerSecCountsOverlapOnce(t *testing.T) {
+	activateFaults(t, "cell.stall:delay=400ms")
+	svc, ts := newTestService(t, Options{JobWorkers: 2})
+	entered := make(chan string, 2)
+	release := make(chan struct{})
+	setGate(svc, func(j *job) { entered <- j.id; <-release })
+
+	a := submit(t, ts.URL+"/v1/runs", runBody, http.StatusAccepted)
+	b := submit(t, ts.URL+"/v1/runs",
+		strings.Replace(runBody, `"senders": 5`, `"senders": 6`, 1), http.StatusAccepted)
+	<-entered
+	<-entered
+	start := time.Now() // both jobs start executing after this
+	close(release)
+	cells := 0
+	for _, id := range []string{a.ID, b.ID} {
+		st := waitDone(t, ts.URL, id)
+		if st.State != "done" {
+			t.Fatalf("job %s ended %s", id, st.State)
+		}
+		cells += st.Cells
+	}
+	wall := time.Since(start)
+	floor := float64(cells) / wall.Seconds()
+	if v := metricValue(t, ts.URL, "bulktx_cells_per_sec"); v < floor {
+		t.Errorf("cells_per_sec = %.3g, below %d cells over %s of wall time (%.3g): overlapping jobs counted twice",
+			v, cells, wall.Round(time.Millisecond), floor)
+	}
+}
+
+// TestResultCacheMetrics: the memory tier's gauges and eviction
+// counter follow the service's cache.
+func TestResultCacheMetrics(t *testing.T) {
+	cache := sweep.NewCache()
+	_, ts := newTestService(t, Options{Cache: cache})
+	st := submit(t, ts.URL+"/v1/runs", runBody, http.StatusAccepted)
+	waitDone(t, ts.URL, st.ID)
+	stats := cache.Stats()
+	if stats.Entries != 1 || stats.Bytes <= 0 {
+		t.Fatalf("cache stats after one run = %+v", stats)
+	}
+	if v := metricValue(t, ts.URL, "bulktx_result_cache_entries"); v != 1 {
+		t.Errorf("result_cache_entries = %g, want 1", v)
+	}
+	if v := metricValue(t, ts.URL, "bulktx_result_cache_bytes"); v != float64(stats.Bytes) {
+		t.Errorf("result_cache_bytes = %g, want %d", v, stats.Bytes)
+	}
+	if v := metricValue(t, ts.URL, "bulktx_result_cache_evictions_total"); v != 0 {
+		t.Errorf("result_cache_evictions_total = %g, want 0", v)
+	}
+}

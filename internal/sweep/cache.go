@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -12,6 +13,7 @@ import (
 	"slices"
 	"sync"
 	"time"
+	"unsafe"
 
 	"bulktx/internal/faultinject"
 	"bulktx/internal/metrics"
@@ -79,7 +81,7 @@ func JobsKey(jobs []Job) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// Cache memoizes run results by content key. The in-memory map is
+// Cache memoizes run results by content key. The in-memory tier is
 // always on; when constructed with NewDiskCache, entries are also
 // persisted as one JSON file per key under the cache directory, so
 // results survive across processes. All methods are safe for
@@ -87,16 +89,36 @@ func JobsKey(jobs []Job) (string, error) {
 //
 // The memory tier holds each result packed (see cacheEntry): Put keeps
 // no reference to the caller's slices, and every Get returns fresh
-// ones, so callers may modify what they put or got.
+// ones, so callers may modify what they put or got. The tier is
+// unbounded unless SetMemoryBudget caps it, in which case the least
+// recently used entries are evicted to stay within the budget. An
+// evicted entry of a disk-backed cache is re-read from its file by the
+// next Get; a memory-only cache simply misses and the caller
+// re-simulates the same bytes.
 type Cache struct {
-	mu  sync.Mutex
-	mem map[string]cacheEntry
-	dir string // "" = memory only
+	mu        sync.Mutex
+	mem       map[string]*list.Element // values are *cacheEntry
+	lru       list.List                // front = most recently used
+	bytes     int64                    // sum of the entries' footprints
+	budget    int64                    // 0 = unbounded
+	evictions int64
+	dir       string // "" = memory only
+}
+
+// CacheStats is a snapshot of a Cache's memory tier.
+type CacheStats struct {
+	// Entries is the number of results held in memory.
+	Entries int
+	// Bytes is the memory tier's accounted footprint: packed delays,
+	// the private PerNode ledgers and a fixed per-entry overhead.
+	Bytes int64
+	// Evictions counts entries dropped to stay within the budget.
+	Evictions int64
 }
 
 // NewCache returns an in-memory (process-lifetime) cache.
 func NewCache() *Cache {
-	return &Cache{mem: make(map[string]cacheEntry)}
+	return &Cache{mem: make(map[string]*list.Element)}
 }
 
 // cacheEntry is one result in the memory tier. Per-packet delays are
@@ -106,17 +128,24 @@ func NewCache() *Cache {
 // in int64, and decoding wraps them back, so every value round-trips
 // exactly.
 type cacheEntry struct {
+	key    string
 	res    netsim.Result // Delays nil, PerNode a private copy
 	delays []byte
-	n      int // len(Delays), or -1 for a nil Delays
+	n      int   // len(Delays), or -1 for a nil Delays
+	size   int64 // footprint, see entryOverhead
 }
 
-// packResult builds the memory-tier entry of res.
-func packResult(res netsim.Result) cacheEntry {
-	e := cacheEntry{n: -1}
+// entryOverhead is the footprint charged to every memory-tier entry on
+// top of its packed delays and PerNode ledgers: the entry itself, its
+// LRU list element, its 64-byte hex key and a map slot.
+const entryOverhead = int64(unsafe.Sizeof(cacheEntry{})+unsafe.Sizeof(list.Element{})) + 64 + 32
+
+// packResult builds the memory-tier entry of res under key.
+func packResult(key string, res netsim.Result) *cacheEntry {
+	e := &cacheEntry{key: key, n: -1}
 	if res.Delays != nil {
 		e.n = len(res.Delays)
-		// Size the buffer exactly: an entry lives as long as the cache.
+		// Size the buffer exactly: its capacity is what the budget charges.
 		size, prev := 0, int64(0)
 		for _, d := range res.Delays {
 			size += uvarintLen(zigzag(int64(d) - prev))
@@ -131,11 +160,18 @@ func packResult(res netsim.Result) cacheEntry {
 	e.res = res
 	e.res.Delays = nil
 	e.res.PerNode = clonePerNode(res.PerNode)
+	e.size = entryOverhead + int64(cap(e.delays))
+	for _, node := range e.res.PerNode {
+		e.size += int64(unsafe.Sizeof(node))
+		for _, r := range node.Radios {
+			e.size += int64(unsafe.Sizeof(r)) + int64(len(r.States))*int64(unsafe.Sizeof(metrics.StateEnergy{}))
+		}
+	}
 	return e
 }
 
 // result decodes the entry into a Result that shares no slices with it.
-func (e cacheEntry) result() netsim.Result {
+func (e *cacheEntry) result() netsim.Result {
 	res := e.res
 	res.PerNode = clonePerNode(e.res.PerNode)
 	if e.n < 0 {
@@ -184,7 +220,31 @@ func NewDiskCache(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("sweep: creating cache dir: %w", err)
 	}
-	return &Cache{mem: make(map[string]cacheEntry), dir: dir}, nil
+	return &Cache{mem: make(map[string]*list.Element), dir: dir}, nil
+}
+
+// SetMemoryBudget caps the memory tier at maxBytes of accounted
+// footprint (see CacheStats.Bytes), evicting least recently used
+// entries as needed; maxBytes <= 0 removes the cap. An entry larger
+// than the whole budget is not kept in memory and evicts nothing.
+func (c *Cache) SetMemoryBudget(maxBytes int64) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.budget = max(maxBytes, 0)
+	c.evictLocked()
+}
+
+// Stats snapshots the memory tier.
+func (c *Cache) Stats() CacheStats {
+	if c == nil {
+		return CacheStats{}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return CacheStats{Entries: len(c.mem), Bytes: c.bytes, Evictions: c.evictions}
 }
 
 // Dir reports the on-disk directory ("" for memory-only caches).
@@ -195,14 +255,46 @@ func (c *Cache) Dir() string {
 	return c.dir
 }
 
-// Len reports the number of in-memory entries.
-func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
+// lookup returns the key's memory-tier entry, marking it most recently
+// used.
+func (c *Cache) lookup(key string) (*cacheEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.mem)
+	el, ok := c.mem[key]
+	if !ok {
+		return nil, false
+	}
+	c.lru.MoveToFront(el)
+	return el.Value.(*cacheEntry), true
+}
+
+// store makes e the key's memory-tier entry, most recently used, and
+// evicts down to the budget. An entry larger than the whole budget is
+// dropped instead.
+func (c *Cache) store(e *cacheEntry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.budget > 0 && e.size > c.budget {
+		return
+	}
+	if old, ok := c.mem[e.key]; ok {
+		c.bytes -= old.Value.(*cacheEntry).size
+		c.lru.Remove(old)
+	}
+	c.mem[e.key] = c.lru.PushFront(e)
+	c.bytes += e.size
+	c.evictLocked()
+}
+
+// evictLocked drops least recently used entries until the tier fits
+// its budget; c.mu must be held.
+func (c *Cache) evictLocked() {
+	for c.budget > 0 && c.bytes > c.budget {
+		e := c.lru.Remove(c.lru.Back()).(*cacheEntry)
+		delete(c.mem, e.key)
+		c.bytes -= e.size
+		c.evictions++
+	}
 }
 
 func (c *Cache) path(key string) string {
@@ -215,10 +307,7 @@ func (c *Cache) Get(key string) (netsim.Result, bool) {
 	if c == nil {
 		return netsim.Result{}, false
 	}
-	c.mu.Lock()
-	e, ok := c.mem[key]
-	c.mu.Unlock()
-	if ok {
+	if e, ok := c.lookup(key); ok {
 		return e.result(), true
 	}
 	if c.dir == "" {
@@ -232,10 +321,7 @@ func (c *Cache) Get(key string) (netsim.Result, bool) {
 	if err := json.Unmarshal(data, &disk); err != nil {
 		return netsim.Result{}, false
 	}
-	e = packResult(disk)
-	c.mu.Lock()
-	c.mem[key] = e
-	c.mu.Unlock()
+	c.store(packResult(key, disk))
 	return disk, true
 }
 
@@ -246,10 +332,7 @@ func (c *Cache) Put(key string, res netsim.Result) error {
 	if c == nil {
 		return nil
 	}
-	e := packResult(res)
-	c.mu.Lock()
-	c.mem[key] = e
-	c.mu.Unlock()
+	c.store(packResult(key, res))
 	if c.dir == "" {
 		return nil
 	}

@@ -86,7 +86,7 @@ func TestCacheEntryPacksDelays(t *testing.T) {
 	if len(res.Delays) == 0 {
 		t.Fatal("traced run delivered nothing")
 	}
-	if e := packResult(res); len(e.delays) >= 8*len(res.Delays) {
+	if e := packResult("k", res); len(e.delays) >= 8*len(res.Delays) {
 		t.Errorf("%d delays packed into %d bytes, want fewer than 8 each", len(res.Delays), len(e.delays))
 	}
 }
@@ -166,5 +166,122 @@ func TestJobKeysMatchCellKeys(t *testing.T) {
 		if keys[i] != want {
 			t.Errorf("key[%d] = %s, want %s", i, keys[i], want)
 		}
+	}
+}
+
+// delayResult is a result whose memory-tier footprint grows with n.
+func delayResult(n int) netsim.Result {
+	var res netsim.Result
+	res.Delays = make([]time.Duration, n)
+	for i := range res.Delays {
+		res.Delays[i] = time.Duration(i) * time.Millisecond
+	}
+	return res
+}
+
+// entrySize is the footprint the memory tier charges for res.
+func entrySize(res netsim.Result) int64 { return packResult("k", res).size }
+
+// cached reports whether key is in the memory tier, without touching
+// its recency.
+func cached(c *Cache, key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.mem[key]
+	return ok
+}
+
+func TestCacheMemoryBudgetEvictsLeastRecentlyUsed(t *testing.T) {
+	res := delayResult(1000)
+	size := entrySize(res)
+	c := NewCache()
+	c.SetMemoryBudget(3 * size)
+	for _, k := range []string{"a", "b", "c"} {
+		if err := c.Put(k, res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := c.Stats(); st.Entries != 3 || st.Bytes != 3*size || st.Evictions != 0 {
+		t.Fatalf("full tier stats = %+v, want 3 entries, %d bytes, no evictions", st, 3*size)
+	}
+	// Get refreshes recency: "a" survives the next Put, "b" goes.
+	if _, ok := c.Get("a"); !ok {
+		t.Fatal("a missing")
+	}
+	if err := c.Put("d", res); err != nil {
+		t.Fatal(err)
+	}
+	for k, want := range map[string]bool{"a": true, "b": false, "c": true, "d": true} {
+		if got := cached(c, k); got != want {
+			t.Errorf("%s in memory = %v, want %v", k, got, want)
+		}
+	}
+	if st := c.Stats(); st.Entries != 3 || st.Bytes > 3*size || st.Evictions != 1 {
+		t.Errorf("stats after eviction = %+v, want 3 entries within %d bytes, 1 eviction", st, 3*size)
+	}
+	// Lowering the budget evicts at once.
+	c.SetMemoryBudget(size)
+	if st := c.Stats(); st.Entries != 1 || st.Bytes > size || st.Evictions != 3 {
+		t.Errorf("stats after shrinking = %+v, want 1 entry within %d bytes, 3 evictions", st, size)
+	}
+	if !cached(c, "d") {
+		t.Error("shrinking evicted the most recently used entry")
+	}
+}
+
+// TestCacheOversizedEntryNotKept pins the rule for one entry larger
+// than the whole budget: it is not kept in memory, and it evicts
+// nothing to make room.
+func TestCacheOversizedEntryNotKept(t *testing.T) {
+	small, big := delayResult(10), delayResult(10000)
+	c := NewCache()
+	c.SetMemoryBudget(entrySize(big) - 1)
+	if err := c.Put("small", small); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put("big", big); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get("big"); ok {
+		t.Error("oversized entry served from a memory-only cache")
+	}
+	if !cached(c, "small") {
+		t.Error("oversized entry evicted a fitting one")
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Evictions != 0 {
+		t.Errorf("stats = %+v, want 1 entry and no evictions", st)
+	}
+}
+
+// TestCacheEvictedDiskEntryServedFromDisk: eviction only drops the
+// memory copy of a disk-backed entry; the next Get re-reads the file.
+func TestCacheEvictedDiskEntryServedFromDisk(t *testing.T) {
+	c, err := NewDiskCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := delayResult(100), delayResult(200)
+	c.SetMemoryBudget(entrySize(b))
+	if err := c.Put("a", a); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put("b", b); err != nil {
+		t.Fatal(err)
+	}
+	if cached(c, "a") {
+		t.Fatal("a still in memory over budget")
+	}
+	got, ok := c.Get("a")
+	if !ok {
+		t.Fatal("evicted disk-backed entry missed")
+	}
+	if !reflect.DeepEqual(got, a) {
+		t.Errorf("disk re-read = %+v, want %+v", got, a)
+	}
+	if !cached(c, "a") || cached(c, "b") {
+		t.Error("disk hit did not move a back into memory in place of b")
+	}
+	if st := c.Stats(); st.Evictions != 2 {
+		t.Errorf("evictions = %d, want 2", st.Evictions)
 	}
 }

@@ -15,22 +15,31 @@ import (
 	"bulktx/internal/netsim"
 )
 
-// Pool executes sweep jobs on a fixed-size worker pool. The zero value
-// is usable: runtime.NumCPU workers, no cache, no progress reporting,
-// no retries. A Pool is safe for concurrent use: it holds only
-// settings, and one Run call's jobs never interleave state with
-// another's (netsim runs share nothing). Duplicate configurations
-// within one Run call are simulated once; across calls the Cache is
-// the only dedupe, so concurrent calls that miss it on the same
-// configuration each simulate it and Put identical bytes.
+// Pool executes sweep jobs on a fixed-size worker budget. The zero
+// value is usable: runtime.NumCPU workers, no cache, no progress
+// reporting, no retries. A Pool is safe for concurrent use: it holds
+// its settings plus the slot budget, and one Run call's jobs never
+// interleave state with another's (netsim runs share nothing).
+// Duplicate configurations within one Run call are simulated once;
+// across calls the Cache is the only dedupe, so concurrent calls that
+// miss it on the same configuration each simulate it and Put identical
+// bytes.
+//
+// Workers is a budget for the whole pool, not for each call: every
+// simulation attempt of every concurrent Run* call holds one of
+// Workers slots while it runs, so k concurrent sweeps together never
+// simulate more than Workers cells at once. A call holds no slot while
+// it backs off between retries or stalls under fault injection, and it
+// stops waiting for a slot as soon as its context ends. Workers must
+// not change once the Pool is first used.
 //
 // Cell execution is panic-isolated: a panicking simulation is
 // recovered into a *PanicError on that cell instead of crashing the
 // process, and — when Retry enables it — retried with capped
 // exponential backoff before the cell is quarantined.
 type Pool struct {
-	// Workers is the concurrency limit; values < 1 select
-	// runtime.NumCPU().
+	// Workers is the pool-wide limit on concurrent simulations; values
+	// < 1 select runtime.NumCPU().
 	Workers int
 
 	// Cache, when non-nil, memoizes results by content key across Run
@@ -52,6 +61,15 @@ type Pool struct {
 	// so the hook exists for logging and counting, never for control
 	// flow. Calls may come from any worker goroutine.
 	OnCacheError func(key string, err error)
+
+	// slots holds one token per running simulation attempt; it is made
+	// with Workers capacity on first use.
+	slotsOnce sync.Once
+	slots     chan struct{}
+
+	// simulate replaces netsim.Run when non-nil, so tests can observe
+	// simulations while they hold a slot.
+	simulate func(netsim.Config) (netsim.Result, error)
 }
 
 // JobUpdate describes one resolved job of a Run call, as delivered to
@@ -90,6 +108,21 @@ func (p *Pool) workers() int {
 	return runtime.NumCPU()
 }
 
+// acquire takes a simulation slot from the pool-wide budget, giving up
+// with ctx's error once ctx ends.
+func (p *Pool) acquire(ctx context.Context) error {
+	p.slotsOnce.Do(func() { p.slots = make(chan struct{}, p.workers()) })
+	select {
+	case p.slots <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// release returns a slot taken by acquire.
+func (p *Pool) release() { <-p.slots }
+
 // isCtxErr distinguishes cancellation/deadline unwinding from genuine
 // cell failures: the former ends the whole run, the latter quarantines
 // one cell.
@@ -107,13 +140,16 @@ func attemptKey(key string, attempt int) string {
 // runCell executes one simulation attempt, converting panics —
 // injected or genuine — into *PanicError so a corrupt cell cannot take
 // down the worker pool.
-func runCell(cfg netsim.Config, faultKey string) (res netsim.Result, err error) {
+func (p *Pool) runCell(cfg netsim.Config, faultKey string) (res netsim.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
 	faultinject.MaybePanic(faultinject.CellPanic, faultKey)
+	if p.simulate != nil {
+		return p.simulate(cfg)
+	}
 	return netsim.Run(cfg)
 }
 
@@ -245,9 +281,13 @@ func (p *Pool) run(ctx context.Context, jobs []Job, onJob func(JobUpdate), parti
 			if err = ctx.Err(); err != nil {
 				break
 			}
+			if err = p.acquire(ctx); err != nil {
+				break
+			}
 			simStart := time.Now()
-			res, err = runCell(jobs[i].Config, attemptKey(keys[i], att))
+			res, err = p.runCell(jobs[i].Config, attemptKey(keys[i], att))
 			simDur = time.Since(simStart)
+			p.release()
 			if err == nil {
 				break
 			}
@@ -366,7 +406,8 @@ func (p *Pool) RunJobsProgress(jobs []Job, onJob func(JobUpdate)) (*Outcome, err
 // completes. The returned error is non-nil only for spec-level
 // problems (unencodable configs) or when ctx ends, in which case it is
 // ctx's cause; cancellation takes effect between cell executions (a
-// cell already simulating finishes first).
+// cell already simulating finishes first, a cell waiting for a slot
+// stops waiting at once).
 func (p *Pool) RunJobsProgressContext(ctx context.Context, jobs []Job, onJob func(JobUpdate)) (*Outcome, error) {
 	results, cached, cellErrs, err := p.run(ctx, jobs, onJob, true)
 	if err != nil {

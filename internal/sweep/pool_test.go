@@ -1,7 +1,10 @@
 package sweep
 
 import (
+	"context"
+	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -140,4 +143,121 @@ func TestJobsKeyIdentity(t *testing.T) {
 	if empty == ka {
 		t.Error("empty job list shares a key with a non-empty one")
 	}
+}
+
+// seededJobs compiles n fast single-run jobs with distinct seeds, so
+// every job has its own content key.
+func seededJobs(t *testing.T, n int) []Job {
+	t.Helper()
+	var jobs []Job
+	for seed := int64(1); seed <= int64(n); seed++ {
+		jobs = append(jobs, smallJob(t, seed)...)
+	}
+	return jobs
+}
+
+// TestConcurrentCallsShareWorkerBudget: Workers bounds the whole pool,
+// so concurrent calls together never run more than Workers
+// simulations at once.
+func TestConcurrentCallsShareWorkerBudget(t *testing.T) {
+	const workers, callers = 2, 4
+	var running, peak atomic.Int64
+	pool := &Pool{Workers: workers, simulate: func(netsim.Config) (netsim.Result, error) {
+		n := running.Add(1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		time.Sleep(2 * time.Millisecond)
+		running.Add(-1)
+		return netsim.Result{}, nil
+	}}
+	jobs := seededJobs(t, 8)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out, err := pool.RunJobsProgressContext(context.Background(), jobs, nil)
+			if err != nil {
+				t.Error(err)
+			} else if out.Cached != 0 {
+				t.Errorf("cache-less call resolved %d jobs without simulating", out.Cached)
+			}
+		}()
+	}
+	wg.Wait()
+	if p := peak.Load(); p != workers {
+		t.Errorf("peak concurrent simulations = %d, want the budget of %d", p, workers)
+	}
+}
+
+// TestSlotWaitEndsWithContext: a call blocked on a slot returns its
+// cancel cause promptly, without simulating.
+func TestSlotWaitEndsWithContext(t *testing.T) {
+	var simulated atomic.Int64
+	pool := &Pool{Workers: 1, simulate: func(netsim.Config) (netsim.Result, error) {
+		simulated.Add(1)
+		return netsim.Result{}, nil
+	}}
+	// Hold the only slot, as a long simulation of another call would.
+	if err := pool.acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer pool.release()
+
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cause := errors.New("client went away")
+	errc := make(chan error, 1)
+	go func() {
+		_, err := pool.RunJobsProgressContext(ctx, smallJob(t, 1), nil)
+		errc <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let the call reach the slot wait
+	cancel(cause)
+	select {
+	case err := <-errc:
+		if !errors.Is(err, cause) {
+			t.Errorf("err = %v, want the cancel cause", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("call still waiting for a slot after its context ended")
+	}
+	if n := simulated.Load(); n != 0 {
+		t.Errorf("%d simulations ran without a slot", n)
+	}
+}
+
+// TestRetryBackoffHoldsNoSlot: a cell waiting out its retry backoff
+// leaves its slot to other calls.
+func TestRetryBackoffHoldsNoSlot(t *testing.T) {
+	flaky, steady := smallJob(t, 1), smallJob(t, 2)
+	var failedOnce atomic.Bool
+	pool := &Pool{
+		Workers: 1,
+		Retry:   RetryPolicy{MaxAttempts: 2, BaseBackoff: 300 * time.Millisecond},
+		simulate: func(cfg netsim.Config) (netsim.Result, error) {
+			if cfg.Seed == flaky[0].Config.Seed && failedOnce.CompareAndSwap(false, true) {
+				return netsim.Result{}, errors.New("transient")
+			}
+			return netsim.Result{}, nil
+		},
+	}
+	flakyDone := make(chan struct{})
+	go func() {
+		defer close(flakyDone)
+		if _, err := pool.RunJobsProgressContext(context.Background(), flaky, nil); err != nil {
+			t.Error(err)
+		}
+	}()
+	for !failedOnce.Load() {
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := pool.RunJobsProgressContext(context.Background(), steady, nil); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-flakyDone:
+		t.Error("flaky call finished first: the steady call waited out its backoff")
+	default:
+	}
+	<-flakyDone
 }

@@ -4,8 +4,9 @@
 //
 // A Spec declares the grid as axes over a base netsim.Config template.
 // Spec.Jobs compiles it into a flat, deterministically ordered and
-// seeded job list; a Pool executes jobs on a fixed-size worker pool
-// (default runtime.NumCPU) and returns results indexed by job, so
+// seeded job list; a Pool executes jobs under a budget of Workers
+// simulations at once, shared by all its concurrent calls (default
+// runtime.NumCPU), and returns results indexed by job, so
 // parallel output is byte-identical to serial execution of the same
 // list. An optional Cache (in-memory, optionally backed by an on-disk
 // directory) keys results by a hash of the full run configuration, so
