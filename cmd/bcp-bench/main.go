@@ -211,13 +211,11 @@ func main() {
 
 // compareThroughput measures SimulationThroughput and fails when its
 // events/s fall more than maxRegress below the committed baseline,
-// through the shared bench.Compare gate (cmd/bcp-loadgen gates its
-// service-level baseline through the same implementation). Events/s is
-// machine-dependent like any wall-clock metric, so the gate is only as
-// sound as the baseline's provenance: regenerate the baseline
-// (bcp-bench -o) on the same runner class that enforces the gate, and
-// widen -max-regress rather than deleting the gate when runner
-// hardware is heterogeneous.
+// through the shared bench.Compare gate. Events/s is machine-dependent
+// like any wall-clock metric, so the gate is only as sound as the
+// baseline's provenance: regenerate the baseline (bcp-bench -o) on the
+// same runner class that enforces the gate, and widen -max-regress
+// rather than deleting the gate when runner hardware is heterogeneous.
 func compareThroughput(baselinePath string, maxRegress float64) error {
 	if err := bench.ValidateMaxRegress(maxRegress); err != nil {
 		return cli.Usage(err)

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -212,11 +213,17 @@ type Server struct {
 	hist       *histograms
 	journal    *journal
 
-	mu        sync.Mutex
-	closed    bool
-	jobs      map[string]*job
-	order     []*job
-	queue     chan *job
+	mu     sync.Mutex
+	closed bool
+	jobs   map[string]*job
+	order  []*job
+	// queue holds the jobs waiting for an executor, oldest first. A
+	// queued job that is canceled leaves it at once, so admission, the
+	// jobs_queued gauge and the Retry-After backlog all read
+	// len(queue). ready wakes executors when a job is queued or Close
+	// begins.
+	queue     []*job
+	ready     *sync.Cond
 	executors int // started so far, up to jobWorkers
 	wg        sync.WaitGroup
 
@@ -325,14 +332,14 @@ func (s *Server) adopt(kind string, jobs []sweep.Job, rawDoc json.RawMessage, de
 		s.evictLocked()
 	}
 	s.counters.submitted.Add(1)
-	s.counters.queued.Add(1)
 	if journalize {
 		s.journal.append(journalRecord{
 			Op: opSubmitted, ID: j.id, Kind: j.kind,
 			Doc: j.rawDoc, DeadlineS: j.deadline.Seconds(),
 		})
 	}
-	s.queue <- j // cannot block: the queue was sized for limit + recovery backlog
+	s.queue = append(s.queue, j)
+	s.ready.Signal()
 	// Executors start on demand and then live until Close: every queued
 	// job starts one until jobWorkers exist, so a queued job never
 	// waits while an executor it could have had is missing.
@@ -415,11 +422,29 @@ func (s *Server) recoverPending(pending []journalRecord) {
 	}
 }
 
-// executor drains the job queue until Close closes it.
+// queuedJobs is the live queue depth.
+func (s *Server) queuedJobs() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return int64(len(s.queue))
+}
+
+// executor runs queued jobs, oldest first, until Close has begun and
+// the queue is empty.
 func (s *Server) executor() {
 	defer s.wg.Done()
-	for j := range s.queue {
-		s.counters.queued.Add(-1)
+	for {
+		s.mu.Lock()
+		for len(s.queue) == 0 && !s.closed {
+			s.ready.Wait()
+		}
+		if len(s.queue) == 0 {
+			s.mu.Unlock()
+			return
+		}
+		j := s.queue[0]
+		s.queue = slices.Delete(s.queue, 0, 1)
+		s.mu.Unlock()
 		s.runJob(j)
 	}
 }
@@ -483,7 +508,8 @@ func (s *Server) runJob(j *job) {
 	start := time.Now()
 	j.mu.Lock()
 	if j.state == jobCanceled {
-		// Canceled while still queued: already terminal, nothing to run.
+		// Canceled between dequeue and here: already terminal, nothing
+		// to run.
 		j.mu.Unlock()
 		return
 	}
@@ -613,23 +639,31 @@ func (s *Server) finishCanceled(j *job, execution time.Duration) {
 // running jobs get their context canceled and unwind between cells,
 // terminal jobs answer false (nothing to cancel).
 func (s *Server) cancelJob(j *job) (accepted bool) {
+	s.mu.Lock()
 	j.mu.Lock()
-	switch j.state {
+	state, cancel := j.state, j.cancel
+	if state == jobQueued {
+		// Leave the queue at once, so the slot reopens for the next
+		// submission. A job an executor already took is not there;
+		// runJob skips it.
+		if i := slices.Index(s.queue, j); i >= 0 {
+			s.queue = slices.Delete(s.queue, i, i+1)
+		}
+		j.state = jobCanceled
+		j.finishedAt = time.Now()
+	}
+	j.mu.Unlock()
+	s.mu.Unlock()
+	switch state {
 	case jobDone, jobFailed, jobCanceled:
-		j.mu.Unlock()
 		return false
 	case jobRunning:
-		cancel := j.cancel
-		j.mu.Unlock()
 		if cancel != nil {
 			cancel(errJobCanceled)
 		}
 		s.log.Info("job cancel requested", "job", j.id)
 		return true
 	default: // queued
-		j.state = jobCanceled
-		j.finishedAt = time.Now()
-		j.mu.Unlock()
 		s.counters.canceled.Add(1)
 		s.drains.record(time.Now())
 		s.journal.append(journalRecord{Op: opCanceled, ID: j.id})
@@ -648,10 +682,8 @@ func (s *Server) cancelJob(j *job) (accepted bool) {
 // executors exit and the journal closes. The context bounds the wait.
 func (s *Server) Close(ctx context.Context) error {
 	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.queue)
-	}
+	s.closed = true
+	s.ready.Broadcast()
 	s.mu.Unlock()
 	done := make(chan struct{})
 	go func() {

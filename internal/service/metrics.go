@@ -23,9 +23,6 @@ type counters struct {
 	done, failed, canceled atomic.Int64
 	// recovered counts journaled jobs resubmitted after a restart.
 	recovered atomic.Int64
-	// queued is the live gauge of jobs waiting for an executor;
-	// running jobs are counted by busy.
-	queued atomic.Int64
 	// cellsSimulated counts simulations actually executed;
 	// cellsCached counts cells served from the cache or an intra-job
 	// duplicate.
@@ -146,7 +143,7 @@ func (s *Server) retryAfterHint(now time.Time) time.Duration {
 	hint := s.retryAfter
 	if rate := s.drains.rate(now); rate > 0 {
 		running, _ := s.counters.busy.read(now)
-		backlog := s.counters.queued.Load() + running + 1
+		backlog := s.queuedJobs() + running + 1
 		if est := time.Duration(float64(backlog) / rate * float64(time.Second)); est > hint {
 			hint = est
 		}
@@ -224,7 +221,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	emit("bulktx_jobs_recovered_total", "counter",
 		"Journaled jobs resubmitted after a service restart.", float64(c.recovered.Load()))
 	emit("bulktx_jobs_queued", "gauge",
-		"Jobs waiting for an executor.", float64(c.queued.Load()))
+		"Jobs waiting for an executor.", float64(s.queuedJobs()))
 	emit("bulktx_jobs_running", "gauge",
 		"Jobs currently executing.", float64(running))
 	emit("bulktx_cells_simulated_total", "counter",

@@ -74,6 +74,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	blocker := submit(t, ts.URL+"/v1/sweeps", sweepBody, http.StatusAccepted)
 	<-started
 	queued := submit(t, ts.URL+"/v1/runs", runBody, http.StatusAccepted)
+	stream := openEvents(t, ts.URL, queued.ID)
 
 	resp, body := del(t, ts.URL, queued.ID)
 	if resp.StatusCode != http.StatusAccepted {
@@ -82,6 +83,9 @@ func TestCancelQueuedJob(t *testing.T) {
 	if st := waitState(t, ts.URL, queued.ID, string(jobCanceled)); st.CellsDone != 0 {
 		t.Errorf("canceled-while-queued job simulated %d cells", st.CellsDone)
 	}
+	// The live stream and a late replay both end with canceled.
+	checkEventOrdering(t, readSSE(t, stream.Body), string(jobCanceled), 0)
+	checkEventOrdering(t, readSSE(t, openEvents(t, ts.URL, queued.ID).Body), string(jobCanceled), 0)
 	// Canceling a terminal job conflicts.
 	if resp, _ := del(t, ts.URL, queued.ID); resp.StatusCode != http.StatusConflict {
 		t.Errorf("second DELETE = %d, want 409", resp.StatusCode)
@@ -104,11 +108,20 @@ func TestCancelRunningJobUnwindsBetweenCells(t *testing.T) {
 
 	st := submit(t, ts.URL+"/v1/sweeps", sweepBody, http.StatusAccepted)
 	waitState(t, ts.URL, st.ID, string(jobRunning))
+	stream := openEvents(t, ts.URL, st.ID)
 	resp, body := del(t, ts.URL, st.ID)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("DELETE running job = %d: %s", resp.StatusCode, body)
 	}
 	waitState(t, ts.URL, st.ID, string(jobCanceled))
+	// The live stream and a late replay both end with canceled.
+	live := readSSE(t, stream.Body)
+	checkEventOrdering(t, live, string(jobCanceled), -1)
+	replay := readSSE(t, openEvents(t, ts.URL, st.ID).Body)
+	checkEventOrdering(t, replay, string(jobCanceled), -1)
+	if len(replay) != len(live) {
+		t.Errorf("replay has %d events, live had %d", len(replay), len(live))
+	}
 
 	// A canceled spec is resubmittable: the job slot is replaced.
 	activateFaults(t, "") // lift the stall
@@ -333,17 +346,21 @@ func TestCrashRecoveryResumesJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc1, err := New(Options{StateDir: stateDir, Cache: cache1, JobWorkers: 1})
+	svc1, err := New(Options{StateDir: stateDir, Cache: cache1, QueueLimit: 1, JobWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hang := make(chan struct{})
 	defer close(hang)
-	setGate(svc1, func(*job) { <-hang }) // executor wedges: the crash stand-in
+	entered := make(chan struct{}, 1)
+	setGate(svc1, func(*job) { entered <- struct{}{}; <-hang }) // executor wedges: the crash stand-in
 	ts1 := httptest.NewServer(svc1)
 	defer ts1.Close()
 
 	st := submit(t, ts1.URL+"/v1/sweeps", sweepBody, http.StatusAccepted)
+	<-entered
+	// A second job fills the one-slot queue behind the wedged one.
+	queued := submit(t, ts1.URL+"/v1/runs", runBody, http.StatusAccepted)
 
 	// A rude subscriber: connects to the event stream, reads the first
 	// event, then slams the connection shut mid-stream.
@@ -365,7 +382,8 @@ func TestCrashRecoveryResumesJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc2, err := New(Options{StateDir: stateDir, Cache: cache2, JobWorkers: 1})
+	// Same one-slot queue: recovery re-admits both accepted jobs anyway.
+	svc2, err := New(Options{StateDir: stateDir, Cache: cache2, QueueLimit: 1, JobWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,13 +395,14 @@ func TestCrashRecoveryResumesJobs(t *testing.T) {
 		svc2.Close(ctx) //nolint:errcheck // best-effort teardown
 	})
 
-	// The pre-crash job id resolves immediately — no resubmission.
-	recovered := waitDone(t, ts2.URL, st.ID)
-	if recovered.State != string(jobDone) {
-		t.Fatalf("recovered job ended %s: %s", recovered.State, recovered.Error)
+	// The pre-crash job ids resolve immediately — no resubmission.
+	for _, id := range []string{st.ID, queued.ID} {
+		if recovered := waitDone(t, ts2.URL, id); recovered.State != string(jobDone) {
+			t.Fatalf("recovered job ended %s: %s", recovered.State, recovered.Error)
+		}
 	}
-	if v := metricValue(t, ts2.URL, "bulktx_jobs_recovered_total"); v != 1 {
-		t.Errorf("bulktx_jobs_recovered_total = %g, want 1", v)
+	if v := metricValue(t, ts2.URL, "bulktx_jobs_recovered_total"); v != 2 {
+		t.Errorf("bulktx_jobs_recovered_total = %g, want 2", v)
 	}
 
 	// The rude subscriber reconnects against the restarted service and
@@ -453,18 +472,24 @@ func TestAdaptiveRetryAfterTracksDrainRate(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		svc.drains.record(now.Add(-time.Duration(10-i) * time.Second))
 	}
-	svc.counters.queued.Store(19)
+	// backlog stands in n queued jobs; no executor ever takes them.
+	backlog := func(n int) {
+		svc.mu.Lock()
+		svc.queue = make([]*job, n)
+		svc.mu.Unlock()
+	}
+	backlog(19)
 	got := svc.retryAfterHint(now)
 	if got < 15*time.Second || got > 25*time.Second {
 		t.Errorf("hint with 1 job/s drain and backlog 20 = %v, want ~20s", got)
 	}
 	// A huge backlog is clamped to the cap.
-	svc.counters.queued.Store(100000)
+	backlog(100000)
 	if got := svc.retryAfterHint(now); got != maxRetryAfter {
 		t.Errorf("hint with huge backlog = %v, want the %v cap", got, maxRetryAfter)
 	}
 	// Stamps outside the window expire: back to the floor.
-	svc.counters.queued.Store(0)
+	backlog(0)
 	if got := svc.retryAfterHint(now.Add(drainWindow + time.Minute)); got != 2*time.Second {
 		t.Errorf("hint after the window = %v, want the 2s floor", got)
 	}

@@ -47,6 +47,7 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
+	"sync"
 	"time"
 
 	"bulktx/internal/netsim"
@@ -157,7 +158,7 @@ func New(o Options) (*Server, error) {
 	}
 	s := &Server{
 		pool:       &sweep.Pool{Workers: o.Workers, Cache: cache, Retry: o.Retry},
-		queueLimit: o.QueueLimit,
+		queueLimit: math.MaxInt, // until recovery is done; see below
 		jobWorkers: o.JobWorkers,
 		maxCells:   o.MaxCells,
 		maxJobs:    o.MaxJobs,
@@ -189,10 +190,7 @@ func New(o Options) (*Server, error) {
 		s.journal = jl
 		pending = recs
 	}
-	// Size the queue for the configured limit plus the recovery
-	// backlog, so resubmitting every journaled job can never block (or
-	// get bounced by) the very startup doing it.
-	s.queue = make(chan *job, o.QueueLimit+len(pending))
+	s.ready = sync.NewCond(&s.mu)
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/runs", s.handleSubmitRun)
@@ -205,7 +203,10 @@ func New(o Options) (*Server, error) {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux = mux
+	// Every journaled job was accepted before the restart, so recovery
+	// re-admits them all, past the queue limit if it must.
 	s.recoverPending(pending)
+	s.queueLimit = o.QueueLimit
 	return s, nil
 }
 
@@ -414,7 +415,7 @@ func (s *Server) submit(w http.ResponseWriter, kind string, doc sweep.SpecDoc, d
 		hint := s.retryAfterHint(time.Now())
 		w.Header().Set("Retry-After", strconv.Itoa(int((hint+time.Second-1)/time.Second)))
 		writeError(w, http.StatusTooManyRequests,
-			fmt.Errorf("job queue full (%d queued); retry in ~%s", s.queueLimit, hint.Round(time.Second)))
+			fmt.Errorf("job queue full (limit %d); retry in ~%s", s.queueLimit, hint.Round(time.Second)))
 	case submitDeduped:
 		w.Header().Set(jobIDHeader, j.id)
 		st := j.status()
@@ -515,7 +516,7 @@ func (s *Server) handleJobArtifact(w http.ResponseWriter, r *http.Request) {
 // "draining" once Close has begun.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
-	closed := s.closed
+	closed, queued := s.closed, len(s.queue)
 	s.mu.Unlock()
 	running, _ := s.counters.busy.read(time.Now())
 	status := "ok"
@@ -528,5 +529,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		// JobsQueued and JobsRunning are the live queue depths.
 		JobsQueued  int64 `json:"jobs_queued"`
 		JobsRunning int64 `json:"jobs_running"`
-	}{status, s.counters.queued.Load(), running})
+	}{status, int64(queued), running})
 }

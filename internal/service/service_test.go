@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -35,6 +36,15 @@ const sweepBody = `{
 // runBody is a fast single-scenario submission.
 const runBody = `{"model": "sensor", "senders": 5, "duration_s": 30, "rate_bps": 2000}`
 
+// runSpec is runBody at the given seed: a distinct job per seed.
+func runSpec(seed int) string {
+	return fmt.Sprintf(`{"model": "sensor", "senders": 5, "duration_s": 30, "rate_bps": 2000, "seed": %d}`, seed)
+}
+
+// testClient bounds every submission, so a service that blocks while
+// admitting a job fails the test instead of hanging it.
+var testClient = &http.Client{Timeout: 30 * time.Second}
+
 // setGate installs the executor test gate under the store lock (the
 // executors read it the same way).
 func setGate(svc *Server, gate func(*job)) {
@@ -62,7 +72,7 @@ func newTestService(t *testing.T, o Options) (*Server, *httptest.Server) {
 // postJSON submits body and decodes the JobStatus (or error) response.
 func postJSON(t *testing.T, url, body string) (*http.Response, []byte) {
 	t.Helper()
-	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	resp, err := testClient.Post(url, "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,10 +317,17 @@ func TestMalformedSpecs(t *testing.T) {
 	}
 }
 
+// TestQueueFullBackpressure drives a 429 storm round trip: with the
+// executor held and the queue full, every further distinct spec gets
+// 429 with a Retry-After; canceling the queued jobs reopens their
+// slots at once, so as many new specs are accepted right away.
 func TestQueueFullBackpressure(t *testing.T) {
-	svc, ts := newTestService(t, Options{QueueLimit: 1, JobWorkers: 1})
+	const limit = 2
+	svc, ts := newTestService(t, Options{QueueLimit: limit, JobWorkers: 1})
 	entered := make(chan string, 8)
 	release := make(chan struct{})
+	unblock := sync.OnceFunc(func() { close(release) })
+	defer unblock()
 	setGate(svc, func(j *job) {
 		entered <- j.id
 		<-release
@@ -322,34 +339,65 @@ func TestQueueFullBackpressure(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("executor never picked job A")
 	}
-	b := submit(t, ts.URL+"/v1/runs",
-		strings.Replace(runBody, `"senders": 5`, `"senders": 6`, 1), http.StatusAccepted)
-
-	// Queue now full: a third distinct spec bounces with Retry-After.
-	resp, data := postJSON(t, ts.URL+"/v1/runs",
-		strings.Replace(runBody, `"senders": 5`, `"senders": 7`, 1))
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("full queue = %d (%s), want 429", resp.StatusCode, data)
+	var queued []JobStatus
+	for i := range limit {
+		queued = append(queued, submit(t, ts.URL+"/v1/runs", runSpec(100+i), http.StatusAccepted))
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("429 without Retry-After header")
+
+	// Queue now full: every further distinct spec bounces.
+	const storm = 3
+	for i := range storm {
+		resp, data := postJSON(t, ts.URL+"/v1/runs", runSpec(200+i))
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("full queue = %d (%s), want 429", resp.StatusCode, data)
+		}
+		if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 {
+			t.Errorf("429 Retry-After %q, want whole seconds >= 1", resp.Header.Get("Retry-After"))
+		}
+		if want := fmt.Sprintf("limit %d", limit); !strings.Contains(string(data), want) {
+			t.Errorf("429 body %s does not name the %s", data, want)
+		}
 	}
 	// A duplicate of a queued job still dedupes instead of bouncing.
-	dup := submit(t, ts.URL+"/v1/runs", runBody, http.StatusOK)
-	if dup.ID != a.ID || !dup.Deduped {
+	dup := submit(t, ts.URL+"/v1/runs", runSpec(100), http.StatusOK)
+	if dup.ID != queued[0].ID || !dup.Deduped {
 		t.Errorf("duplicate during backpressure: %+v", dup)
 	}
-	if v := metricValue(t, ts.URL, "bulktx_jobs_rejected_total"); v != 1 {
-		t.Errorf("jobs_rejected_total = %g, want 1", v)
+	if v := metricValue(t, ts.URL, "bulktx_jobs_rejected_total"); v != storm {
+		t.Errorf("jobs_rejected_total = %g, want %d", v, storm)
 	}
 
-	close(release)
-	if st := waitDone(t, ts.URL, a.ID); st.State != "done" {
-		t.Errorf("job A ended %s", st.State)
+	// Canceling the queued jobs frees their slots at once, while the
+	// executor is still held.
+	for _, q := range queued {
+		if resp, body := del(t, ts.URL, q.ID); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("DELETE queued job = %d: %s", resp.StatusCode, body)
+		}
 	}
-	<-entered // job B enters the gate (already released)
-	if st := waitDone(t, ts.URL, b.ID); st.State != "done" {
-		t.Errorf("job B ended %s", st.State)
+	var h struct {
+		JobsQueued int `json:"jobs_queued"`
+	}
+	if _, data := getBody(t, ts.URL+"/healthz"); json.Unmarshal(data, &h) != nil || h.JobsQueued != 0 {
+		t.Errorf("healthz after canceling every queued job: %s, want jobs_queued 0", data)
+	}
+	if v := metricValue(t, ts.URL, "bulktx_jobs_queued"); v != 0 {
+		t.Errorf("bulktx_jobs_queued = %g after canceling every queued job, want 0", v)
+	}
+	accepted := []JobStatus{a}
+	for i := range limit {
+		accepted = append(accepted, submit(t, ts.URL+"/v1/runs", runSpec(300+i), http.StatusAccepted))
+	}
+
+	unblock()
+	for _, j := range accepted {
+		if st := waitDone(t, ts.URL, j.ID); st.State != string(jobDone) {
+			t.Errorf("job %s ended %s", j.ID, st.State)
+		}
+	}
+	for _, q := range queued {
+		if st := waitDone(t, ts.URL, q.ID); st.State != string(jobCanceled) || st.CellsDone != 0 {
+			t.Errorf("canceled queued job %s ended %s with %d cells", q.ID, st.State, st.CellsDone)
+		}
 	}
 }
 
@@ -415,23 +463,57 @@ func readSSE(t *testing.T, r io.Reader) []sseEvent {
 	return out
 }
 
-// checkEventOrdering asserts the canonical queued -> started -> cell*
-// -> done sequence with strictly increasing ids.
-func checkEventOrdering(t *testing.T, events []sseEvent, wantCells int) {
+// openEvents subscribes to a job's event stream; the history so far
+// has been written when it returns. The body closes when the test
+// ends, so a failed test cannot leave its handler parked behind the
+// server's teardown.
+func openEvents(t *testing.T, base, id string) *http.Response {
 	t.Helper()
-	if len(events) < 3 {
+	resp, err := http.Get(base + "/v1/jobs/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { resp.Body.Close() })
+	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+		t.Errorf("events content-type %q", ct)
+	}
+	return resp
+}
+
+// checkEventOrdering asserts a stream's history contract: ids
+// contiguous from 1, queued first, wantTerminal last, and in between
+// started plus one cell event per resolved cell, each carrying its
+// running done count. wantCells is the number of cell events; -1
+// accepts any number (a job canceled mid-sweep), and 0 means the job
+// never started, so queued and the terminal event are all there is.
+func checkEventOrdering(t *testing.T, events []sseEvent, wantTerminal string, wantCells int) {
+	t.Helper()
+	if len(events) < 2 {
 		t.Fatalf("only %d events", len(events))
 	}
 	for i, ev := range events {
 		if ev.id != i+1 {
-			t.Errorf("event %d has id %d", i, ev.id)
+			t.Errorf("event %d has id %d, want contiguous ids from 1", i, ev.id)
 		}
 	}
-	if events[0].name != "queued" || events[1].name != "started" {
-		t.Fatalf("stream starts %s, %s; want queued, started", events[0].name, events[1].name)
+	if events[0].name != "queued" {
+		t.Fatalf("stream starts with %s, want queued", events[0].name)
+	}
+	if last := events[len(events)-1]; last.name != wantTerminal {
+		t.Errorf("terminal event %q, want %s", last.name, wantTerminal)
+	}
+	mid := events[1 : len(events)-1]
+	if wantCells == 0 {
+		if len(mid) != 0 {
+			t.Errorf("job that never started streamed %d events between queued and %s", len(mid), wantTerminal)
+		}
+		return
+	}
+	if len(mid) == 0 || mid[0].name != "started" {
+		t.Fatalf("no started event after queued")
 	}
 	cells := 0
-	for _, ev := range events[2 : len(events)-1] {
+	for _, ev := range mid[1:] {
 		if ev.name != "cell" {
 			t.Errorf("mid-stream event %q, want cell", ev.name)
 			continue
@@ -441,11 +523,8 @@ func checkEventOrdering(t *testing.T, events []sseEvent, wantCells int) {
 			t.Errorf("cell %d carries done=%v", cells, ev.data["done"])
 		}
 	}
-	if cells != wantCells {
+	if wantCells > 0 && cells != wantCells {
 		t.Errorf("cell events = %d, want %d", cells, wantCells)
-	}
-	if last := events[len(events)-1]; last.name != "done" {
-		t.Errorf("terminal event %q, want done", last.name)
 	}
 }
 
@@ -454,26 +533,13 @@ func TestSSEEventOrdering(t *testing.T) {
 	st := submit(t, ts.URL+"/v1/sweeps", sweepBody, http.StatusAccepted)
 
 	// Live subscription: attach immediately, read to stream end.
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Header.Get("Content-Type") != "text/event-stream" {
-		t.Errorf("events content-type %q", resp.Header.Get("Content-Type"))
-	}
-	live := readSSE(t, resp.Body)
-	resp.Body.Close()
+	live := readSSE(t, openEvents(t, ts.URL, st.ID).Body)
 	done := waitDone(t, ts.URL, st.ID)
-	checkEventOrdering(t, live, done.Cells)
+	checkEventOrdering(t, live, "done", done.Cells)
 
 	// Late subscription: the full history replays, identically ordered.
-	resp, err = http.Get(ts.URL + "/v1/jobs/" + st.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	replay := readSSE(t, resp.Body)
-	resp.Body.Close()
-	checkEventOrdering(t, replay, done.Cells)
+	replay := readSSE(t, openEvents(t, ts.URL, st.ID).Body)
+	checkEventOrdering(t, replay, "done", done.Cells)
 	if len(replay) != len(live) {
 		t.Errorf("replay has %d events, live had %d", len(replay), len(live))
 	}
