@@ -1,6 +1,6 @@
 // Command bcp-mote runs the paper's Section 4.2 prototype emulation: a
 // single dual-radio sender streaming messages to a single receiver, with
-// the IEEE 802.11 radio emulated and all radio events logged.
+// the IEEE 802.11 radio emulated and every radio state change traced.
 //
 // Usage:
 //
@@ -29,7 +29,7 @@ func run() error {
 		messages  = flag.Int("messages", 500, "messages per run")
 		interval  = flag.Duration("interval", 100*time.Millisecond, "generation interval")
 		sweep     = flag.Bool("sweep", false, "sweep thresholds 500-5000 B (Figures 11-12)")
-		tracePath = flag.String("trace", "", "write the radio event log as JSON lines to this file")
+		tracePath = flag.String("trace", "", "write the dual run's trace as JSON lines (the bcp-sim -trace-jsonl format) to this file")
 		tel       = telemetry.RegisterFlags(flag.CommandLine)
 	)
 	flag.Parse()
@@ -61,14 +61,14 @@ func run() error {
 	fmt.Printf("  dual energy/packet     %.1f uJ\n", res.DualEnergyPerPacket.Microjoules())
 	fmt.Printf("  sensor energy/packet   %.1f uJ\n", res.SensorEnergyPerPacket.Microjoules())
 	fmt.Printf("  mean delay/packet      %v\n", res.MeanDelayPerPacket.Round(time.Millisecond))
-	fmt.Printf("  logged events          %d\n", len(res.Log))
+	fmt.Printf("  logged events          %d\n", len(res.Dual.Trace.Events))
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		if err := res.Log.WriteTrace(f); err != nil {
+		if err := bulktx.WriteTraceJSONL(f, []bulktx.TracedRun{{Label: "dual", Result: res.Dual}}); err != nil {
 			return err
 		}
 		fmt.Printf("  trace written          %s\n", *tracePath)

@@ -19,7 +19,10 @@
 //   - the BCP protocol of Section 3 with its dual-radio simulation stack
 //     (discrete-event engine, PHY channels, CSMA and DCF MACs, routing,
 //     energy metering) — see RunSimulation;
-//   - the prototype emulation of Section 4.2 — see RunPrototype;
+//   - the prototype emulation of Section 4.2, one sender streaming a
+//     fixed number of messages to one receiver as two netsim scenarios
+//     (BCP and the sensor-radio baseline), with energy from the radios'
+//     meters — see RunPrototype;
 //   - runners that regenerate every table and figure of the paper — see
 //     RunExperiment;
 //   - a parallel sweep-orchestration engine for grids of seeded runs

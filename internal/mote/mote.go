@@ -6,36 +6,37 @@
 // basically a wrapper around the standard TinyOS MAC interface").
 //
 // A single sender streams a fixed number of messages to a single
-// receiver while every radio event (wake-ups, transmissions, receptions,
-// power transitions) is logged; energy consumption and delay are then
-// computed from the logs, mirroring the paper's methodology. Figures 11
-// and 12 come from sweeping the alpha-s* threshold.
+// receiver 10 m away and then flushes whatever it still buffers. Both
+// runs are netsim scenarios on a 2-node linear layout with a CBR
+// workload capped at the message count: the dual model for BCP and the
+// sensor model for the send-immediately baseline. Energy comes from the
+// radios' meters. The dual run is traced, and netsim's replay test
+// checks that its radio state transitions reproduce those meters — the
+// event-log accounting the paper's methodology rests on. Figures 11 and
+// 12 come from sweeping the alpha-s* threshold.
 package mote
 
 import (
 	"fmt"
+	"math"
 	"time"
 
-	"bulktx/internal/core"
 	"bulktx/internal/energy"
-	"bulktx/internal/mac"
+	"bulktx/internal/netsim"
 	"bulktx/internal/params"
-	"bulktx/internal/radio"
-	"bulktx/internal/routing"
-	"bulktx/internal/sim"
-	"bulktx/internal/topo"
+	"bulktx/internal/trace"
 	"bulktx/internal/units"
 )
 
-// Config parameterizes one prototype run.
+// Config parameterizes one prototype run. Every message carries the
+// sensor payload (params.SensorPayload, 32 B).
 type Config struct {
 	// Threshold is the alpha-s* buffering threshold in bytes (the paper
-	// sweeps 500-5000 B; Tmote memory capped it at ~4 KB).
+	// sweeps 500-5000 B; Tmote memory capped it at ~4 KB). BCP buffers
+	// whole messages, so it acts as the next multiple of the payload.
 	Threshold units.ByteSize
 	// Messages is the number of application messages per run (paper: 500).
 	Messages int
-	// MessageSize is the application payload per message (32 B).
-	MessageSize units.ByteSize
 	// Interval is the application generation period.
 	Interval time.Duration
 	// SensorProfile is the low-power radio (CC2420-class: Micaz profile).
@@ -51,7 +52,6 @@ func DefaultConfig(threshold units.ByteSize) Config {
 	return Config{
 		Threshold:     threshold,
 		Messages:      500,
-		MessageSize:   params.SensorPayload,
 		Interval:      100 * time.Millisecond,
 		SensorProfile: energy.Micaz(),
 		WifiProfile:   energy.Lucent11(),
@@ -62,12 +62,10 @@ func DefaultConfig(threshold units.ByteSize) Config {
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
 	switch {
-	case c.Threshold < c.MessageSize:
-		return fmt.Errorf("mote: threshold %v below one message (%v)", c.Threshold, c.MessageSize)
+	case c.Threshold < params.SensorPayload:
+		return fmt.Errorf("mote: threshold %v below one message (%v)", c.Threshold, params.SensorPayload)
 	case c.Messages < 1:
 		return fmt.Errorf("mote: need at least one message")
-	case c.MessageSize <= 0:
-		return fmt.Errorf("mote: non-positive message size")
 	case c.Interval <= 0:
 		return fmt.Errorf("mote: non-positive interval")
 	}
@@ -78,217 +76,78 @@ func (c Config) Validate() error {
 type Result struct {
 	// Delivered counts messages received.
 	Delivered int
-	// DualEnergyPerPacket is the log-computed dual-radio energy per
-	// delivered packet (sensor control + emulated 802.11, both endpoints).
+	// DualEnergyPerPacket is the dual-radio energy per delivered packet
+	// (sensor control + emulated 802.11, both endpoints).
 	DualEnergyPerPacket units.Energy
 	// SensorEnergyPerPacket is the baseline: the same messages sent
 	// immediately over the sensor radio, per packet.
 	SensorEnergyPerPacket units.Energy
 	// MeanDelayPerPacket is the average generation-to-delivery latency.
 	MeanDelayPerPacket time.Duration
-	// Log is the merged event log of all radios (paper methodology).
-	Log Log
-	// MeterEnergy is the ground-truth meter total for the dual system,
-	// used to validate the log-based computation.
-	MeterEnergy units.Energy
+	// Dual is the traced dual-radio run: per-node per-radio ledgers in
+	// Dual.PerNode, radio state and packet events in Dual.Trace.
+	Dual netsim.Result
 }
 
 // Run executes one prototype experiment.
 func Run(cfg Config) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	dual, err := runDual(cfg)
+	dual, err := run(cfg, netsim.ModelDual, netsim.WithTrace(trace.Options{Packets: true, States: true}))
 	if err != nil {
 		return Result{}, err
 	}
-	sensorPer, err := runSensorBaseline(cfg)
+	sensor, err := run(cfg, netsim.ModelSensor)
 	if err != nil {
 		return Result{}, err
 	}
-	dual.SensorEnergyPerPacket = sensorPer
-	return dual, nil
-}
-
-// runDual executes the BCP pair with full event logging.
-func runDual(cfg Config) (Result, error) {
-	sched := sim.NewScheduler(cfg.Seed)
-	layout, err := topo.Line(2, 10)
-	if err != nil {
-		return Result{}, err
+	if len(sensor.Delays) == 0 {
+		return Result{}, fmt.Errorf("mote: sensor baseline delivered nothing")
 	}
-	sensorCh, err := radio.NewChannel(sched, radio.Config{
-		Name:       "cc2420",
-		Profile:    cfg.SensorProfile,
-		HeaderSize: params.SensorHeader,
-	}, layout)
-	if err != nil {
-		return Result{}, err
-	}
-	wifiCh, err := radio.NewChannel(sched, radio.Config{
-		Name:          "emulated-80211",
-		Profile:       cfg.WifiProfile,
-		Range:         10,
-		WakeupLatency: params.WifiWakeupLatency,
-		HeaderSize:    params.WifiHeader,
-	}, layout)
-	if err != nil {
-		return Result{}, err
-	}
-	mesh, err := routing.BuildMesh(layout, cfg.SensorProfile.Range)
-	if err != nil {
-		return Result{}, err
-	}
-	tree, err := routing.BuildTree(layout, 1, cfg.SensorProfile.Range)
-	if err != nil {
-		return Result{}, err
-	}
-	addr := routing.IdentityAddrMap(2)
-
-	logger := NewLogger(sched)
-	var delivered int
-	var delaySum time.Duration
-	agents := make([]*core.Agent, 2)
-	for i := 0; i < 2; i++ {
-		sx, err := sensorCh.Attach(radio.NodeID(i), radio.OverhearFree, true)
-		if err != nil {
-			return Result{}, err
-		}
-		sx.Meter().SetFreeState(energy.Idle, true)
-		sx.SetObserver(logger.Observer(i, RadioSensor))
-		wx, err := wifiCh.Attach(radio.NodeID(i), radio.OverhearFull, false)
-		if err != nil {
-			return Result{}, err
-		}
-		wx.SetObserver(logger.Observer(i, RadioWifi))
-		sm, err := mac.New(mac.SensorParams(), sched, sx)
-		if err != nil {
-			return Result{}, err
-		}
-		wm, err := mac.New(mac.WifiParams(), sched, wx)
-		if err != nil {
-			return Result{}, err
-		}
-		agentCfg := core.DefaultConfig(i, 1)
-		agentCfg.BurstThreshold = cfg.Threshold
-		var deliver func(core.Packet)
-		if i == 1 {
-			deliver = func(p core.Packet) {
-				delivered++
-				delaySum += sched.Now() - p.Created
-			}
-		}
-		agents[i], err = core.NewAgent(agentCfg, sched, sm, wm, mesh, tree, addr, deliver)
-		if err != nil {
-			return Result{}, err
-		}
-	}
-
-	// Application: Messages packets at the configured interval, then a
-	// final flush handshake for any remainder below the threshold (the
-	// prototype measured complete transfers of all 500 messages).
-	for i := 0; i < cfg.Messages; i++ {
-		n := i
-		at := sim.Time(n+1) * cfg.Interval
-		if _, err := sched.Schedule(at, func() {
-			agents[0].Buffer(core.Packet{
-				Src:     0,
-				Dst:     1,
-				Seq:     uint64(n + 1),
-				Size:    cfg.MessageSize,
-				Created: sched.Now(),
-			})
-		}); err != nil {
-			return Result{}, err
-		}
-	}
-	flushAt := sim.Time(cfg.Messages+1) * cfg.Interval
-	if _, err := sched.Schedule(flushAt, agents[0].Flush); err != nil {
-		return Result{}, err
-	}
-	deadline := flushAt + 10*time.Minute
-	sched.RunUntil(deadline)
-
 	res := Result{
-		Delivered: delivered,
-		Log:       logger.Events(),
+		Delivered:             len(dual.Delays),
+		SensorEnergyPerPacket: sensor.TotalEnergy / units.Energy(float64(len(sensor.Delays))),
+		MeanDelayPerPacket:    dual.MeanDelay(),
+		Dual:                  dual,
 	}
-	if delivered > 0 {
-		res.MeanDelayPerPacket = delaySum / time.Duration(delivered)
+	if res.Delivered > 0 {
+		res.DualEnergyPerPacket = dual.TotalEnergy / units.Energy(float64(res.Delivered))
 	}
-	// Log-driven energy computation (the paper's methodology) over both
-	// nodes and both radios.
-	logEnergy := res.Log.Energy(cfg.SensorProfile, cfg.WifiProfile)
-	if delivered > 0 {
-		res.DualEnergyPerPacket = logEnergy / units.Energy(float64(delivered))
-	}
-	res.MeterEnergy = meterTotal(sensorCh, wifiCh)
 	return res, nil
 }
 
-// meterTotal sums ground-truth meter energy across both channels' nodes.
-func meterTotal(chs ...*radio.Channel) units.Energy {
-	var total units.Energy
-	for _, ch := range chs {
-		for id := 0; id < ch.Len(); id++ {
-			x, ok := ch.Lookup(radio.NodeID(id))
-			if !ok {
-				continue
-			}
-			total += x.Meter().Total()
-		}
+// run simulates the prototype pair under one model.
+func run(cfg Config, model netsim.Model, opts ...netsim.Option) (netsim.Result, error) {
+	s, err := Scenario(cfg, model, opts...)
+	if err != nil {
+		return netsim.Result{}, err
 	}
-	return total
+	return netsim.RunScenario(s)
 }
 
-// runSensorBaseline sends the same messages immediately over the sensor
-// radio and returns the per-packet energy (flat in the threshold, the
-// paper's "Sensor Radio" line in Figure 11).
-func runSensorBaseline(cfg Config) (units.Energy, error) {
-	sched := sim.NewScheduler(cfg.Seed)
-	layout, err := topo.Line(2, 10)
-	if err != nil {
-		return 0, err
+// Scenario builds the prototype pair as a netsim scenario of the given
+// model, with opts applied last: node 0 sends cfg.Messages messages,
+// one per interval, to the sink at node 1 and then flushes, and the run
+// lasts ten minutes past the flush.
+func Scenario(cfg Config, model netsim.Model, opts ...netsim.Option) (*netsim.Scenario, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	ch, err := radio.NewChannel(sched, radio.Config{
-		Name:       "cc2420",
-		Profile:    cfg.SensorProfile,
-		HeaderSize: params.SensorHeader,
-	}, layout)
-	if err != nil {
-		return 0, err
+	// The workload takes a bit rate. A plain division can put its period
+	// a nanosecond short of Interval (110 ms, for one), so step the rate
+	// down until the period is exact.
+	rate := units.BitRate(float64(params.SensorPayload.Bits()) / cfg.Interval.Seconds())
+	for rate.TimeFor(params.SensorPayload) < cfg.Interval {
+		rate = units.BitRate(math.Nextafter(float64(rate), 0))
 	}
-	logger := NewLogger(sched)
-	var macs [2]*mac.MAC
-	delivered := 0
-	for i := 0; i < 2; i++ {
-		x, err := ch.Attach(radio.NodeID(i), radio.OverhearFree, true)
-		if err != nil {
-			return 0, err
-		}
-		x.Meter().SetFreeState(energy.Idle, true)
-		x.SetObserver(logger.Observer(i, RadioSensor))
-		if macs[i], err = mac.New(mac.SensorParams(), sched, x); err != nil {
-			return 0, err
-		}
-	}
-	macs[1].SetOnReceive(func(radio.Frame) { delivered++ })
-	for i := 0; i < cfg.Messages; i++ {
-		at := sim.Time(i+1) * cfg.Interval
-		if _, err := sched.Schedule(at, func() {
-			_ = macs[0].Send(radio.Frame{
-				Kind: radio.KindData,
-				Dst:  1,
-				Size: cfg.MessageSize + params.SensorHeader,
-			})
-		}); err != nil {
-			return 0, err
-		}
-	}
-	sched.RunUntil(sim.Time(cfg.Messages+2)*cfg.Interval + time.Minute)
-	if delivered == 0 {
-		return 0, fmt.Errorf("mote: sensor baseline delivered nothing")
-	}
-	total := logger.Events().Energy(cfg.SensorProfile, cfg.WifiProfile)
-	return total / units.Energy(float64(delivered)), nil
+	return netsim.NewScenario(append([]netsim.Option{
+		netsim.WithModel(model),
+		netsim.WithTopology(netsim.LinearTopology(2, 10)),
+		netsim.WithSink(netsim.SinkAt(1)),
+		netsim.WithSenderPolicy(netsim.ExplicitSenders(0)),
+		netsim.WithWorkload(netsim.Workload{Traffic: netsim.TrafficCBR, Rate: rate, Messages: cfg.Messages}),
+		netsim.WithRadios(cfg.SensorProfile, cfg.WifiProfile),
+		netsim.WithWifiRange(10),
+		netsim.WithBurst(int((cfg.Threshold + params.SensorPayload - 1) / params.SensorPayload)),
+		netsim.WithDuration(time.Duration(cfg.Messages+1)*cfg.Interval + 10*time.Minute),
+		netsim.WithSeed(cfg.Seed),
+	}, opts...)...)
 }

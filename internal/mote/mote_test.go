@@ -2,10 +2,11 @@ package mote
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
-	"bulktx/internal/radio"
+	"bulktx/internal/trace"
 	"bulktx/internal/units"
 )
 
@@ -20,7 +21,6 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"threshold below message", func(c *Config) { c.Threshold = 16 }},
 		{"zero messages", func(c *Config) { c.Messages = 0 }},
-		{"zero size", func(c *Config) { c.MessageSize = 0 }},
 		{"zero interval", func(c *Config) { c.Interval = 0 }},
 	}
 	for _, tt := range tests {
@@ -46,23 +46,49 @@ func TestAllMessagesDelivered(t *testing.T) {
 	}
 }
 
-func TestLogEnergyMatchesMeters(t *testing.T) {
-	// The log-driven energy reconstruction (the paper's methodology) must
-	// agree with the simulator's ground-truth meters.
-	cfg := DefaultConfig(1500)
-	cfg.Messages = 300
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+// TestPrototypePins pins single runs exactly: delivered count and mean
+// delay to the nanosecond, both energies per packet to 1e-12 relative.
+// 750 B is not a whole number of 32 B messages, and 37 messages leave a
+// remainder below every threshold for the final flush to drain.
+func TestPrototypePins(t *testing.T) {
+	pins := []struct {
+		threshold units.ByteSize
+		messages  int
+		delivered int
+		delay     time.Duration
+		dualJ     float64
+		sensorJ   float64
+	}{
+		{500, 500, 500, 752014310, 0.00091957726793699928, 0.0001902528000000065},
+		{500, 37, 37, 695171139, 0.001151050053591892, 0.00019025279999999967},
+		{750, 500, 500, 1152199003, 0.00062144619963599946, 0.0001902528000000065},
+		{750, 37, 37, 998004672, 0.00078479566992972966, 0.00019025279999999967},
+		{4000, 500, 500, 6207653044, 0.00016659223200239998, 0.0001902528000000065},
+		{4000, 37, 37, 1906422176, 0.00042517874177837837, 0.00019025279999999967},
 	}
-	logTotal := res.DualEnergyPerPacket.Joules() * float64(res.Delivered)
-	meter := res.MeterEnergy.Joules()
-	if meter == 0 {
-		t.Fatal("meter energy zero")
-	}
-	if rel := math.Abs(logTotal-meter) / meter; rel > 0.01 {
-		t.Errorf("log energy %.6f J vs meter %.6f J: %.2f%% apart",
-			logTotal, meter, rel*100)
+	for _, p := range pins {
+		cfg := DefaultConfig(p.threshold)
+		cfg.Messages = p.messages
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Delivered != p.delivered || res.MeanDelayPerPacket != p.delay {
+			t.Errorf("threshold %v, %d messages: delivered %d, delay %d ns; want %d, %d ns",
+				p.threshold, p.messages, res.Delivered, int64(res.MeanDelayPerPacket), p.delivered, int64(p.delay))
+		}
+		for _, e := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"dual", res.DualEnergyPerPacket.Joules(), p.dualJ},
+			{"sensor", res.SensorEnergyPerPacket.Joules(), p.sensorJ},
+		} {
+			if rel := math.Abs(e.got-e.want) / e.want; rel > 1e-12 {
+				t.Errorf("threshold %v, %d messages: %s energy/packet %.17g J, want %.17g (rel %g)",
+					p.threshold, p.messages, e.name, e.got, e.want, rel)
+			}
+		}
 	}
 }
 
@@ -141,6 +167,20 @@ func TestPaperShapeFig12DelayTradeoff(t *testing.T) {
 	}
 }
 
+// wifiWakeups counts the emulated 802.11 radios' wake-ups on both
+// nodes of the dual run.
+func wifiWakeups(res Result) int {
+	n := 0
+	for _, node := range res.Dual.PerNode {
+		for _, x := range node.Radios {
+			if x.Radio == "wifi" {
+				n += x.Wakeups
+			}
+		}
+	}
+	return n
+}
+
 func TestWakeupsScaleInversely(t *testing.T) {
 	// Doubling the threshold halves the number of wake-up cycles.
 	small, err := Run(DefaultConfig(1000))
@@ -151,65 +191,32 @@ func TestWakeupsScaleInversely(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, wl := small.Log.WakeupCount(RadioWifi), large.Log.WakeupCount(RadioWifi)
+	ws, wl := wifiWakeups(small), wifiWakeups(large)
 	if wl*2 != ws {
 		t.Errorf("wakeups %d (1000 B) vs %d (2000 B): want exact halving", ws, wl)
 	}
 }
 
-func TestLogOrderedAndPaired(t *testing.T) {
-	cfg := DefaultConfig(1000)
-	cfg.Messages = 100
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Log) == 0 {
-		t.Fatal("empty log")
-	}
-	var prev Entry
-	starts := make(map[[2]int]int) // (node, radio) -> outstanding tx/rx starts
-	for i, e := range res.Log {
-		if i > 0 && e.At < prev.At {
-			t.Fatalf("log out of order at %d: %v after %v", i, e.At, prev.At)
+func TestGenerationFollowsIntervalExactly(t *testing.T) {
+	// 55 ms and 110 ms are intervals whose bit rate, divided back, lands
+	// a nanosecond short of the period.
+	for _, interval := range []time.Duration{55 * time.Millisecond, 100 * time.Millisecond, 110 * time.Millisecond, time.Second} {
+		cfg := DefaultConfig(500)
+		cfg.Messages = 3
+		cfg.Interval = interval
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		prev = e
-		k := [2]int{e.Node, int(e.Radio)}
-		switch e.Event {
-		case radio.EventTxStart, radio.EventRxStart:
-			starts[k]++
-		case radio.EventTxEnd, radio.EventRxEnd:
-			starts[k]--
-			if starts[k] < 0 {
-				t.Fatalf("unpaired end event at %d for %v", i, k)
+		var at []time.Duration
+		for _, ev := range res.Dual.Trace.Events {
+			if ev.Kind == trace.KindGenerated {
+				at = append(at, ev.At)
 			}
 		}
-	}
-}
-
-func TestRadioKindString(t *testing.T) {
-	if RadioSensor.String() != "sensor" || RadioWifi.String() != "wifi" {
-		t.Error("radio kind names wrong")
-	}
-	if RadioKind(8).String() != "RadioKind(8)" {
-		t.Error("unknown radio kind name wrong")
-	}
-}
-
-func TestEventKindString(t *testing.T) {
-	kinds := map[radio.EventKind]string{
-		radio.EventWakeupStart: "wakeup-start",
-		radio.EventPowerOn:     "power-on",
-		radio.EventPowerOff:    "power-off",
-		radio.EventTxStart:     "tx-start",
-		radio.EventTxEnd:       "tx-end",
-		radio.EventRxStart:     "rx-start",
-		radio.EventRxEnd:       "rx-end",
-		radio.EventKind(99):    "EventKind(99)",
-	}
-	for k, want := range kinds {
-		if got := k.String(); got != want {
-			t.Errorf("EventKind(%d).String() = %q, want %q", k, got, want)
+		want := []time.Duration{interval, 2 * interval, 3 * interval}
+		if !slices.Equal(at, want) {
+			t.Errorf("interval %v: generated at %v, want %v", interval, at, want)
 		}
 	}
 }

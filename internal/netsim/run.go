@@ -184,9 +184,7 @@ func RunScenario(s *Scenario) (Result, error) {
 		rate := s.workload.RateFor(i)
 		var startWindow time.Duration
 		if s.model == ModelDual {
-			period := time.Duration(float64(params.SensorPayload.Bits()) /
-				rate.BitsPerSecond() * float64(time.Second))
-			startWindow = period * time.Duration(s.burstPackets)
+			startWindow = rate.TimeFor(params.SensorPayload) * time.Duration(s.burstPackets)
 		}
 		emitFn := net.emit[sender]
 		if tr != nil {
@@ -196,7 +194,13 @@ func RunScenario(s *Scenario) (Result, error) {
 				inner(p)
 			}
 		}
-		g, err := newSource(s, sched, rate, sender, s.sinkID, startWindow, emitFn)
+		// A capped transfer ends by flushing the sender's BCP buffer; the
+		// forwarding models hold nothing back.
+		var flush func()
+		if s.model == ModelDual {
+			flush = net.agents[sender].Flush
+		}
+		g, err := newSource(s, sched, rate, sender, s.sinkID, startWindow, flush, emitFn)
 		if err != nil {
 			return Result{}, err
 		}
@@ -480,13 +484,14 @@ type source interface {
 }
 
 // newSource builds and starts the configured traffic model for one
-// sender.
+// sender. flush ends a capped transfer (see Workload.Messages).
 func newSource(
 	s *Scenario,
 	sched *sim.Scheduler,
 	rate units.BitRate,
 	sender, sink int,
 	startWindow time.Duration,
+	flush func(),
 	emit func(core.Packet),
 ) (source, error) {
 	switch s.workload.Traffic {
@@ -516,7 +521,11 @@ func newSource(
 		if err != nil {
 			return nil, err
 		}
-		g.StartWithin(startWindow)
+		if n := s.workload.Messages; n > 0 {
+			g.StartCapped(n, flush)
+		} else {
+			g.StartWithin(startWindow)
+		}
 		return g, nil
 	}
 }

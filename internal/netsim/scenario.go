@@ -25,6 +25,12 @@ type Workload struct {
 	// tiles over a large sender set (e.g. alternating fast and slow
 	// sensors).
 	Rates []units.BitRate
+	// Messages, when positive, makes each sender a finite transfer: a
+	// CBR source that emits exactly this many packets, the first one
+	// period in (no random phase), and one period after the last asks
+	// its node's BCP agent to flush what is still buffered. Zero runs
+	// unbounded. Only CBR traffic can be capped.
+	Messages int
 }
 
 // RateFor returns sender i's application rate.
@@ -38,6 +44,12 @@ func (w Workload) RateFor(i int) units.BitRate {
 func (w Workload) validate() error {
 	if w.Traffic < TrafficCBR || w.Traffic > TrafficOnOff {
 		return fmt.Errorf("netsim: invalid traffic model %d", int(w.Traffic))
+	}
+	if w.Messages < 0 {
+		return fmt.Errorf("netsim: negative message count %d", w.Messages)
+	}
+	if w.Messages > 0 && w.Traffic != TrafficCBR {
+		return fmt.Errorf("netsim: only CBR traffic can be capped at %d messages", w.Messages)
 	}
 	if len(w.Rates) == 0 && w.Rate <= 0 {
 		return fmt.Errorf("netsim: non-positive rate %v", w.Rate)

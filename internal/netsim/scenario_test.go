@@ -321,10 +321,13 @@ func TestScenarioBuildValidation(t *testing.T) {
 		"zero rate": {WithWorkload(CBRWorkload(0))},
 		"bad per-sender rate": {WithWorkload(Workload{
 			Traffic: TrafficCBR, Rates: []units.BitRate{2000, 0}})},
-		"bad traffic":    {WithWorkload(Workload{Traffic: Traffic(9), Rate: 2000})},
-		"bad loss":       {WithLinks(LinkModel{SensorLoss: 1})},
-		"bad wifi loss":  {WithLinks(LinkModel{WifiLoss: -0.1})},
-		"negative range": {WithWifiRange(-1)},
+		"bad traffic":       {WithWorkload(Workload{Traffic: Traffic(9), Rate: 2000})},
+		"negative messages": {WithWorkload(Workload{Traffic: TrafficCBR, Rate: 2000, Messages: -1})},
+		"capped poisson":    {WithWorkload(Workload{Traffic: TrafficPoisson, Rate: 2000, Messages: 10})},
+		"capped on-off":     {WithWorkload(Workload{Traffic: TrafficOnOff, Rate: 2000, Messages: 10})},
+		"bad loss":          {WithLinks(LinkModel{SensorLoss: 1})},
+		"bad wifi loss":     {WithLinks(LinkModel{WifiLoss: -0.1})},
+		"negative range":    {WithWifiRange(-1)},
 	}
 	for name, opts := range cases {
 		if _, err := NewScenario(opts...); err == nil {

@@ -6,8 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"bulktx/internal/energy"
 	"bulktx/internal/metrics"
 	"bulktx/internal/trace"
+	"bulktx/internal/units"
 )
 
 // tracedRun executes a short flat-config run with the given trace
@@ -150,6 +152,131 @@ func TestStateTransitionEvents(t *testing.T) {
 	}
 	if wifiWakes != meterWakes {
 		t.Errorf("stream saw %d wifi wakes, meters counted %d", wifiWakes, meterWakes)
+	}
+}
+
+// checkStateReplay computes each radio's energy from the run's
+// KindState events alone, the way the paper post-processed its radio
+// event logs, and checks it against the meters. Events must be in time
+// order and each transition must leave the state the radio's previous
+// one entered. Per radio, the replayed residency in every state must
+// equal the ledger's exactly, the replayed Off->WakingUp count must
+// equal the meter's wake-ups, and residencies x profile powers plus
+// wake-ups x Profile.Wakeup must equal the ledger total less its
+// Overhear charges (a fixed per-frame charge, not a residency) within
+// 1e-9 relative. Free states (the sensor radio's idle) count as zero.
+func checkStateReplay(t testing.TB, s *Scenario, res Result) {
+	t.Helper()
+	if res.Trace == nil || res.Trace.Truncated {
+		t.Fatal("replay needs a complete traced run")
+	}
+	type radioKey struct {
+		node  int
+		radio string
+	}
+	type replay struct {
+		state   energy.State
+		since   time.Duration
+		in      map[energy.State]time.Duration
+		wakeups int
+	}
+	radios := make(map[radioKey]*replay)
+	get := func(node int, radio string) *replay {
+		k := radioKey{node, radio}
+		r, ok := radios[k]
+		if !ok {
+			// Radios attach on, except the dual model's 802.11 radio.
+			start := energy.Idle
+			if radio == "wifi" && s.model == ModelDual {
+				start = energy.Off
+			}
+			r = &replay{state: start, in: make(map[energy.State]time.Duration)}
+			radios[k] = r
+		}
+		return r
+	}
+	var last time.Duration
+	var transitions int
+	for i, ev := range res.Trace.Events {
+		if ev.At < last {
+			t.Fatalf("event %d at %v precedes the previous one at %v", i, ev.At, last)
+		}
+		last = ev.At
+		if ev.Kind != trace.KindState {
+			continue
+		}
+		transitions++
+		r := get(ev.Node, ev.Radio)
+		if ev.From != r.state {
+			t.Fatalf("event %d at %v: node %d %s leaves %v, but its last transition entered %v",
+				i, ev.At, ev.Node, ev.Radio, ev.From, r.state)
+		}
+		r.in[r.state] += ev.At - r.since
+		if ev.From == energy.Off && ev.To == energy.WakingUp {
+			r.wakeups++
+		}
+		r.state, r.since = ev.To, ev.At
+	}
+	if transitions == 0 {
+		t.Fatal("no state transitions traced")
+	}
+	for _, n := range res.PerNode {
+		for _, x := range n.Radios {
+			r := get(n.Node, x.Radio)
+			r.in[r.state] += s.duration - r.since
+			p, freeIdle := s.wifiProfile, false
+			if x.Radio == "sensor" {
+				p, freeIdle = s.sensorProfile, true
+			}
+			ledger := make(map[string]metrics.StateEnergy)
+			for _, st := range x.States {
+				ledger[st.State] = st
+			}
+			var replayed units.Energy
+			for _, st := range energy.States() {
+				if st == energy.Overhear {
+					continue
+				}
+				d := r.in[st]
+				if want := ledger[st.String()].Time; d != want {
+					t.Errorf("node %d %s: replayed %v in %v, meter %v", n.Node, x.Radio, d, st, want)
+				}
+				switch {
+				case st == energy.WakingUp || st == energy.Idle && !freeIdle:
+					replayed += p.Idle.Over(d)
+				case st == energy.Rx:
+					replayed += p.Rx.Over(d)
+				case st == energy.Tx:
+					replayed += p.Tx.Over(d)
+				}
+			}
+			if r.wakeups != x.Wakeups {
+				t.Errorf("node %d %s: replayed %d wake-ups, meter %d", n.Node, x.Radio, r.wakeups, x.Wakeups)
+			}
+			replayed += p.Wakeup * units.Energy(float64(r.wakeups))
+			want := x.Total - ledger[energy.Overhear.String()].Energy
+			if diff := math.Abs((replayed - want).Joules()); diff > 1e-9*want.Joules() {
+				t.Errorf("node %d %s: replayed %v, meter %v (diff %g J)", n.Node, x.Radio, replayed, want, diff)
+			}
+		}
+	}
+}
+
+// TestStateReplayReproducesMeters replays every model's traced state
+// stream against its meters (see checkStateReplay).
+func TestStateReplayReproducesMeters(t *testing.T) {
+	for _, model := range []Model{ModelSensor, ModelWifi, ModelDual} {
+		t.Run(model.String(), func(t *testing.T) {
+			s, err := shortConfig(model, 5, 100, 1).Scenario(WithTrace(trace.Options{States: true}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := RunScenario(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkStateReplay(t, s, res)
+		})
 	}
 }
 

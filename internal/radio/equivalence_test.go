@@ -60,7 +60,6 @@ type refTransceiver struct {
 	rxBatch []*refArrival
 
 	wakeTimer sim.Timer
-	observer  func(Event)
 	onReceive func(Frame)
 	onTxDone  func(Frame)
 }
@@ -112,13 +111,6 @@ func (c *refChannel) start(tx *refTransceiver, f Frame) {
 func (t *refTransceiver) Meter() *energy.Meter        { return t.meter }
 func (t *refTransceiver) SetOnReceive(fn func(Frame)) { t.onReceive = fn }
 func (t *refTransceiver) SetOnTxDone(fn func(Frame))  { t.onTxDone = fn }
-func (t *refTransceiver) SetObserver(fn func(Event))  { t.observer = fn }
-
-func (t *refTransceiver) observe(kind EventKind, size units.ByteSize) {
-	if t.observer != nil {
-		t.observer(Event{Kind: kind, At: t.ch.sched.Now(), Size: size})
-	}
-}
 
 func (t *refTransceiver) SetFailed(down bool) {
 	if t.failed == down {
@@ -171,7 +163,6 @@ func (t *refTransceiver) PowerOn() {
 		return
 	}
 	t.meter.Transition(energy.WakingUp)
-	t.observe(EventWakeupStart, 0)
 	if t.ch.cfg.WakeupLatency == 0 {
 		t.completeWake()
 		return
@@ -184,21 +175,16 @@ func (t *refTransceiver) completeWake() {
 	t.waking = false
 	t.on = true
 	t.updateMeterState()
-	t.observe(EventPowerOn, 0)
 }
 
 func (t *refTransceiver) PowerOff() error {
 	if t.transmitting {
 		return fmt.Errorf("%w: node %d cannot power off mid-transmission", ErrRadioBusy, t.id)
 	}
-	wasActive := t.on || t.waking
 	t.wakeTimer.Stop()
 	t.waking = false
 	t.resumeWake = false
 	t.on = false
-	if wasActive {
-		t.observe(EventPowerOff, 0)
-	}
 	for _, a := range t.arrivals {
 		a.aborted = true
 	}
@@ -222,7 +208,6 @@ func (t *refTransceiver) Transmit(f Frame) error {
 	t.transmitting = true
 	t.txFrame = f
 	t.updateMeterState()
-	t.observe(EventTxStart, f.Size)
 	t.ch.start(t, f)
 	return nil
 }
@@ -238,7 +223,6 @@ func (t *refTransceiver) endTx() {
 	t.transmitting = false
 	t.noteIdle()
 	t.updateMeterState()
-	t.observe(EventTxEnd, f.Size)
 	if t.onTxDone != nil {
 		t.onTxDone(f)
 	}
@@ -262,9 +246,6 @@ func (t *refTransceiver) arrive(f Frame) *refArrival {
 	}
 	t.arrivals = append(t.arrivals, a)
 	t.updateMeterState()
-	if a.chargeRx {
-		t.observe(EventRxStart, f.Size)
-	}
 	return a
 }
 
@@ -281,9 +262,6 @@ func (t *refTransceiver) finishArrival(a *refArrival) {
 	}
 	t.noteIdle()
 	t.updateMeterState()
-	if a.chargeRx {
-		t.observe(EventRxEnd, a.frame.Size)
-	}
 	if !a.forMe && t.overhear == OverhearHeaderOnly {
 		headerAirtime := t.ch.cfg.Profile.Rate.TimeFor(t.ch.cfg.HeaderSize)
 		t.meter.ChargeEnergy(energy.Overhear, t.ch.cfg.Profile.Rx.Over(headerAirtime))
@@ -344,7 +322,6 @@ type rxNode interface {
 	Meter() *energy.Meter
 	SetOnReceive(func(Frame))
 	SetOnTxDone(func(Frame))
-	SetObserver(func(Event))
 }
 
 // Operations of an equivalence scenario.
@@ -441,13 +418,13 @@ func decodeRxScenario(data []byte) rxScenario {
 	return sc
 }
 
-// rxRecord is one callback or observer record of a run.
+// rxRecord is one callback or meter-transition record of a run.
 type rxRecord struct {
-	what  string
-	node  NodeID
-	frame Frame
-	event Event
-	err   string
+	what     string
+	node     NodeID
+	frame    Frame
+	from, to energy.State
+	err      string
 }
 
 // rxRun is one implementation driven through a scenario.
@@ -506,7 +483,9 @@ func newRxRun(t testing.TB, sc rxScenario, ref bool) *rxRun {
 	}
 	for i, x := range r.nodes {
 		id := NodeID(i)
-		x.SetObserver(func(e Event) { r.log = append(r.log, rxRecord{what: "event", node: id, event: e}) })
+		x.Meter().SetOnTransition(func(from, to energy.State) {
+			r.log = append(r.log, rxRecord{what: "transition", node: id, from: from, to: to})
+		})
 		x.SetOnReceive(func(f Frame) {
 			r.log = append(r.log, rxRecord{what: "rx", node: id, frame: f})
 			if f.Seq&flagReply != 0 {
@@ -566,7 +545,7 @@ func sameSnapshot(a, b []energy.StateSnapshot) bool {
 // checkRxEquivalence runs a scenario on Channel/Transceiver and on the
 // reference in lockstep and fails on the first divergence: after every
 // event it compares the clock, Processed, Pending, Stats, the callback
-// and observer records with their frames, and every node's Busy,
+// and meter-transition records with their frames, and every node's Busy,
 // IdleFor and meter Snapshot. It returns the reference run for
 // coverage accounting.
 func checkRxEquivalence(t testing.TB, sc rxScenario) *rxRun {

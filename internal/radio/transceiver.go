@@ -89,7 +89,6 @@ type Transceiver struct {
 	endTxFn func()
 
 	wakeTimer sim.Timer
-	observer  func(Event)
 
 	onReceive func(Frame)
 	onTxDone  func(Frame)
@@ -223,7 +222,6 @@ func (t *Transceiver) PowerOn() {
 		return
 	}
 	t.meter.Transition(energy.WakingUp)
-	t.observe(EventWakeupStart, 0)
 	if t.ch.cfg.WakeupLatency == 0 {
 		t.completeWake()
 		return
@@ -236,7 +234,6 @@ func (t *Transceiver) completeWake() {
 	t.waking = false
 	t.on = true
 	t.updateMeterState()
-	t.observe(EventPowerOn, 0)
 	if t.onWake != nil {
 		t.onWake()
 	}
@@ -248,14 +245,10 @@ func (t *Transceiver) PowerOff() error {
 	if t.transmitting {
 		return fmt.Errorf("%w: node %d cannot power off mid-transmission", ErrRadioBusy, t.id)
 	}
-	wasActive := t.on || t.waking
 	t.wakeTimer.Stop()
 	t.waking = false
 	t.resumeWake = false // an explicit shutdown cancels any pending reboot wake
 	t.on = false
-	if wasActive {
-		t.observe(EventPowerOff, 0)
-	}
 	t.abortReceptions()
 	t.noteIdle()
 	t.meter.Transition(energy.Off)
@@ -279,7 +272,6 @@ func (t *Transceiver) Transmit(f Frame) error {
 	t.transmitting = true
 	t.txFrame = f
 	t.updateMeterState()
-	t.observe(EventTxStart, f.Size)
 	t.ch.start(t)
 	return nil
 }
@@ -309,7 +301,6 @@ func (t *Transceiver) finishTx() {
 	t.transmitting = false
 	t.noteIdle()
 	t.updateMeterState()
-	t.observe(EventTxEnd, f.Size)
 	if t.onTxDone != nil {
 		t.onTxDone(f)
 	}
@@ -336,9 +327,6 @@ func (t *Transceiver) arrive(f *Frame) (reception, bool) {
 		t.rxCharged++
 	}
 	t.updateMeterState()
-	if r.chargeRx {
-		t.observe(EventRxStart, f.Size)
-	}
 	return r, true
 }
 
@@ -354,9 +342,6 @@ func (t *Transceiver) endReception(r *reception, f *Frame) {
 	}
 	t.noteIdle()
 	t.updateMeterState()
-	if r.chargeRx {
-		t.observe(EventRxEnd, f.Size)
-	}
 
 	if !r.forMe && t.overhear == OverhearHeaderOnly {
 		// Charged whether or not the frame decoded: the radio listened to

@@ -48,7 +48,7 @@ func NewPoisson(
 	if emit == nil {
 		return nil, fmt.Errorf("workload: nil emit")
 	}
-	mean := time.Duration(float64(payload.Bits()) / rate.BitsPerSecond() * float64(time.Second))
+	mean := rate.TimeFor(payload)
 	if mean <= 0 {
 		return nil, fmt.Errorf("workload: rate %v too fast for payload %v", rate, payload)
 	}
@@ -153,7 +153,7 @@ func NewOnOff(
 	if emit == nil {
 		return nil, fmt.Errorf("workload: nil emit")
 	}
-	period := time.Duration(float64(payload.Bits()) / peakRate.BitsPerSecond() * float64(time.Second))
+	period := peakRate.TimeFor(payload)
 	if period <= 0 {
 		return nil, fmt.Errorf("workload: peak rate %v too fast for payload %v", peakRate, payload)
 	}

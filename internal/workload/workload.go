@@ -28,6 +28,11 @@ type CBR struct {
 	generated uint64
 	running   bool
 	timer     sim.Timer
+
+	// limit, when positive, caps the packets generated; done runs on
+	// the tick after the last of them.
+	limit uint64
+	done  func()
 }
 
 // NewCBR builds a source generating rate bits per second of payload from
@@ -49,7 +54,7 @@ func NewCBR(
 	if emit == nil {
 		return nil, fmt.Errorf("workload: nil emit")
 	}
-	period := time.Duration(float64(payload.Bits()) / rate.BitsPerSecond() * float64(time.Second))
+	period := rate.TimeFor(payload)
 	if period <= 0 {
 		return nil, fmt.Errorf("workload: rate %v too fast for payload %v", rate, payload)
 	}
@@ -90,6 +95,19 @@ func (g *CBR) StartWithin(window time.Duration) {
 	g.timer.Reset(phase)
 }
 
+// StartCapped begins a finite transfer of exactly n packets, the first
+// one period in with no random phase. On the tick after the last packet
+// the source stops and calls done (when non-nil), e.g. to flush a
+// buffering agent.
+func (g *CBR) StartCapped(n int, done func()) {
+	if g.running || n < 1 {
+		return
+	}
+	g.running = true
+	g.limit, g.done = uint64(n), done
+	g.timer.Reset(g.period)
+}
+
 // Stop halts generation.
 func (g *CBR) Stop() {
 	g.running = false
@@ -103,6 +121,13 @@ func (g *CBR) Generated() (packets uint64, bits int64) {
 
 func (g *CBR) tick() {
 	if !g.running {
+		return
+	}
+	if g.limit > 0 && g.generated == g.limit {
+		g.running = false
+		if g.done != nil {
+			g.done()
+		}
 		return
 	}
 	g.seq++

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -36,6 +37,30 @@ func TestCBRRate(t *testing.T) {
 	}
 	if bits != int64(packets)*256 {
 		t.Errorf("bits = %d, want %d", bits, int64(packets)*256)
+	}
+}
+
+func TestCBRCappedTransfer(t *testing.T) {
+	sched := sim.NewScheduler(1)
+	var at []time.Duration
+	var doneAt time.Duration
+	g, err := NewCBR(sched, 0, 1, 2000, 32, func(p core.Packet) { at = append(at, sched.Now()) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.StartCapped(3, func() { doneAt = sched.Now() })
+	sched.Run()
+	// No random phase: packets at 1, 2 and 3 periods, done one period on.
+	period := g.Period()
+	want := []time.Duration{period, 2 * period, 3 * period}
+	if !slices.Equal(at, want) || doneAt != 4*period {
+		t.Errorf("packets at %v, done at %v; want %v, done at %v", at, doneAt, want, 4*period)
+	}
+	if packets, _ := g.Generated(); packets != 3 {
+		t.Errorf("Generated() = %d, want 3", packets)
+	}
+	if got, fresh := sched.Rand().Int63(), sim.NewScheduler(1).Rand().Int63(); got != fresh {
+		t.Error("capped start drew from the run's random source")
 	}
 }
 
