@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"bulktx/internal/energy"
+	"bulktx/internal/netsim"
 	"bulktx/internal/trace"
 	"bulktx/internal/units"
 )
@@ -89,6 +91,151 @@ func TestPrototypePins(t *testing.T) {
 					p.threshold, p.messages, e.name, e.got, e.want, rel)
 			}
 		}
+	}
+}
+
+// radioKey names one radio of one node in the dual run's trace.
+type radioKey struct {
+	node  int
+	radio string
+}
+
+// TestLogEnergyMatchesMeters rebuilds the dual run's energy from its
+// traced radio state log alone, the way the paper post-processed its
+// radio event logs: residency in each state times the profile's power,
+// plus Profile.Wakeup per Off->WakingUp, with the sensor radio's idle
+// free. The sum must equal the meters' total (DualEnergyPerPacket x
+// Delivered) within 1e-9 relative, and each radio's wake-ups the
+// meter's count.
+func TestLogEnergyMatchesMeters(t *testing.T) {
+	cfg := DefaultConfig(1500)
+	cfg.Messages = 300
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Scenario(cfg, netsim.ModelDual)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type replay struct {
+		state   energy.State
+		since   time.Duration
+		wakeups int
+		energy  units.Energy
+	}
+	radios := make(map[radioKey]*replay)
+	get := func(k radioKey) *replay {
+		r, ok := radios[k]
+		if !ok {
+			// The emulated 802.11 radio attaches off, the sensor radio on.
+			r = &replay{state: energy.Idle}
+			if k.radio == "wifi" {
+				r.state = energy.Off
+			}
+			radios[k] = r
+		}
+		return r
+	}
+	profile := func(radio string) energy.Profile {
+		if radio == "sensor" {
+			return cfg.SensorProfile
+		}
+		return cfg.WifiProfile
+	}
+	charge := func(k radioKey, r *replay, until time.Duration) {
+		p, d := profile(k.radio), until-r.since
+		switch {
+		case r.state == energy.WakingUp || r.state == energy.Idle && k.radio == "wifi":
+			r.energy += p.Idle.Over(d)
+		case r.state == energy.Rx:
+			r.energy += p.Rx.Over(d)
+		case r.state == energy.Tx:
+			r.energy += p.Tx.Over(d)
+		}
+	}
+	for _, ev := range res.Dual.Trace.Events {
+		if ev.Kind != trace.KindState {
+			continue
+		}
+		k := radioKey{ev.Node, ev.Radio}
+		r := get(k)
+		charge(k, r, ev.At)
+		if ev.From == energy.Off && ev.To == energy.WakingUp {
+			r.wakeups++
+		}
+		r.state, r.since = ev.To, ev.At
+	}
+	var logTotal units.Energy
+	for _, n := range res.Dual.PerNode {
+		for _, x := range n.Radios {
+			k := radioKey{n.Node, x.Radio}
+			r := get(k)
+			charge(k, r, s.Duration())
+			if r.wakeups != x.Wakeups {
+				t.Errorf("node %d %s: log has %d wake-ups, meter %d", n.Node, x.Radio, r.wakeups, x.Wakeups)
+			}
+			logTotal += r.energy + profile(x.Radio).Wakeup*units.Energy(float64(r.wakeups))
+		}
+	}
+	meter := res.DualEnergyPerPacket * units.Energy(float64(res.Delivered))
+	if meter == 0 {
+		t.Fatal("meter energy zero")
+	}
+	if rel := math.Abs((logTotal - meter).Joules()) / meter.Joules(); rel > 1e-9 {
+		t.Errorf("log energy %.12f J vs meter %.12f J: %g relative apart",
+			logTotal.Joules(), meter.Joules(), rel)
+	}
+}
+
+// TestLogOrderedAndPaired checks the dual run's traced log: events in
+// time order, each radio transition leaving the state its previous one
+// entered, every Tx and Rx it enters left again before the run ends,
+// and every delivery preceded by the generation of the same packet.
+func TestLogOrderedAndPaired(t *testing.T) {
+	cfg := DefaultConfig(1000)
+	cfg.Messages = 100
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Dual.Trace.Events) == 0 {
+		t.Fatal("empty log")
+	}
+	state := make(map[radioKey]energy.State)
+	generated := make(map[[2]uint64]bool) // (src, seq)
+	delivered := 0
+	var last time.Duration
+	for i, ev := range res.Dual.Trace.Events {
+		if ev.At < last {
+			t.Fatalf("log out of order at %d: %v after %v", i, ev.At, last)
+		}
+		last = ev.At
+		switch ev.Kind {
+		case trace.KindState:
+			k := radioKey{ev.Node, ev.Radio}
+			prev, ok := state[k]
+			if ok && ev.From != prev {
+				t.Fatalf("event %d: node %d %s leaves %v, but its last transition entered %v",
+					i, ev.Node, ev.Radio, ev.From, prev)
+			}
+			state[k] = ev.To
+		case trace.KindGenerated:
+			generated[[2]uint64{uint64(ev.Src), ev.Seq}] = true
+		case trace.KindDelivered:
+			if !generated[[2]uint64{uint64(ev.Src), ev.Seq}] {
+				t.Fatalf("event %d: packet %d/%d delivered before it was generated", i, ev.Src, ev.Seq)
+			}
+			delivered++
+		}
+	}
+	for k, st := range state {
+		if st == energy.Tx || st == energy.Rx {
+			t.Errorf("node %d %s ends the run in %v: unpaired start", k.node, k.radio, st)
+		}
+	}
+	if delivered != res.Delivered {
+		t.Errorf("log has %d deliveries, result %d", delivered, res.Delivered)
 	}
 }
 
