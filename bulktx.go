@@ -336,7 +336,7 @@ func NewSimService(o SimServiceOptions) (*SimService, error) { return service.Ne
 // SweepReportMarkdown renders an executed sweep outcome as a
 // byte-stable markdown document (the service's report.md artifact).
 func SweepReportMarkdown(title string, o *SweepOutcome) []byte {
-	return report.SweepMarkdown(title, o)
+	return report.SweepMarkdown(title, o.Summary())
 }
 
 // RunSweep executes a sweep spec on a default pool (all cores,

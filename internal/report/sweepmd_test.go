@@ -31,7 +31,7 @@ func sweepOutcome(t *testing.T) *sweep.Outcome {
 
 func TestSweepMarkdown(t *testing.T) {
 	out := sweepOutcome(t)
-	md := SweepMarkdown("service job abc123", out)
+	md := SweepMarkdown("service job abc123", out.Summary())
 	text := string(md)
 	for _, want := range []string{
 		"# service job abc123",
@@ -44,7 +44,7 @@ func TestSweepMarkdown(t *testing.T) {
 			t.Errorf("markdown missing %q", want)
 		}
 	}
-	if again := SweepMarkdown("service job abc123", out); !bytes.Equal(md, again) {
+	if again := SweepMarkdown("service job abc123", out.Summary()); !bytes.Equal(md, again) {
 		t.Error("SweepMarkdown is not byte-stable for the same outcome")
 	}
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -72,14 +73,18 @@ type job struct {
 	startedAt   time.Time // execution start (zero while queued)
 	finishedAt  time.Time // terminal transition (zero until done/failed/canceled)
 	errText     string
-	outcome     *sweep.Outcome
 	cellsDone   int
 	cellsCached int
 	cellsFailed int
 	cellErrs    []CellErrorDetail // capped at maxCellErrorDetails
 	cancel      context.CancelCauseFunc
-	traced      []sweep.TracedRun // lazy trace.jsonl artifact (run jobs)
-	tracedErr   error
+	// summary and resultsJSON are a done job's results: the per-point
+	// summaries that results.csv and report.md render from, and
+	// results.json rendered once at completion. The per-run results
+	// are not kept, so a retained job's size does not grow with the
+	// number of packets its runs delivered.
+	summary     *sweep.Summary
+	resultsJSON []byte
 }
 
 // CellErrorDetail is the serialized record of one quarantined cell of
@@ -472,14 +477,15 @@ type cellEvent struct {
 }
 
 // finish moves the job to a terminal state under its lock and stamps
-// the transition. Callers count, journal and log the transition first,
-// so a client that sees the terminal state also sees it in /metrics
-// and the logs.
-func (j *job) finish(state jobState, errText string, outcome *sweep.Outcome) {
+// the transition, attaching a done job's results. Callers count,
+// journal and log the transition first, so a client that sees the
+// terminal state also sees it in /metrics and the logs, and can fetch
+// the artifacts.
+func (j *job) finish(state jobState, errText string, summary *sweep.Summary, resultsJSON []byte) {
 	j.mu.Lock()
 	j.state = state
 	j.errText = errText
-	j.outcome = outcome
+	j.summary, j.resultsJSON = summary, resultsJSON
 	j.finishedAt = time.Now()
 	j.mu.Unlock()
 }
@@ -586,6 +592,14 @@ func (s *Server) runJob(j *job) {
 		s.finishFailed(j, msg, execution)
 		return
 	}
+	summary := outcome.Summary()
+	var resultsJSON bytes.Buffer
+	if err := summary.WriteJSON(&resultsJSON); err != nil {
+		// JSON has no +Inf, which a point that delivered nothing but
+		// spent energy summarizes to. results.json stays empty; the
+		// job is still done and results.csv and report.md render.
+		s.log.Warn("results.json not encodable", "job", j.id, "error", err)
+	}
 
 	s.counters.cellsCached.Add(int64(cached))
 	s.counters.cellsSimulated.Add(int64(len(j.jobs) - cached - failedCells))
@@ -595,7 +609,7 @@ func (s *Server) runJob(j *job) {
 	s.log.Info("job done", "job", j.id, "kind", j.kind,
 		"execution_s", execution.Seconds(),
 		"cells", len(j.jobs), "cells_cached", cached, "cells_failed", failedCells)
-	j.finish(jobDone, "", outcome)
+	j.finish(jobDone, "", summary, resultsJSON.Bytes())
 	j.stream.publish("done", struct {
 		// CellsDone, CellsCached and CellsFailed are the final progress
 		// counters; a nonzero CellsFailed marks a partial completion.
@@ -614,7 +628,7 @@ func (s *Server) finishFailed(j *job, msg string, execution time.Duration) {
 	s.journal.append(journalRecord{Op: opFailed, ID: j.id, Error: msg})
 	s.log.Error("job failed", "job", j.id, "kind", j.kind,
 		"execution_s", execution.Seconds(), "error", msg)
-	j.finish(jobFailed, msg, nil)
+	j.finish(jobFailed, msg, nil, nil)
 	j.stream.publish("failed", apiError{Error: msg})
 	j.stream.close()
 }
@@ -627,7 +641,7 @@ func (s *Server) finishCanceled(j *job, execution time.Duration) {
 	s.journal.append(journalRecord{Op: opCanceled, ID: j.id})
 	s.log.Info("job canceled", "job", j.id, "kind", j.kind,
 		"execution_s", execution.Seconds())
-	j.finish(jobCanceled, "", nil)
+	j.finish(jobCanceled, "", nil, nil)
 	j.stream.publish("canceled", struct {
 		// ID names the canceled job.
 		ID string `json:"id"`
@@ -699,30 +713,20 @@ func (s *Server) Close(ctx context.Context) error {
 	}
 }
 
-// serveTrace renders the lazy trace.jsonl artifact of a run job: the
-// job's scenario re-simulated once at the base seed with tracing on
-// (packet provenance + state transitions), exported through the sweep
-// trace exporters. Sweep jobs do not carry traces — tracing every grid
-// cell would dwarf the sweep itself.
+// serveTrace renders the trace.jsonl artifact of a run job: the job's
+// scenario re-simulated at the base seed with tracing on (packet
+// provenance + state transitions), exported through the sweep trace
+// exporters. The run is deterministic, so it is re-simulated on every
+// request and nothing is kept on the job: a traced run of a paper-grid
+// scenario holds megabytes. Sweep jobs do not carry traces — tracing
+// every grid cell would dwarf the sweep itself.
 func (s *Server) serveTrace(w http.ResponseWriter, j *job) {
 	if j.kind != kindRun {
 		writeError(w, http.StatusNotFound,
 			fmt.Errorf("trace.jsonl is only available for run jobs (job %s is a %s)", j.id, j.kind))
 		return
 	}
-	j.mu.Lock()
-	runs, err := j.traced, j.tracedErr
-	j.mu.Unlock()
-	if runs == nil && err == nil {
-		// Simulate outside the lock so status polls never block behind
-		// the traced re-run; concurrent first requests may both
-		// simulate, but the result is deterministic, so last-write-wins
-		// is harmless.
-		runs, err = traceRuns(j)
-		j.mu.Lock()
-		j.traced, j.tracedErr = runs, err
-		j.mu.Unlock()
-	}
+	runs, err := traceRuns(j)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return

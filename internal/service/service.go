@@ -102,9 +102,9 @@ type Options struct {
 	// this many simulations (<= 0 selects DefaultMaxCells).
 	MaxCells int
 	// MaxJobs bounds the job store: once more than this many jobs
-	// exist, the oldest done/failed jobs — including their outcomes
-	// and event histories — are evicted and their ids answer 404
-	// (<= 0 selects DefaultMaxJobs). An evicted spec resubmits as a
+	// exist, the oldest done/failed jobs — including their result
+	// summaries and event histories — are evicted and their ids
+	// answer 404 (<= 0 selects DefaultMaxJobs). An evicted spec resubmits as a
 	// fresh job; its cells still hit the result cache.
 	MaxJobs int
 	// RetryAfter is the backoff advertised on 429 responses (<= 0
@@ -484,7 +484,7 @@ func (s *Server) handleJobArtifact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j.mu.Lock()
-	state, outcome := j.state, j.outcome
+	state, summary, resultsJSON := j.state, j.summary, j.resultsJSON
 	j.mu.Unlock()
 	switch state {
 	case jobFailed, jobCanceled:
@@ -497,13 +497,13 @@ func (s *Server) handleJobArtifact(w http.ResponseWriter, r *http.Request) {
 	switch name := r.PathValue("name"); name {
 	case "results.json":
 		w.Header().Set("Content-Type", "application/json")
-		sweep.WriteJSON(w, outcome) //nolint:errcheck // streaming to a gone client
+		w.Write(resultsJSON) //nolint:errcheck // writing to a gone client
 	case "results.csv":
 		w.Header().Set("Content-Type", "text/csv")
-		sweep.WriteCSV(w, outcome) //nolint:errcheck // streaming to a gone client
+		summary.WriteCSV(w) //nolint:errcheck // streaming to a gone client
 	case "report.md":
 		w.Header().Set("Content-Type", "text/markdown")
-		w.Write(report.SweepMarkdown("bulktx job "+j.id, outcome)) //nolint:errcheck
+		w.Write(report.SweepMarkdown("bulktx job "+j.id, summary)) //nolint:errcheck
 	case "trace.jsonl":
 		s.serveTrace(w, j)
 	default:

@@ -231,6 +231,26 @@ func TestRunJobTraceArtifact(t *testing.T) {
 	}
 }
 
+// TestInfiniteEnergyJobCompletes checks that a run too short to
+// deliver anything, whose J/Kbit is +Inf, still completes with its CSV
+// and markdown artifacts.
+func TestInfiniteEnergyJobCompletes(t *testing.T) {
+	_, ts := newTestService(t, Options{})
+	st := submit(t, ts.URL+"/v1/runs",
+		`{"model": "sensor", "senders": 5, "duration_s": 0.01, "rate_bps": 2000}`, http.StatusAccepted)
+	if done := waitDone(t, ts.URL, st.ID); done.State != "done" {
+		t.Fatalf("job ended %s: %s", done.State, done.Error)
+	}
+	resp, data := getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/artifacts/results.csv")
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(data), "+Inf") {
+		t.Errorf("results.csv = %d: %s", resp.StatusCode, data)
+	}
+	resp, data = getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/artifacts/report.md")
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(data), "+Inf") {
+		t.Errorf("report.md = %d: %s", resp.StatusCode, data)
+	}
+}
+
 func TestIdenticalSpecDedupe(t *testing.T) {
 	_, ts := newTestService(t, Options{})
 	first := submit(t, ts.URL+"/v1/sweeps", sweepBody, http.StatusAccepted)
@@ -871,7 +891,7 @@ func TestFailedSpecIsRetryable(t *testing.T) {
 	j.mu.Lock()
 	j.state = jobFailed
 	j.errText = "injected failure"
-	j.outcome = nil
+	j.summary, j.resultsJSON = nil, nil
 	j.mu.Unlock()
 
 	again := submit(t, ts.URL+"/v1/runs", runBody, http.StatusAccepted)

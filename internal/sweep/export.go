@@ -51,8 +51,12 @@ func toExportCell(c CellSummary) exportCell {
 }
 
 // WriteJSON exports the outcome's per-cell summaries as an indented
-// JSON document: {"cells": [...], "jobs": N, "cached": M}.
-func WriteJSON(w io.Writer, o *Outcome) error {
+// JSON document; see Summary.WriteJSON.
+func WriteJSON(w io.Writer, o *Outcome) error { return o.Summary().WriteJSON(w) }
+
+// WriteJSON exports the per-cell summaries as an indented JSON
+// document: {"cells": [...], "jobs": N, "cached": M}.
+func (sum *Summary) WriteJSON(w io.Writer) error {
 	doc := struct {
 		Jobs   int          `json:"jobs"`
 		Cached int          `json:"cached"`
@@ -63,12 +67,12 @@ func WriteJSON(w io.Writer, o *Outcome) error {
 		// unchanged.
 		Failed int           `json:"failed,omitempty"`
 		Errors []exportError `json:"errors,omitempty"`
-	}{Jobs: len(o.Jobs), Cached: o.Cached, Cells: []exportCell{}}
-	for _, c := range o.Cells() {
+	}{Jobs: sum.Jobs, Cached: sum.Cached, Cells: []exportCell{}}
+	for _, c := range sum.Cells {
 		doc.Cells = append(doc.Cells, toExportCell(c))
 	}
-	doc.Failed = len(o.Errors)
-	for _, ce := range o.Errors {
+	doc.Failed = len(sum.Errors)
+	for _, ce := range sum.Errors {
 		doc.Errors = append(doc.Errors, exportError{
 			Index: ce.Index, Point: ce.Point.String(), Rep: ce.Rep,
 			Attempts: ce.Attempts, Error: ce.Err.Error(),
@@ -105,15 +109,19 @@ var csvHeader = []string{
 	"topology", "churn_rate",
 }
 
-// WriteCSV exports the outcome's per-cell summaries as CSV, one row
-// per grid point, with a header row.
-func WriteCSV(w io.Writer, o *Outcome) error {
+// WriteCSV exports the outcome's per-cell summaries as CSV; see
+// Summary.WriteCSV.
+func WriteCSV(w io.Writer, o *Outcome) error { return o.Summary().WriteCSV(w) }
+
+// WriteCSV exports the per-cell summaries as CSV, one row per grid
+// point, with a header row.
+func (sum *Summary) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(csvHeader); err != nil {
 		return fmt.Errorf("sweep: csv export: %w", err)
 	}
 	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	for _, cell := range o.Cells() {
+	for _, cell := range sum.Cells {
 		e := toExportCell(cell)
 		row := []string{
 			e.Model, strconv.Itoa(e.Senders), strconv.Itoa(e.Burst),

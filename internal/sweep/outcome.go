@@ -104,6 +104,27 @@ func (o *Outcome) Cells() []CellSummary {
 	return cells
 }
 
+// Summary is an executed sweep reduced to what its exports read: the
+// job accounting, one CellSummary per grid point and the quarantined
+// cells. It holds no per-run results, so its size follows the number
+// of grid points, not the number of packets the runs delivered. The
+// results.json, CSV, table and report.md renderers all read it.
+type Summary struct {
+	// Jobs is the number of executed jobs; Cached counts those served
+	// without simulating (see Outcome.Cached).
+	Jobs, Cached int
+	// Cells are the per-point summaries in first-appearance job order
+	// (see Outcome.Cells).
+	Cells []CellSummary
+	// Errors lists the quarantined jobs in index order.
+	Errors []CellError
+}
+
+// Summary reduces the outcome to its per-point summaries.
+func (o *Outcome) Summary() *Summary {
+	return &Summary{Jobs: len(o.Jobs), Cached: o.Cached, Cells: o.Cells(), Errors: o.Errors}
+}
+
 // Metric selects which summarized quantity a table or export column
 // carries.
 type Metric int
@@ -142,10 +163,15 @@ func (m Metric) value(c CellSummary) metrics.Summary {
 	}
 }
 
-// Table renders the outcome as a metrics.Table: senders on the x axis,
+// Table renders the outcome as a metrics.Table; see Summary.Table.
+func (o *Outcome) Table(title string, metric Metric) metrics.Table {
+	return o.Summary().Table(title, metric)
+}
+
+// Table renders the summary as a metrics.Table: senders on the x axis,
 // one series per (model, burst, traffic) combination present in the
 // sweep, carrying the chosen metric.
-func (o *Outcome) Table(title string, metric Metric) metrics.Table {
+func (sum *Summary) Table(title string, metric Metric) metrics.Table {
 	tbl := metrics.Table{
 		Title:  title,
 		XLabel: "senders",
@@ -160,7 +186,7 @@ func (o *Outcome) Table(title string, metric Metric) metrics.Table {
 	}
 	var order []curve
 	series := make(map[curve]*metrics.Series)
-	for _, c := range o.Cells() {
+	for _, c := range sum.Cells {
 		k := curve{c.Point.Model, c.Point.Burst, c.Point.Traffic,
 			c.Point.Topology, c.Point.Churn}
 		s, ok := series[k]
