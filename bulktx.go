@@ -94,13 +94,13 @@ type (
 	// SimServiceRunRequest is the body of the service's POST /v1/runs.
 	SimServiceRunRequest = service.RunRequest
 
-	// Scenario is a fully resolved simulation setup assembled from
-	// pluggable parts (topology, placement, workload, links, churn) by
-	// NewScenario.
+	// Scenario is a fully resolved simulation setup: a SimConfig plus
+	// optional pluggable parts (topology, placement, workload, links,
+	// churn, tracing), built by SimConfig.Scenario.
 	Scenario = netsim.Scenario
 
-	// ScenarioOption configures a Scenario under construction (the
-	// With* functional options).
+	// ScenarioOption passes one part to SimConfig.Scenario (the With*
+	// functional options).
 	ScenarioOption = netsim.Option
 
 	// Topology is the pluggable node-placement part of a Scenario.
@@ -188,21 +188,18 @@ const (
 )
 
 // The composable Scenario surface, re-exported from the simulation
-// core. NewScenario assembles pluggable parts under functional options
-// and validates the whole at build time:
+// core. A SimConfig holds the scalar settings; SimConfig.Scenario
+// replaces its parts with the given ones and validates the whole at
+// build time:
 //
-//	s, err := bulktx.NewScenario(
+//	cfg := bulktx.NewSimConfig(bulktx.ModelDual, 10, 100, 1)
+//	s, err := cfg.Scenario(
 //		bulktx.WithTopology(bulktx.ClusteredTopology(36, 4, 200, 25, 1)),
-//		bulktx.WithSenders(10),
 //		bulktx.WithWorkload(bulktx.PoissonWorkload(2*bulktx.Kbps)),
 //		bulktx.WithChurn(bulktx.RandomChurn(2, 30*time.Second, 7)),
 //	)
 //	res, err := bulktx.RunScenario(s)
 var (
-	// NewScenario assembles and validates a Scenario; see the netsim
-	// package documentation for defaults (the paper's single-hop
-	// evaluation).
-	NewScenario = netsim.NewScenario
 	// RunScenario executes one simulation of a built Scenario.
 	RunScenario = netsim.RunScenario
 	// RunScenarioMany executes seeded repetitions of a Scenario
@@ -235,25 +232,13 @@ var (
 	ScheduledChurn = netsim.ScheduledChurn
 	RandomChurn    = netsim.RandomChurn
 
-	// Scenario options.
-	WithModel             = netsim.WithModel
-	WithTopology          = netsim.WithTopology
-	WithSink              = netsim.WithSink
-	WithSenders           = netsim.WithSenders
-	WithSenderPolicy      = netsim.WithSenderPolicy
-	WithWorkload          = netsim.WithWorkload
-	WithLinks             = netsim.WithLinks
-	WithChurn             = netsim.WithChurn
-	WithDuration          = netsim.WithDuration
-	WithBurst             = netsim.WithBurst
-	WithSeed              = netsim.WithSeed
-	WithRadios            = netsim.WithRadios
-	WithWifiRange         = netsim.WithWifiRange
-	WithPostBurstLinger   = netsim.WithPostBurstLinger
-	WithShortcutLearner   = netsim.WithShortcutLearner
-	WithMinGrant          = netsim.WithMinGrant
-	WithAdaptiveThreshold = netsim.WithAdaptiveThreshold
-	WithDelayBound        = netsim.WithDelayBound
+	// Scenario parts.
+	WithTopology     = netsim.WithTopology
+	WithSink         = netsim.WithSink
+	WithSenderPolicy = netsim.WithSenderPolicy
+	WithWorkload     = netsim.WithWorkload
+	WithLinks        = netsim.WithLinks
+	WithChurn        = netsim.WithChurn
 	// WithTrace enables per-run observability (see TraceOptions);
 	// untraced scenarios pay nothing.
 	WithTrace = netsim.WithTrace
@@ -311,9 +296,14 @@ func NewMultiHopSimConfig(senders, burstPackets int, seed int64) SimConfig {
 // RunSimulation executes one network simulation run.
 func RunSimulation(cfg SimConfig) (SimResult, error) { return netsim.Run(cfg) }
 
-// RunSimulations executes n seeded repetitions.
+// RunSimulations executes n seeded repetitions of cfg (seeds
+// baseSeed..baseSeed+runs-1).
 func RunSimulations(cfg SimConfig, runs int, baseSeed int64) ([]SimResult, error) {
-	return netsim.RunMany(cfg, runs, baseSeed)
+	s, err := cfg.Scenario()
+	if err != nil {
+		return nil, err
+	}
+	return netsim.RunScenarioMany(s, runs, baseSeed)
 }
 
 // NewPrototypeConfig returns the paper's Section 4.2 prototype setup for

@@ -65,16 +65,14 @@ func TestSimulationThroughFacade(t *testing.T) {
 }
 
 func TestScenarioThroughFacade(t *testing.T) {
-	s, err := bulktx.NewScenario(
-		bulktx.WithModel(bulktx.ModelDual),
+	cfg := bulktx.NewSimConfig(bulktx.ModelDual, 5, 100, 1)
+	cfg.Duration = 120 * time.Second
+	s, err := cfg.Scenario(
 		bulktx.WithTopology(bulktx.ClusteredTopology(36, 4, 200, 25, 1)),
 		bulktx.WithSink(bulktx.SinkNearCenter()),
-		bulktx.WithSenders(5),
 		bulktx.WithWorkload(bulktx.CBRWorkload(2*bulktx.Kbps)),
 		bulktx.WithLinks(bulktx.LinkModel{SensorLossAt: bulktx.DistanceLoss(0, 0.1, 40)}),
 		bulktx.WithChurn(bulktx.RandomChurn(2, 30*time.Second, 7)),
-		bulktx.WithDuration(120*time.Second),
-		bulktx.WithBurst(100),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -93,11 +91,13 @@ func TestScenarioThroughFacade(t *testing.T) {
 	if len(many) != 2 {
 		t.Fatalf("runs = %d", len(many))
 	}
-	if _, err := bulktx.NewScenario(bulktx.WithSenders(-1)); err == nil {
+	bad := cfg
+	bad.Senders = -1
+	if _, err := bad.Scenario(); err == nil {
 		t.Error("invalid scenario accepted through facade")
 	}
-	// The compatibility compile is exposed on the flat config.
-	cfg := bulktx.NewSimConfig(bulktx.ModelDual, 5, 100, 1)
+	// Without parts, the config's fields build the whole scenario.
+	cfg = bulktx.NewSimConfig(bulktx.ModelDual, 5, 100, 1)
 	compiled, err := cfg.Scenario()
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,7 @@
 //
 // Topologies beyond the paper's grid ("uniform", "clustered", "linear")
 // and the churn model come from the Scenario API; the flags compile to
-// the same netsim.Config compatibility layer the sweep engine uses.
+// the same netsim.Config the sweep engine uses.
 package main
 
 import (
@@ -23,6 +23,7 @@ import (
 	"bulktx"
 	"bulktx/internal/cli"
 	"bulktx/internal/netsim"
+	"bulktx/internal/sweep"
 	"bulktx/internal/telemetry"
 )
 
@@ -113,43 +114,27 @@ func buildConfig(o options) (bulktx.SimConfig, error) {
 	default:
 		return cfg, cli.Usagef("unknown case %q (want sh or mh)", o.scenario)
 	}
-	switch o.model {
-	case "sensor":
-		cfg.Model = bulktx.ModelSensor
-	case "wifi":
-		cfg.Model = bulktx.ModelWifi
-	case "dual":
-		cfg.Model = bulktx.ModelDual
-	default:
-		return cfg, cli.Usagef("unknown model %q (want sensor, wifi or dual)", o.model)
+	model, err := sweep.ParseModel(o.model)
+	if err != nil {
+		return cfg, cli.Usage(err)
 	}
+	cfg.Model = model
 	cfg.Duration = o.duration
 	cfg.SensorLoss = o.loss
 	cfg.UseShortcutLearner = o.shortcut
 	cfg.DelayBound = o.bound
 	cfg.AdaptiveThresholdAlpha = o.adaptive
-	switch o.traffic {
-	case "cbr":
-		cfg.Traffic = bulktx.TrafficCBR
-	case "poisson":
-		cfg.Traffic = bulktx.TrafficPoisson
-	case "onoff":
-		cfg.Traffic = bulktx.TrafficOnOff
-	default:
-		return cfg, cli.Usagef("unknown traffic %q (want cbr, poisson or onoff)", o.traffic)
+	if cfg.Traffic, err = sweep.ParseTraffic(o.traffic); err != nil {
+		return cfg, cli.Usage(err)
 	}
 	if o.rate > 0 {
 		cfg.Rate = bulktx.BitRate(o.rate) * bulktx.Kbps
 	}
 
-	switch o.topology {
-	case "", "grid":
-		cfg.Topology = ""
-	case "uniform", "clustered", "linear":
+	// Config.Validate rejects unknown names; the grid is the default
+	// layout, which a Config spells "".
+	if o.topology != netsim.TopoGrid {
 		cfg.Topology = o.topology
-	default:
-		return cfg, cli.Usagef("unknown topology %q (want grid, uniform, clustered or linear)",
-			o.topology)
 	}
 	if o.nodes > 0 {
 		cfg.Nodes = o.nodes

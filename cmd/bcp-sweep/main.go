@@ -108,10 +108,15 @@ func run() error {
 		}
 		pool.Cache = cache
 	}
+	jobs, err := spec.Jobs()
+	if err != nil {
+		return err
+	}
+	var onJob func(sweep.JobUpdate)
 	if *progress {
-		pool.Progress = func(done, total int) {
-			fmt.Fprintf(os.Stderr, "\rbcp-sweep: %d/%d runs", done, total)
-			if done == total {
+		onJob = func(u sweep.JobUpdate) {
+			fmt.Fprintf(os.Stderr, "\rbcp-sweep: %d/%d runs", u.Done, u.Total)
+			if u.Done == u.Total {
 				fmt.Fprintln(os.Stderr)
 			}
 		}
@@ -126,7 +131,7 @@ func run() error {
 	}
 
 	start := time.Now()
-	out, err := pool.RunSpec(spec)
+	out, err := pool.RunJobsProgress(jobs, onJob)
 	if stopErr := stopCPU(); err == nil {
 		err = stopErr
 	}

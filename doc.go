@@ -28,36 +28,36 @@
 //   - a parallel sweep-orchestration engine for grids of seeded runs
 //     (the shape of every evaluation in the paper) — see RunSweep;
 //   - a composable Scenario API generalizing the paper's single
-//     evaluation shape to arbitrary deployments — see NewScenario.
+//     evaluation shape to arbitrary deployments — see SimConfig.Scenario.
 //
 // # Scenarios
 //
-// NewScenario assembles a simulation from pluggable parts under
-// functional options, validating everything at build time: a Topology
+// A SimConfig (NewSimConfig, NewMultiHopSimConfig) holds every scalar
+// setting of a run: model, sender count, burst threshold, rate,
+// duration, radios and the protocol extensions. It is the one
+// description of a run — the wire format of sweeps, JSON specs and
+// caches — and SimConfig.Validate is the one validator of its fields.
+// SimConfig.Scenario compiles it into a Scenario; each part passed to
+// it replaces the one the config's fields would build: a Topology
 // (GridTopology, UniformTopology, ClusteredTopology, LinearTopology,
 // ExplicitTopology), sink and sender placement policies
 // (SinkNearCenter/SinkAt, StableShuffleSenders/ExplicitSenders/
 // FarthestSenders), a Workload (CBR, Poisson or on/off arrivals with
-// homogeneous or per-sender rates), a LinkModel (flat or
-// distance-dependent loss) and a Churn model (scheduled or random node
-// failures and recoveries). RunScenario executes one run;
-// RunScenarioMany fans seeded repetitions over the CPU.
+// homogeneous or per-sender rates, or a fixed message count), a
+// LinkModel (flat or distance-dependent loss) and a Churn model
+// (scheduled or random node failures and recoveries). Everything is
+// validated before any event runs. RunScenario executes one run;
+// RunScenarioMany fans seeded repetitions over the CPU, and its rep r
+// of cfg.Scenario() equals RunSimulation(cfg) at seed base+r.
 //
-//	s, _ := bulktx.NewScenario(
+//	cfg := bulktx.NewSimConfig(bulktx.ModelDual, 6, 100, 1)
+//	s, _ := cfg.Scenario(
 //		bulktx.WithTopology(bulktx.LinearTopology(24, 180)),
 //		bulktx.WithSink(bulktx.SinkAt(0)),
 //		bulktx.WithSenderPolicy(bulktx.FarthestSenders()),
-//		bulktx.WithSenders(6),
 //		bulktx.WithChurn(bulktx.RandomChurn(2, 30*time.Second, 7)),
 //	)
 //	res, _ := bulktx.RunScenario(s)
-//
-// The flat SimConfig remains as the serializable compatibility layer
-// behind sweeps and JSON specs; it compiles onto a Scenario
-// (SimConfig.Scenario) and fixed-seed results through either surface
-// are byte-identical. Treat direct SimConfig field mutation as
-// deprecated outside serialization — the builder makes every default
-// explicit and rejects invalid compositions before any event runs.
 //
 // # Sweeps
 //

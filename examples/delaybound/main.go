@@ -37,17 +37,11 @@ func run() error {
 		"delay bound", "goodput", "energy (J/Kbit)", "mean delay", "sensor sends")
 
 	for _, bound := range []time.Duration{0, 60 * time.Second, 15 * time.Second, 5 * time.Second} {
-		scenario, err := bulktx.NewScenario(
-			bulktx.WithSenders(senders),
-			bulktx.WithBurst(burst),
-			bulktx.WithWorkload(bulktx.CBRWorkload(2*bulktx.Kbps)),
-			bulktx.WithDuration(600*time.Second),
-			bulktx.WithDelayBound(bound),
-		)
-		if err != nil {
-			return err
-		}
-		results, err := bulktx.RunScenarioMany(scenario, runs, 1)
+		cfg := bulktx.NewSimConfig(bulktx.ModelDual, senders, burst, 1)
+		cfg.Rate = 2 * bulktx.Kbps
+		cfg.Duration = 600 * time.Second
+		cfg.DelayBound = bound
+		results, err := bulktx.RunSimulations(cfg, runs, 1)
 		if err != nil {
 			return err
 		}

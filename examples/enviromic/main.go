@@ -41,17 +41,10 @@ func run() error {
 	fmt.Printf("%-18s %12s %18s %14s\n", "burst (packets)", "goodput", "energy (J/Kbit)", "mean delay")
 
 	for _, burst := range []int{100, 500, 1000} {
-		scenario, err := bulktx.NewScenario(
-			bulktx.WithModel(bulktx.ModelDual),
-			bulktx.WithSenders(senders),
-			bulktx.WithBurst(burst),
-			bulktx.WithWorkload(bulktx.CBRWorkload(audioRate)),
-			bulktx.WithDuration(duration),
-		)
-		if err != nil {
-			return err
-		}
-		results, err := bulktx.RunScenarioMany(scenario, runs, 1)
+		cfg := bulktx.NewSimConfig(bulktx.ModelDual, senders, burst, 1)
+		cfg.Rate = audioRate
+		cfg.Duration = duration
+		results, err := bulktx.RunSimulations(cfg, runs, 1)
 		if err != nil {
 			return err
 		}
@@ -63,16 +56,10 @@ func run() error {
 			delay.Round(100*time.Millisecond), accumulation.Round(100*time.Millisecond))
 	}
 
-	sensorScenario, err := bulktx.NewScenario(
-		bulktx.WithModel(bulktx.ModelSensor),
-		bulktx.WithSenders(senders),
-		bulktx.WithWorkload(bulktx.CBRWorkload(audioRate)),
-		bulktx.WithDuration(duration),
-	)
-	if err != nil {
-		return err
-	}
-	sensorRes, err := bulktx.RunScenarioMany(sensorScenario, runs, 1)
+	sensorCfg := bulktx.NewSimConfig(bulktx.ModelSensor, senders, 0, 1)
+	sensorCfg.Rate = audioRate
+	sensorCfg.Duration = duration
+	sensorRes, err := bulktx.RunSimulations(sensorCfg, runs, 1)
 	if err != nil {
 		return err
 	}

@@ -38,33 +38,19 @@ func run() error {
 	fmt.Printf("Environmental monitoring: %d sensors, %v each, %v of sampling\n\n",
 		senders, bulktx.BitRate(200), duration)
 
-	// Both models share one scenario shape; only the model differs. The
-	// builder makes the shared defaults (paper grid, near-center sink,
-	// 0.2 Kbps CBR) explicit instead of implied by zero values.
-	sensorScenario, err := bulktx.NewScenario(
-		bulktx.WithModel(bulktx.ModelSensor),
-		bulktx.WithSenders(senders),
-		bulktx.WithDuration(duration),
-	)
-	if err != nil {
-		return err
-	}
-	sensorRes, err := bulktx.RunScenarioMany(sensorScenario, runs, 1)
+	// Both models share the paper's scenario shape (grid, near-center
+	// sink, 0.2 Kbps CBR); only the model and the burst threshold differ.
+	sensorCfg := bulktx.NewSimConfig(bulktx.ModelSensor, senders, 0, 1)
+	sensorCfg.Duration = duration
+	sensorRes, err := bulktx.RunSimulations(sensorCfg, runs, 1)
 	if err != nil {
 		return err
 	}
 	sGoodput, sEnergy, sIdeal, sDelay := netsim.Summaries(sensorRes)
 
-	dualScenario, err := bulktx.NewScenario(
-		bulktx.WithModel(bulktx.ModelDual),
-		bulktx.WithSenders(senders),
-		bulktx.WithBurst(burst),
-		bulktx.WithDuration(duration),
-	)
-	if err != nil {
-		return err
-	}
-	dualRes, err := bulktx.RunScenarioMany(dualScenario, runs, 1)
+	dualCfg := bulktx.NewSimConfig(bulktx.ModelDual, senders, burst, 1)
+	dualCfg.Duration = duration
+	dualRes, err := bulktx.RunSimulations(dualCfg, runs, 1)
 	if err != nil {
 		return err
 	}

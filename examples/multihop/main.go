@@ -55,22 +55,13 @@ func run() error {
 	fmt.Println("\nSimulation (Section 4.1 MH case): 36-node grid, Cabletron one hop to sink")
 	const senders, burst = 10, 500
 	for _, learner := range []bool{false, true} {
-		// The multi-hop case, spelled out on the Scenario builder: the
-		// paper's grid and placement defaults, Cabletron at long range.
-		scenario, err := bulktx.NewScenario(
-			bulktx.WithSenders(senders),
-			bulktx.WithBurst(burst),
-			bulktx.WithSeed(1),
-			bulktx.WithDuration(600*time.Second),
-			bulktx.WithRadios(micaz, cabletron),
-			bulktx.WithWifiRange(250),
-			bulktx.WithWorkload(bulktx.CBRWorkload(2*bulktx.Kbps)),
-			bulktx.WithShortcutLearner(learner),
-		)
-		if err != nil {
-			return err
-		}
-		results, err := bulktx.RunScenarioMany(scenario, 3, 1)
+		// The paper's multi-hop case: grid and placement defaults, 2 Kbps
+		// senders, Micaz plus Cabletron at its 250 m range.
+		cfg := bulktx.NewMultiHopSimConfig(senders, burst, 1)
+		cfg.SensorProfile, cfg.WifiProfile = micaz, cabletron
+		cfg.Duration = 600 * time.Second
+		cfg.UseShortcutLearner = learner
+		results, err := bulktx.RunSimulations(cfg, 3, 1)
 		if err != nil {
 			return err
 		}

@@ -65,21 +65,15 @@ func run() error {
 		"deployment", "goodput", "(sensor)", "J/Kbit", "(sensor)", "saving")
 
 	for _, row := range rows {
-		base := []bulktx.ScenarioOption{
-			bulktx.WithSenders(senders),
-			bulktx.WithBurst(burst),
-			bulktx.WithWorkload(bulktx.CBRWorkload(rate)),
-			bulktx.WithDuration(duration),
-		}
-		base = append(base, row.opts...)
-
-		dual, err := bulktx.NewScenario(append(base[:len(base):len(base)],
-			bulktx.WithModel(bulktx.ModelDual))...)
+		cfg := bulktx.NewSimConfig(bulktx.ModelDual, senders, burst, 1)
+		cfg.Rate = rate
+		cfg.Duration = duration
+		dual, err := cfg.Scenario(row.opts...)
 		if err != nil {
 			return fmt.Errorf("%s: %w", row.name, err)
 		}
-		sensor, err := bulktx.NewScenario(append(base[:len(base):len(base)],
-			bulktx.WithModel(bulktx.ModelSensor))...)
+		cfg.Model = bulktx.ModelSensor
+		sensor, err := cfg.Scenario(row.opts...)
 		if err != nil {
 			return fmt.Errorf("%s: %w", row.name, err)
 		}

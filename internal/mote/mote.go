@@ -124,9 +124,9 @@ func run(cfg Config, model netsim.Model, opts ...netsim.Option) (netsim.Result, 
 }
 
 // Scenario builds the prototype pair as a netsim scenario of the given
-// model, with opts applied last: node 0 sends cfg.Messages messages,
-// one per interval, to the sink at node 1 and then flushes, and the run
-// lasts ten minutes past the flush.
+// model, with the parts in opts applied last: node 0 sends cfg.Messages
+// messages, one per interval, to the sink at node 1 and then flushes,
+// and the run lasts ten minutes past the flush.
 func Scenario(cfg Config, model netsim.Model, opts ...netsim.Option) (*netsim.Scenario, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -138,16 +138,15 @@ func Scenario(cfg Config, model netsim.Model, opts ...netsim.Option) (*netsim.Sc
 	for rate.TimeFor(params.SensorPayload) < cfg.Interval {
 		rate = units.BitRate(math.Nextafter(float64(rate), 0))
 	}
-	return netsim.NewScenario(append([]netsim.Option{
-		netsim.WithModel(model),
-		netsim.WithTopology(netsim.LinearTopology(2, 10)),
-		netsim.WithSink(netsim.SinkAt(1)),
-		netsim.WithSenderPolicy(netsim.ExplicitSenders(0)),
+	sc := netsim.DefaultConfig(model, 1,
+		int((cfg.Threshold+params.SensorPayload-1)/params.SensorPayload), cfg.Seed)
+	sc.Topology, sc.Nodes, sc.Field = netsim.TopoLinear, 2, 10
+	sc.Sink = 1
+	sc.Rate = rate
+	sc.Duration = time.Duration(cfg.Messages+1)*cfg.Interval + 10*time.Minute
+	sc.SensorProfile, sc.WifiProfile = cfg.SensorProfile, cfg.WifiProfile
+	sc.WifiRange = 10
+	return sc.Scenario(append([]netsim.Option{
 		netsim.WithWorkload(netsim.Workload{Traffic: netsim.TrafficCBR, Rate: rate, Messages: cfg.Messages}),
-		netsim.WithRadios(cfg.SensorProfile, cfg.WifiProfile),
-		netsim.WithWifiRange(10),
-		netsim.WithBurst(int((cfg.Threshold + params.SensorPayload - 1) / params.SensorPayload)),
-		netsim.WithDuration(time.Duration(cfg.Messages+1)*cfg.Interval + 10*time.Minute),
-		netsim.WithSeed(cfg.Seed),
 	}, opts...)...)
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"bulktx/internal/params"
 	"bulktx/internal/trace"
 )
 
@@ -25,14 +24,8 @@ const goldenLossy = "1c2a2ae673d10215c3b2df7825974c00370dde55c360dbce490c2ab04ae
 // TestGoldenFingerprintLossyScenario holds a sensor run under
 // DistanceLoss to its committed fingerprint.
 func TestGoldenFingerprintLossyScenario(t *testing.T) {
-	s, err := NewScenario(
-		WithModel(ModelSensor),
-		WithSenders(5),
-		WithWorkload(CBRWorkload(params.HighRate)),
-		WithLinks(LinkModel{SensorLossAt: DistanceLoss(0, 0.4, 40)}),
-		WithDuration(scenarioDuration),
-		WithSeed(1),
-	)
+	s, err := scenarioConfig(ModelSensor, 5).Scenario(
+		WithLinks(LinkModel{SensorLossAt: DistanceLoss(0, 0.4, 40)}))
 	if err != nil {
 		t.Fatal(err)
 	}

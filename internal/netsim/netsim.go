@@ -12,12 +12,12 @@
 //     wake-up, overhearing).
 //
 // The default scenario is the paper's: a 6x6 grid over 200x200 m, a
-// near-center sink, N CBR senders, 5000 s runs. Beyond it, the
-// composable Scenario API (NewScenario with functional options)
-// assembles runs from pluggable parts — Topology, sink and sender
-// placement policies, Workload, LinkModel and Churn — validated at
-// build time; the flat Config is the serializable compatibility layer
-// that compiles onto a Scenario via Config.Scenario.
+// near-center sink, N CBR senders, 5000 s runs (DefaultConfig). A
+// Config holds every scalar setting of a run and is the wire format of
+// sweeps, specs and caches; Config.Scenario compiles it into a
+// Scenario, optionally replacing its parts — Topology, sink and sender
+// placement policies, Workload, LinkModel and Churn — with ones the
+// flat fields cannot express. Everything is validated at build time.
 package netsim
 
 import (
@@ -97,19 +97,15 @@ func (t Traffic) String() string {
 	}
 }
 
-// Config is the flat, serializable description of one simulation run —
-// the compatibility and wire format behind the composable Scenario API.
-// New code should prefer NewScenario with functional options
-// (WithTopology, WithSenders, WithChurn, ...), which makes every
-// default explicit and validates at build time; a Config compiles to a
-// Scenario via Config.Scenario, and fixed-seed results through either
-// surface are identical. Direct field access remains supported for
-// sweeps, JSON specs and caches, where a flat struct is the right
-// shape; prefer the builder everywhere else.
+// Config is the flat, serializable description of one simulation run:
+// every scalar setting, validated in one place (Validate). It is the
+// wire format of sweeps, JSON specs and caches, and Config.Scenario
+// compiles it into a runnable Scenario. Start from DefaultConfig or
+// MultiHopConfig and set fields.
 //
-// Deprecated sentinels kept for compatibility: Sink < 0 selects the
-// near-center default (the builder's explicit SinkNearCenter), and
-// zero-valued fields inherit scenario defaults at compile time.
+// Sentinels kept for compatibility: Sink < 0 selects the near-center
+// node, and some zero-valued fields (WifiRange, TopologySeed,
+// Clusters, ChurnMeanDowntime) select defaults at compile time.
 type Config struct {
 	// Model selects sensor / 802.11 / dual-radio.
 	Model Model
@@ -121,12 +117,9 @@ type Config struct {
 	// Sink is the collection node index; negative selects the default
 	// near-center node.
 	//
-	// Deprecated: the negative sentinel is the flat layer's legacy
-	// encoding of "no explicit sink" and is honored forever so that
-	// serialized configs and sweep cache keys keep working, but new
-	// code should express placement through the builder instead:
-	// WithSink(SinkNearCenter()) for the default, WithSink(SinkAt(i))
-	// for a pinned node. No further sentinel values will be added.
+	// The negative sentinel is honored forever so that serialized
+	// configs and sweep cache keys keep working; WithSink replaces the
+	// sink with any placement policy.
 	Sink int
 
 	// Senders is how many nodes stream CBR traffic to the sink (5-35).
@@ -344,60 +337,53 @@ func (c Config) topology() Topology {
 	}
 }
 
-// Scenario compiles the flat configuration into a built Scenario. The
-// compilation is exact: a fixed-seed run through the compiled scenario
-// is byte-identical to the pre-redesign flat-config runner (asserted by
-// the golden-fingerprint tests).
-//
-// The optional extra options apply after the compiled ones, so callers
-// can layer non-serializable concerns — WithTrace, most commonly — on
-// top of a flat config without leaving the compatibility surface.
-func (c Config) Scenario(extra ...Option) (*Scenario, error) {
+// churn is the random churn model that ChurnRate describes (nil when
+// zero), drawn under the config's run seed.
+func (c Config) churn() Churn {
+	if c.ChurnRate <= 0 {
+		return nil
+	}
+	down := c.ChurnMeanDowntime
+	if down == 0 {
+		down = time.Minute
+	}
+	// The schedule varies per seeded repetition like any other noise
+	// process, but from a decorrelated stream: seeding it with the run
+	// seed verbatim would replay the exact PRNG sequence that drives
+	// channel loss, backoff and arrivals.
+	return RandomChurn(c.ChurnRate, down, c.Seed^churnSeedSalt)
+}
+
+// Scenario validates the configuration and builds a Scenario from it.
+// The config's fields build every part: topology, sink, stable-shuffle
+// senders, CBR/Poisson/on-off workload, flat link loss and random
+// churn. Each part passed in parts replaces the one the fields would
+// build, for what a Config cannot express: explicit layouts and
+// placements, per-sender rates, message caps, distance loss, scheduled
+// churn and tracing. The compilation is exact: a fixed-seed run matches
+// the golden fingerprints of the flat-config runner it replaced.
+func (c Config) Scenario(parts ...Option) (*Scenario, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	sink := SinkPolicy(SinkNearCenter())
+	s := &Scenario{
+		cfg:      c,
+		topology: c.topology(),
+		sink:     SinkNearCenter(),
+		senders:  StableShuffleSenders(),
+		workload: Workload{Traffic: c.Traffic, Rate: c.Rate},
+		links:    LinkModel{SensorLoss: c.SensorLoss, WifiLoss: c.WifiLoss},
+	}
 	if c.Sink >= 0 {
-		sink = SinkAt(c.Sink)
+		s.sink = SinkAt(c.Sink)
 	}
-	opts := []Option{
-		WithModel(c.Model),
-		WithTopology(c.topology()),
-		WithSink(sink),
-		WithSenders(c.Senders),
-		WithSenderPolicy(StableShuffleSenders()),
-		WithWorkload(Workload{Traffic: c.Traffic, Rate: c.Rate}),
-		WithLinks(LinkModel{SensorLoss: c.SensorLoss, WifiLoss: c.WifiLoss}),
-		WithDuration(c.Duration),
-		WithSeed(c.Seed),
-		WithRadios(c.SensorProfile, c.WifiProfile),
-		WithWifiRange(c.WifiRange),
-		WithPostBurstLinger(c.PostBurstLinger),
-		WithShortcutLearner(c.UseShortcutLearner),
-		WithMinGrant(c.MinGrantPackets),
-		WithAdaptiveThreshold(c.AdaptiveThresholdAlpha),
-		WithDelayBound(c.DelayBound),
+	for _, part := range parts {
+		part(s)
 	}
-	if c.Model == ModelDual {
-		opts = append(opts, WithBurst(c.BurstPackets))
-	} else {
-		// The baseline models validate but never consult the threshold;
-		// pin it so flat configs with a zero burst still compile.
-		opts = append(opts, WithBurst(1))
+	if err := s.build(); err != nil {
+		return nil, err
 	}
-	if c.ChurnRate > 0 {
-		down := c.ChurnMeanDowntime
-		if down == 0 {
-			down = time.Minute
-		}
-		// The schedule varies per seeded repetition like any other noise
-		// process, but from a decorrelated stream: seeding it with the
-		// run seed verbatim would replay the exact PRNG sequence that
-		// drives channel loss, backoff and arrivals.
-		opts = append(opts, WithChurn(RandomChurn(c.ChurnRate, down, c.Seed^churnSeedSalt)))
-	}
-	opts = append(opts, extra...)
-	return NewScenario(opts...)
+	return s, nil
 }
 
 // Result carries one run's outcomes.

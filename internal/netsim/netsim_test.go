@@ -228,31 +228,6 @@ func TestLossyChannelsStillDeliver(t *testing.T) {
 	}
 }
 
-func TestRunMany(t *testing.T) {
-	cfg := shortConfig(ModelDual, 5, 100, 0)
-	cfg.Duration = 100 * time.Second
-	results, err := RunMany(cfg, 3, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("got %d results", len(results))
-	}
-	goodput, normE, idealE, delay := Summaries(results)
-	if goodput.N != 3 || normE.N != 3 || idealE.N != 3 {
-		t.Errorf("summaries N wrong: %d/%d/%d", goodput.N, normE.N, idealE.N)
-	}
-	if goodput.Mean <= 0 || goodput.Mean > 1 {
-		t.Errorf("goodput mean = %v", goodput.Mean)
-	}
-	if delay <= 0 {
-		t.Errorf("delay = %v", delay)
-	}
-	if _, err := RunMany(cfg, 0, 1); err == nil {
-		t.Error("RunMany(0) did not error")
-	}
-}
-
 func TestPickSenders(t *testing.T) {
 	five := pickSenders(36, 14, 5)
 	ten := pickSenders(36, 14, 10)
@@ -368,24 +343,31 @@ func TestValidateNamesOffendingField(t *testing.T) {
 		{func(c *Config) { c.WifiLoss = -0.1 }, "WifiLoss"},
 		{func(c *Config) { c.WifiRange = -1 }, "WifiRange"},
 		{func(c *Config) { c.PostBurstLinger = -time.Millisecond }, "PostBurstLinger"},
+		{func(c *Config) { c.MinGrantPackets = -1 }, "MinGrantPackets"},
+		{func(c *Config) { c.AdaptiveThresholdAlpha = -1 }, "AdaptiveThresholdAlpha"},
+		{func(c *Config) { c.DelayBound = -time.Second }, "DelayBound"},
 		{func(c *Config) { c.ChurnRate = -1 }, "ChurnRate"},
 		{func(c *Config) { c.Topology = "torus" }, "Topology"},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig(ModelDual, 5, 100, 1)
 		tc.mutate(&cfg)
-		err := cfg.Validate()
-		if err == nil {
-			t.Errorf("%s: invalid config validated", tc.field)
-			continue
-		}
-		var fe *FieldError
-		if !errors.As(err, &fe) {
-			t.Errorf("%s: error %v is not a FieldError", tc.field, err)
-			continue
-		}
-		if fe.Field != tc.field {
-			t.Errorf("error %v names field %q, want %q", err, fe.Field, tc.field)
+		// Building a scenario validates through the same checks, so its
+		// errors name the field too.
+		_, buildErr := cfg.Scenario()
+		for _, err := range []error{cfg.Validate(), buildErr} {
+			if err == nil {
+				t.Errorf("%s: invalid config accepted", tc.field)
+				continue
+			}
+			var fe *FieldError
+			if !errors.As(err, &fe) {
+				t.Errorf("%s: error %v is not a FieldError", tc.field, err)
+				continue
+			}
+			if fe.Field != tc.field {
+				t.Errorf("error %v names field %q, want %q", err, fe.Field, tc.field)
+			}
 		}
 	}
 	if err := DefaultConfig(ModelDual, 5, 100, 1).Validate(); err != nil {

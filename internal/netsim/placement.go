@@ -83,7 +83,8 @@ func (p shuffledSenders) Pick(l *topo.Layout, sink, n int) ([]int, error) {
 // explicitSenders pins the sender set.
 type explicitSenders struct{ nodes []int }
 
-// ExplicitSenders pins the sender set to the given node indices.
+// ExplicitSenders pins the sender set to the given node indices. The
+// set carries its own count: the requested count is ignored.
 func ExplicitSenders(nodes ...int) SenderPolicy {
 	ns := make([]int, len(nodes))
 	copy(ns, nodes)
@@ -94,10 +95,6 @@ func (explicitSenders) Kind() string { return "explicit" }
 func (p explicitSenders) Pick(l *topo.Layout, sink, n int) ([]int, error) {
 	if len(p.nodes) == 0 {
 		return nil, fmt.Errorf("netsim: explicit sender set is empty")
-	}
-	if n != 0 && n != len(p.nodes) {
-		return nil, fmt.Errorf("netsim: sender count %d conflicts with %d explicit senders",
-			n, len(p.nodes))
 	}
 	seen := make(map[int]bool, len(p.nodes))
 	for _, s := range p.nodes {

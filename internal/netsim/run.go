@@ -151,9 +151,8 @@ func wireTraceAgent(tr *trace.Collector, node int, a *core.Agent) {
 	})
 }
 
-// Run executes one simulation described by the flat compatibility
-// Config and returns its outcomes. New code should prefer NewScenario +
-// RunScenario.
+// Run executes one simulation of cfg.Scenario() and returns its
+// outcomes.
 func Run(cfg Config) (Result, error) {
 	s, err := cfg.Scenario()
 	if err != nil {
@@ -164,7 +163,7 @@ func Run(cfg Config) (Result, error) {
 
 // RunScenario executes one simulation of a built Scenario.
 func RunScenario(s *Scenario) (Result, error) {
-	sched := sim.NewScheduler(s.seed)
+	sched := sim.NewScheduler(s.cfg.Seed)
 	recorder := workload.NewRecorder(sched)
 	var tr *trace.Collector
 	if s.traceOn {
@@ -183,8 +182,8 @@ func RunScenario(s *Scenario) (Result, error) {
 	for i, sender := range s.senderIDs {
 		rate := s.workload.RateFor(i)
 		var startWindow time.Duration
-		if s.model == ModelDual {
-			startWindow = rate.TimeFor(params.SensorPayload) * time.Duration(s.burstPackets)
+		if s.cfg.Model == ModelDual {
+			startWindow = rate.TimeFor(params.SensorPayload) * time.Duration(s.cfg.BurstPackets)
 		}
 		emitFn := net.emit[sender]
 		if tr != nil {
@@ -197,7 +196,7 @@ func RunScenario(s *Scenario) (Result, error) {
 		// A capped transfer ends by flushing the sender's BCP buffer; the
 		// forwarding models hold nothing back.
 		var flush func()
-		if s.model == ModelDual {
+		if s.cfg.Model == ModelDual {
 			flush = net.agents[sender].Flush
 		}
 		g, err := newSource(s, sched, rate, sender, s.sinkID, startWindow, flush, emitFn)
@@ -233,7 +232,7 @@ func RunScenario(s *Scenario) (Result, error) {
 		}
 	}
 
-	sched.RunUntil(s.duration)
+	sched.RunUntil(s.cfg.Duration)
 	for _, g := range generators {
 		g.Stop()
 	}
@@ -309,7 +308,7 @@ func (s *Scenario) radioSpecs() (sensor, wifi radioSpec) {
 	sensor = radioSpec{
 		cfg: radio.Config{
 			Name:       "sensor",
-			Profile:    s.sensorProfile,
+			Profile:    s.cfg.SensorProfile,
 			LossProb:   s.links.SensorLoss,
 			LossAt:     s.links.SensorLossAt,
 			HeaderSize: params.SensorHeader,
@@ -322,8 +321,8 @@ func (s *Scenario) radioSpecs() (sensor, wifi radioSpec) {
 	wifi = radioSpec{
 		cfg: radio.Config{
 			Name:       "wifi",
-			Profile:    s.wifiProfile,
-			Range:      s.wifiRange,
+			Profile:    s.cfg.WifiProfile,
+			Range:      s.cfg.WifiRange,
 			LossProb:   s.links.WifiLoss,
 			LossAt:     s.links.WifiLossAt,
 			HeaderSize: params.WifiHeader,
@@ -390,7 +389,7 @@ func buildNetwork(
 	layout, sink := s.layout, s.sinkID
 	nodes := layout.Len()
 	sensor, wifi := s.radioSpecs()
-	if s.model == ModelDual {
+	if s.cfg.Model == ModelDual {
 		// Under BCP the sensor radio carries control and overhears for
 		// free; the 802.11 radio sleeps between bursts and pays a
 		// wake-up latency.
@@ -400,13 +399,13 @@ func buildNetwork(
 	}
 	net := &network{emit: make([]func(core.Packet), nodes)}
 	var err error
-	if s.model != ModelWifi {
+	if s.cfg.Model != ModelWifi {
 		if net.sensor, err = attachRadio(sched, layout, sensor); err != nil {
 			return nil, err
 		}
 		net.radios = append(net.radios, net.sensor)
 	}
-	if s.model != ModelSensor {
+	if s.cfg.Model != ModelSensor {
 		if net.wifi, err = attachRadio(sched, layout, wifi); err != nil {
 			return nil, err
 		}
@@ -424,17 +423,17 @@ func buildNetwork(
 		wifiRoute core.NextHopper
 		addr      *routing.AddrMap
 	)
-	if s.model == ModelDual {
-		if mesh, err = routing.BuildMesh(layout, s.sensorProfile.Range); err != nil {
+	if s.cfg.Model == ModelDual {
+		if mesh, err = routing.BuildMesh(layout, s.cfg.SensorProfile.Range); err != nil {
 			return nil, err
 		}
-		if s.useShortcutLearner {
-			sensorTree, err := routing.BuildTree(layout, sink, s.sensorProfile.Range)
+		if s.cfg.UseShortcutLearner {
+			sensorTree, err := routing.BuildTree(layout, sink, s.cfg.SensorProfile.Range)
 			if err != nil {
 				return nil, err
 			}
-			wifiRoute = routing.NewLearner(sensorTree, layout, s.wifiRange, true)
-		} else if wifiRoute, err = routing.BuildTree(layout, sink, s.wifiRange); err != nil {
+			wifiRoute = routing.NewLearner(sensorTree, layout, s.cfg.WifiRange, true)
+		} else if wifiRoute, err = routing.BuildTree(layout, sink, s.cfg.WifiRange); err != nil {
 			return nil, err
 		}
 		addr = routing.IdentityAddrMap(nodes)
@@ -458,7 +457,7 @@ func buildNetwork(
 		if i == sink {
 			deliver = tracedDeliver(tr, i, recorder.Receive)
 		}
-		if s.model != ModelDual {
+		if s.cfg.Model != ModelDual {
 			// The pure-802.11 model sends each sensor packet as its own
 			// (inefficient) small frame, as nodes have no reason to batch.
 			f := newForwarder(i, first.macs[i], tree, firstCfg.HeaderSize, deliver, tr)
@@ -553,29 +552,21 @@ func addAgentStats(a, b core.Stats) core.Stats {
 	return a
 }
 
-// RunMany executes n runs with seeds base..base+n-1 and returns results
-// in seed order. Repetitions execute concurrently (up to
-// runtime.NumCPU workers); every run derives all of its randomness
-// from its own seed and shares no state with its siblings, so the
-// output is identical to serial execution. Grid sweeps should prefer
-// the sweep package, which adds cross-cell batching and result
-// caching on top of the same parallelism.
-func RunMany(cfg Config, runs int, baseSeed int64) ([]Result, error) {
-	return runSeeded(runs, func(r int) (Result, error) {
-		c := cfg
-		c.Seed = baseSeed + int64(r)
-		return Run(c)
-	})
-}
-
 // RunScenarioMany executes runs seeded repetitions of a scenario
-// (seeds base..base+runs-1) concurrently, in seed order. The scenario's
-// placement and churn schedule are part of the scenario and stay fixed
-// across repetitions; only the run seed (channel noise, MAC backoff,
-// arrival processes) varies.
+// (seeds base..base+runs-1) concurrently, in seed order. Repetitions
+// share no state, so the output is identical to serial execution, and
+// rep r of cfg.Scenario() equals Run(cfg) at seed base+r. Placement and
+// a WithChurn schedule stay fixed across repetitions; the run seed
+// varies channel noise, MAC backoff, arrival processes and churn drawn
+// from Config.ChurnRate. Grid sweeps should prefer the sweep package,
+// which adds cross-cell batching and result caching.
 func RunScenarioMany(s *Scenario, runs int, baseSeed int64) ([]Result, error) {
 	return runSeeded(runs, func(r int) (Result, error) {
-		return RunScenario(s.withSeed(baseSeed + int64(r)))
+		rep, err := s.withSeed(baseSeed + int64(r))
+		if err != nil {
+			return Result{}, err
+		}
+		return RunScenario(rep)
 	})
 }
 

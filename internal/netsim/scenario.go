@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"bulktx/internal/core"
-	"bulktx/internal/energy"
 	"bulktx/internal/params"
 	"bulktx/internal/topo"
 	"bulktx/internal/trace"
@@ -115,33 +114,25 @@ func DistanceLoss(floor, ceil float64, refRange units.Meters) func(units.Meters)
 	}
 }
 
-// Scenario is a fully resolved simulation setup: topology, placement,
-// workload, link quality and churn, assembled and validated by
-// NewScenario. A Scenario is immutable after construction; run it with
-// RunScenario (or RunScenarioMany for seeded repetitions).
+// Scenario is a fully resolved simulation setup: a Config, which
+// carries every scalar setting, plus its parts — topology, placement,
+// workload, link quality, churn and tracing — each built from the
+// Config or passed as an Option. Config.Scenario assembles and
+// validates it. A Scenario is immutable after construction; run it
+// with RunScenario (or RunScenarioMany for seeded repetitions).
 type Scenario struct {
-	model       Model
-	topology    Topology
-	sink        SinkPolicy
-	senders     SenderPolicy
-	nSenders    int
-	nSendersSet bool
-	workload    Workload
-	links       LinkModel
-	churn       Churn
+	// cfg holds the scalar settings; build resolves a zero WifiRange to
+	// the wifi profile's range.
+	cfg Config
 
-	duration     time.Duration
-	burstPackets int
-	seed         int64
-
-	sensorProfile, wifiProfile energy.Profile
-	wifiRange                  units.Meters
-
-	postBurstLinger    time.Duration
-	useShortcutLearner bool
-	minGrantPackets    int
-	adaptiveAlpha      float64
-	delayBound         time.Duration
+	topology Topology
+	sink     SinkPolicy
+	senders  SenderPolicy
+	workload Workload
+	links    LinkModel
+	// churn is the WithChurn part. Nil draws the schedule from the
+	// config's ChurnRate under the run seed.
+	churn Churn
 
 	traceOn   bool
 	traceOpts trace.Options
@@ -153,99 +144,34 @@ type Scenario struct {
 	churnEvents []ChurnEvent
 }
 
-// Option configures a Scenario under construction; apply with
-// NewScenario. All validation happens at build time, so an option never
-// fails in isolation.
+// Option passes one part to Config.Scenario, replacing the part that
+// the config's fields would build. All validation happens at build
+// time, so an option never fails in isolation.
 type Option func(*Scenario)
 
-// WithModel selects the evaluation model (sensor / 802.11 / dual;
-// default dual).
-func WithModel(m Model) Option { return func(s *Scenario) { s.model = m } }
-
-// WithTopology selects the node deployment (default the paper's
-// GridTopology(36, 200)).
+// WithTopology replaces the config's Topology, Nodes and Field with an
+// arbitrary deployment.
 func WithTopology(t Topology) Option { return func(s *Scenario) { s.topology = t } }
 
-// WithSink selects the sink-placement policy (default SinkNearCenter).
+// WithSink replaces the config's Sink with a sink-placement policy.
 func WithSink(p SinkPolicy) Option { return func(s *Scenario) { s.sink = p } }
 
-// WithSenders sets how many nodes generate traffic (default 5),
-// selected by the current sender policy. ExplicitSenders carries its
-// own count; combining it with a conflicting WithSenders is a build
-// error.
-func WithSenders(n int) Option {
-	return func(s *Scenario) {
-		s.nSenders = n
-		s.nSendersSet = true
-	}
-}
-
-// WithSenderPolicy selects the sender-selection strategy (default
-// StableShuffleSenders). ExplicitSenders implies the sender count.
+// WithSenderPolicy replaces the stable-shuffle sender selection. The
+// policy picks Config.Senders nodes, except ExplicitSenders, which
+// carries its own set and count.
 func WithSenderPolicy(p SenderPolicy) Option { return func(s *Scenario) { s.senders = p } }
 
-// WithWorkload sets the traffic model (default the paper's CBR at
-// 0.2 Kbps per sender).
+// WithWorkload replaces the config's Traffic and Rate with a workload
+// that may also set per-sender rates or a message cap.
 func WithWorkload(w Workload) Option { return func(s *Scenario) { s.workload = w } }
 
-// WithLinks sets the channel-quality model (default lossless beyond
-// collisions).
+// WithLinks replaces the config's flat SensorLoss and WifiLoss with a
+// channel-quality model that may depend on distance.
 func WithLinks(l LinkModel) Option { return func(s *Scenario) { s.links = l } }
 
-// WithChurn enables a node failure/recovery model (default none).
+// WithChurn replaces the config's ChurnRate with a failure/recovery
+// model. Its schedule is fixed: it does not change with the run seed.
 func WithChurn(c Churn) Option { return func(s *Scenario) { s.churn = c } }
-
-// WithDuration sets the simulated time (default the paper's 5000 s).
-func WithDuration(d time.Duration) Option { return func(s *Scenario) { s.duration = d } }
-
-// WithBurst sets the dual model's alpha-s* threshold in sensor packets
-// (default 100).
-func WithBurst(packets int) Option { return func(s *Scenario) { s.burstPackets = packets } }
-
-// WithSeed sets the seed driving all run randomness (default 1).
-func WithSeed(seed int64) Option { return func(s *Scenario) { s.seed = seed } }
-
-// WithRadios selects the sensor and wifi energy profiles (default
-// Micaz and Lucent 11 Mbps).
-func WithRadios(sensor, wifi energy.Profile) Option {
-	return func(s *Scenario) {
-		s.sensorProfile = sensor
-		s.wifiProfile = wifi
-	}
-}
-
-// WithWifiRange overrides the wifi profile's transmission range (the
-// paper gives Lucent 11 Mbps the sensor radio's 40 m range; zero keeps
-// the profile range).
-func WithWifiRange(r units.Meters) Option { return func(s *Scenario) { s.wifiRange = r } }
-
-// WithPostBurstLinger keeps dual-model radios idling after bursts
-// (Figure 4's "idle" scenario; default immediate shutdown).
-func WithPostBurstLinger(d time.Duration) Option {
-	return func(s *Scenario) { s.postBurstLinger = d }
-}
-
-// WithShortcutLearner routes dual-model bursts over sensor-tree next
-// hops upgraded by shortcut learning (Section 3) instead of a wifi
-// tree.
-func WithShortcutLearner(on bool) Option {
-	return func(s *Scenario) { s.useShortcutLearner = on }
-}
-
-// WithMinGrant enables the give-up extension: grants below this many
-// packets abort the handshake (default off).
-func WithMinGrant(packets int) Option { return func(s *Scenario) { s.minGrantPackets = packets } }
-
-// WithAdaptiveThreshold enables the adaptive-s* extension with the
-// given alpha when positive (default off).
-func WithAdaptiveThreshold(alpha float64) Option {
-	return func(s *Scenario) { s.adaptiveAlpha = alpha }
-}
-
-// WithDelayBound enables the delay-constrained extension: buffered
-// packets older than the bound are sent over the low-power radio
-// (default off).
-func WithDelayBound(d time.Duration) Option { return func(s *Scenario) { s.delayBound = d } }
 
 // WithTrace enables per-run observability: every run of the scenario
 // records per-node per-radio per-state energy breakdowns
@@ -265,68 +191,19 @@ func WithTrace(o trace.Options) Option {
 	}
 }
 
-// NewScenario assembles and validates a Scenario from its parts. Every
-// default is explicit — the zero Scenario does not exist — and every
-// constraint (topology well-formedness, sink and sender placement,
-// rates, the churn schedule) is checked here, at build time, so
-// RunScenario cannot fail on configuration.
-//
-// Defaults: the paper's single-hop evaluation — dual model on a 6x6
-// grid over 200 m, near-center sink, 5 stable-shuffled CBR senders at
-// 0.2 Kbps, 5000 s, burst threshold 100, Micaz + Lucent 11 Mbps at
-// 40 m, no loss, no churn, seed 1.
-func NewScenario(opts ...Option) (*Scenario, error) {
-	s := &Scenario{
-		model:         ModelDual,
-		topology:      GridTopology(params.GridNodes, params.FieldSize),
-		sink:          SinkNearCenter(),
-		senders:       StableShuffleSenders(),
-		nSenders:      5,
-		workload:      CBRWorkload(params.LowRate),
-		duration:      params.SimDuration,
-		burstPackets:  100,
-		seed:          1,
-		sensorProfile: energy.Micaz(),
-		wifiProfile:   energy.Lucent11(),
-		wifiRange:     params.WifiShortRange,
-	}
-	for _, opt := range opts {
-		opt(s)
-	}
-	if err := s.build(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// build materializes and validates the composed parts.
+// build materializes and validates the composed parts. The scalar
+// settings were checked by Config.Validate.
 func (s *Scenario) build() error {
 	switch {
-	case s.model < ModelSensor || s.model > ModelDual:
-		return fmt.Errorf("netsim: invalid model %d", int(s.model))
 	case s.topology == nil:
 		return fmt.Errorf("netsim: nil topology")
 	case s.sink == nil:
 		return fmt.Errorf("netsim: nil sink policy")
 	case s.senders == nil:
 		return fmt.Errorf("netsim: nil sender policy")
-	case s.duration <= 0:
-		return fmt.Errorf("netsim: non-positive duration %v", s.duration)
-	case s.model == ModelDual && s.burstPackets < 1:
-		return fmt.Errorf("netsim: dual model needs positive burst size")
-	case s.minGrantPackets < 0:
-		return fmt.Errorf("netsim: negative min grant")
-	case s.adaptiveAlpha < 0:
-		return fmt.Errorf("netsim: negative adaptive alpha")
-	case s.delayBound < 0:
-		return fmt.Errorf("netsim: negative delay bound")
-	case s.postBurstLinger < 0:
-		return fmt.Errorf("netsim: negative post-burst linger")
-	case s.wifiRange < 0:
-		return fmt.Errorf("netsim: negative wifi range %v", s.wifiRange)
 	}
-	if s.wifiRange == 0 {
-		s.wifiRange = s.wifiProfile.Range
+	if s.cfg.WifiRange == 0 {
+		s.cfg.WifiRange = s.cfg.WifiProfile.Range
 	}
 	if err := s.workload.validate(); err != nil {
 		return err
@@ -349,16 +226,7 @@ func (s *Scenario) build() error {
 	if sink < 0 || sink >= layout.Len() {
 		return fmt.Errorf("netsim: sink %d outside layout", sink)
 	}
-	// The default sender count only applies to counting policies: an
-	// explicit sender set carries its own size, and the builder's
-	// untouched default must not conflict with it.
-	nWanted := s.nSenders
-	if !s.nSendersSet {
-		if _, explicit := s.senders.(explicitSenders); explicit {
-			nWanted = 0
-		}
-	}
-	senderIDs, err := s.senders.Pick(layout, sink, nWanted)
+	senderIDs, err := s.senders.Pick(layout, sink, s.cfg.Senders)
 	if err != nil {
 		return err
 	}
@@ -377,10 +245,10 @@ func (s *Scenario) build() error {
 	// instead of a routing failure mid-run. The sensor fabric must span
 	// the network for the sensor and dual models; the pure-802.11 model
 	// only needs connectivity at wifi range.
-	reqRange := s.sensorProfile.Range
+	reqRange := s.cfg.SensorProfile.Range
 	radioName := "sensor"
-	if s.model == ModelWifi {
-		reqRange = s.wifiRange
+	if s.cfg.Model == ModelWifi {
+		reqRange = s.cfg.WifiRange
 		radioName = "wifi"
 	}
 	if !layout.Connected(sink, reqRange) {
@@ -391,36 +259,46 @@ func (s *Scenario) build() error {
 	s.layout = layout
 	s.sinkID = sink
 	s.senderIDs = senderIDs
-	s.nSenders = len(senderIDs)
+	return s.resolveChurn()
+}
 
-	if s.churn != nil {
-		events, err := s.churn.Events(layout.Len(), sink, s.duration)
-		if err != nil {
-			return err
-		}
-		s.churnEvents = events
+// resolveChurn expands the churn part, or without one the config's
+// ChurnRate under the current run seed, into the run's schedule.
+func (s *Scenario) resolveChurn() error {
+	c := s.churn
+	if c == nil {
+		c = s.cfg.churn()
 	}
+	s.churnEvents = nil
+	if c == nil {
+		return nil
+	}
+	events, err := c.Events(s.layout.Len(), s.sinkID, s.cfg.Duration)
+	if err != nil {
+		return err
+	}
+	s.churnEvents = events
 	return nil
 }
 
 // agentConfig is node i's BCP agent configuration: the scenario's burst
 // threshold plus whichever extensions it enables.
 func (s *Scenario) agentConfig(i int) core.Config {
-	cfg := core.DefaultConfig(i, s.burstPackets)
-	cfg.PostBurstLinger = s.postBurstLinger
-	if s.minGrantPackets > 0 {
-		cfg.MinGrant = units.ByteSize(s.minGrantPackets) * params.SensorPayload
+	cfg := core.DefaultConfig(i, s.cfg.BurstPackets)
+	cfg.PostBurstLinger = s.cfg.PostBurstLinger
+	if s.cfg.MinGrantPackets > 0 {
+		cfg.MinGrant = units.ByteSize(s.cfg.MinGrantPackets) * params.SensorPayload
 	}
-	if s.adaptiveAlpha > 0 {
+	if s.cfg.AdaptiveThresholdAlpha > 0 {
 		cfg.AdaptiveThreshold = true
-		cfg.ThresholdAlpha = s.adaptiveAlpha
+		cfg.ThresholdAlpha = s.cfg.AdaptiveThresholdAlpha
 	}
-	cfg.DelayBound = s.delayBound
+	cfg.DelayBound = s.cfg.DelayBound
 	return cfg
 }
 
 // Model returns the evaluation model.
-func (s *Scenario) Model() Model { return s.model }
+func (s *Scenario) Model() Model { return s.cfg.Model }
 
 // Layout returns the materialized node positions.
 func (s *Scenario) Layout() *topo.Layout { return s.layout }
@@ -440,10 +318,10 @@ func (s *Scenario) SenderIDs() []int {
 }
 
 // Seed returns the run seed.
-func (s *Scenario) Seed() int64 { return s.seed }
+func (s *Scenario) Seed() int64 { return s.cfg.Seed }
 
 // Duration returns the simulated run length.
-func (s *Scenario) Duration() time.Duration { return s.duration }
+func (s *Scenario) Duration() time.Duration { return s.cfg.Duration }
 
 // TopologyKind names the scenario's topology family.
 func (s *Scenario) TopologyKind() string { return s.topology.Kind() }
@@ -465,31 +343,25 @@ func (s *Scenario) ChurnEvents() []ChurnEvent {
 // senders, capped at nodes-1 — and seed 1. Everything is deterministic
 // in (nodes, duration), so a fixed-seed run fingerprints stably.
 func NewScalingScenario(nodes int, duration time.Duration) (*Scenario, error) {
-	if nodes < 2 {
-		return nil, fmt.Errorf("netsim: scaling scenario needs at least 2 nodes, got %d", nodes)
-	}
 	side := int(math.Ceil(math.Sqrt(float64(nodes))))
-	field := units.Meters(float64(side-1)) * energy.Micaz().Range
-	senders := max(10, nodes/100)
-	if senders > nodes-1 {
-		senders = nodes - 1
-	}
-	return NewScenario(
-		WithModel(ModelSensor),
-		WithTopology(GridTopology(nodes, field)),
-		WithSenders(senders),
-		WithWorkload(CBRWorkload(params.HighRate)),
-		WithDuration(duration),
-	)
+	cfg := DefaultConfig(ModelSensor, min(max(10, nodes/100), nodes-1), 0, 1)
+	cfg.Nodes = nodes
+	cfg.Field = units.Meters(float64(side-1)) * cfg.SensorProfile.Range
+	cfg.Rate = params.HighRate
+	cfg.Duration = duration
+	return cfg.Scenario()
 }
 
 // withSeed returns a shallow copy of the scenario rebuilt with a
-// different run seed. Placement and churn schedules do not depend on
-// the run seed, so the copy shares the layout and reuses the resolved
-// IDs; only random topologies seeded from the run seed would differ,
-// and those carry their own seeds by construction.
-func (s *Scenario) withSeed(seed int64) *Scenario {
+// different run seed. Placement does not depend on the run seed, so
+// the copy shares the layout and the resolved IDs. A churn part keeps
+// its schedule; churn drawn from the config's ChurnRate is drawn again
+// for the new seed, as Config.Scenario would.
+func (s *Scenario) withSeed(seed int64) (*Scenario, error) {
 	c := *s
-	c.seed = seed
-	return &c
+	c.cfg.Seed = seed
+	if c.churn != nil {
+		return &c, nil
+	}
+	return &c, c.resolveChurn()
 }

@@ -1,9 +1,11 @@
 package netsim
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -60,19 +62,15 @@ func TestGoldenFingerprintsThroughCompatLayer(t *testing.T) {
 	}
 }
 
-// The explicit builder with equivalent parts must reproduce the same
-// bytes as the compiled flat config (same defaults, same wiring).
+// Parts passed explicitly that equal the ones the config's fields build
+// must reproduce the same bytes (same wiring either way).
 func TestGoldenFingerprintThroughExplicitScenario(t *testing.T) {
-	s, err := NewScenario(
-		WithModel(ModelDual),
+	s, err := shortConfig(ModelDual, 5, 100, 1).Scenario(
 		WithTopology(GridTopology(params.GridNodes, params.FieldSize)),
 		WithSink(SinkNearCenter()),
-		WithSenders(5),
 		WithSenderPolicy(StableShuffleSenders()),
 		WithWorkload(CBRWorkload(params.HighRate)),
-		WithDuration(testDuration),
-		WithBurst(100),
-		WithSeed(1),
+		WithLinks(LinkModel{}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -94,11 +92,11 @@ func TestSenderSubsetProperty(t *testing.T) {
 		GridTopology(36, 200),
 		UniformTopology(36, 150, 1),
 	} {
-		five, err := NewScenario(WithTopology(topol), WithSenders(5))
+		five, err := DefaultConfig(ModelDual, 5, 100, 1).Scenario(WithTopology(topol))
 		if err != nil {
 			t.Fatalf("%s: %v", topol.Kind(), err)
 		}
-		ten, err := NewScenario(WithTopology(topol), WithSenders(10))
+		ten, err := DefaultConfig(ModelDual, 10, 100, 1).Scenario(WithTopology(topol))
 		if err != nil {
 			t.Fatalf("%s: %v", topol.Kind(), err)
 		}
@@ -123,6 +121,14 @@ func TestSenderSubsetProperty(t *testing.T) {
 // scenarioDuration keeps the topology-matrix runs fast.
 const scenarioDuration = 120 * time.Second
 
+// scenarioConfig is shortConfig at scenarioDuration with burst 100 and
+// seed 1.
+func scenarioConfig(model Model, senders int) Config {
+	cfg := shortConfig(model, senders, 100, 1)
+	cfg.Duration = scenarioDuration
+	return cfg
+}
+
 // All four named topology kinds run end-to-end under every model.
 func TestTopologyKindsEndToEnd(t *testing.T) {
 	topologies := []Topology{
@@ -134,15 +140,7 @@ func TestTopologyKindsEndToEnd(t *testing.T) {
 	for _, topol := range topologies {
 		for _, model := range []Model{ModelSensor, ModelWifi, ModelDual} {
 			t.Run(topol.Kind()+"/"+model.String(), func(t *testing.T) {
-				s, err := NewScenario(
-					WithModel(model),
-					WithTopology(topol),
-					WithSenders(5),
-					WithWorkload(CBRWorkload(params.HighRate)),
-					WithDuration(scenarioDuration),
-					WithBurst(100),
-					WithSeed(1),
-				)
+				s, err := scenarioConfig(model, 5).Scenario(WithTopology(topol))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -194,20 +192,12 @@ func TestConfigTopologyFields(t *testing.T) {
 }
 
 func TestScenarioChurn(t *testing.T) {
-	base := []Option{
-		WithModel(ModelDual),
-		WithSenders(5),
-		WithWorkload(CBRWorkload(params.HighRate)),
-		WithDuration(scenarioDuration),
-		WithBurst(100),
-		WithSeed(1),
-	}
-	calm, err := NewScenario(base...)
+	cfg := scenarioConfig(ModelDual, 5)
+	calm, err := cfg.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}
-	churny, err := NewScenario(append(base[:len(base):len(base)],
-		WithChurn(RandomChurn(6, 30*time.Second, 7)))...)
+	churny, err := cfg.Scenario(WithChurn(RandomChurn(6, 30*time.Second, 7)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,18 +238,16 @@ func TestScenarioChurn(t *testing.T) {
 }
 
 func TestScheduledChurnValidation(t *testing.T) {
+	cfg := scenarioConfig(ModelDual, 5)
 	mk := func(ev ChurnEvent) error {
-		_, err := NewScenario(
-			WithDuration(scenarioDuration),
-			WithChurn(ScheduledChurn(ev)),
-		)
+		_, err := cfg.Scenario(WithChurn(ScheduledChurn(ev)))
 		return err
 	}
 	okEv := ChurnEvent{At: time.Second, Node: 0, Down: true}
 	if err := mk(okEv); err != nil {
 		t.Fatalf("valid churn event rejected: %v", err)
 	}
-	sink, err := NewScenario(WithDuration(scenarioDuration))
+	sink, err := cfg.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,10 +261,10 @@ func TestScheduledChurnValidation(t *testing.T) {
 			t.Errorf("%s churn event accepted", name)
 		}
 	}
-	if _, err := NewScenario(WithChurn(RandomChurn(0, time.Minute, 1))); err == nil {
+	if _, err := cfg.Scenario(WithChurn(RandomChurn(0, time.Minute, 1))); err == nil {
 		t.Error("zero churn rate accepted")
 	}
-	if _, err := NewScenario(WithChurn(RandomChurn(1, 0, 1))); err == nil {
+	if _, err := cfg.Scenario(WithChurn(RandomChurn(1, 0, 1))); err == nil {
 		t.Error("zero churn downtime accepted")
 	}
 }
@@ -299,26 +287,21 @@ func TestConfigChurn(t *testing.T) {
 	}
 }
 
+// The builder validates the parts and the resolved layout; scalar
+// fields are Config.Validate's (TestConfigValidate,
+// TestValidateNamesOffendingField).
 func TestScenarioBuildValidation(t *testing.T) {
 	cases := map[string][]Option{
 		"nil topology":      {WithTopology(nil)},
-		"bad model":         {WithModel(Model(9))},
+		"nil sink":          {WithSink(nil)},
+		"nil senders":       {WithSenderPolicy(nil)},
 		"one node":          {WithTopology(ExplicitTopology(topo.Position{}))},
-		"zero duration":     {WithDuration(0)},
-		"dual zero burst":   {WithBurst(0)},
-		"negative grant":    {WithMinGrant(-1)},
-		"negative alpha":    {WithAdaptiveThreshold(-1)},
-		"negative bound":    {WithDelayBound(-time.Second)},
-		"negative linger":   {WithPostBurstLinger(-time.Second)},
-		"zero senders":      {WithSenders(0)},
-		"too many senders":  {WithSenders(36)},
+		"senders exceed":    {WithTopology(LinearTopology(4, 100))},
 		"sink out of range": {WithSink(SinkAt(99))},
-		"sender is sink": {WithSink(SinkAt(3)),
-			WithSenderPolicy(ExplicitSenders(3)), WithSenders(0)},
-		"duplicate sender": {WithSenderPolicy(ExplicitSenders(1, 1)), WithSenders(0)},
-		"sender count conflict": {WithSenderPolicy(ExplicitSenders(1, 2)),
-			WithSenders(3)},
-		"zero rate": {WithWorkload(CBRWorkload(0))},
+		"sender is sink":    {WithSink(SinkAt(3)), WithSenderPolicy(ExplicitSenders(3))},
+		"duplicate sender":  {WithSenderPolicy(ExplicitSenders(1, 1))},
+		"no senders":        {WithSenderPolicy(ExplicitSenders())},
+		"zero rate":         {WithWorkload(CBRWorkload(0))},
 		"bad per-sender rate": {WithWorkload(Workload{
 			Traffic: TrafficCBR, Rates: []units.BitRate{2000, 0}})},
 		"bad traffic":       {WithWorkload(Workload{Traffic: Traffic(9), Rate: 2000})},
@@ -327,15 +310,15 @@ func TestScenarioBuildValidation(t *testing.T) {
 		"capped on-off":     {WithWorkload(Workload{Traffic: TrafficOnOff, Rate: 2000, Messages: 10})},
 		"bad loss":          {WithLinks(LinkModel{SensorLoss: 1})},
 		"bad wifi loss":     {WithLinks(LinkModel{WifiLoss: -0.1})},
-		"negative range":    {WithWifiRange(-1)},
 	}
-	for name, opts := range cases {
-		if _, err := NewScenario(opts...); err == nil {
-			t.Errorf("%s: NewScenario accepted invalid options", name)
+	cfg := DefaultConfig(ModelDual, 5, 100, 1)
+	for name, parts := range cases {
+		if _, err := cfg.Scenario(parts...); err == nil {
+			t.Errorf("%s: Scenario accepted invalid parts", name)
 		}
 	}
-	// The default scenario builds without any option.
-	s, err := NewScenario()
+	// The paper's default config builds without any part.
+	s, err := cfg.Scenario()
 	if err != nil {
 		t.Fatalf("default scenario: %v", err)
 	}
@@ -347,12 +330,10 @@ func TestScenarioBuildValidation(t *testing.T) {
 }
 
 func TestExplicitSendersAndSink(t *testing.T) {
-	s, err := NewScenario(
-		WithModel(ModelSensor),
+	// Config.Senders is 5, but an explicit set carries its own count.
+	s, err := scenarioConfig(ModelSensor, 5).Scenario(
 		WithSink(SinkAt(0)),
-		WithSenderPolicy(ExplicitSenders(35, 30, 5)), // count implied by the set
-		WithWorkload(CBRWorkload(params.HighRate)),
-		WithDuration(scenarioDuration),
+		WithSenderPolicy(ExplicitSenders(35, 30, 5)),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -374,10 +355,7 @@ func TestExplicitSendersAndSink(t *testing.T) {
 }
 
 func TestFarthestSenders(t *testing.T) {
-	s, err := NewScenario(
-		WithSenderPolicy(FarthestSenders()),
-		WithSenders(4),
-	)
+	s, err := DefaultConfig(ModelDual, 4, 100, 1).Scenario(WithSenderPolicy(FarthestSenders()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,26 +392,15 @@ func TestFarthestSenders(t *testing.T) {
 // Heterogeneous per-sender rates tile over the sender set and shape the
 // generated volume accordingly.
 func TestHeterogeneousRates(t *testing.T) {
-	uniform, err := NewScenario(
-		WithModel(ModelSensor),
-		WithSenders(4),
-		WithWorkload(CBRWorkload(params.HighRate)),
-		WithDuration(scenarioDuration),
-		WithSeed(1),
-	)
+	cfg := scenarioConfig(ModelSensor, 4)
+	uniform, err := cfg.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}
-	mixed, err := NewScenario(
-		WithModel(ModelSensor),
-		WithSenders(4),
-		WithWorkload(Workload{
-			Traffic: TrafficCBR,
-			Rates:   []units.BitRate{params.HighRate, params.HighRate / 10},
-		}),
-		WithDuration(scenarioDuration),
-		WithSeed(1),
-	)
+	mixed, err := cfg.Scenario(WithWorkload(Workload{
+		Traffic: TrafficCBR,
+		Rates:   []units.BitRate{params.HighRate, params.HighRate / 10},
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,20 +426,12 @@ func TestHeterogeneousRates(t *testing.T) {
 // Distance-dependent loss loses more than a lossless channel and keeps
 // the run deterministic.
 func TestDistanceDependentLoss(t *testing.T) {
-	base := []Option{
-		WithModel(ModelSensor),
-		WithSenders(5),
-		WithWorkload(CBRWorkload(params.HighRate)),
-		WithDuration(scenarioDuration),
-		WithSeed(1),
-	}
-	clean, err := NewScenario(base...)
+	cfg := scenarioConfig(ModelSensor, 5)
+	clean, err := cfg.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}
-	lossy, err := NewScenario(append(base[:len(base):len(base)], WithLinks(LinkModel{
-		SensorLossAt: DistanceLoss(0, 0.4, 40),
-	}))...)
+	lossy, err := cfg.Scenario(WithLinks(LinkModel{SensorLossAt: DistanceLoss(0, 0.4, 40)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,12 +463,9 @@ func TestDistanceDependentLoss(t *testing.T) {
 }
 
 func TestRunScenarioMany(t *testing.T) {
-	s, err := NewScenario(
-		WithSenders(5),
-		WithWorkload(CBRWorkload(params.HighRate)),
-		WithDuration(100*time.Second),
-		WithBurst(100),
-	)
+	cfg := shortConfig(ModelDual, 5, 100, 1)
+	cfg.Duration = 100 * time.Second
+	s, err := cfg.Scenario(WithChurn(RandomChurn(20, 10*time.Second, 7)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,20 +476,75 @@ func TestRunScenarioMany(t *testing.T) {
 	if len(results) != 3 {
 		t.Fatalf("got %d results", len(results))
 	}
-	serial := make([]Result, 3)
-	for r := range serial {
-		res, err := RunScenario(s.withSeed(10 + int64(r)))
+	for r := range results {
+		rep, err := s.withSeed(10 + int64(r))
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial[r] = res
-	}
-	for r := range serial {
-		if fingerprint(t, serial[r]) != fingerprint(t, results[r]) {
+		// A churn part keeps its schedule across repetitions.
+		if !reflect.DeepEqual(rep.ChurnEvents(), s.ChurnEvents()) {
+			t.Errorf("rep %d: churn part's schedule changed with the run seed", r)
+		}
+		res, err := RunScenario(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fingerprint(t, res) != fingerprint(t, results[r]) {
 			t.Errorf("rep %d: parallel result differs from serial", r)
 		}
 	}
+	goodput, normE, idealE, delay := Summaries(results)
+	if goodput.N != 3 || normE.N != 3 || idealE.N != 3 {
+		t.Errorf("summaries N wrong: %d/%d/%d", goodput.N, normE.N, idealE.N)
+	}
+	if goodput.Mean <= 0 || goodput.Mean > 1 {
+		t.Errorf("goodput mean = %v", goodput.Mean)
+	}
+	if delay <= 0 {
+		t.Errorf("delay = %v", delay)
+	}
 	if _, err := RunScenarioMany(s, 0, 1); err == nil {
 		t.Error("RunScenarioMany(0) did not error")
+	}
+}
+
+// Rep r of RunScenarioMany(cfg.Scenario(), n, base) is Run(cfg) at
+// seed base+r, byte for byte: churn drawn from Config.ChurnRate is
+// drawn again for each seed, as Run draws it.
+func TestRunScenarioManyMatchesRun(t *testing.T) {
+	const base = 1
+	plain := shortConfig(ModelDual, 5, 100, base)
+	plain.Duration = 100 * time.Second
+	lossy := plain
+	lossy.SensorLoss, lossy.WifiLoss = 0.05, 0.05
+	churn := plain
+	churn.ChurnRate = 20
+	churn.ChurnMeanDowntime = 10 * time.Second
+	for name, cfg := range map[string]Config{"plain": plain, "lossy": lossy, "churn": churn} {
+		t.Run(name, func(t *testing.T) {
+			s, err := cfg.Scenario()
+			if err != nil {
+				t.Fatal(err)
+			}
+			many, err := RunScenarioMany(s, 3, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r, got := range many {
+				c := cfg
+				c.Seed = base + int64(r)
+				want, err := json.Marshal(mustRun(t, c))
+				if err != nil {
+					t.Fatal(err)
+				}
+				enc, err := json.Marshal(got)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(enc, want) {
+					t.Errorf("rep %d differs from Run at seed %d", r, c.Seed)
+				}
+			}
+		})
 	}
 }

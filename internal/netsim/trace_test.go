@@ -187,7 +187,7 @@ func checkStateReplay(t testing.TB, s *Scenario, res Result) {
 		if !ok {
 			// Radios attach on, except the dual model's 802.11 radio.
 			start := energy.Idle
-			if radio == "wifi" && s.model == ModelDual {
+			if radio == "wifi" && s.cfg.Model == ModelDual {
 				start = energy.Off
 			}
 			r = &replay{state: start, in: make(map[energy.State]time.Duration)}
@@ -223,10 +223,10 @@ func checkStateReplay(t testing.TB, s *Scenario, res Result) {
 	for _, n := range res.PerNode {
 		for _, x := range n.Radios {
 			r := get(n.Node, x.Radio)
-			r.in[r.state] += s.duration - r.since
-			p, freeIdle := s.wifiProfile, false
+			r.in[r.state] += s.cfg.Duration - r.since
+			p, freeIdle := s.cfg.WifiProfile, false
 			if x.Radio == "sensor" {
-				p, freeIdle = s.sensorProfile, true
+				p, freeIdle = s.cfg.SensorProfile, true
 			}
 			ledger := make(map[string]metrics.StateEnergy)
 			for _, st := range x.States {

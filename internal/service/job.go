@@ -52,9 +52,12 @@ const maxCellErrorDetails = 100
 // job is one accepted submission: a compiled job list plus its
 // execution state and event stream.
 type job struct {
-	id     string
-	kind   string
-	jobs   []sweep.Job
+	id   string
+	kind string
+	// cells is the length of the compiled job list.
+	cells int
+	// traced is the cell that a run job's trace.jsonl re-simulates.
+	traced sweep.Job
 	stream *stream
 
 	// rawDoc is the submitted spec document (lowered sweep.SpecDoc
@@ -78,6 +81,10 @@ type job struct {
 	cellsFailed int
 	cellErrs    []CellErrorDetail // capped at maxCellErrorDetails
 	cancel      context.CancelCauseFunc
+	// jobs is the compiled job list, dropped once the job is terminal:
+	// nothing reads it after execution, and it holds hundreds of bytes
+	// per cell.
+	jobs []sweep.Job
 	// summary and resultsJSON are a done job's results: the per-point
 	// summaries that results.csv and report.md render from, and
 	// results.json rendered once at completion. The per-run results
@@ -188,7 +195,7 @@ func (j *job) status() JobStatus {
 	defer j.mu.Unlock()
 	st := JobStatus{
 		ID: j.id, Kind: j.kind, State: string(j.state), Error: j.errText,
-		Cells: len(j.jobs), CellsDone: j.cellsDone, CellsCached: j.cellsCached,
+		Cells: j.cells, CellsDone: j.cellsDone, CellsCached: j.cellsCached,
 		CellsFailed: j.cellsFailed, CellErrors: j.cellErrs,
 		CellErrorsTruncated: j.cellsFailed > len(j.cellErrs),
 		DeadlineS:           j.deadline.Seconds(),
@@ -312,16 +319,19 @@ func (s *Server) adopt(kind string, jobs []sweep.Job, rawDoc json.RawMessage, de
 		return nil, submitFull
 	}
 	j := &job{
-		id: id, kind: kind, jobs: jobs, state: jobQueued,
+		id: id, kind: kind, cells: len(jobs), jobs: jobs, state: jobQueued,
 		rawDoc: rawDoc, deadline: deadline,
 		stream: newStream(), submittedAt: time.Now(),
+	}
+	if kind == kindRun {
+		j.traced = jobs[0]
 	}
 	j.stream.publish("queued", struct {
 		// ID and Kind identify the job; Cells is its simulation count.
 		ID    string `json:"id"`
 		Kind  string `json:"kind"`
 		Cells int    `json:"cells"`
-	}{j.id, j.kind, len(j.jobs)})
+	}{j.id, j.kind, j.cells})
 	s.jobs[id] = j
 	if prev != nil {
 		// Retrying a failed or canceled spec replaces its job in the
@@ -353,7 +363,7 @@ func (s *Server) adopt(kind string, jobs []sweep.Job, rawDoc json.RawMessage, de
 		s.wg.Add(1)
 		go s.executor()
 	}
-	s.log.Info("job queued", "job", j.id, "kind", j.kind, "cells", len(j.jobs))
+	s.log.Info("job queued", "job", j.id, "kind", j.kind, "cells", j.cells)
 	return j, submitNew
 }
 
@@ -423,7 +433,7 @@ func (s *Server) recoverPending(pending []journalRecord) {
 			continue
 		}
 		s.counters.recovered.Add(1)
-		s.log.Info("job recovered", "job", j.id, "kind", j.kind, "cells", len(j.jobs))
+		s.log.Info("job recovered", "job", j.id, "kind", j.kind, "cells", j.cells)
 	}
 }
 
@@ -486,6 +496,7 @@ func (j *job) finish(state jobState, errText string, summary *sweep.Summary, res
 	j.state = state
 	j.errText = errText
 	j.summary, j.resultsJSON = summary, resultsJSON
+	j.jobs = nil
 	j.finishedAt = time.Now()
 	j.mu.Unlock()
 }
@@ -522,18 +533,19 @@ func (s *Server) runJob(j *job) {
 	j.state = jobRunning
 	j.startedAt = start
 	j.cancel = cancel
+	jobs := j.jobs
 	j.mu.Unlock()
 	queueWait := start.Sub(j.submittedAt)
 	s.hist.queueWait.ObserveDuration(queueWait)
 	s.counters.busy.start(start)
 	s.log.Info("job running", "job", j.id, "kind", j.kind,
-		"cells", len(j.jobs), "queue_wait_s", queueWait.Seconds())
+		"cells", j.cells, "queue_wait_s", queueWait.Seconds())
 	j.stream.publish("started", struct {
 		// Cells is the number of simulations about to run.
 		Cells int `json:"cells"`
-	}{len(j.jobs)})
+	}{j.cells})
 
-	outcome, err := s.pool.RunJobsProgressContext(ctx, j.jobs, func(u sweep.JobUpdate) {
+	outcome, err := s.pool.RunJobsProgressContext(ctx, jobs, func(u sweep.JobUpdate) {
 		if !u.Cached && u.Err == nil {
 			s.hist.cellSim.ObserveDuration(u.Duration)
 		}
@@ -585,7 +597,7 @@ func (s *Server) runJob(j *job) {
 	j.mu.Lock()
 	failedCells, cached := j.cellsFailed, j.cellsCached
 	j.mu.Unlock()
-	if failedCells > 0 && failedCells == len(j.jobs) {
+	if failedCells > 0 && failedCells == j.cells {
 		// Nothing survived: report the job itself as failed, with the
 		// per-cell detail still attached for diagnosis.
 		msg := fmt.Sprintf("all %d cells failed; first: %s", failedCells, outcome.Errors[0].Error())
@@ -595,20 +607,18 @@ func (s *Server) runJob(j *job) {
 	summary := outcome.Summary()
 	var resultsJSON bytes.Buffer
 	if err := summary.WriteJSON(&resultsJSON); err != nil {
-		// JSON has no +Inf, which a point that delivered nothing but
-		// spent energy summarizes to. results.json stays empty; the
-		// job is still done and results.csv and report.md render.
-		s.log.Warn("results.json not encodable", "job", j.id, "error", err)
+		s.finishFailed(j, err.Error(), execution)
+		return
 	}
 
 	s.counters.cellsCached.Add(int64(cached))
-	s.counters.cellsSimulated.Add(int64(len(j.jobs) - cached - failedCells))
+	s.counters.cellsSimulated.Add(int64(j.cells - cached - failedCells))
 	s.counters.done.Add(1)
 	s.drains.record(time.Now())
 	s.journal.append(journalRecord{Op: opDone, ID: j.id})
 	s.log.Info("job done", "job", j.id, "kind", j.kind,
 		"execution_s", execution.Seconds(),
-		"cells", len(j.jobs), "cells_cached", cached, "cells_failed", failedCells)
+		"cells", j.cells, "cells_cached", cached, "cells_failed", failedCells)
 	j.finish(jobDone, "", summary, resultsJSON.Bytes())
 	j.stream.publish("done", struct {
 		// CellsDone, CellsCached and CellsFailed are the final progress
@@ -616,7 +626,7 @@ func (s *Server) runJob(j *job) {
 		CellsDone   int `json:"cells_done"`
 		CellsCached int `json:"cells_cached"`
 		CellsFailed int `json:"cells_failed,omitempty"`
-	}{len(j.jobs), cached, failedCells})
+	}{j.cells, cached, failedCells})
 	j.stream.close()
 }
 
@@ -664,6 +674,7 @@ func (s *Server) cancelJob(j *job) (accepted bool) {
 			s.queue = slices.Delete(s.queue, i, i+1)
 		}
 		j.state = jobCanceled
+		j.jobs = nil
 		j.finishedAt = time.Now()
 	}
 	j.mu.Unlock()
@@ -737,8 +748,7 @@ func (s *Server) serveTrace(w http.ResponseWriter, j *job) {
 
 // traceRuns executes the traced repetition behind serveTrace.
 func traceRuns(j *job) ([]sweep.TracedRun, error) {
-	cfg := j.jobs[0].Config
-	sc, err := cfg.Scenario(netsim.WithTrace(trace.Options{Packets: true, States: true}))
+	sc, err := j.traced.Config.Scenario(netsim.WithTrace(trace.Options{Packets: true, States: true}))
 	if err != nil {
 		return nil, fmt.Errorf("building traced scenario: %w", err)
 	}
@@ -746,5 +756,5 @@ func traceRuns(j *job) ([]sweep.TracedRun, error) {
 	if err != nil {
 		return nil, fmt.Errorf("traced run: %w", err)
 	}
-	return []sweep.TracedRun{{Label: j.jobs[0].Point.String(), Result: res}}, nil
+	return []sweep.TracedRun{{Label: j.traced.Point.String(), Result: res}}, nil
 }

@@ -52,13 +52,28 @@ func newLocalService(t *testing.T) *Server {
 	return svc
 }
 
+// sweep40Spec is a 40-cell sweep (2 sender counts x 2 bursts x 10
+// runs of 5 simulated seconds) at the given seed.
+func sweep40Spec(seed int) string {
+	return fmt.Sprintf(`{"models": ["dual"], "senders": [5, 10], "bursts": [10, 100], `+
+		`"runs": 10, "rate_bps": 2000, "duration_s": 5, "seed": %d}`, seed)
+}
+
 // runLocal submits one run job and follows its event stream to the
 // end, failing the test unless the job is done. It returns the job id.
 func runLocal(t *testing.T, svc *Server, body string) string {
 	t.Helper()
-	rec := serveLocal(svc, http.MethodPost, "/v1/runs", body)
+	return submitLocal(t, svc, "/v1/runs", body)
+}
+
+// submitLocal posts body to path (/v1/runs or /v1/sweeps) and follows
+// the job's event stream to the end, failing the test unless the job
+// is done. It returns the job id.
+func submitLocal(t *testing.T, svc *Server, path, body string) string {
+	t.Helper()
+	rec := serveLocal(svc, http.MethodPost, path, body)
 	if rec.Code != http.StatusAccepted {
-		t.Fatalf("POST /v1/runs = %d: %s", rec.Code, rec.Body)
+		t.Fatalf("POST %s = %d: %s", path, rec.Code, rec.Body)
 	}
 	var st JobStatus
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
@@ -101,6 +116,29 @@ func TestDoneJobRetention(t *testing.T) {
 	t.Logf("%d done jobs grew the live heap by %d B (%d B per job)", jobs, grown, grown/jobs)
 	if grown/jobs >= perJobLimit {
 		t.Errorf("each done job retains %d B, want < %d B", grown/jobs, perJobLimit)
+	}
+}
+
+// TestDoneSweepRetention bounds what a finished 40-cell sweep keeps:
+// its cell count, summaries, results.json and the SSE history that
+// replay needs, but not its compiled job list (about 400 B per cell).
+func TestDoneSweepRetention(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap measurement is skewed under -race")
+	}
+	const jobs, perJobLimit = 20, 24 << 10
+	svc := newLocalService(t)
+	for seed := 1; seed <= 2; seed++ { // warm up executors and pools
+		submitLocal(t, svc, "/v1/sweeps", sweep40Spec(seed))
+	}
+	before := liveHeap()
+	for seed := 100; seed < 100+jobs; seed++ {
+		submitLocal(t, svc, "/v1/sweeps", sweep40Spec(seed))
+	}
+	grown := liveHeap() - before
+	t.Logf("%d done sweeps grew the live heap by %d B (%d B per job)", jobs, grown, grown/jobs)
+	if grown/jobs >= perJobLimit {
+		t.Errorf("each done sweep retains %d B, want < %d B", grown/jobs, perJobLimit)
 	}
 }
 

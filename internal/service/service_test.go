@@ -251,6 +251,32 @@ func TestInfiniteEnergyJobCompletes(t *testing.T) {
 	}
 }
 
+// results.json of a +Inf J/Kbit point is valid JSON carrying null.
+func TestInfiniteEnergyResultsJSONIsNull(t *testing.T) {
+	_, ts := newTestService(t, Options{})
+	st := submit(t, ts.URL+"/v1/runs",
+		`{"model": "sensor", "senders": 5, "duration_s": 0.01, "rate_bps": 2000}`, http.StatusAccepted)
+	if done := waitDone(t, ts.URL, st.ID); done.State != "done" {
+		t.Fatalf("job ended %s: %s", done.State, done.Error)
+	}
+	resp, data := getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/artifacts/results.json")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("results.json = %d: %s", resp.StatusCode, data)
+	}
+	var doc struct {
+		Cells []map[string]any `json:"cells"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("results.json is not valid JSON: %v\n%s", err, data)
+	}
+	if len(doc.Cells) != 1 {
+		t.Fatalf("got %d cells, want 1", len(doc.Cells))
+	}
+	if v, ok := doc.Cells[0]["norm_energy_j_per_kbit"]; !ok || v != nil {
+		t.Errorf("norm_energy_j_per_kbit = %v (present %v), want null", v, ok)
+	}
+}
+
 func TestIdenticalSpecDedupe(t *testing.T) {
 	_, ts := newTestService(t, Options{})
 	first := submit(t, ts.URL+"/v1/sweeps", sweepBody, http.StatusAccepted)

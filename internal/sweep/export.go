@@ -5,8 +5,22 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 )
+
+// exportFloat is an exported metric. JSON has no Inf or NaN, so a
+// non-finite value encodes as null: a point that spent energy but
+// delivered nothing summarizes to a J/Kbit of +Inf (and a NaN CI).
+type exportFloat float64
+
+// MarshalJSON encodes finite values exactly as a float64 would.
+func (f exportFloat) MarshalJSON() ([]byte, error) {
+	if math.IsInf(float64(f), 0) || math.IsNaN(float64(f)) {
+		return []byte("null"), nil
+	}
+	return json.Marshal(float64(f))
+}
 
 // exportCell is the stable JSON shape of one summarized grid point.
 type exportCell struct {
@@ -18,17 +32,17 @@ type exportCell struct {
 	// omitted for default-scenario cells (pre-redesign exports keep
 	// their shape); in CSV they append as trailing columns so legacy
 	// positional consumers are unaffected.
-	Topology  string  `json:"topology,omitempty"`
-	ChurnRate float64 `json:"churn_rate,omitempty"`
-	Runs      int     `json:"runs"`
+	Topology  string      `json:"topology,omitempty"`
+	ChurnRate exportFloat `json:"churn_rate,omitempty"`
+	Runs      int         `json:"runs"`
 
-	Goodput       float64 `json:"goodput"`
-	GoodputCI     float64 `json:"goodput_ci95"`
-	NormEnergy    float64 `json:"norm_energy_j_per_kbit"`
-	NormEnergyCI  float64 `json:"norm_energy_ci95"`
-	IdealEnergy   float64 `json:"ideal_energy_j_per_kbit"`
-	IdealEnergyCI float64 `json:"ideal_energy_ci95"`
-	MeanDelayS    float64 `json:"mean_delay_s"`
+	Goodput       exportFloat `json:"goodput"`
+	GoodputCI     exportFloat `json:"goodput_ci95"`
+	NormEnergy    exportFloat `json:"norm_energy_j_per_kbit"`
+	NormEnergyCI  exportFloat `json:"norm_energy_ci95"`
+	IdealEnergy   exportFloat `json:"ideal_energy_j_per_kbit"`
+	IdealEnergyCI exportFloat `json:"ideal_energy_ci95"`
+	MeanDelayS    exportFloat `json:"mean_delay_s"`
 }
 
 func toExportCell(c CellSummary) exportCell {
@@ -38,15 +52,15 @@ func toExportCell(c CellSummary) exportCell {
 		Burst:         c.Point.Burst,
 		Traffic:       c.Point.Traffic.String(),
 		Topology:      c.Point.Topology,
-		ChurnRate:     c.Point.Churn,
+		ChurnRate:     exportFloat(c.Point.Churn),
 		Runs:          c.Runs,
-		Goodput:       c.Goodput.Mean,
-		GoodputCI:     c.Goodput.CI95,
-		NormEnergy:    c.NormEnergy.Mean,
-		NormEnergyCI:  c.NormEnergy.CI95,
-		IdealEnergy:   c.IdealEnergy.Mean,
-		IdealEnergyCI: c.IdealEnergy.CI95,
-		MeanDelayS:    c.MeanDelay.Seconds(),
+		Goodput:       exportFloat(c.Goodput.Mean),
+		GoodputCI:     exportFloat(c.Goodput.CI95),
+		NormEnergy:    exportFloat(c.NormEnergy.Mean),
+		NormEnergyCI:  exportFloat(c.NormEnergy.CI95),
+		IdealEnergy:   exportFloat(c.IdealEnergy.Mean),
+		IdealEnergyCI: exportFloat(c.IdealEnergy.CI95),
+		MeanDelayS:    exportFloat(c.MeanDelay.Seconds()),
 	}
 }
 
@@ -120,7 +134,7 @@ func (sum *Summary) WriteCSV(w io.Writer) error {
 	if err := cw.Write(csvHeader); err != nil {
 		return fmt.Errorf("sweep: csv export: %w", err)
 	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	f := func(v exportFloat) string { return strconv.FormatFloat(float64(v), 'g', -1, 64) }
 	for _, cell := range sum.Cells {
 		e := toExportCell(cell)
 		row := []string{

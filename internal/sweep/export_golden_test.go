@@ -3,6 +3,7 @@ package sweep_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -98,5 +99,36 @@ func TestExportGoldens(t *testing.T) {
 					tc.name, golden, got, want)
 			}
 		})
+	}
+}
+
+// A point that spent energy but delivered nothing summarizes to a
+// J/Kbit of +Inf, which JSON cannot carry: results.json encodes it as
+// null instead of failing.
+func TestWriteJSONEncodesInfiniteEnergyAsNull(t *testing.T) {
+	spec, err := sweep.ParseSpecJSON([]byte(`{"models": ["sensor"], "senders": [5], "duration_s": 0.01, "rate_bps": 2000}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := (&sweep.Pool{Workers: 1}).RunSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sweep.WriteJSON(&buf, out); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Cells []map[string]any `json:"cells"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("results.json is not valid JSON: %v\n%s", err, buf.Bytes())
+	}
+	if len(doc.Cells) != 1 {
+		t.Fatalf("got %d cells, want 1", len(doc.Cells))
+	}
+	v, ok := doc.Cells[0]["norm_energy_j_per_kbit"]
+	if !ok || v != nil {
+		t.Errorf("norm_energy_j_per_kbit = %v (present %v), want null", v, ok)
 	}
 }

@@ -16,8 +16,7 @@ import (
 )
 
 // Pool executes sweep jobs on a fixed-size worker budget. The zero
-// value is usable: runtime.NumCPU workers, no cache, no progress
-// reporting, no retries. A Pool is safe for concurrent use: it holds
+// value is usable: runtime.NumCPU workers, no cache, no retries. A Pool is safe for concurrent use: it holds
 // its settings plus the slot budget, and one Run call's jobs never
 // interleave state with another's (netsim runs share nothing).
 // Duplicate configurations within one Run call are simulated once;
@@ -49,11 +48,6 @@ type Pool struct {
 	// Retry governs per-cell retry of failed or panicked simulations;
 	// the zero value runs each cell once.
 	Retry RetryPolicy
-
-	// Progress, when non-nil, is called after each job resolves with
-	// the number of jobs done so far and the total. Calls are
-	// serialized but may come from any worker goroutine.
-	Progress func(done, total int)
 
 	// OnCacheError, when non-nil, observes result-cache write failures
 	// (disk full, permissions, ...). Cache writes are not load-bearing:
@@ -166,7 +160,7 @@ func (p *Pool) Run(jobs []Job) ([]netsim.Result, error) {
 }
 
 // run executes jobs with per-job progress reporting. In wholesale mode
-// (partial false, the Run/Grid/Reps path) the first final cell error
+// (partial false, the Run/Grid path) the first final cell error
 // aborts the batch and is returned. In partial mode (partial true, the
 // RunJobsProgressContext path) every cell is attempted; quarantined
 // cells are returned as CellErrors — sorted by index — alongside the
@@ -196,9 +190,6 @@ func (p *Pool) run(ctx context.Context, jobs []Job, onJob func(JobUpdate), parti
 		done++
 		if fromCache {
 			cached++
-		}
-		if p.Progress != nil {
-			p.Progress(done, total)
 		}
 		if onJob != nil {
 			onJob(JobUpdate{
@@ -418,8 +409,8 @@ func (p *Pool) RunJobsProgressContext(ctx context.Context, jobs []Job, onJob fun
 
 // Grid runs every configuration with runs seeded repetitions (seeds
 // baseSeed..baseSeed+runs-1, common across configs) and returns the
-// per-configuration result groups, in input order. It is the batched,
-// cached, parallel replacement for calling netsim.RunMany per cell.
+// per-configuration result groups, in input order: the batched, cached
+// form of netsim.RunScenarioMany over each configuration.
 func (p *Pool) Grid(cfgs []netsim.Config, runs int, baseSeed int64) ([][]netsim.Result, error) {
 	if runs < 1 {
 		return nil, fmt.Errorf("sweep: runs %d < 1", runs)
@@ -450,14 +441,4 @@ func (p *Pool) Grid(cfgs []netsim.Config, runs int, baseSeed int64) ([][]netsim.
 		out[i] = flat[i*runs : (i+1)*runs : (i+1)*runs]
 	}
 	return out, nil
-}
-
-// Reps runs one configuration with runs seeded repetitions — the
-// pooled, cached equivalent of netsim.RunMany.
-func (p *Pool) Reps(cfg netsim.Config, runs int, baseSeed int64) ([]netsim.Result, error) {
-	groups, err := p.Grid([]netsim.Config{cfg}, runs, baseSeed)
-	if err != nil {
-		return nil, err
-	}
-	return groups[0], nil
 }

@@ -158,16 +158,16 @@ func TestPoolProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := 0
-	pool := &Pool{Workers: 4, Progress: func(done, total int) {
-		if total != len(jobs) {
-			t.Errorf("progress total = %d, want %d", total, len(jobs))
+	pool := &Pool{Workers: 4}
+	if _, err := pool.RunJobsProgress(jobs, func(u JobUpdate) {
+		if u.Total != len(jobs) {
+			t.Errorf("progress total = %d, want %d", u.Total, len(jobs))
 		}
-		if done < last {
-			t.Errorf("progress went backwards: %d after %d", done, last)
+		if u.Done != last+1 {
+			t.Errorf("progress skipped or went backwards: %d after %d", u.Done, last)
 		}
-		last = done
-	}}
-	if _, err := pool.Run(jobs); err != nil {
+		last = u.Done
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if last != len(jobs) {
@@ -323,13 +323,17 @@ func TestGridGroupsPerConfig(t *testing.T) {
 	if len(groups) != 2 || len(groups[0]) != 3 || len(groups[1]) != 3 {
 		t.Fatalf("bad grouping shape: %d groups", len(groups))
 	}
-	want, err := netsim.RunMany(base, 3, 7)
+	s, err := base.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := netsim.RunScenarioMany(s, 3, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
 		if !resultsEqual(groups[0][i], want[i]) {
-			t.Errorf("Grid rep %d diverges from RunMany", i)
+			t.Errorf("Grid rep %d diverges from RunScenarioMany", i)
 		}
 	}
 }
