@@ -12,7 +12,7 @@ import (
 func goodFlags() flagValues {
 	return flagValues{
 		workers: 0, queue: 16, jobWorkers: 1,
-		maxCells: 100, maxJobs: 64, cellAttempts: 1,
+		maxCells: 100, maxJobs: 64,
 		drain: 30 * time.Second, readHdrTO: 10 * time.Second,
 		readTO: 30 * time.Second, writeTO: 0, idleTO: 2 * time.Minute,
 	}
@@ -40,7 +40,6 @@ func TestValidateFlags(t *testing.T) {
 		{"negative job workers", func(v *flagValues) { v.jobWorkers = -1 }},
 		{"zero max cells", func(v *flagValues) { v.maxCells = 0 }},
 		{"zero max jobs", func(v *flagValues) { v.maxJobs = 0 }},
-		{"zero cell attempts", func(v *flagValues) { v.cellAttempts = 0 }},
 		{"zero drain timeout", func(v *flagValues) { v.drain = 0 }},
 		{"negative read header timeout", func(v *flagValues) { v.readHdrTO = -time.Second }},
 		{"negative read timeout", func(v *flagValues) { v.readTO = -time.Second }},

@@ -11,7 +11,7 @@
 //	bcp-serve -addr 127.0.0.1:9090 -workers 8
 //	bcp-serve -cache-dir ~/.cache/bulktx-sweep  # results survive restarts
 //	bcp-serve -state-dir /var/lib/bulktx        # jobs survive crashes too
-//	bcp-serve -queue 16 -job-workers 2 -cell-attempts 3
+//	bcp-serve -queue 16 -job-workers 2
 //	bcp-serve -log-format json -log-level debug
 //	bcp-serve -pprof 127.0.0.1:6060             # profiling on a separate listener
 //
@@ -31,8 +31,9 @@
 // With -state-dir, accepted jobs are journaled before they are
 // acknowledged and a restarted process resubmits the unfinished ones;
 // pair it with -cache-dir and recovery re-serves already-computed
-// cells from disk. -cell-attempts > 1 retries panicking cells with
-// capped exponential backoff before quarantining them. The listener
+// cells from disk. A cell that fails or panics is quarantined and the
+// rest of its sweep completes; simulations are deterministic, so the
+// cell is not retried. The listener
 // runs with real header/read/idle timeouts (see -read-header-timeout
 // and friends); SSE streams clear their own write deadline, so they
 // are not bounded by -write-timeout. The BULKTX_FAULTS environment
@@ -67,15 +68,14 @@ func main() {
 
 // serveConfig is buildService's input: the command line, decoded.
 type serveConfig struct {
-	workers      int
-	cacheDir     string
-	stateDir     string
-	queue        int
-	jobWorkers   int
-	maxCells     int
-	maxJobs      int
-	cellAttempts int
-	log          *slog.Logger
+	workers    int
+	cacheDir   string
+	stateDir   string
+	queue      int
+	jobWorkers int
+	maxCells   int
+	maxJobs    int
+	log        *slog.Logger
 }
 
 // buildService assembles the service from the command line; split out
@@ -97,7 +97,6 @@ func buildService(cfg serveConfig) (*service.Server, error) {
 		MaxJobs:    cfg.maxJobs,
 		Logger:     cfg.log,
 		StateDir:   cfg.stateDir,
-		Retry:      sweep.RetryPolicy{MaxAttempts: cfg.cellAttempts},
 	})
 }
 
@@ -106,14 +105,13 @@ func buildService(cfg serveConfig) (*service.Server, error) {
 type flagValues struct {
 	workers, queue, jobWorkers int
 	maxCells, maxJobs          int
-	cellAttempts               int
 	drain, readHdrTO, readTO   time.Duration
 	writeTO, idleTO            time.Duration
 }
 
-// validateFlags rejects nonsensical flag values — a zero cell-attempts
-// budget, a negative queue bound — as usage errors (exit 2 with a usage hint) instead of letting them
-// misconfigure a running service.
+// validateFlags rejects nonsensical flag values — a zero queue bound,
+// a negative timeout — as usage errors (exit 2 with a usage hint)
+// instead of letting them misconfigure a running service.
 func validateFlags(v flagValues) error {
 	switch {
 	case v.workers < 0:
@@ -126,8 +124,6 @@ func validateFlags(v flagValues) error {
 		return cli.Usagef("-max-cells %d: must be >= 1", v.maxCells)
 	case v.maxJobs < 1:
 		return cli.Usagef("-max-jobs %d: must be >= 1", v.maxJobs)
-	case v.cellAttempts < 1:
-		return cli.Usagef("-cell-attempts %d: must be >= 1 (1 = no retries)", v.cellAttempts)
 	case v.drain <= 0:
 		return cli.Usagef("-drain-timeout %s: must be > 0", v.drain)
 	case v.readHdrTO < 0:
@@ -144,22 +140,21 @@ func validateFlags(v flagValues) error {
 
 func run() error {
 	var (
-		addr         = flag.String("addr", ":8080", "listen address")
-		workers      = flag.Int("workers", 0, "simulations running at once across all jobs (0 = all cores)")
-		cacheDir     = flag.String("cache-dir", "", "on-disk result cache directory (empty = in-memory only)")
-		stateDir     = flag.String("state-dir", "", "crash-safe job journal directory: unfinished jobs resubmit on restart (empty = off)")
-		queue        = flag.Int("queue", service.DefaultQueueLimit, "max queued jobs before submissions get 429")
-		jobWorkers   = flag.Int("job-workers", 0, "jobs executing concurrently, sharing the -workers budget (0 = one per -workers slot)")
-		maxCells     = flag.Int("max-cells", service.DefaultMaxCells, "max simulations one submission may compile to")
-		maxJobs      = flag.Int("max-jobs", service.DefaultMaxJobs, "terminal jobs retained before the oldest are evicted")
-		cellAttempts = flag.Int("cell-attempts", 1, "execution attempts per cell before it is quarantined (1 = no retries)")
-		drain        = flag.Duration("drain-timeout", 30*time.Second, "max wait for accepted jobs on shutdown")
-		readHdrTO    = flag.Duration("read-header-timeout", 10*time.Second, "max wait for a request's headers")
-		readTO       = flag.Duration("read-timeout", 30*time.Second, "max wait for a whole request (specs are small)")
-		writeTO      = flag.Duration("write-timeout", 0, "max response write time; 0 = unbounded (SSE clears its own deadline either way)")
-		idleTO       = flag.Duration("idle-timeout", 2*time.Minute, "max keep-alive idle time per connection")
-		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this separate address (empty = off; keep it loopback)")
-		tel          = telemetry.RegisterFlags(flag.CommandLine)
+		addr       = flag.String("addr", ":8080", "listen address")
+		workers    = flag.Int("workers", 0, "simulations running at once across all jobs (0 = all cores)")
+		cacheDir   = flag.String("cache-dir", "", "on-disk result cache directory (empty = in-memory only)")
+		stateDir   = flag.String("state-dir", "", "crash-safe job journal directory: unfinished jobs resubmit on restart (empty = off)")
+		queue      = flag.Int("queue", service.DefaultQueueLimit, "max queued jobs before submissions get 429")
+		jobWorkers = flag.Int("job-workers", 0, "jobs executing concurrently, sharing the -workers budget (0 = one per -workers slot)")
+		maxCells   = flag.Int("max-cells", service.DefaultMaxCells, "max simulations one submission may compile to")
+		maxJobs    = flag.Int("max-jobs", service.DefaultMaxJobs, "terminal jobs retained before the oldest are evicted")
+		drain      = flag.Duration("drain-timeout", 30*time.Second, "max wait for accepted jobs on shutdown")
+		readHdrTO  = flag.Duration("read-header-timeout", 10*time.Second, "max wait for a request's headers")
+		readTO     = flag.Duration("read-timeout", 30*time.Second, "max wait for a whole request (specs are small)")
+		writeTO    = flag.Duration("write-timeout", 0, "max response write time; 0 = unbounded (SSE clears its own deadline either way)")
+		idleTO     = flag.Duration("idle-timeout", 2*time.Minute, "max keep-alive idle time per connection")
+		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this separate address (empty = off; keep it loopback)")
+		tel        = telemetry.RegisterFlags(flag.CommandLine)
 	)
 	flag.Parse()
 	if tel.HandleVersion(os.Stdout, "bcp-serve") {
@@ -167,7 +162,7 @@ func run() error {
 	}
 	if err := validateFlags(flagValues{
 		workers: *workers, queue: *queue, jobWorkers: *jobWorkers,
-		maxCells: *maxCells, maxJobs: *maxJobs, cellAttempts: *cellAttempts,
+		maxCells: *maxCells, maxJobs: *maxJobs,
 		drain: *drain, readHdrTO: *readHdrTO, readTO: *readTO,
 		writeTO: *writeTO, idleTO: *idleTO,
 	}); err != nil {
@@ -191,7 +186,7 @@ func run() error {
 	svc, err := buildService(serveConfig{
 		workers: *workers, cacheDir: *cacheDir, stateDir: *stateDir,
 		queue: *queue, jobWorkers: *jobWorkers,
-		maxCells: *maxCells, maxJobs: *maxJobs, cellAttempts: *cellAttempts,
+		maxCells: *maxCells, maxJobs: *maxJobs,
 		log: log,
 	})
 	if err != nil {

@@ -51,7 +51,6 @@ type Agent struct {
 
 	mesh      *routing.Mesh
 	wifiRoute NextHopper
-	addr      *routing.AddrMap
 
 	// buffers holds one queue per high-power next hop, in ascending
 	// next-hop order, so every walk over them (threshold check, deadline
@@ -151,7 +150,6 @@ func NewAgent(
 	sensorMAC, wifiMAC *mac.MAC,
 	mesh *routing.Mesh,
 	wifiRoute NextHopper,
-	addr *routing.AddrMap,
 	onDeliver func(Packet),
 ) (*Agent, error) {
 	if err := cfg.Validate(); err != nil {
@@ -160,8 +158,8 @@ func NewAgent(
 	if sensorMAC == nil || wifiMAC == nil {
 		return nil, fmt.Errorf("core: agent %d needs both MACs", cfg.NodeID)
 	}
-	if mesh == nil || wifiRoute == nil || addr == nil {
-		return nil, fmt.Errorf("core: agent %d needs mesh, wifi route and address map", cfg.NodeID)
+	if mesh == nil || wifiRoute == nil {
+		return nil, fmt.Errorf("core: agent %d needs mesh and wifi route", cfg.NodeID)
 	}
 	a := &Agent{
 		cfg:       cfg,
@@ -170,7 +168,6 @@ func NewAgent(
 		wifi:      wifiMAC,
 		mesh:      mesh,
 		wifiRoute: wifiRoute,
-		addr:      addr,
 		onDeliver: onDeliver,
 		recv:      make(map[int]*recvSession),
 		lastDone:  make(map[int]uint64),
@@ -523,17 +520,6 @@ func (a *Agent) startBurst(sendBytes units.ByteSize) {
 		perFrame = 1
 	}
 	total := (nPackets + perFrame - 1) / perFrame
-	highDst, ok := a.addr.High(a.curTarget)
-	if !ok {
-		// No high-power identity for the target: the data cannot be
-		// shipped. Count the packets as lost and close out.
-		a.stats.PacketsLost += uint64(nPackets)
-		for _, p := range burst {
-			a.notePacket(PacketLost, p)
-		}
-		a.finishBurst()
-		return
-	}
 	a.pendingFrames = total
 	for i := 0; i < total; i++ {
 		lo, hi := i*perFrame, (i+1)*perFrame
@@ -547,7 +533,7 @@ func (a *Agent) startBurst(sendBytes units.ByteSize) {
 		}
 		frame := radio.Frame{
 			Kind: radio.KindData,
-			Dst:  radio.NodeID(highDst),
+			Dst:  radio.NodeID(a.curTarget),
 			Size: size + a.cfg.WifiHeader,
 			Payload: burstFrame{
 				ID:      a.curID,

@@ -91,7 +91,6 @@ func newHarness(t *testing.T, o harnessOpts) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := routing.IdentityAddrMap(o.nodes)
 
 	h.agents = make([]*Agent, o.nodes)
 	for i := 0; i < o.nodes; i++ {
@@ -116,7 +115,7 @@ func newHarness(t *testing.T, o harnessOpts) *harness {
 			o.cfgMut(i, &cfg)
 		}
 		node := i
-		h.agents[i], err = NewAgent(cfg, h.sched, sm, wm, mesh, wifiTree, addr,
+		h.agents[i], err = NewAgent(cfg, h.sched, sm, wm, mesh, wifiTree,
 			func(p Packet) { h.delivered[node] = append(h.delivered[node], p) })
 		if err != nil {
 			t.Fatal(err)
@@ -173,7 +172,7 @@ func TestConfigValidate(t *testing.T) {
 func TestNewAgentValidation(t *testing.T) {
 	h := newHarness(t, harnessOpts{nodes: 2})
 	cfg := DefaultConfig(0, 10)
-	if _, err := NewAgent(cfg, h.sched, nil, nil, nil, nil, nil, nil); err == nil {
+	if _, err := NewAgent(cfg, h.sched, nil, nil, nil, nil, nil); err == nil {
 		t.Error("NewAgent accepted nil dependencies")
 	}
 	bad := cfg
@@ -188,8 +187,7 @@ func TestNewAgentValidation(t *testing.T) {
 	}
 	sm := h.agents[0] // reuse wired MACs is not possible; only validate config path
 	_ = sm
-	if _, err := NewAgent(bad, h.sched, nil, nil, mesh, tree,
-		routing.IdentityAddrMap(2), nil); err == nil {
+	if _, err := NewAgent(bad, h.sched, nil, nil, mesh, tree, nil); err == nil {
 		t.Error("NewAgent accepted invalid config")
 	}
 }

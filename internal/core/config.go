@@ -10,8 +10,7 @@ import (
 
 // Config parameterizes one node's BCP agent.
 type Config struct {
-	// NodeID is this node's index (identical low/high logical identity;
-	// the address map translates radio addresses).
+	// NodeID is this node's index, its address on both radios.
 	NodeID int
 
 	// BurstThreshold is alpha-s*: the buffered amount per next hop that

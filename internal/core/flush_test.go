@@ -3,9 +3,6 @@ package core
 import (
 	"testing"
 	"time"
-
-	"bulktx/internal/radio"
-	"bulktx/internal/routing"
 )
 
 func TestFlushDrainsBelowThreshold(t *testing.T) {
@@ -100,37 +97,3 @@ func TestPacketString(t *testing.T) {
 		t.Errorf("String() = %q", got)
 	}
 }
-
-func TestHandshakeToUnroutableTarget(t *testing.T) {
-	// An agent whose wifi next hop is outside the address map must count
-	// the packets lost rather than wedge.
-	h := newHarness(t, harnessOpts{nodes: 2, burstPackets: 10})
-	// Replace the address map with an empty one after construction.
-	h.agents[0].addr = mustAddrMap(t)
-	h.generate(0, 1, 10)
-	h.sched.RunUntil(30 * time.Second)
-	st := h.agents[0].Stats()
-	if st.PacketsLost != 10 {
-		t.Errorf("PacketsLost = %d, want 10 (unroutable)", st.PacketsLost)
-	}
-	if h.agents[0].wifi.Transceiver().On() {
-		t.Error("wifi radio left on after unroutable burst")
-	}
-}
-
-func mustAddrMap(t *testing.T) *addrMapAlias {
-	t.Helper()
-	m, err := newEmptyAddrMap()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-type addrMapAlias = routing.AddrMap
-
-func newEmptyAddrMap() (*routing.AddrMap, error) {
-	return routing.NewAddrMap(nil)
-}
-
-var _ = radio.Frame{} // keep the import when tests above change

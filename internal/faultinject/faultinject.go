@@ -38,7 +38,8 @@ import (
 // defends against.
 const (
 	// CellPanic panics inside a sweep worker's cell execution, before
-	// the simulation runs (exercises per-cell panic isolation + retry).
+	// the simulation runs (exercises per-cell panic isolation and
+	// quarantine).
 	CellPanic = "cell.panic"
 	// CellStall sleeps inside cell execution for the rule's delay
 	// (exercises deadlines, cancellation and mid-sweep crashes).

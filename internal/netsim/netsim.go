@@ -252,7 +252,20 @@ func (e *FieldError) Error() string { return "invalid " + e.Field + ": " + e.Rea
 // Validate reports whether the configuration is usable. Failures are
 // FieldErrors naming the offending Config field (wrapped under a
 // "netsim:" prefix).
-func (c Config) Validate() error {
+func (c Config) Validate() error { return c.validate(true) }
+
+// sendersOutside is the error for a sender count that a layout of
+// nodes nodes cannot hold: Validate's for a bare config, the sender
+// policies' for a built layout.
+func sendersOutside(senders, nodes int) error {
+	return fmt.Errorf("netsim: %w", &FieldError{Field: "Senders",
+		Reason: fmt.Sprintf("senders %d outside [1, %d)", senders, nodes)})
+}
+
+// validate checks the config's fields. checkSenders bounds Senders by
+// Nodes; Scenario leaves that bound to the sender policy, which sees
+// the layout a WithTopology part may have resized.
+func (c Config) validate(checkSenders bool) error {
 	bad := func(field, format string, a ...any) error {
 		return fmt.Errorf("netsim: %w", &FieldError{Field: field, Reason: fmt.Sprintf(format, a...)})
 	}
@@ -263,8 +276,8 @@ func (c Config) Validate() error {
 		return bad("Nodes", "need at least 2 nodes, got %d", c.Nodes)
 	case c.Field <= 0:
 		return bad("Field", "non-positive field %v", c.Field)
-	case c.Senders < 1 || c.Senders >= c.Nodes:
-		return bad("Senders", "senders %d outside [1, %d)", c.Senders, c.Nodes)
+	case checkSenders && (c.Senders < 1 || c.Senders >= c.Nodes):
+		return sendersOutside(c.Senders, c.Nodes)
 	case c.Rate <= 0:
 		return bad("Rate", "non-positive rate %v", c.Rate)
 	case c.Duration <= 0:
@@ -363,7 +376,7 @@ func (c Config) churn() Churn {
 // churn and tracing. The compilation is exact: a fixed-seed run matches
 // the golden fingerprints of the flat-config runner it replaced.
 func (c Config) Scenario(parts ...Option) (*Scenario, error) {
-	if err := c.Validate(); err != nil {
+	if err := c.validate(false); err != nil {
 		return nil, err
 	}
 	s := &Scenario{

@@ -56,8 +56,17 @@ func TestConfigValidate(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			c := good
 			tt.mutate(&c)
-			if err := c.Validate(); err == nil {
-				t.Error("Validate accepted invalid config")
+			err := c.Validate()
+			var fe *FieldError
+			if !errors.As(err, &fe) {
+				t.Fatalf("Validate = %v, want a FieldError", err)
+			}
+			// A bare config's Scenario rejects it with the same error,
+			// whether its own checks or its sender policy find it.
+			_, serr := c.Scenario()
+			var sfe *FieldError
+			if !errors.As(serr, &sfe) || sfe.Field != fe.Field || serr.Error() != err.Error() {
+				t.Errorf("Scenario = %v, want Validate's %v", serr, err)
 			}
 		})
 	}

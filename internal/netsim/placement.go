@@ -75,7 +75,7 @@ func ShuffledSenders(permSeed int64) SenderPolicy {
 func (shuffledSenders) Kind() string { return "stable-shuffle" }
 func (p shuffledSenders) Pick(l *topo.Layout, sink, n int) ([]int, error) {
 	if n < 1 || n >= l.Len() {
-		return nil, fmt.Errorf("netsim: senders %d outside [1, %d)", n, l.Len())
+		return nil, sendersOutside(n, l.Len())
 	}
 	return pickSendersSeeded(l.Len(), sink, n, p.permSeed), nil
 }
@@ -124,7 +124,7 @@ func FarthestSenders() SenderPolicy { return farthestSenders{} }
 func (farthestSenders) Kind() string { return "farthest" }
 func (farthestSenders) Pick(l *topo.Layout, sink, n int) ([]int, error) {
 	if n < 1 || n >= l.Len() {
-		return nil, fmt.Errorf("netsim: senders %d outside [1, %d)", n, l.Len())
+		return nil, sendersOutside(n, l.Len())
 	}
 	order := make([]int, 0, l.Len()-1)
 	for i := 0; i < l.Len(); i++ {

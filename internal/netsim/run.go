@@ -421,7 +421,6 @@ func buildNetwork(
 		tree      *routing.Tree
 		mesh      *routing.Mesh
 		wifiRoute core.NextHopper
-		addr      *routing.AddrMap
 	)
 	if s.cfg.Model == ModelDual {
 		if mesh, err = routing.BuildMesh(layout, s.cfg.SensorProfile.Range); err != nil {
@@ -436,7 +435,6 @@ func buildNetwork(
 		} else if wifiRoute, err = routing.BuildTree(layout, sink, s.cfg.WifiRange); err != nil {
 			return nil, err
 		}
-		addr = routing.IdentityAddrMap(nodes)
 	} else if tree, err = routing.BuildTree(layout, sink, firstCfg.Range); err != nil {
 		return nil, err
 	}
@@ -465,7 +463,7 @@ func buildNetwork(
 			continue
 		}
 		a, err := core.NewAgent(s.agentConfig(i), sched,
-			net.sensor.macs[i], net.wifi.macs[i], mesh, wifiRoute, addr, deliver)
+			net.sensor.macs[i], net.wifi.macs[i], mesh, wifiRoute, deliver)
 		if err != nil {
 			return nil, err
 		}

@@ -191,8 +191,9 @@ func WithTrace(o trace.Options) Option {
 	}
 }
 
-// build materializes and validates the composed parts. The scalar
-// settings were checked by Config.Validate.
+// build materializes and validates the composed parts. Config.Scenario
+// checked the scalar settings; the sender policy bounds the sender
+// count by the layout.
 func (s *Scenario) build() error {
 	switch {
 	case s.topology == nil:

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -284,6 +285,33 @@ func TestConfigChurn(t *testing.T) {
 	if churn1.Goodput() >= calm.Goodput() {
 		t.Errorf("churn did not hurt goodput: %.3f vs %.3f",
 			churn1.Goodput(), calm.Goodput())
+	}
+}
+
+// A topology part may hold more nodes than the config's Nodes, and the
+// sender count is bounded by the layout it builds, not by Nodes.
+func TestTopologyPartBoundsSenders(t *testing.T) {
+	cfg := DefaultConfig(ModelSensor, 50, 0, 1)
+	cfg.Duration = time.Minute // a tenth of the default keeps the test quick
+	s, err := cfg.Scenario(WithTopology(LinearTopology(100, 3960)))
+	if err != nil {
+		t.Fatalf("50 senders on a 100-node line: %v", err)
+	}
+	if s.Nodes() != 100 || len(s.SenderIDs()) != 50 {
+		t.Fatalf("scenario has %d nodes and %d senders, want 100 and 50", s.Nodes(), len(s.SenderIDs()))
+	}
+	res, err := RunScenario(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.GeneratedBits == 0 || res.DeliveredBits == 0 {
+		t.Errorf("probe run generated %d and delivered %d bits", res.GeneratedBits, res.DeliveredBits)
+	}
+	// The layout still bounds the count, with Validate's error.
+	_, err = cfg.Scenario(WithTopology(LinearTopology(50, 1960)))
+	var fe *FieldError
+	if !errors.As(err, &fe) || fe.Field != "Senders" || err.Error() != "netsim: invalid Senders: senders 50 outside [1, 50)" {
+		t.Errorf("50 senders on a 50-node line: %v, want a Senders FieldError", err)
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package routing builds the per-radio routing state of the paper's
 // evaluation: shortest-path trees toward the sink over each radio's
-// connectivity graph, the dual-radio address mapping BCP needs to
-// translate between low-power and high-power identities, and the route
-// shortcut learning of Section 3 (senders learn the farthest node along
-// the low-power route that their high-power radio reaches directly).
+// connectivity graph, and the route shortcut learning of Section 3
+// (senders learn the farthest node along the low-power route that their
+// high-power radio reaches directly). A node has one identity on both
+// radios, so BCP addresses a high-power next hop by its node id.
 package routing
 
 import (
@@ -150,58 +150,6 @@ func (t *Tree) OnPath(a, b int) bool {
 		}
 	}
 	return false
-}
-
-// AddrMap translates between a node's low-power and high-power radio
-// addresses (paper Section 3: "BCP needs to be able to map the low-power
-// and high-power radio addresses for the receiver"). Our simulated
-// platforms use one logical index per node, but the protocol goes through
-// this map so that split address spaces remain supported.
-type AddrMap struct {
-	lowToHigh map[int]int
-	highToLow map[int]int
-}
-
-// NewAddrMap builds an address map from explicit pairs.
-func NewAddrMap(pairs map[int]int) (*AddrMap, error) {
-	m := &AddrMap{
-		lowToHigh: make(map[int]int, len(pairs)),
-		highToLow: make(map[int]int, len(pairs)),
-	}
-	for low, high := range pairs {
-		if _, dup := m.highToLow[high]; dup {
-			return nil, fmt.Errorf("routing: high address %d mapped twice", high)
-		}
-		m.lowToHigh[low] = high
-		m.highToLow[high] = low
-	}
-	return m, nil
-}
-
-// IdentityAddrMap maps each of n nodes to itself on both radios.
-func IdentityAddrMap(n int) *AddrMap {
-	pairs := make(map[int]int, n)
-	for i := 0; i < n; i++ {
-		pairs[i] = i
-	}
-	m, err := NewAddrMap(pairs)
-	if err != nil {
-		// Unreachable: identity pairs cannot collide.
-		panic(err)
-	}
-	return m
-}
-
-// High returns the high-power address of a low-power address.
-func (m *AddrMap) High(low int) (int, bool) {
-	h, ok := m.lowToHigh[low]
-	return h, ok
-}
-
-// Low returns the low-power address of a high-power address.
-func (m *AddrMap) Low(high int) (int, bool) {
-	l, ok := m.highToLow[high]
-	return l, ok
 }
 
 // Shortcut returns the farthest node along tree's path from node i to the

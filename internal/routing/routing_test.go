@@ -137,34 +137,6 @@ func TestOnPath(t *testing.T) {
 	}
 }
 
-func TestAddrMap(t *testing.T) {
-	m, err := NewAddrMap(map[int]int{1: 101, 2: 102})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h, ok := m.High(1); !ok || h != 101 {
-		t.Errorf("High(1) = %d,%v", h, ok)
-	}
-	if l, ok := m.Low(102); !ok || l != 2 {
-		t.Errorf("Low(102) = %d,%v", l, ok)
-	}
-	if _, ok := m.High(9); ok {
-		t.Error("High(9) found")
-	}
-	if _, err := NewAddrMap(map[int]int{1: 5, 2: 5}); err == nil {
-		t.Error("duplicate high address accepted")
-	}
-}
-
-func TestIdentityAddrMap(t *testing.T) {
-	m := IdentityAddrMap(4)
-	for i := 0; i < 4; i++ {
-		if h, ok := m.High(i); !ok || h != i {
-			t.Errorf("High(%d) = %d,%v", i, h, ok)
-		}
-	}
-}
-
 func TestShortcutLinearTopology(t *testing.T) {
 	// Section 2.2 scenario: 6 nodes, 40 m apart, sink at node 5 (200 m
 	// from node 0). Sensor radio: 5 hops; Cabletron at 250 m: direct.

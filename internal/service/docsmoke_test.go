@@ -180,7 +180,7 @@ func TestAPIDocCoversEveryRoute(t *testing.T) {
 		"bulktx_jobs_recovered_total", "bulktx_jobs_queued",
 		"bulktx_jobs_running", "bulktx_cells_simulated_total",
 		"bulktx_cells_cached_total", "bulktx_cells_failed_total",
-		"bulktx_cell_retries_total", "bulktx_cache_write_errors_total",
+		"bulktx_cache_write_errors_total",
 		"bulktx_journal_write_errors_total", "bulktx_cells_per_sec",
 		"bulktx_result_cache_bytes", "bulktx_result_cache_entries",
 		"bulktx_result_cache_evictions_total", "bulktx_build_info",

@@ -103,9 +103,7 @@ type CellErrorDetail struct {
 	Point string `json:"point"`
 	// Rep is the repetition index within the point.
 	Rep int `json:"rep"`
-	// Attempts is how many executions the cell got before quarantine.
-	Attempts int `json:"attempts"`
-	// Error is the cell's final failure.
+	// Error is the cell's failure.
 	Error string `json:"error"`
 }
 
@@ -126,8 +124,8 @@ type JobStatus struct {
 	Cells       int `json:"cells"`
 	CellsDone   int `json:"cells_done"`
 	CellsCached int `json:"cells_cached"`
-	// CellsFailed counts cells quarantined after exhausting their
-	// retry budget; the job still completes with the surviving cells.
+	// CellsFailed counts quarantined cells (their simulation failed or
+	// panicked); the job still completes with the surviving cells.
 	CellsFailed int `json:"cells_failed,omitempty"`
 	// CellErrors details the quarantined cells (capped at 100 entries;
 	// CellsFailed is the uncapped total).
@@ -472,11 +470,8 @@ type cellEvent struct {
 	Rep   int    `json:"rep"`
 	// Cached marks cells served without simulating.
 	Cached bool `json:"cached"`
-	// Attempts is how many executions the cell took (retries included;
-	// 0 for cached cells).
-	Attempts int `json:"attempts,omitempty"`
-	// Error marks a quarantined cell: it failed every attempt and the
-	// sweep continued without it.
+	// Error marks a quarantined cell: it failed and the sweep continued
+	// without it.
 	Error string `json:"error,omitempty"`
 	// DurationS is the cell's simulation wall-clock in seconds; 0 for
 	// cached cells, which never simulate.
@@ -549,12 +544,9 @@ func (s *Server) runJob(j *job) {
 		if !u.Cached && u.Err == nil {
 			s.hist.cellSim.ObserveDuration(u.Duration)
 		}
-		if u.Attempts > 1 {
-			s.counters.cellRetries.Add(int64(u.Attempts - 1))
-		}
 		ev := cellEvent{
 			Index: u.Index, Point: u.Point.String(), Rep: u.Rep,
-			Cached: u.Cached, Attempts: u.Attempts,
+			Cached:    u.Cached,
 			DurationS: u.Duration.Seconds(),
 			Done:      u.Done, Total: u.Total,
 		}
@@ -569,7 +561,7 @@ func (s *Server) runJob(j *job) {
 			if len(j.cellErrs) < maxCellErrorDetails {
 				j.cellErrs = append(j.cellErrs, CellErrorDetail{
 					Index: u.Index, Point: u.Point.String(), Rep: u.Rep,
-					Attempts: u.Attempts, Error: u.Err.Error(),
+					Error: u.Err.Error(),
 				})
 			}
 		}

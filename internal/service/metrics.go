@@ -27,10 +27,8 @@ type counters struct {
 	// cellsCached counts cells served from the cache or an intra-job
 	// duplicate.
 	cellsSimulated, cellsCached atomic.Int64
-	// cellsFailed counts cells quarantined after exhausting their
-	// retry budget; cellRetries counts the extra execution attempts
-	// retried cells consumed.
-	cellsFailed, cellRetries atomic.Int64
+	// cellsFailed counts quarantined cells.
+	cellsFailed atomic.Int64
 	// cacheWriteErrors counts disk-cache writes that failed (the cache
 	// degrades to its memory tier); journalErrors counts journal
 	// appends that failed (jobs keep running, durability degrades).
@@ -229,9 +227,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	emit("bulktx_cells_cached_total", "counter",
 		"Grid cells served from the cache or an intra-job duplicate.", float64(c.cellsCached.Load()))
 	emit("bulktx_cells_failed_total", "counter",
-		"Grid cells quarantined after exhausting their retry budget.", float64(c.cellsFailed.Load()))
-	emit("bulktx_cell_retries_total", "counter",
-		"Extra execution attempts consumed by retried cells.", float64(c.cellRetries.Load()))
+		"Grid cells quarantined after their simulation failed.", float64(c.cellsFailed.Load()))
 	emit("bulktx_cache_write_errors_total", "counter",
 		"Disk cache writes that failed; results continued in memory only.", float64(c.cacheWriteErrors.Load()))
 	emit("bulktx_journal_write_errors_total", "counter",

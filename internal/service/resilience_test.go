@@ -187,9 +187,8 @@ func TestOverflowingDeadlineRejected(t *testing.T) {
 }
 
 func TestPartialFailureReportsCellDetail(t *testing.T) {
-	// One fault budget, four cells: exactly one cell quarantines (the
-	// service's default retry policy is one attempt) and the job still
-	// completes with the three survivors.
+	// One fault budget, four cells: exactly one cell quarantines and
+	// the job still completes with the three survivors.
 	activateFaults(t, "cell.panic:count=1")
 	_, ts := newTestService(t, Options{})
 
@@ -202,8 +201,8 @@ func TestPartialFailureReportsCellDetail(t *testing.T) {
 		t.Fatalf("cells_failed=%d cell_errors=%d, want 1/1", done.CellsFailed, len(done.CellErrors))
 	}
 	ce := done.CellErrors[0]
-	if ce.Attempts != 1 || !strings.Contains(ce.Error, "panic") || ce.Point == "" {
-		t.Errorf("cell error detail %+v lacks attempts/panic/point", ce)
+	if !strings.Contains(ce.Error, "panic") || ce.Point == "" {
+		t.Errorf("cell error detail %+v lacks panic/point", ce)
 	}
 	// The JSON artifact carries the quarantine summary...
 	_, data := getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/artifacts/results.json")
@@ -235,24 +234,6 @@ func TestAllCellsFailedFailsJob(t *testing.T) {
 	}
 	if done.CellsFailed != 1 || len(done.CellErrors) != 1 {
 		t.Errorf("cells_failed=%d cell_errors=%d, want 1/1", done.CellsFailed, len(done.CellErrors))
-	}
-}
-
-func TestCellRetrySucceedsBehindService(t *testing.T) {
-	// Two injected panics, three attempts: the cell recovers and the
-	// retry counter records the two extra attempts.
-	activateFaults(t, "cell.panic:count=2")
-	_, ts := newTestService(t, Options{
-		Workers: 1,
-		Retry:   sweep.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond},
-	})
-	st := submit(t, ts.URL+"/v1/runs", runBody, http.StatusAccepted)
-	done := waitDone(t, ts.URL, st.ID)
-	if done.State != string(jobDone) || done.CellsFailed != 0 {
-		t.Fatalf("retried job ended %s with %d failed cells", done.State, done.CellsFailed)
-	}
-	if v := metricValue(t, ts.URL, "bulktx_cell_retries_total"); v != 2 {
-		t.Errorf("bulktx_cell_retries_total = %g, want 2", v)
 	}
 }
 

@@ -13,8 +13,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"bulktx/internal/sweep"
 )
 
 // serveRunSpec is perfbench serve-mixed's request at the given seed: a
@@ -180,11 +178,10 @@ func TestServedArtifactsMatchGoldens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The golden sweep's fault: the first job panics on both of its
-	// attempts and is quarantined.
-	activateFaults(t, "cell.panic:count=2")
-	_, ts := newTestService(t, Options{Workers: 1,
-		Retry: sweep.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}})
+	// The golden sweep's fault: the first job panics and is
+	// quarantined.
+	activateFaults(t, "cell.panic:count=1")
+	_, ts := newTestService(t, Options{Workers: 1})
 	st := submit(t, ts.URL+"/v1/sweeps", string(spec), http.StatusAccepted)
 	if done := waitDone(t, ts.URL, st.ID); done.State != string(jobDone) || done.CellsFailed != 1 {
 		t.Fatalf("golden sweep ended %s with %d failed cells: %s", done.State, done.CellsFailed, done.Error)

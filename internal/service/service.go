@@ -33,8 +33,7 @@
 // in an append-only journal before the submission is acknowledged, and
 // a restarted service resubmits the unfinished ones — paired with a
 // disk cache, recovery re-serves already-computed cells for free.
-// Cells that panic are retried with capped exponential backoff and
-// quarantined after Options.Retry.MaxAttempts, so one poisoned cell
+// A cell that fails or panics is quarantined, so one poisoned cell
 // yields a partial result instead of sinking the whole sweep.
 package service
 
@@ -120,9 +119,6 @@ type Options struct {
 	// unfinished ones. Empty disables journaling (jobs die with the
 	// process, the pre-journal behavior).
 	StateDir string
-	// Retry is the per-cell retry policy handed to the sweep pool. The
-	// zero value means one attempt per cell (no retries).
-	Retry sweep.RetryPolicy
 }
 
 // New builds a Server; its job executors start with the first jobs
@@ -157,7 +153,7 @@ func New(o Options) (*Server, error) {
 		log = telemetry.NopLogger()
 	}
 	s := &Server{
-		pool:       &sweep.Pool{Workers: o.Workers, Cache: cache, Retry: o.Retry},
+		pool:       &sweep.Pool{Workers: o.Workers, Cache: cache},
 		queueLimit: math.MaxInt, // until recovery is done; see below
 		jobWorkers: o.JobWorkers,
 		maxCells:   o.MaxCells,

@@ -38,7 +38,7 @@ func BenchmarkSweepParallel(b *testing.B) {
 			pool := &Pool{Workers: workers} // no cache: measure simulation
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := pool.Run(jobs); err != nil {
+				if _, err := pool.RunJobs(jobs); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -54,12 +54,12 @@ func BenchmarkSweepCached(b *testing.B) {
 		b.Fatal(err)
 	}
 	pool := &Pool{Cache: NewCache()}
-	if _, err := pool.Run(jobs); err != nil {
+	if _, err := pool.RunJobs(jobs); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pool.Run(jobs); err != nil {
+		if _, err := pool.RunJobs(jobs); err != nil {
 			b.Fatal(err)
 		}
 	}

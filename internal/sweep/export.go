@@ -89,7 +89,7 @@ func (sum *Summary) WriteJSON(w io.Writer) error {
 	for _, ce := range sum.Errors {
 		doc.Errors = append(doc.Errors, exportError{
 			Index: ce.Index, Point: ce.Point.String(), Rep: ce.Rep,
-			Attempts: ce.Attempts, Error: ce.Err.Error(),
+			Error: ce.Err.Error(),
 		})
 	}
 	enc := json.NewEncoder(w)
@@ -105,8 +105,6 @@ type exportError struct {
 	Point string `json:"point"`
 	// Rep is the seeded repetition index within the point.
 	Rep int `json:"rep"`
-	// Attempts is how many executions the cell got before quarantine.
-	Attempts int `json:"attempts"`
 	// Error is the cell's final failure.
 	Error string `json:"error"`
 }

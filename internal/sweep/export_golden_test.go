@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"bulktx/internal/faultinject"
 	"bulktx/internal/report"
@@ -22,8 +21,8 @@ const goldenTitle = "golden sweep"
 
 // goldenOutcome runs testdata/golden/spec.json (2 models x 2 sender
 // counts x 2 reps) on one worker with a fresh cache. The fault plan
-// panics the first job on both of its attempts, so the outcome carries
-// one quarantined cell and one point summarized over a single run.
+// panics the first job, so the outcome carries one quarantined cell
+// and one point summarized over a single run.
 func goldenOutcome(t *testing.T) *sweep.Outcome {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("testdata", "golden", "spec.json"))
@@ -38,13 +37,12 @@ func goldenOutcome(t *testing.T) *sweep.Outcome {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := faultinject.Parse("cell.panic:count=2")
+	plan, err := faultinject.Parse("cell.panic:count=1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer faultinject.Activate(plan)()
-	pool := &sweep.Pool{Workers: 1, Cache: sweep.NewCache(),
-		Retry: sweep.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}}
+	pool := &sweep.Pool{Workers: 1, Cache: sweep.NewCache()}
 	out, err := pool.RunJobsProgressContext(context.Background(), jobs, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -11,13 +11,9 @@ import (
 	"bulktx/internal/params"
 )
 
-// fastRetry keeps the retry tests quick while still exercising the
-// backoff path.
-var fastRetry = RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond}
-
-// retryJobs compiles a small distinct-config job list (one job per
+// cellJobs compiles a small distinct-config job list (one job per
 // sender count).
-func retryJobs(t *testing.T, senders ...int) []Job {
+func cellJobs(t *testing.T, senders ...int) []Job {
 	t.Helper()
 	base := netsim.DefaultConfig(netsim.ModelSensor, 5, 1, 7)
 	base.Rate = params.HighRate
@@ -29,33 +25,6 @@ func retryJobs(t *testing.T, senders ...int) []Job {
 	return jobs
 }
 
-func TestInjectedPanicIsRetriedToSuccess(t *testing.T) {
-	plan, err := faultinject.Parse("cell.panic:count=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer faultinject.Activate(plan)()
-
-	jobs := retryJobs(t, 5)
-	pool := &Pool{Workers: 1, Cache: NewCache(), Retry: fastRetry}
-	var updates []JobUpdate
-	out, err := pool.RunJobsProgressContext(context.Background(), jobs, func(u JobUpdate) {
-		updates = append(updates, u)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Errors) != 0 {
-		t.Fatalf("retried cell still quarantined: %v", out.Errors)
-	}
-	if len(updates) != 1 || updates[0].Attempts != 3 || updates[0].Err != nil {
-		t.Fatalf("update = %+v, want success on attempt 3", updates)
-	}
-	if out.Results[0].Events == 0 {
-		t.Error("retried cell produced an empty result")
-	}
-}
-
 func TestPersistentPanicQuarantinesCell(t *testing.T) {
 	plan, err := faultinject.Parse("cell.panic")
 	if err != nil {
@@ -63,8 +32,8 @@ func TestPersistentPanicQuarantinesCell(t *testing.T) {
 	}
 	defer faultinject.Activate(plan)()
 
-	jobs := retryJobs(t, 5, 6)
-	pool := &Pool{Workers: 1, Cache: NewCache(), Retry: RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}}
+	jobs := cellJobs(t, 5, 6)
+	pool := &Pool{Workers: 1, Cache: NewCache()}
 	var updates []JobUpdate
 	out, err := pool.RunJobsProgressContext(context.Background(), jobs, func(u JobUpdate) {
 		updates = append(updates, u)
@@ -76,8 +45,8 @@ func TestPersistentPanicQuarantinesCell(t *testing.T) {
 		t.Fatalf("quarantined %d of %d cells", len(out.Errors), len(jobs))
 	}
 	for i, ce := range out.Errors {
-		if ce.Index != i || ce.Attempts != 2 {
-			t.Errorf("cell error %d = %+v, want index %d after 2 attempts", i, ce, i)
+		if ce.Index != i {
+			t.Errorf("cell error %d = %+v, want index %d", i, ce, i)
 		}
 		var pe *PanicError
 		if !errors.As(ce.Err, &pe) {
@@ -102,17 +71,16 @@ func TestPersistentPanicQuarantinesCell(t *testing.T) {
 }
 
 func TestPartialSweepSummarizesSurvivors(t *testing.T) {
-	// With one worker and a fire-count of MaxAttempts, exactly the
-	// first job burns the whole fault budget and quarantines; the
-	// remaining jobs run clean.
-	plan, err := faultinject.Parse("cell.panic:count=2")
+	// With one worker and a fire-count of 1, exactly the first job
+	// panics and quarantines; the remaining jobs run clean.
+	plan, err := faultinject.Parse("cell.panic:count=1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer faultinject.Activate(plan)()
 
-	jobs := retryJobs(t, 5, 6, 7)
-	pool := &Pool{Workers: 1, Cache: NewCache(), Retry: RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}}
+	jobs := cellJobs(t, 5, 6, 7)
+	pool := &Pool{Workers: 1, Cache: NewCache()}
 	out, err := pool.RunJobsProgressContext(context.Background(), jobs, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +99,9 @@ func TestPartialSweepSummarizesSurvivors(t *testing.T) {
 	}
 }
 
-func TestWholesaleRunConvertsPanicToError(t *testing.T) {
+// TestGridReturnsPanicAsError: Grid, which has no partial outcome to
+// carry a quarantined cell, returns the cell's failure as its error.
+func TestGridReturnsPanicAsError(t *testing.T) {
 	plan, err := faultinject.Parse("cell.panic")
 	if err != nil {
 		t.Fatal(err)
@@ -139,13 +109,13 @@ func TestWholesaleRunConvertsPanicToError(t *testing.T) {
 	defer faultinject.Activate(plan)()
 
 	pool := &Pool{Workers: 2, Cache: NewCache()}
-	_, err = pool.Run(retryJobs(t, 5))
+	groups, err := pool.Grid([]netsim.Config{cellJobs(t, 5)[0].Config}, 2, 7)
 	if err == nil {
-		t.Fatal("Run swallowed a panicking cell")
+		t.Fatalf("Grid swallowed a panicking cell: %d groups", len(groups))
 	}
 	var pe *PanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("Run error %v (%T) does not unwrap to *PanicError", err, err)
+		t.Fatalf("Grid error %v (%T) does not unwrap to *PanicError", err, err)
 	}
 }
 
@@ -160,7 +130,7 @@ func TestCancellationStopsBetweenCells(t *testing.T) {
 	pool := &Pool{Workers: 1, Cache: NewCache()}
 	done := make(chan error, 1)
 	go func() {
-		_, err := pool.RunJobsProgressContext(ctx, retryJobs(t, 5, 6, 7), nil)
+		_, err := pool.RunJobsProgressContext(ctx, cellJobs(t, 5, 6, 7), nil)
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond)
@@ -185,7 +155,7 @@ func TestDeadlinePropagatesCause(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	pool := &Pool{Workers: 1, Cache: NewCache()}
-	_, err = pool.RunJobsProgressContext(ctx, retryJobs(t, 5), nil)
+	_, err = pool.RunJobsProgressContext(ctx, cellJobs(t, 5), nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("deadline run returned %v, want context.DeadlineExceeded", err)
 	}
@@ -206,7 +176,7 @@ func TestCacheWriteFailureKeepsResult(t *testing.T) {
 	pool := &Pool{Workers: 1, Cache: cache, OnCacheError: func(key string, err error) {
 		hookErrs = append(hookErrs, err)
 	}}
-	jobs := retryJobs(t, 5)
+	jobs := cellJobs(t, 5)
 	out, err := pool.RunJobsProgressContext(context.Background(), jobs, nil)
 	if err != nil {
 		t.Fatalf("cache write failure escalated to run failure: %v", err)
@@ -227,24 +197,5 @@ func TestCacheWriteFailureKeepsResult(t *testing.T) {
 	}
 	if out2.Cached != 1 {
 		t.Errorf("warm re-run cached %d, want 1 (mem-only fallback)", out2.Cached)
-	}
-}
-
-func TestBackoffDeterministicCappedGrowing(t *testing.T) {
-	rp := RetryPolicy{MaxAttempts: 8, BaseBackoff: 10 * time.Millisecond, MaxBackoff: 80 * time.Millisecond}
-	if a, b := rp.backoff("k", 3), rp.backoff("k", 3); a != b {
-		t.Errorf("backoff not deterministic: %v vs %v", a, b)
-	}
-	if rp.backoff("k", 1) == rp.backoff("other", 1) {
-		t.Error("distinct keys share identical jitter (suspicious)")
-	}
-	for att := 1; att <= 8; att++ {
-		d := rp.backoff("k", att)
-		if d < rp.BaseBackoff/2 {
-			t.Errorf("attempt %d backoff %v below jittered floor", att, d)
-		}
-		if d > rp.MaxBackoff*3/2 {
-			t.Errorf("attempt %d backoff %v above jittered cap", att, d)
-		}
 	}
 }

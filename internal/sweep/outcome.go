@@ -22,9 +22,9 @@ type Outcome struct {
 	// JobUpdates delivered with Cached true).
 	Cached int
 	// Errors lists the quarantined jobs of a partially failed sweep in
-	// index order — cells that still failed (or panicked) after their
-	// retry budget. Empty for fully successful sweeps, so existing
-	// consumers and serialized shapes are unchanged.
+	// index order — cells whose simulation failed or panicked. Empty
+	// for fully successful sweeps, so existing consumers and serialized
+	// shapes are unchanged.
 	Errors []CellError
 }
 

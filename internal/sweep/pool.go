@@ -2,13 +2,11 @@ package sweep
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"bulktx/internal/faultinject"
@@ -16,26 +14,26 @@ import (
 )
 
 // Pool executes sweep jobs on a fixed-size worker budget. The zero
-// value is usable: runtime.NumCPU workers, no cache, no retries. A Pool is safe for concurrent use: it holds
-// its settings plus the slot budget, and one Run call's jobs never
-// interleave state with another's (netsim runs share nothing).
-// Duplicate configurations within one Run call are simulated once;
+// value is usable: runtime.NumCPU workers, no cache. A Pool is safe
+// for concurrent use: it holds its settings plus the slot budget, and
+// one call's jobs never interleave state with another's (netsim
+// runs share nothing).
+// Duplicate configurations within one call are simulated once;
 // across calls the Cache is the only dedupe, so concurrent calls that
 // miss it on the same configuration each simulate it and Put identical
 // bytes.
 //
 // Workers is a budget for the whole pool, not for each call: every
-// simulation attempt of every concurrent Run* call holds one of
-// Workers slots while it runs, so k concurrent sweeps together never
-// simulate more than Workers cells at once. A call holds no slot while
-// it backs off between retries or stalls under fault injection, and it
-// stops waiting for a slot as soon as its context ends. Workers must
-// not change once the Pool is first used.
+// simulation of every concurrent Run* call holds one of Workers slots
+// while it runs, so k concurrent sweeps together never simulate more
+// than Workers cells at once. A call holds no slot while it stalls
+// under fault injection, and it stops waiting for a slot as soon as
+// its context ends. Workers must not change once the Pool is first
+// used.
 //
 // Cell execution is panic-isolated: a panicking simulation is
 // recovered into a *PanicError on that cell instead of crashing the
-// process, and — when Retry enables it — retried with capped
-// exponential backoff before the cell is quarantined.
+// process, and the cell is quarantined.
 type Pool struct {
 	// Workers is the pool-wide limit on concurrent simulations; values
 	// < 1 select runtime.NumCPU().
@@ -45,10 +43,6 @@ type Pool struct {
 	// calls (and across processes for disk-backed caches).
 	Cache *Cache
 
-	// Retry governs per-cell retry of failed or panicked simulations;
-	// the zero value runs each cell once.
-	Retry RetryPolicy
-
 	// OnCacheError, when non-nil, observes result-cache write failures
 	// (disk full, permissions, ...). Cache writes are not load-bearing:
 	// the result is already in memory and the cell succeeds regardless,
@@ -56,7 +50,7 @@ type Pool struct {
 	// flow. Calls may come from any worker goroutine.
 	OnCacheError func(key string, err error)
 
-	// slots holds one token per running simulation attempt; it is made
+	// slots holds one token per running simulation; it is made
 	// with Workers capacity on first use.
 	slotsOnce sync.Once
 	slots     chan struct{}
@@ -66,10 +60,10 @@ type Pool struct {
 	simulate func(netsim.Config) (netsim.Result, error)
 }
 
-// JobUpdate describes one resolved job of a Run call, as delivered to
+// JobUpdate describes one resolved job of a Run* call, as delivered to
 // the per-job progress hook (RunJobsProgress).
 type JobUpdate struct {
-	// Index is the job's position in the Run call's job list.
+	// Index is the job's position in the call's job list.
 	Index int
 	// Point and Rep identify the job within its sweep grid.
 	Point Point
@@ -78,22 +72,57 @@ type JobUpdate struct {
 	// Cached reports that the job resolved without simulating: a cache
 	// hit or an intra-batch duplicate.
 	Cached bool
-	// Attempts is how many times the cell was executed (1 for a
-	// first-try success, more after retries; 0 for cached jobs).
-	Attempts int
-	// Err is the cell's final error when it was quarantined after
-	// exhausting its attempts; nil for successful and cached jobs.
-	// Quarantined cells still count toward Done.
+	// Err is the cell's error when it was quarantined; nil for
+	// successful and cached jobs. Quarantined cells still count toward
+	// Done.
 	Err error
 	// Duration is the wall-clock time the simulation took on its
 	// worker; zero for cached jobs, which never simulate. It feeds the
 	// per-cell latency histograms of telemetry consumers (the HTTP
 	// service's bulktx_cell_simulation_seconds).
 	Duration time.Duration
-	// Done and Total are the Run call's resolved-job counter after this
+	// Done and Total are the call's resolved-job counter after this
 	// job and its total job count.
 	Done, Total int
 }
+
+// PanicError is a recovered panic from a cell simulation, converted to
+// an ordinary error so one corrupt configuration cannot crash the
+// worker pool (or the process hosting it).
+type PanicError struct {
+	// Value is the recovered panic value.
+	Value any
+	// Stack is the panicking goroutine's stack trace.
+	Stack []byte
+}
+
+// Error renders the panic value; the stack stays available on the
+// struct for logs that want it.
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("cell panicked: %v", e.Value)
+}
+
+// CellError records one quarantined cell of a partially failed sweep:
+// the job that could not be simulated, and why. A sweep completes with
+// CellErrors on its Outcome instead of failing wholesale.
+type CellError struct {
+	// Index is the failed job's position in the job list.
+	Index int
+	// Point and Rep identify the cell within the sweep grid.
+	Point Point
+	// Rep is the seeded repetition index within the point.
+	Rep int
+	// Err is the cell's error (a *PanicError when the cell panicked).
+	Err error
+}
+
+// Error summarizes the quarantined cell.
+func (e CellError) Error() string {
+	return fmt.Sprintf("cell %d (%v rep %d) failed: %v", e.Index, e.Point, e.Rep, e.Err)
+}
+
+// Unwrap exposes the underlying cell failure to errors.Is/As.
+func (e CellError) Unwrap() error { return e.Err }
 
 func (p *Pool) workers() int {
 	if p.Workers > 0 {
@@ -117,251 +146,20 @@ func (p *Pool) acquire(ctx context.Context) error {
 // release returns a slot taken by acquire.
 func (p *Pool) release() { <-p.slots }
 
-// isCtxErr distinguishes cancellation/deadline unwinding from genuine
-// cell failures: the former ends the whole run, the latter quarantines
-// one cell.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// attemptKey names one execution attempt of a cell for fault-injection
-// decisions, so probabilistic plans can flake per attempt while
-// staying deterministic.
-func attemptKey(key string, attempt int) string {
-	return fmt.Sprintf("%s#%d", key, attempt)
-}
-
-// runCell executes one simulation attempt, converting panics —
-// injected or genuine — into *PanicError so a corrupt cell cannot take
-// down the worker pool.
-func (p *Pool) runCell(cfg netsim.Config, faultKey string) (res netsim.Result, err error) {
+// runCell executes one simulation, converting panics — injected or
+// genuine — into *PanicError so a corrupt cell cannot take down the
+// worker pool.
+func (p *Pool) runCell(cfg netsim.Config, key string) (res netsim.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	faultinject.MaybePanic(faultinject.CellPanic, faultKey)
+	faultinject.MaybePanic(faultinject.CellPanic, key)
 	if p.simulate != nil {
 		return p.simulate(cfg)
 	}
 	return netsim.Run(cfg)
-}
-
-// Run executes the jobs and returns one result per job, in job order
-// regardless of scheduling: result i is always job i's, so a parallel
-// pool is byte-identical to serial execution. Jobs with identical
-// configurations (same content key) are simulated once and fanned out.
-// On failure Run reports the lowest-indexed error among the jobs that
-// ran (remaining jobs are abandoned, so which jobs ran — and hence
-// which error surfaces — can vary with scheduling).
-func (p *Pool) Run(jobs []Job) ([]netsim.Result, error) {
-	results, _, _, err := p.run(context.Background(), jobs, nil, false)
-	return results, err
-}
-
-// run executes jobs with per-job progress reporting. In wholesale mode
-// (partial false, the Run/Grid path) the first final cell error
-// aborts the batch and is returned. In partial mode (partial true, the
-// RunJobsProgressContext path) every cell is attempted; quarantined
-// cells are returned as CellErrors — sorted by index — alongside the
-// results, and the only run-level errors are key-encoding failures and
-// ctx cancellation. The int result counts jobs resolved without
-// simulating (see Outcome.Cached).
-func (p *Pool) run(ctx context.Context, jobs []Job, onJob func(JobUpdate), partial bool) ([]netsim.Result, int, []CellError, error) {
-	total := len(jobs)
-	results := make([]netsim.Result, total)
-	if total == 0 {
-		return results, 0, nil, nil
-	}
-
-	// Resolve duplicates and cache hits up front. primary maps a
-	// content key to the first job index carrying it; later indices
-	// with the same key become aliases filled in after execution.
-	// cached counts every job resolved without simulating — cache
-	// hits and intra-batch aliases — matching the Cached flag of the
-	// JobUpdates.
-	keys := make([]string, total)
-	primary := make(map[string]int, total)
-	var execIdx []int // indices to actually simulate
-	var done, cached int
-	var progressMu sync.Mutex
-	notify := func(i int, fromCache bool, attempts int, cellErr error, dur time.Duration) {
-		progressMu.Lock()
-		done++
-		if fromCache {
-			cached++
-		}
-		if onJob != nil {
-			onJob(JobUpdate{
-				Index: i, Point: jobs[i].Point, Rep: jobs[i].Rep,
-				Cached: fromCache, Attempts: attempts, Err: cellErr,
-				Duration: dur, Done: done, Total: total,
-			})
-		}
-		progressMu.Unlock()
-	}
-	for i, job := range jobs {
-		key, err := Key(job.Config)
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		keys[i] = key
-		if _, dup := primary[key]; dup {
-			continue
-		}
-		primary[key] = i
-		if res, ok := p.Cache.Get(key); ok {
-			results[i] = res
-			notify(i, true, 0, nil, 0)
-			continue
-		}
-		execIdx = append(execIdx, i)
-	}
-
-	// Execute the unique misses on the worker pool. failed short-
-	// circuits remaining work in wholesale mode only; cellErrs
-	// accumulates quarantined cells in partial mode.
-	var (
-		failed   atomic.Bool
-		errMu    sync.Mutex
-		errIdx   = -1
-		firstEr  error
-		cellErrs []CellError
-		wg       sync.WaitGroup
-	)
-	fail := func(i int, err error) {
-		failed.Store(true)
-		errMu.Lock()
-		if errIdx < 0 || i < errIdx {
-			errIdx, firstEr = i, err
-		}
-		errMu.Unlock()
-	}
-	// quarantine records one cell's final error: a batch abort in
-	// wholesale mode, a per-cell error entry in partial mode. Ctx
-	// unwinding is not a cell failure — the run-level return handles it.
-	quarantine := func(i, attempts int, err error) {
-		if isCtxErr(err) {
-			return
-		}
-		if !partial {
-			fail(i, err)
-			return
-		}
-		errMu.Lock()
-		cellErrs = append(cellErrs, CellError{
-			Index: i, Point: jobs[i].Point, Rep: jobs[i].Rep,
-			Attempts: attempts, Err: err,
-		})
-		errMu.Unlock()
-		notify(i, false, attempts, err, 0)
-	}
-	execute := func(i int) {
-		attempts := p.Retry.attempts()
-		var (
-			res    netsim.Result
-			err    error
-			simDur time.Duration
-			att    int
-		)
-		for att = 1; att <= attempts; att++ {
-			if err = ctx.Err(); err != nil {
-				break
-			}
-			faultinject.Stall(ctx, faultinject.CellStall, attemptKey(keys[i], att))
-			if err = ctx.Err(); err != nil {
-				break
-			}
-			if err = p.acquire(ctx); err != nil {
-				break
-			}
-			simStart := time.Now()
-			res, err = p.runCell(jobs[i].Config, attemptKey(keys[i], att))
-			simDur = time.Since(simStart)
-			p.release()
-			if err == nil {
-				break
-			}
-			if att < attempts && !sleepCtx(ctx, p.Retry.backoff(keys[i], att)) {
-				err = ctx.Err()
-				break
-			}
-		}
-		if att > attempts {
-			att = attempts
-		}
-		if err != nil {
-			quarantine(i, att, err)
-			return
-		}
-		// A failed cache write is not a failed cell: the result is
-		// already held in memory, so degrade to mem-only and let the
-		// hook log/count the disk problem.
-		if cerr := p.Cache.Put(keys[i], res); cerr != nil && p.OnCacheError != nil {
-			p.OnCacheError(keys[i], cerr)
-		}
-		results[i] = res
-		notify(i, false, att, nil, simDur)
-	}
-	work := make(chan int)
-	workers := p.workers()
-	if workers > len(execIdx) {
-		workers = len(execIdx)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				if failed.Load() || ctx.Err() != nil {
-					continue
-				}
-				execute(i)
-			}
-		}()
-	}
-	for _, i := range execIdx {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		if cause := context.Cause(ctx); cause != nil {
-			err = cause
-		}
-		return nil, 0, nil, err
-	}
-	if firstEr != nil {
-		return nil, 0, nil, fmt.Errorf("sweep: job %d (%v rep %d): %w",
-			errIdx, jobs[errIdx].Point, jobs[errIdx].Rep, firstEr)
-	}
-
-	// Fan primaries out to their aliases — results and quarantines
-	// alike, so every alias of a failed primary carries the error too.
-	failedAt := make(map[int]CellError, len(cellErrs))
-	for _, ce := range cellErrs {
-		failedAt[ce.Index] = ce
-	}
-	for i := range jobs {
-		pi := primary[keys[i]]
-		if pi == i {
-			continue
-		}
-		if ce, bad := failedAt[pi]; bad {
-			errMu.Lock()
-			cellErrs = append(cellErrs, CellError{
-				Index: i, Point: jobs[i].Point, Rep: jobs[i].Rep,
-				Attempts: ce.Attempts, Err: ce.Err,
-			})
-			errMu.Unlock()
-			notify(i, false, ce.Attempts, ce.Err, 0)
-			continue
-		}
-		results[i] = results[pi]
-		notify(i, true, 0, nil, 0)
-	}
-	sort.Slice(cellErrs, func(a, b int) bool { return cellErrs[a].Index < cellErrs[b].Index })
-	return results, cached, cellErrs, nil
 }
 
 // RunSpec compiles the spec and executes it, returning the grouped
@@ -385,32 +183,165 @@ func (p *Pool) RunJobsProgress(jobs []Job, onJob func(JobUpdate)) (*Outcome, err
 	return p.RunJobsProgressContext(context.Background(), jobs, onJob)
 }
 
-// RunJobsProgressContext executes an explicit job list, delivering one
-// JobUpdate per resolved job to onJob (when non-nil). Calls are
-// serialized but may come from any worker goroutine; Done strictly
-// increments from 1 to len(jobs). This is the progress feed behind
-// streaming consumers such as the HTTP service's per-cell SSE events.
+// RunJobsProgressContext executes an explicit job list and returns one
+// result per job, in job order regardless of scheduling: result i is
+// always job i's, so a parallel pool is byte-identical to serial
+// execution. Jobs with identical configurations (same content key) are
+// simulated once and fanned out. One JobUpdate per resolved job goes
+// to onJob (when non-nil); calls are serialized but may come from any
+// worker goroutine, and Done strictly increments from 1 to len(jobs).
+// This is the progress feed behind streaming consumers such as the
+// HTTP service's per-cell SSE events.
 //
-// Execution is partial-failure tolerant: a cell that still fails after
-// its retry budget is quarantined — recorded on Outcome.Errors and
-// reported through its JobUpdate — while the rest of the sweep
+// Each cell runs once. A cell that fails — a simulation is a pure
+// function of its config, so it would fail the same way again — is
+// quarantined: recorded on Outcome.Errors (sorted by index) and
+// reported through its JobUpdate, while the rest of the sweep
 // completes. The returned error is non-nil only for spec-level
 // problems (unencodable configs) or when ctx ends, in which case it is
 // ctx's cause; cancellation takes effect between cell executions (a
 // cell already simulating finishes first, a cell waiting for a slot
 // stops waiting at once).
 func (p *Pool) RunJobsProgressContext(ctx context.Context, jobs []Job, onJob func(JobUpdate)) (*Outcome, error) {
-	results, cached, cellErrs, err := p.run(ctx, jobs, onJob, true)
-	if err != nil {
+	total := len(jobs)
+	results := make([]netsim.Result, total)
+	if total == 0 {
+		return &Outcome{Jobs: jobs, Results: results}, nil
+	}
+
+	// Resolve duplicates and cache hits up front. primary maps a
+	// content key to the first job index carrying it; later indices
+	// with the same key become aliases filled in after execution.
+	// cached counts every job resolved without simulating — cache
+	// hits and intra-batch aliases — matching the Cached flag of the
+	// JobUpdates.
+	keys := make([]string, total)
+	primary := make(map[string]int, total)
+	var execIdx []int // indices to actually simulate
+	var done, cached int
+	var progressMu sync.Mutex
+	notify := func(i int, fromCache bool, cellErr error, dur time.Duration) {
+		progressMu.Lock()
+		done++
+		if fromCache {
+			cached++
+		}
+		if onJob != nil {
+			onJob(JobUpdate{
+				Index: i, Point: jobs[i].Point, Rep: jobs[i].Rep,
+				Cached: fromCache, Err: cellErr,
+				Duration: dur, Done: done, Total: total,
+			})
+		}
+		progressMu.Unlock()
+	}
+	for i, job := range jobs {
+		key, err := Key(job.Config)
+		if err != nil {
+			return nil, err
+		}
+		keys[i] = key
+		if _, dup := primary[key]; dup {
+			continue
+		}
+		primary[key] = i
+		if res, ok := p.Cache.Get(key); ok {
+			results[i] = res
+			notify(i, true, nil, 0)
+			continue
+		}
+		execIdx = append(execIdx, i)
+	}
+
+	// Execute the unique misses on the worker pool; cellErrs collects
+	// the quarantined ones.
+	var (
+		errMu    sync.Mutex
+		cellErrs []CellError
+		wg       sync.WaitGroup
+	)
+	quarantine := func(i int, err error) {
+		errMu.Lock()
+		cellErrs = append(cellErrs, CellError{Index: i, Point: jobs[i].Point, Rep: jobs[i].Rep, Err: err})
+		errMu.Unlock()
+		notify(i, false, err, 0)
+	}
+	execute := func(i int) {
+		faultinject.Stall(ctx, faultinject.CellStall, keys[i])
+		// An ended ctx is not a cell failure: the run-level return
+		// below reports it.
+		if ctx.Err() != nil || p.acquire(ctx) != nil {
+			return
+		}
+		simStart := time.Now()
+		res, err := p.runCell(jobs[i].Config, keys[i])
+		simDur := time.Since(simStart)
+		p.release()
+		if err != nil {
+			quarantine(i, err)
+			return
+		}
+		// A failed cache write is not a failed cell: the result is
+		// already held in memory, so degrade to mem-only and let the
+		// hook log/count the disk problem.
+		if cerr := p.Cache.Put(keys[i], res); cerr != nil && p.OnCacheError != nil {
+			p.OnCacheError(keys[i], cerr)
+		}
+		results[i] = res
+		notify(i, false, nil, simDur)
+	}
+	work := make(chan int)
+	workers := min(p.workers(), len(execIdx))
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range work {
+				if ctx.Err() == nil {
+					execute(i)
+				}
+			}
+		}()
+	}
+	for _, i := range execIdx {
+		work <- i
+	}
+	close(work)
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		if cause := context.Cause(ctx); cause != nil {
+			err = cause
+		}
 		return nil, err
 	}
+
+	// Fan primaries out to their aliases — results and quarantines
+	// alike, so every alias of a failed primary carries the error too.
+	failedAt := make(map[int]error, len(cellErrs))
+	for _, ce := range cellErrs {
+		failedAt[ce.Index] = ce.Err
+	}
+	for i := range jobs {
+		pi := primary[keys[i]]
+		if pi == i {
+			continue
+		}
+		if err, bad := failedAt[pi]; bad {
+			quarantine(i, err)
+			continue
+		}
+		results[i] = results[pi]
+		notify(i, true, nil, 0)
+	}
+	sort.Slice(cellErrs, func(a, b int) bool { return cellErrs[a].Index < cellErrs[b].Index })
 	return &Outcome{Jobs: jobs, Results: results, Cached: cached, Errors: cellErrs}, nil
 }
 
 // Grid runs every configuration with runs seeded repetitions (seeds
 // baseSeed..baseSeed+runs-1, common across configs) and returns the
 // per-configuration result groups, in input order: the batched, cached
-// form of netsim.RunScenarioMany over each configuration.
+// form of netsim.RunScenarioMany over each configuration. Every cell
+// runs; if any failed, the lowest-indexed CellError is the error.
 func (p *Pool) Grid(cfgs []netsim.Config, runs int, baseSeed int64) ([][]netsim.Result, error) {
 	if runs < 1 {
 		return nil, fmt.Errorf("sweep: runs %d < 1", runs)
@@ -432,13 +363,16 @@ func (p *Pool) Grid(cfgs []netsim.Config, runs int, baseSeed int64) ([][]netsim.
 			})
 		}
 	}
-	flat, err := p.Run(jobs)
+	outcome, err := p.RunJobs(jobs)
 	if err != nil {
 		return nil, err
 	}
+	if len(outcome.Errors) > 0 {
+		return nil, outcome.Errors[0]
+	}
 	out := make([][]netsim.Result, len(cfgs))
 	for i := range cfgs {
-		out[i] = flat[i*runs : (i+1)*runs : (i+1)*runs]
+		out[i] = outcome.Results[i*runs : (i+1)*runs : (i+1)*runs]
 	}
 	return out, nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"bulktx/internal/faultinject"
 	"bulktx/internal/netsim"
 	"bulktx/internal/params"
 )
@@ -85,8 +86,8 @@ func TestRunJobsProgressReportsEveryJob(t *testing.T) {
 
 func TestConcurrentRunsShareOnePool(t *testing.T) {
 	// A stress companion to the deterministic dedupe tests: many
-	// concurrent Run calls over one pool and one configuration must all
-	// succeed and agree (exercised under -race in CI).
+	// concurrent RunJobs calls over one pool and one configuration must
+	// all succeed and agree (exercised under -race in CI).
 	jobs := smallJob(t, 44)
 	pool := &Pool{Workers: 2, Cache: NewCache()}
 	const callers = 6
@@ -96,12 +97,16 @@ func TestConcurrentRunsShareOnePool(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := pool.Run(jobs)
+			out, err := pool.RunJobs(jobs)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			results[c] = res
+			if len(out.Errors) != 0 {
+				t.Error(out.Errors[0])
+				return
+			}
+			results[c] = out.Results
 		}()
 	}
 	wg.Wait()
@@ -226,38 +231,39 @@ func TestSlotWaitEndsWithContext(t *testing.T) {
 	}
 }
 
-// TestRetryBackoffHoldsNoSlot: a cell waiting out its retry backoff
-// leaves its slot to other calls.
-func TestRetryBackoffHoldsNoSlot(t *testing.T) {
-	flaky, steady := smallJob(t, 1), smallJob(t, 2)
-	var failedOnce atomic.Bool
-	pool := &Pool{
-		Workers: 1,
-		Retry:   RetryPolicy{MaxAttempts: 2, BaseBackoff: 300 * time.Millisecond},
-		simulate: func(cfg netsim.Config) (netsim.Result, error) {
-			if cfg.Seed == flaky[0].Config.Seed && failedOnce.CompareAndSwap(false, true) {
-				return netsim.Result{}, errors.New("transient")
-			}
-			return netsim.Result{}, nil
-		},
+// TestStalledCellHoldsNoSlot: a cell stalled by cell.stall leaves its
+// slot to other calls.
+func TestStalledCellHoldsNoSlot(t *testing.T) {
+	plan, err := faultinject.Parse("cell.stall:delay=10s,count=1")
+	if err != nil {
+		t.Fatal(err)
 	}
-	flakyDone := make(chan struct{})
+	defer faultinject.Activate(plan)()
+
+	pool := &Pool{Workers: 1, simulate: func(netsim.Config) (netsim.Result, error) {
+		return netsim.Result{}, nil
+	}}
+	stalled, steady := smallJob(t, 1), smallJob(t, 2)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stalledDone := make(chan struct{})
 	go func() {
-		defer close(flakyDone)
-		if _, err := pool.RunJobsProgressContext(context.Background(), flaky, nil); err != nil {
-			t.Error(err)
+		defer close(stalledDone)
+		if _, err := pool.RunJobsProgressContext(ctx, stalled, nil); !errors.Is(err, context.Canceled) {
+			t.Errorf("stalled call returned %v, want context.Canceled", err)
 		}
 	}()
-	for !failedOnce.Load() {
+	for faultinject.Fired(faultinject.CellStall) == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	if _, err := pool.RunJobsProgressContext(context.Background(), steady, nil); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case <-flakyDone:
-		t.Error("flaky call finished first: the steady call waited out its backoff")
+	case <-stalledDone:
+		t.Error("stalled call finished first: the steady call waited out its stall")
 	default:
 	}
-	<-flakyDone
+	cancel()
+	<-stalledDone
 }

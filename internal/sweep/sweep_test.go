@@ -136,10 +136,11 @@ func TestPoolParallelMatchesSerial(t *testing.T) {
 	want := serialResults(t, jobs)
 	for _, workers := range []int{1, 4, 16} {
 		pool := &Pool{Workers: workers}
-		got, err := pool.Run(jobs)
+		out, err := pool.RunJobs(jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := out.Results
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(want))
 		}
@@ -182,10 +183,15 @@ func TestPoolError(t *testing.T) {
 	}
 	jobs[3].Config.Nodes = 0 // invalid: fails Validate inside netsim.Run
 	pool := &Pool{Workers: 4}
-	if _, err := pool.Run(jobs); err == nil {
-		t.Error("pool swallowed a failing job")
-	} else if !strings.Contains(err.Error(), "job 3") {
-		t.Errorf("error %v does not name the failing job", err)
+	out, err := pool.RunJobs(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Errors) != 1 {
+		t.Fatalf("errors = %v, want the one failing job", out.Errors)
+	}
+	if ce := out.Errors[0]; ce.Index != 3 || !strings.Contains(ce.Error(), "cell 3") {
+		t.Errorf("error %v does not name the failing job", ce)
 	}
 }
 
