@@ -79,10 +79,10 @@ func BenchmarkFig9(b *testing.B) { benchArtifact(b, "fig9") }
 // Figure 10: multi-hop energy vs delay trade-off (simulation).
 func BenchmarkFig10(b *testing.B) { benchArtifact(b, "fig10") }
 
-// Figure 11: prototype energy per packet vs threshold (mote emulation).
+// Figure 11: prototype energy per packet vs threshold (Section 4.2).
 func BenchmarkFig11(b *testing.B) { benchArtifact(b, "fig11") }
 
-// Figure 12: prototype energy per packet vs delay (mote emulation).
+// Figure 12: prototype energy per packet vs delay (Section 4.2).
 func BenchmarkFig12(b *testing.B) { benchArtifact(b, "fig12") }
 
 // Ablations (DESIGN.md Section 6).
@@ -118,13 +118,14 @@ func BenchmarkBreakEvenSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkPrototypeRun measures one 500-message mote emulation.
+// BenchmarkPrototypeRun measures one 500-message prototype transfer
+// under BCP.
 func BenchmarkPrototypeRun(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cfg := bulktx.NewPrototypeConfig(2000)
+		cfg := bulktx.NewPrototypeConfig(bulktx.ModelDual, 2000, 500, 100*time.Millisecond)
 		cfg.Seed = int64(i + 1)
-		if _, err := bulktx.RunPrototype(cfg); err != nil {
+		if _, err := bulktx.RunSimulation(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

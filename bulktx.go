@@ -7,7 +7,6 @@ import (
 	"bulktx/internal/energy"
 	"bulktx/internal/experiments"
 	"bulktx/internal/metrics"
-	"bulktx/internal/mote"
 	"bulktx/internal/netsim"
 	"bulktx/internal/report"
 	"bulktx/internal/service"
@@ -39,12 +38,6 @@ type (
 
 	// SimModel selects the evaluation model (sensor / 802.11 / dual).
 	SimModel = netsim.Model
-
-	// PrototypeConfig describes one mote prototype run (Section 4.2).
-	PrototypeConfig = mote.Config
-
-	// PrototypeResult carries a prototype run's outcomes.
-	PrototypeResult = mote.Result
 
 	// ResultTable is a printable reproduction of one paper artifact.
 	ResultTable = metrics.Table
@@ -306,14 +299,15 @@ func RunSimulations(cfg SimConfig, runs int, baseSeed int64) ([]SimResult, error
 	return netsim.RunScenarioMany(s, runs, baseSeed)
 }
 
-// NewPrototypeConfig returns the paper's Section 4.2 prototype setup for
-// an alpha-s* threshold in bytes.
-func NewPrototypeConfig(threshold ByteSize) PrototypeConfig {
-	return mote.DefaultConfig(threshold)
+// NewPrototypeConfig returns the paper's Section 4.2 prototype as a
+// SimConfig: one sender streaming messages 32 B messages, one per
+// interval, to a receiver 10 m away, then flushing. The dual model
+// buffers an alpha-s* threshold in bytes before each burst; the sensor
+// model is the send-immediately baseline. Run it with RunSimulation
+// and compare SimResult.EnergyPerPacket across the two models.
+func NewPrototypeConfig(model SimModel, threshold ByteSize, messages int, interval time.Duration) SimConfig {
+	return netsim.PrototypeConfig(model, threshold, messages, interval)
 }
-
-// RunPrototype executes one mote prototype run.
-func RunPrototype(cfg PrototypeConfig) (PrototypeResult, error) { return mote.Run(cfg) }
 
 // NewSimService builds and starts the HTTP simulation service (the
 // zero-value options select all cores, an in-memory cache and the

@@ -115,17 +115,17 @@ func TestMultiHopConfigThroughFacade(t *testing.T) {
 }
 
 func TestPrototypeThroughFacade(t *testing.T) {
-	cfg := bulktx.NewPrototypeConfig(2000)
-	cfg.Messages = 100
-	res, err := bulktx.RunPrototype(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Delivered != 100 {
-		t.Errorf("delivered %d/100", res.Delivered)
-	}
-	if res.DualEnergyPerPacket <= 0 || res.SensorEnergyPerPacket <= 0 {
-		t.Error("energy per packet not positive")
+	for _, model := range []bulktx.SimModel{bulktx.ModelDual, bulktx.ModelSensor} {
+		res, err := bulktx.RunSimulation(bulktx.NewPrototypeConfig(model, 2000, 100, 100*time.Millisecond))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Delays) != 100 {
+			t.Errorf("%v: delivered %d/100", model, len(res.Delays))
+		}
+		if res.EnergyPerPacket() <= 0 {
+			t.Errorf("%v: energy per packet not positive", model)
+		}
 	}
 }
 

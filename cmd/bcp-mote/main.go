@@ -16,23 +16,27 @@ import (
 
 	"bulktx"
 	"bulktx/internal/cli"
+	"bulktx/internal/params"
 	"bulktx/internal/telemetry"
 )
 
 func main() {
-	cli.Exit("bcp-mote", run())
+	cli.Exit("bcp-mote", run(os.Args[1:]))
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("bcp-mote", flag.ContinueOnError)
 	var (
-		threshold = flag.Int("threshold", 2000, "alpha-s* threshold in bytes")
-		messages  = flag.Int("messages", 500, "messages per run")
-		interval  = flag.Duration("interval", 100*time.Millisecond, "generation interval")
-		sweep     = flag.Bool("sweep", false, "sweep thresholds 500-5000 B (Figures 11-12)")
-		tracePath = flag.String("trace", "", "write the dual run's trace as JSON lines (the bcp-sim -trace-jsonl format) to this file")
-		tel       = telemetry.RegisterFlags(flag.CommandLine)
+		threshold = fs.Int("threshold", 2000, "alpha-s* threshold in bytes")
+		messages  = fs.Int("messages", 500, "messages per run")
+		interval  = fs.Duration("interval", 100*time.Millisecond, "generation interval")
+		sweep     = fs.Bool("sweep", false, "sweep thresholds 500-5000 B (Figures 11-12)")
+		tracePath = fs.String("trace", "", "write the dual run's trace as JSON lines (the bcp-sim -trace-jsonl format) to this file")
+		tel       = telemetry.RegisterFlags(fs)
 	)
-	flag.Parse()
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 	if tel.HandleVersion(os.Stdout, "bcp-mote") {
 		return nil
 	}
@@ -49,26 +53,43 @@ func run() error {
 		return nil
 	}
 
-	cfg := bulktx.NewPrototypeConfig(bulktx.ByteSize(*threshold))
-	cfg.Messages = *messages
-	cfg.Interval = *interval
-	res, err := bulktx.RunPrototype(cfg)
+	// Every value came from a flag, so an unusable one is a usage error.
+	th := bulktx.ByteSize(*threshold)
+	switch {
+	case th < params.SensorPayload:
+		return cli.Usagef("threshold %v below one message (%v)", th, params.SensorPayload)
+	case *messages < 1:
+		return cli.Usagef("need at least one message, got %d", *messages)
+	}
+	dual := bulktx.NewPrototypeConfig(bulktx.ModelDual, th, *messages, *interval)
+	if err := dual.Validate(); err != nil {
+		return cli.Usage(err)
+	}
+	s, err := dual.Scenario(bulktx.WithTrace(bulktx.TraceOptions{Packets: true, States: true}))
+	if err != nil {
+		return err
+	}
+	dualRes, err := bulktx.RunScenario(s)
+	if err != nil {
+		return err
+	}
+	sensorRes, err := bulktx.RunSimulation(bulktx.NewPrototypeConfig(bulktx.ModelSensor, th, *messages, *interval))
 	if err != nil {
 		return err
 	}
 	fmt.Printf("threshold=%d B messages=%d interval=%v\n", *threshold, *messages, *interval)
-	fmt.Printf("  delivered              %d\n", res.Delivered)
-	fmt.Printf("  dual energy/packet     %.1f uJ\n", res.DualEnergyPerPacket.Microjoules())
-	fmt.Printf("  sensor energy/packet   %.1f uJ\n", res.SensorEnergyPerPacket.Microjoules())
-	fmt.Printf("  mean delay/packet      %v\n", res.MeanDelayPerPacket.Round(time.Millisecond))
-	fmt.Printf("  logged events          %d\n", len(res.Dual.Trace.Events))
+	fmt.Printf("  delivered              %d\n", len(dualRes.Delays))
+	fmt.Printf("  dual energy/packet     %.1f uJ\n", dualRes.EnergyPerPacket().Microjoules())
+	fmt.Printf("  sensor energy/packet   %.1f uJ\n", sensorRes.EnergyPerPacket().Microjoules())
+	fmt.Printf("  mean delay/packet      %v\n", dualRes.MeanDelay().Round(time.Millisecond))
+	fmt.Printf("  logged events          %d\n", len(dualRes.Trace.Events))
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		if err := bulktx.WriteTraceJSONL(f, []bulktx.TracedRun{{Label: "dual", Result: res.Dual}}); err != nil {
+		if err := bulktx.WriteTraceJSONL(f, []bulktx.TracedRun{{Label: "dual", Result: dualRes}}); err != nil {
 			return err
 		}
 		fmt.Printf("  trace written          %s\n", *tracePath)

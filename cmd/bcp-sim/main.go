@@ -127,7 +127,7 @@ func buildConfig(o options) (bulktx.SimConfig, error) {
 	if cfg.Traffic, err = sweep.ParseTraffic(o.traffic); err != nil {
 		return cfg, cli.Usage(err)
 	}
-	if o.rate > 0 {
+	if o.rate != 0 {
 		cfg.Rate = bulktx.BitRate(o.rate) * bulktx.Kbps
 	}
 

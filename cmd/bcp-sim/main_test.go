@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"bulktx"
+	"bulktx/internal/cli"
 )
 
 func mustParse(t *testing.T, args ...string) options {
@@ -73,6 +75,30 @@ func TestBuildConfigErrors(t *testing.T) {
 	} {
 		if _, err := buildConfig(mustParse(t, args...)); err == nil {
 			t.Errorf("%v accepted", args)
+		}
+	}
+}
+
+// Non-finite and negative flag values fail validation as usage errors
+// (exit status 2) naming the config field, before any run.
+func TestBuildConfigRejectsNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		args  []string
+		field string
+	}{
+		{[]string{"-churn", "NaN"}, "ChurnRate"},
+		{[]string{"-churn", "+Inf"}, "ChurnRate"},
+		{[]string{"-rate", "+Inf"}, "Rate"},
+		{[]string{"-rate", "NaN"}, "Rate"},
+		{[]string{"-rate", "-1"}, "Rate"},
+		{[]string{"-loss", "NaN"}, "SensorLoss"},
+		{[]string{"-adaptive", "+Inf"}, "AdaptiveThresholdAlpha"},
+	} {
+		_, err := buildConfig(mustParse(t, tc.args...))
+		var u *cli.UsageError
+		var fe *bulktx.ConfigFieldError
+		if !errors.As(err, &u) || !errors.As(err, &fe) || fe.Field != tc.field {
+			t.Errorf("%v: %v, want a usage error naming %s", tc.args, err, tc.field)
 		}
 	}
 }

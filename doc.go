@@ -20,9 +20,9 @@
 //     (discrete-event engine, PHY channels, CSMA and DCF MACs, routing,
 //     energy metering) — see RunSimulation;
 //   - the prototype emulation of Section 4.2, one sender streaming a
-//     fixed number of messages to one receiver as two netsim scenarios
-//     (BCP and the sensor-radio baseline), with energy from the radios'
-//     meters — see RunPrototype;
+//     fixed number of messages to one receiver, under BCP and under the
+//     sensor-radio baseline, with energy from the radios' meters — see
+//     NewPrototypeConfig;
 //   - runners that regenerate every table and figure of the paper — see
 //     RunExperiment;
 //   - a parallel sweep-orchestration engine for grids of seeded runs
@@ -34,7 +34,7 @@
 //
 // A SimConfig (NewSimConfig, NewMultiHopSimConfig) holds every scalar
 // setting of a run: model, sender count, burst threshold, rate,
-// duration, radios and the protocol extensions. It is the one
+// duration, message cap, radios and the protocol extensions. It is the one
 // description of a run — the wire format of sweeps, JSON specs and
 // caches — and SimConfig.Validate is the one validator of its fields.
 // SimConfig.Scenario compiles it into a Scenario; each part passed to
@@ -43,7 +43,7 @@
 // ExplicitTopology), sink and sender placement policies
 // (SinkNearCenter/SinkAt, StableShuffleSenders/ExplicitSenders/
 // FarthestSenders), a Workload (CBR, Poisson or on/off arrivals with
-// homogeneous or per-sender rates, or a fixed message count), a
+// homogeneous or per-sender rates), a
 // LinkModel (flat or distance-dependent loss) and a Churn model
 // (scheduled or random node failures and recoveries). Everything is
 // validated before any event runs. RunScenario executes one run;

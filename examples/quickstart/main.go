@@ -11,6 +11,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"time"
 
 	"bulktx"
 )
@@ -44,23 +45,28 @@ func run() error {
 	fmt.Printf("Break-even size s* (%s over %s): %v\n", lucent.Name, micaz.Name, sStar)
 	fmt.Printf("Analytic savings at 4 KB: %.0f%%\n\n", model.Savings(4*1024)*100)
 
-	// Section 4.2: measure it through the full protocol stack.
+	// Section 4.2: measure it through the full protocol stack. The
+	// sensor-radio baseline sends every message at once, so one run
+	// serves every threshold.
+	const messages, interval = 500, 100 * time.Millisecond
+	baseline, err := bulktx.RunSimulation(bulktx.NewPrototypeConfig(bulktx.ModelSensor, 0, messages, interval))
+	if err != nil {
+		return err
+	}
+	sensor := baseline.EnergyPerPacket()
 	for _, threshold := range []bulktx.ByteSize{512, 4096} {
-		cfg := bulktx.NewPrototypeConfig(threshold)
-		res, err := bulktx.RunPrototype(cfg)
+		res, err := bulktx.RunSimulation(bulktx.NewPrototypeConfig(bulktx.ModelDual, threshold, messages, interval))
 		if err != nil {
 			return err
 		}
+		dual := res.EnergyPerPacket()
 		verdict := "wastes energy (below s*)"
-		if res.DualEnergyPerPacket < res.SensorEnergyPerPacket {
+		if dual < sensor {
 			verdict = "saves energy"
 		}
 		fmt.Printf("Buffering %4d B before waking the 802.11 radio: "+
 			"%6.1f uJ/packet vs %5.1f uJ/packet on the sensor radio -> %s\n",
-			threshold,
-			res.DualEnergyPerPacket.Microjoules(),
-			res.SensorEnergyPerPacket.Microjoules(),
-			verdict)
+			threshold, dual.Microjoules(), sensor.Microjoules(), verdict)
 	}
 	return nil
 }

@@ -5,9 +5,9 @@
 //
 // Analytic artifacts (Table 1, Figures 1-4) come from internal/analysis;
 // simulation artifacts (Figures 5-10) from internal/netsim; prototype
-// artifacts (Figures 11-12) from internal/mote, whose two runs are
-// netsim scenarios charged by the radios' meters (a replay test checks
-// that each run's traced state transitions reproduce those meters).
+// artifacts (Figures 11-12) from netsim.PrototypeConfig's finite
+// transfers, charged by the radios' meters (a replay test checks that
+// a traced run's state transitions reproduce those meters).
 package experiments
 
 import (

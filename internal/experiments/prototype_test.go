@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"bulktx/internal/metrics"
+	"bulktx/internal/netsim"
+	"bulktx/internal/sweep"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -48,5 +50,37 @@ func TestPrototypeGolden(t *testing.T) {
 					tc.name, golden, got, want)
 			}
 		})
+	}
+}
+
+// TestPrototypeFiguresShareOneBatch runs Figures 11 and 12 on a fresh
+// engine: together they simulate the 19 dual cells and the one sensor
+// cell, and the second figure finds every cell cached.
+func TestPrototypeFiguresShareOneBatch(t *testing.T) {
+	old := engine
+	defer func() { engine = old }()
+	cache := sweep.NewCache()
+	ConfigureEngine(2, cache)
+	if _, err := Fig11(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Fig12(); err != nil {
+		t.Fatal(err)
+	}
+	if n := cache.Stats().Entries; n != 20 {
+		t.Errorf("Fig11 then Fig12 left %d cache entries, want 20", n)
+	}
+	cfgs := []netsim.Config{netsim.PrototypeConfig(netsim.ModelSensor, 0, prototypeMessages, prototypeInterval)}
+	for _, th := range prototypeThresholds() {
+		cfgs = append(cfgs, netsim.PrototypeConfig(netsim.ModelDual, th, prototypeMessages, prototypeInterval))
+	}
+	for _, cfg := range cfgs {
+		key, err := sweep.Key(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := cache.Get(key); !ok {
+			t.Errorf("%v cell with burst %d not cached", cfg.Model, cfg.BurstPackets)
+		}
 	}
 }

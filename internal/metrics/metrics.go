@@ -54,6 +54,15 @@ func (r RunResult) NormalizedEnergy() float64 {
 	return r.TotalEnergy.Joules() / (float64(r.DeliveredBits) / 1000)
 }
 
+// EnergyPerPacket is total energy over delivered packets (the
+// prototype figures' metric), or 0 when nothing was delivered.
+func (r RunResult) EnergyPerPacket() units.Energy {
+	if len(r.Delays) == 0 {
+		return 0
+	}
+	return r.TotalEnergy / units.Energy(float64(len(r.Delays)))
+}
+
 // MeanDelay is the average per-packet delay (paper metric 3).
 func (r RunResult) MeanDelay() time.Duration {
 	if len(r.Delays) == 0 {

@@ -22,6 +22,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -202,6 +203,13 @@ type Config struct {
 	// ChurnMeanDowntime is the mean outage length under churn
 	// (default 60 s).
 	ChurnMeanDowntime time.Duration `json:",omitempty"`
+
+	// Messages, when positive, makes each sender a finite transfer: a
+	// CBR source that emits exactly this many packets, the first one
+	// period in (no random phase), and one period after the last asks
+	// its node's BCP agent to flush what is still buffered. Zero runs
+	// unbounded. Only CBR traffic can be capped.
+	Messages int `json:",omitempty"`
 }
 
 // DefaultConfig returns the paper's scenario for a model, sender count,
@@ -233,6 +241,34 @@ func MultiHopConfig(senders, burstPackets int, seed int64) Config {
 	return cfg
 }
 
+// PrototypeConfig returns the paper's Section 4.2 prototype as a finite
+// transfer under a model: node 0 sends messages sensor payloads, one
+// per interval, to the sink at node 1 10 m away, flushes one interval
+// after the last, and the run lasts ten minutes past the flush. The
+// dual model buffers threshold bytes, rounded up to whole messages,
+// before each burst; the sensor model, the baseline, sends every
+// message at once, so its config does not depend on the threshold.
+func PrototypeConfig(model Model, threshold units.ByteSize, messages int, interval time.Duration) Config {
+	burst := 0
+	if model == ModelDual {
+		burst = int((threshold + params.SensorPayload - 1) / params.SensorPayload)
+	}
+	cfg := DefaultConfig(model, 1, burst, 1)
+	cfg.Topology, cfg.Nodes, cfg.Field = TopoLinear, 2, 10
+	cfg.Sink = 1
+	cfg.WifiRange = 10
+	// The workload takes a bit rate. A plain division can put its period
+	// a nanosecond short of interval (110 ms, for one), so step the rate
+	// down until the period is exact.
+	cfg.Rate = units.BitRate(float64(params.SensorPayload.Bits()) / interval.Seconds())
+	for cfg.Rate.TimeFor(params.SensorPayload) < interval {
+		cfg.Rate = units.BitRate(math.Nextafter(float64(cfg.Rate), 0))
+	}
+	cfg.Duration = time.Duration(messages+1)*interval + 10*time.Minute
+	cfg.Messages = messages
+	return cfg
+}
+
 // FieldError is a validation failure annotated with the name of the
 // offending field — a Config field ("Senders") or, when wrapped by the
 // spec layers, a JSON document field ("senders"). Callers that turn
@@ -252,7 +288,7 @@ func (e *FieldError) Error() string { return "invalid " + e.Field + ": " + e.Rea
 // Validate reports whether the configuration is usable. Failures are
 // FieldErrors naming the offending Config field (wrapped under a
 // "netsim:" prefix).
-func (c Config) Validate() error { return c.validate(true) }
+func (c Config) Validate() error { return c.validate(true, true) }
 
 // sendersOutside is the error for a sender count that a layout of
 // nodes nodes cannot hold: Validate's for a bare config, the sender
@@ -262,31 +298,44 @@ func sendersOutside(senders, nodes int) error {
 		Reason: fmt.Sprintf("senders %d outside [1, %d)", senders, nodes)})
 }
 
-// validate checks the config's fields. checkSenders bounds Senders by
-// Nodes; Scenario leaves that bound to the sender policy, which sees
-// the layout a WithTopology part may have resized.
-func (c Config) validate(checkSenders bool) error {
+// uncappable is the error for a message cap on a non-CBR workload:
+// Validate's for the config's Traffic, the builder's for a workload
+// part.
+func uncappable(messages int) error {
+	return fmt.Errorf("netsim: %w", &FieldError{Field: "Messages",
+		Reason: fmt.Sprintf("only CBR traffic can be capped at %d messages", messages)})
+}
+
+// validate checks the config's fields. checkLayout checks Nodes and
+// Field, which only the config's own topology reads; checkSenders
+// bounds Senders by Nodes. Scenario skips the first under a
+// WithTopology part and always leaves the sender bound to the sender
+// policy, which sees the layout the part may have resized.
+func (c Config) validate(checkLayout, checkSenders bool) error {
 	bad := func(field, format string, a ...any) error {
 		return fmt.Errorf("netsim: %w", &FieldError{Field: field, Reason: fmt.Sprintf(format, a...)})
 	}
+	nonFinite := func(x float64) bool { return math.IsNaN(x) || math.IsInf(x, 0) }
 	switch {
 	case c.Model < ModelSensor || c.Model > ModelDual:
 		return bad("Model", "unknown model %d", int(c.Model))
-	case c.Nodes < 2:
+	case checkLayout && c.Nodes < 2:
 		return bad("Nodes", "need at least 2 nodes, got %d", c.Nodes)
-	case c.Field <= 0:
+	case checkLayout && c.Field <= 0:
 		return bad("Field", "non-positive field %v", c.Field)
 	case checkSenders && (c.Senders < 1 || c.Senders >= c.Nodes):
 		return sendersOutside(c.Senders, c.Nodes)
+	case nonFinite(float64(c.Rate)):
+		return bad("Rate", "non-finite rate %v", c.Rate)
 	case c.Rate <= 0:
 		return bad("Rate", "non-positive rate %v", c.Rate)
 	case c.Duration <= 0:
 		return bad("Duration", "non-positive duration %v", c.Duration)
 	case c.Model == ModelDual && c.BurstPackets < 1:
 		return bad("BurstPackets", "dual model needs a positive burst size, got %d", c.BurstPackets)
-	case c.SensorLoss < 0 || c.SensorLoss >= 1:
+	case math.IsNaN(c.SensorLoss) || c.SensorLoss < 0 || c.SensorLoss >= 1:
 		return bad("SensorLoss", "loss probability %v outside [0,1)", c.SensorLoss)
-	case c.WifiLoss < 0 || c.WifiLoss >= 1:
+	case math.IsNaN(c.WifiLoss) || c.WifiLoss < 0 || c.WifiLoss >= 1:
 		return bad("WifiLoss", "loss probability %v outside [0,1)", c.WifiLoss)
 	case c.WifiRange < 0:
 		return bad("WifiRange", "negative wifi range %v", c.WifiRange)
@@ -294,14 +343,22 @@ func (c Config) validate(checkSenders bool) error {
 		return bad("PostBurstLinger", "negative post-burst linger %v", c.PostBurstLinger)
 	case c.MinGrantPackets < 0:
 		return bad("MinGrantPackets", "negative min grant %d", c.MinGrantPackets)
+	case nonFinite(c.AdaptiveThresholdAlpha):
+		return bad("AdaptiveThresholdAlpha", "non-finite adaptive alpha %v", c.AdaptiveThresholdAlpha)
 	case c.AdaptiveThresholdAlpha < 0:
 		return bad("AdaptiveThresholdAlpha", "negative adaptive alpha %v", c.AdaptiveThresholdAlpha)
 	case c.DelayBound < 0:
 		return bad("DelayBound", "negative delay bound %v", c.DelayBound)
 	case c.Traffic < TrafficCBR || c.Traffic > TrafficOnOff:
 		return bad("Traffic", "unknown traffic model %d", int(c.Traffic))
+	case c.Messages < 0:
+		return bad("Messages", "negative message count %d", c.Messages)
+	case c.Messages > 0 && c.Traffic != TrafficCBR:
+		return uncappable(c.Messages)
 	case c.Clusters < 0:
 		return bad("Clusters", "negative cluster count %d", c.Clusters)
+	case nonFinite(c.ChurnRate):
+		return bad("ChurnRate", "non-finite churn rate %v", c.ChurnRate)
 	case c.ChurnRate < 0:
 		return bad("ChurnRate", "negative churn rate %v", c.ChurnRate)
 	case c.ChurnMeanDowntime < 0:
@@ -372,16 +429,14 @@ func (c Config) churn() Churn {
 // senders, CBR/Poisson/on-off workload, flat link loss and random
 // churn. Each part passed in parts replaces the one the fields would
 // build, for what a Config cannot express: explicit layouts and
-// placements, per-sender rates, message caps, distance loss, scheduled
-// churn and tracing. The compilation is exact: a fixed-seed run matches
-// the golden fingerprints of the flat-config runner it replaced.
+// placements, per-sender rates, distance loss, scheduled churn and
+// tracing. Under a WithTopology part, which replaces the layout, Nodes
+// and Field go unchecked. The compilation is exact: a fixed-seed run
+// matches the golden fingerprints of the flat-config runner it
+// replaced.
 func (c Config) Scenario(parts ...Option) (*Scenario, error) {
-	if err := c.validate(false); err != nil {
-		return nil, err
-	}
 	s := &Scenario{
 		cfg:      c,
-		topology: c.topology(),
 		sink:     SinkNearCenter(),
 		senders:  StableShuffleSenders(),
 		workload: Workload{Traffic: c.Traffic, Rate: c.Rate},
@@ -392,6 +447,12 @@ func (c Config) Scenario(parts ...Option) (*Scenario, error) {
 	}
 	for _, part := range parts {
 		part(s)
+	}
+	if err := c.validate(!s.topologyPart, false); err != nil {
+		return nil, err
+	}
+	if !s.topologyPart {
+		s.topology = c.topology()
 	}
 	if err := s.build(); err != nil {
 		return nil, err

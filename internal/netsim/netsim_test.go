@@ -2,11 +2,13 @@ package netsim
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
 	"bulktx/internal/params"
 	"bulktx/internal/topo"
+	"bulktx/internal/units"
 	"testing/quick"
 )
 
@@ -51,6 +53,18 @@ func TestConfigValidate(t *testing.T) {
 		{"bad loss", func(c *Config) { c.SensorLoss = 1 }},
 		{"bad wifi loss", func(c *Config) { c.WifiLoss = -0.1 }},
 		{"negative min grant", func(c *Config) { c.MinGrantPackets = -1 }},
+		{"negative messages", func(c *Config) { c.Messages = -1 }},
+		{"capped poisson", func(c *Config) { c.Traffic, c.Messages = TrafficPoisson, 10 }},
+		{"capped on-off", func(c *Config) { c.Traffic, c.Messages = TrafficOnOff, 10 }},
+		{"NaN rate", func(c *Config) { c.Rate = units.BitRate(math.NaN()) }},
+		{"infinite rate", func(c *Config) { c.Rate = units.BitRate(math.Inf(1)) }},
+		{"prototype zero interval", func(c *Config) { *c = PrototypeConfig(ModelDual, 2000, 100, 0) }},
+		{"NaN loss", func(c *Config) { c.SensorLoss = math.NaN() }},
+		{"NaN wifi loss", func(c *Config) { c.WifiLoss = math.NaN() }},
+		{"NaN adaptive alpha", func(c *Config) { c.AdaptiveThresholdAlpha = math.NaN() }},
+		{"infinite adaptive alpha", func(c *Config) { c.AdaptiveThresholdAlpha = math.Inf(1) }},
+		{"NaN churn", func(c *Config) { c.ChurnRate = math.NaN() }},
+		{"infinite churn", func(c *Config) { c.ChurnRate = math.Inf(1) }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -357,6 +371,12 @@ func TestValidateNamesOffendingField(t *testing.T) {
 		{func(c *Config) { c.DelayBound = -time.Second }, "DelayBound"},
 		{func(c *Config) { c.ChurnRate = -1 }, "ChurnRate"},
 		{func(c *Config) { c.Topology = "torus" }, "Topology"},
+		{func(c *Config) { c.Rate = units.BitRate(math.Inf(1)) }, "Rate"},
+		{func(c *Config) { c.SensorLoss = math.NaN() }, "SensorLoss"},
+		{func(c *Config) { c.WifiLoss = math.NaN() }, "WifiLoss"},
+		{func(c *Config) { c.AdaptiveThresholdAlpha = math.Inf(1) }, "AdaptiveThresholdAlpha"},
+		{func(c *Config) { c.ChurnRate = math.NaN() }, "ChurnRate"},
+		{func(c *Config) { c.Messages = -1 }, "Messages"},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig(ModelDual, 5, 100, 1)

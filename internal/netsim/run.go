@@ -481,7 +481,7 @@ type source interface {
 }
 
 // newSource builds and starts the configured traffic model for one
-// sender. flush ends a capped transfer (see Workload.Messages).
+// sender. flush ends a capped transfer (see Config.Messages).
 func newSource(
 	s *Scenario,
 	sched *sim.Scheduler,
@@ -518,7 +518,7 @@ func newSource(
 		if err != nil {
 			return nil, err
 		}
-		if n := s.workload.Messages; n > 0 {
+		if n := s.cfg.Messages; n > 0 {
 			g.StartCapped(n, flush)
 		} else {
 			g.StartWithin(startWindow)

@@ -24,12 +24,6 @@ type Workload struct {
 	// tiles over a large sender set (e.g. alternating fast and slow
 	// sensors).
 	Rates []units.BitRate
-	// Messages, when positive, makes each sender a finite transfer: a
-	// CBR source that emits exactly this many packets, the first one
-	// period in (no random phase), and one period after the last asks
-	// its node's BCP agent to flush what is still buffered. Zero runs
-	// unbounded. Only CBR traffic can be capped.
-	Messages int
 }
 
 // RateFor returns sender i's application rate.
@@ -43,12 +37,6 @@ func (w Workload) RateFor(i int) units.BitRate {
 func (w Workload) validate() error {
 	if w.Traffic < TrafficCBR || w.Traffic > TrafficOnOff {
 		return fmt.Errorf("netsim: invalid traffic model %d", int(w.Traffic))
-	}
-	if w.Messages < 0 {
-		return fmt.Errorf("netsim: negative message count %d", w.Messages)
-	}
-	if w.Messages > 0 && w.Traffic != TrafficCBR {
-		return fmt.Errorf("netsim: only CBR traffic can be capped at %d messages", w.Messages)
 	}
 	if len(w.Rates) == 0 && w.Rate <= 0 {
 		return fmt.Errorf("netsim: non-positive rate %v", w.Rate)
@@ -126,10 +114,13 @@ type Scenario struct {
 	cfg Config
 
 	topology Topology
-	sink     SinkPolicy
-	senders  SenderPolicy
-	workload Workload
-	links    LinkModel
+	// topologyPart records a WithTopology part, which leaves the
+	// config's Nodes and Field unread.
+	topologyPart bool
+	sink         SinkPolicy
+	senders      SenderPolicy
+	workload     Workload
+	links        LinkModel
 	// churn is the WithChurn part. Nil draws the schedule from the
 	// config's ChurnRate under the run seed.
 	churn Churn
@@ -151,7 +142,9 @@ type Option func(*Scenario)
 
 // WithTopology replaces the config's Topology, Nodes and Field with an
 // arbitrary deployment.
-func WithTopology(t Topology) Option { return func(s *Scenario) { s.topology = t } }
+func WithTopology(t Topology) Option {
+	return func(s *Scenario) { s.topology, s.topologyPart = t, true }
+}
 
 // WithSink replaces the config's Sink with a sink-placement policy.
 func WithSink(p SinkPolicy) Option { return func(s *Scenario) { s.sink = p } }
@@ -162,7 +155,8 @@ func WithSink(p SinkPolicy) Option { return func(s *Scenario) { s.sink = p } }
 func WithSenderPolicy(p SenderPolicy) Option { return func(s *Scenario) { s.senders = p } }
 
 // WithWorkload replaces the config's Traffic and Rate with a workload
-// that may also set per-sender rates or a message cap.
+// that may also set per-sender rates. A config capped by Messages
+// needs a CBR workload.
 func WithWorkload(w Workload) Option { return func(s *Scenario) { s.workload = w } }
 
 // WithLinks replaces the config's flat SensorLoss and WifiLoss with a
@@ -208,6 +202,9 @@ func (s *Scenario) build() error {
 	}
 	if err := s.workload.validate(); err != nil {
 		return err
+	}
+	if s.cfg.Messages > 0 && s.workload.Traffic != TrafficCBR {
+		return uncappable(s.cfg.Messages)
 	}
 	if err := s.links.validate(); err != nil {
 		return err

@@ -315,6 +315,41 @@ func TestTopologyPartBoundsSenders(t *testing.T) {
 	}
 }
 
+// Under a topology part the config's Nodes and Field go unread, so
+// they go unchecked; without one they fail as before.
+func TestTopologyPartIgnoresNodesAndField(t *testing.T) {
+	for _, tc := range []struct {
+		field  string
+		mutate func(*Config)
+		want   string
+	}{
+		{"Nodes", func(c *Config) { c.Nodes = 0 }, "netsim: invalid Nodes: need at least 2 nodes, got 0"},
+		{"Field", func(c *Config) { c.Field = 0 }, "netsim: invalid Field: non-positive field 0.0 m"},
+	} {
+		cfg := DefaultConfig(ModelSensor, 5, 0, 1)
+		cfg.Duration = time.Minute
+		tc.mutate(&cfg)
+		s, err := cfg.Scenario(WithTopology(LinearTopology(10, 360)))
+		if err != nil {
+			t.Fatalf("%s zero under a topology part: %v", tc.field, err)
+		}
+		res, err := RunScenario(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Nodes() != 10 || res.DeliveredBits == 0 {
+			t.Errorf("%s zero: %d nodes, %d bits delivered", tc.field, s.Nodes(), res.DeliveredBits)
+		}
+		_, serr := cfg.Scenario()
+		for _, err := range []error{cfg.Validate(), serr} {
+			var fe *FieldError
+			if !errors.As(err, &fe) || fe.Field != tc.field || err.Error() != tc.want {
+				t.Errorf("%s zero without a topology part: %v, want %q", tc.field, err, tc.want)
+			}
+		}
+	}
+}
+
 // The builder validates the parts and the resolved layout; scalar
 // fields are Config.Validate's (TestConfigValidate,
 // TestValidateNamesOffendingField).
@@ -332,18 +367,24 @@ func TestScenarioBuildValidation(t *testing.T) {
 		"zero rate":         {WithWorkload(CBRWorkload(0))},
 		"bad per-sender rate": {WithWorkload(Workload{
 			Traffic: TrafficCBR, Rates: []units.BitRate{2000, 0}})},
-		"bad traffic":       {WithWorkload(Workload{Traffic: Traffic(9), Rate: 2000})},
-		"negative messages": {WithWorkload(Workload{Traffic: TrafficCBR, Rate: 2000, Messages: -1})},
-		"capped poisson":    {WithWorkload(Workload{Traffic: TrafficPoisson, Rate: 2000, Messages: 10})},
-		"capped on-off":     {WithWorkload(Workload{Traffic: TrafficOnOff, Rate: 2000, Messages: 10})},
-		"bad loss":          {WithLinks(LinkModel{SensorLoss: 1})},
-		"bad wifi loss":     {WithLinks(LinkModel{WifiLoss: -0.1})},
+		"bad traffic":   {WithWorkload(Workload{Traffic: Traffic(9), Rate: 2000})},
+		"bad loss":      {WithLinks(LinkModel{SensorLoss: 1})},
+		"bad wifi loss": {WithLinks(LinkModel{WifiLoss: -0.1})},
 	}
 	cfg := DefaultConfig(ModelDual, 5, 100, 1)
 	for name, parts := range cases {
 		if _, err := cfg.Scenario(parts...); err == nil {
 			t.Errorf("%s: Scenario accepted invalid parts", name)
 		}
+	}
+	// A message cap needs CBR arrivals from a workload part too, with
+	// Validate's error for a capped non-CBR config.
+	capped := cfg
+	capped.Messages = 10
+	_, err := capped.Scenario(WithWorkload(PoissonWorkload(2000)))
+	capped.Traffic = TrafficPoisson
+	if want := capped.Validate(); err == nil || want == nil || err.Error() != want.Error() {
+		t.Errorf("capped config with a Poisson part: %v, want %v", err, want)
 	}
 	// The paper's default config builds without any part.
 	s, err := cfg.Scenario()

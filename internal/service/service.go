@@ -237,8 +237,11 @@ func writeError(w http.ResponseWriter, status int, err error) {
 
 // RunRequest is the body of POST /v1/runs: one simulation scenario in
 // friendly units, executed as Runs seeded repetitions of a single grid
-// point. Omitted fields inherit the paper's scenario exactly like the
-// bcp-sim flags; the field names mirror sweep.SpecDoc's singular forms.
+// point. Omitted fields take the defaults documented on each field,
+// which are sweep.SpecDoc's, not the bcp-sim flags': the request
+// defaults to burst 100, the paper's 5000 s, one run and seed 0, where
+// bcp-sim defaults to burst 500, 600 s, three runs and seed 1. The
+// field names mirror sweep.SpecDoc's singular forms.
 type RunRequest struct {
 	// Case selects the scenario template: "single-hop" (default) or
 	// "multi-hop".
