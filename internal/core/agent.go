@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -32,13 +33,42 @@ var (
 	_ burstObserver = (*routing.Learner)(nil)
 )
 
-// recvSession tracks one in-progress incoming burst.
+// recvSession tracks the incoming bursts of one origin. It is made on
+// the origin's first wake-up or frame and reused for every later
+// handshake, with its idle timer bound once, so a handshake allocates
+// nothing on the receiver side.
 type recvSession struct {
+	origin  int
+	open    bool // a burst from origin is being received
 	id      uint64
 	granted units.ByteSize
 	total   int
-	got     map[int]bool
-	idle    sim.Timer
+	got     []bool // got[i] marks burst frame i as received
+	nGot    int    // frames marked in got
+	// done is the ID of origin's most recently completed handshake, so
+	// trailing duplicate frames do not resurrect the session (handshake
+	// IDs start at 1, so the zero value matches none).
+	done uint64
+	idle sim.Timer
+}
+
+// ctrlPool recycles one agent's outgoing control messages of one type.
+// Receivers copy what they keep before their handler returns, so a
+// message is referenced only by its frame in the sending agent's sensor
+// MAC queue: once that queue is empty, every message handed out is
+// dead and the pool starts over (see Agent.recycleControl).
+type ctrlPool[T any] struct {
+	msgs []*T
+	used int
+}
+
+// next returns a message to fill; its fields hold stale values.
+func (p *ctrlPool[T]) next() *T {
+	if p.used == len(p.msgs) {
+		p.msgs = append(p.msgs, new(T))
+	}
+	p.used++
+	return p.msgs[p.used-1]
 }
 
 // Agent is one node's BCP instance, owning its two MAC layers.
@@ -71,16 +101,27 @@ type Agent struct {
 	ackTimer      sim.Timer
 	retryTimer    sim.Timer
 
-	// Receiver state, keyed by burst origin. lastDone remembers the most
-	// recently completed handshake per origin so trailing duplicate
-	// frames do not resurrect a session.
-	recv     map[int]*recvSession
-	lastDone map[int]uint64
+	// burstBytes is the granted burst waiting for the radio to wake
+	// (burstWaiting); burstPkts and burstFrames hold the burst in
+	// flight. They are reused across bursts: the wifi MAC's frames point
+	// into burstFrames, and each frame's packets into burstPkts, so
+	// neither may change before finishBurst.
+	burstBytes   units.ByteSize
+	burstWaiting bool
+	burstPkts    []Packet
+	burstFrames  []burstFrame
+
+	// Receiver state: one session per burst origin, in ascending origin
+	// order (see session).
+	recv []*recvSession
+
+	// Outgoing wake-ups and acks, recycled (see ctrlPool).
+	wakeups ctrlPool[wakeupMsg]
+	acks    ctrlPool[wakeupAck]
 
 	// High-power radio power management: reference-counted users with a
 	// linger timer for delayed shutdown.
 	wifiUsers   int
-	wifiWaiters []func()
 	lingerTimer sim.Timer
 
 	handshakeSeq  uint64
@@ -169,8 +210,6 @@ func NewAgent(
 		mesh:      mesh,
 		wifiRoute: wifiRoute,
 		onDeliver: onDeliver,
-		recv:      make(map[int]*recvSession),
-		lastDone:  make(map[int]uint64),
 	}
 	a.ackTimer.Init(sched, a.onAckTimeout)
 	a.retryTimer.Init(sched, a.maybeStart)
@@ -317,18 +356,47 @@ func (a *Agent) sendWakeup() {
 		a.failHandshake()
 		return
 	}
-	msg := wakeupMsg{
+	a.sendControl(hop, a.pooledWakeup(wakeupMsg{
 		ID:     a.curID,
 		Origin: a.cfg.NodeID,
 		Target: a.curTarget,
 		Burst:  a.curBurstReq,
-		Path:   []int{a.cfg.NodeID},
-	}
-	a.sendControl(hop, msg)
+	}))
 	a.ackTimer.Reset(a.cfg.AckTimeout)
 }
 
-// sendControl queues one control frame on the sensor MAC.
+// recycleControl restarts the control-message pools once the sensor
+// MAC holds no frame, so no queued frame still points at a message.
+func (a *Agent) recycleControl() {
+	if a.sensor.QueueLen() == 0 {
+		a.wakeups.used, a.acks.used = 0, 0
+	}
+}
+
+// pooledWakeup returns a pooled copy of m with this node appended to
+// its path.
+func (a *Agent) pooledWakeup(m wakeupMsg) *wakeupMsg {
+	a.recycleControl()
+	w := a.wakeups.next()
+	path := append(append(w.Path[:0], m.Path...), a.cfg.NodeID)
+	*w = m
+	w.Path = path
+	return w
+}
+
+// pooledAck returns a pooled copy of ack with the last node, the one it
+// is sent to, taken off its path.
+func (a *Agent) pooledAck(ack wakeupAck) *wakeupAck {
+	a.recycleControl()
+	k := a.acks.next()
+	path := append(k.Path[:0], ack.Path[:len(ack.Path)-1]...)
+	*k = ack
+	k.Path = path
+	return k
+}
+
+// sendControl queues one control frame on the sensor MAC. The payload
+// is a *wakeupMsg or *wakeupAck from the agent's pools.
 func (a *Agent) sendControl(dst int, payload any) {
 	frame := radio.Frame{
 		Kind:    radio.KindControl,
@@ -368,10 +436,10 @@ func (a *Agent) failHandshake() {
 // handleSensorFrame demultiplexes low-power control traffic.
 func (a *Agent) handleSensorFrame(f radio.Frame) {
 	switch payload := f.Payload.(type) {
-	case wakeupMsg:
-		a.handleWakeupMsg(payload)
-	case wakeupAck:
-		a.handleWakeupAck(payload)
+	case *wakeupMsg:
+		a.handleWakeupMsg(*payload)
+	case *wakeupAck:
+		a.handleWakeupAck(*payload)
 	case Packet:
 		// Data over the low-power radio: only the delay-bound extension
 		// produces these.
@@ -388,9 +456,7 @@ func (a *Agent) handleWakeupMsg(m wakeupMsg) {
 		if !ok {
 			return
 		}
-		fwd := m
-		fwd.Path = append(append([]int(nil), m.Path...), a.cfg.NodeID)
-		a.sendControl(hop, fwd)
+		a.sendControl(hop, a.pooledWakeup(m))
 		return
 	}
 	a.receiverAdmit(m)
@@ -401,7 +467,7 @@ func (a *Agent) handleWakeupMsg(m wakeupMsg) {
 // sends back a wake-up ack specifying the amount of data the sender can
 // transmit").
 func (a *Agent) receiverAdmit(m wakeupMsg) {
-	if session, dup := a.recv[m.Origin]; dup {
+	if session := a.openSession(m.Origin); session != nil {
 		if session.id == m.ID {
 			// Duplicate wake-up (our ack may have been lost): re-grant
 			// idempotently and keep the session alive.
@@ -423,30 +489,54 @@ func (a *Agent) receiverAdmit(m wakeupMsg) {
 		grant = free
 		a.stats.GrantsReduced++
 	}
-	session := &recvSession{
-		id:      m.ID,
-		granted: grant,
-		got:     make(map[int]bool),
-	}
-	session.idle.Init(a.sched, func() { a.receiverTimeout(m.Origin) })
-	a.recv[m.Origin] = session
-	a.acquireWifi(nil)
+	session := a.startSession(m.Origin, m.ID)
+	session.granted = grant
+	a.acquireWifi()
 	a.sendAckBack(m, grant)
 	session.idle.Reset(a.cfg.ReceiverIdleTimeout)
 }
 
+// session returns origin's session record and whether it exists; i is
+// where it is, or would be inserted, in the ascending recv list.
+func (a *Agent) session(origin int) (s *recvSession, i int) {
+	i, ok := slices.BinarySearchFunc(a.recv, origin, func(s *recvSession, o int) int { return cmp.Compare(s.origin, o) })
+	if !ok {
+		return nil, i
+	}
+	return a.recv[i], i
+}
+
+// openSession returns origin's open session, or nil.
+func (a *Agent) openSession(origin int) *recvSession {
+	if s, _ := a.session(origin); s != nil && s.open {
+		return s
+	}
+	return nil
+}
+
+// startSession opens origin's session for handshake id, making the
+// origin's record on first contact. The caller acquires the radio.
+func (a *Agent) startSession(origin int, id uint64) *recvSession {
+	s, i := a.session(origin)
+	if s == nil {
+		s = &recvSession{origin: origin}
+		s.idle.Init(a.sched, func() { a.receiverTimeout(origin) })
+		a.recv = slices.Insert(a.recv, i, s)
+	}
+	s.open, s.id, s.granted, s.total, s.nGot = true, id, 0, 0, 0
+	clear(s.got)
+	return s
+}
+
 // sendAckBack routes a wake-up ack along the recorded reverse path.
 func (a *Agent) sendAckBack(m wakeupMsg, grant units.ByteSize) {
-	path := append([]int(nil), m.Path...)
-	next := path[len(path)-1]
-	ack := wakeupAck{
+	a.sendControl(m.Path[len(m.Path)-1], a.pooledAck(wakeupAck{
 		ID:      m.ID,
 		Origin:  m.Origin,
 		Target:  m.Target,
 		Granted: grant,
-		Path:    path[:len(path)-1],
-	}
-	a.sendControl(next, ack)
+		Path:    m.Path,
+	}))
 }
 
 // handleWakeupAck consumes or relays a returning ack.
@@ -455,10 +545,7 @@ func (a *Agent) handleWakeupAck(ack wakeupAck) {
 		if len(ack.Path) == 0 {
 			return // malformed
 		}
-		next := ack.Path[len(ack.Path)-1]
-		fwd := ack
-		fwd.Path = append([]int(nil), ack.Path[:len(ack.Path)-1]...)
-		a.sendControl(next, fwd)
+		a.sendControl(ack.Path[len(ack.Path)-1], a.pooledAck(ack))
 		return
 	}
 	a.senderHandleAck(ack)
@@ -482,16 +569,19 @@ func (a *Agent) senderHandleAck(ack wakeupAck) {
 		}
 		return
 	}
-	sendBytes := ack.Granted
-	if buffered := a.bufferedFor(a.curTarget); buffered < sendBytes {
-		sendBytes = buffered
+	a.burstBytes = ack.Granted
+	if buffered := a.bufferedFor(a.curTarget); buffered < a.burstBytes {
+		a.burstBytes = buffered
 	}
-	a.acquireWifi(func() { a.startBurst(sendBytes) })
+	// Set before acquireWifi: a radio that wakes without latency starts
+	// the burst from inside PowerOn.
+	a.burstWaiting = true
+	a.acquireWifi()
 }
 
-// startBurst assembles buffered packets into high-power frames and hands
-// them to the DCF MAC.
-func (a *Agent) startBurst(sendBytes units.ByteSize) {
+// startBurst assembles the granted buffered packets (burstBytes) into
+// high-power frames and hands them to the DCF MAC.
+func (a *Agent) startBurst() {
 	if !a.sending {
 		return
 	}
@@ -499,16 +589,17 @@ func (a *Agent) startBurst(sendBytes units.ByteSize) {
 	nPackets := 0
 	if i, ok := a.find(a.curTarget); ok {
 		q = &a.buffers[i]
-		nPackets = min(int(sendBytes/a.cfg.SensorPayload), len(q.pkts))
+		nPackets = min(int(a.burstBytes/a.cfg.SensorPayload), len(q.pkts))
 	}
 	if nPackets == 0 {
 		a.finishBurst()
 		return
 	}
-	// The burst is copied once, since the queue's array is reused; the
-	// frames below share that copy. The rest of the backlog moves to
+	// The burst moves to burstPkts, since the queue's array is reused;
+	// the frames below point into it. The rest of the backlog moves to
 	// the front of the queue.
-	burst := append([]Packet(nil), q.pkts[:nPackets]...)
+	burst := append(a.burstPkts[:0], q.pkts[:nPackets]...)
+	a.burstPkts = burst
 	q.pkts = q.pkts[:copy(q.pkts, q.pkts[nPackets:])]
 	for _, p := range burst {
 		a.bufferedBytes -= p.Size
@@ -521,28 +612,29 @@ func (a *Agent) startBurst(sendBytes units.ByteSize) {
 	}
 	total := (nPackets + perFrame - 1) / perFrame
 	a.pendingFrames = total
+	// Room for every frame up front, so the frames already handed to the
+	// MAC never move.
+	a.burstFrames = slices.Grow(a.burstFrames[:0], total)
 	for i := 0; i < total; i++ {
-		lo, hi := i*perFrame, (i+1)*perFrame
-		if hi > nPackets {
-			hi = nPackets
-		}
+		lo, hi := i*perFrame, min((i+1)*perFrame, nPackets)
 		chunk := burst[lo:hi:hi]
+		a.burstFrames = append(a.burstFrames, burstFrame{
+			ID:      a.curID,
+			Origin:  a.cfg.NodeID,
+			Target:  a.curTarget,
+			Index:   i + 1,
+			Total:   total,
+			Packets: chunk,
+		})
 		var size units.ByteSize
 		for _, p := range chunk {
 			size += p.Size
 		}
 		frame := radio.Frame{
-			Kind: radio.KindData,
-			Dst:  radio.NodeID(a.curTarget),
-			Size: size + a.cfg.WifiHeader,
-			Payload: burstFrame{
-				ID:      a.curID,
-				Origin:  a.cfg.NodeID,
-				Target:  a.curTarget,
-				Index:   i + 1,
-				Total:   total,
-				Packets: chunk,
-			},
+			Kind:    radio.KindData,
+			Dst:     radio.NodeID(a.curTarget),
+			Size:    size + a.cfg.WifiHeader,
+			Payload: &a.burstFrames[i],
 		}
 		if err := a.wifi.Send(frame); err != nil {
 			// Queue overflow: the MAC already counted the drop; mirror the
@@ -564,7 +656,7 @@ func (a *Agent) startBurst(sendBytes units.ByteSize) {
 
 // handleWifiSent tracks burst completion.
 func (a *Agent) handleWifiSent(f radio.Frame) {
-	if _, ok := f.Payload.(burstFrame); !ok {
+	if _, ok := f.Payload.(*burstFrame); !ok {
 		return
 	}
 	if !a.sending || a.pendingFrames == 0 {
@@ -578,7 +670,7 @@ func (a *Agent) handleWifiSent(f radio.Frame) {
 
 // handleWifiDrop accounts for frames the DCF MAC abandoned.
 func (a *Agent) handleWifiDrop(f radio.Frame, _ mac.DropReason) {
-	b, ok := f.Payload.(burstFrame)
+	b, ok := f.Payload.(*burstFrame)
 	if !ok {
 		return
 	}
@@ -610,14 +702,14 @@ func (a *Agent) finishBurst() {
 
 // handleWifiFrame fragments an incoming burst frame back into packets.
 func (a *Agent) handleWifiFrame(f radio.Frame) {
-	b, ok := f.Payload.(burstFrame)
+	b, ok := f.Payload.(*burstFrame)
 	if !ok || b.Target != a.cfg.NodeID {
 		return
 	}
-	if a.lastDone[b.Origin] == b.ID {
+	if s, _ := a.session(b.Origin); s != nil && s.done == b.ID {
 		return // trailing duplicate of a completed burst
 	}
-	session := a.recv[b.Origin]
+	session := a.openSession(b.Origin)
 	if session != nil && session.id != b.ID {
 		// Frames for a newer handshake: the stale session is dead weight;
 		// release its radio reference before admitting the new burst.
@@ -628,25 +720,27 @@ func (a *Agent) handleWifiFrame(f radio.Frame) {
 		// The session timed out (or the ack grant raced the timeout) but
 		// data still arrived: admit it under a fresh implicit session so
 		// the radio stays on until the burst completes.
-		session = &recvSession{id: b.ID, got: make(map[int]bool)}
-		session.idle.Init(a.sched, func() { a.receiverTimeout(b.Origin) })
-		a.recv[b.Origin] = session
-		a.acquireWifi(nil)
+		session = a.startSession(b.Origin, b.ID)
+		a.acquireWifi()
 	}
 	session.idle.Reset(a.cfg.ReceiverIdleTimeout)
 	if session.total == 0 {
 		session.total = b.Total
 	}
-	if session.got[b.Index] {
+	if b.Index < len(session.got) && session.got[b.Index] {
 		return // duplicate frame
 	}
+	if b.Index >= len(session.got) {
+		session.got = append(session.got, make([]bool, b.Index+1-len(session.got))...)
+	}
 	session.got[b.Index] = true
+	session.nGot++
 	for _, p := range b.Packets {
 		a.acceptPacket(p)
 	}
-	if session.total > 0 && len(session.got) >= session.total {
+	if session.total > 0 && session.nGot >= session.total {
 		a.stats.BurstsReceived++
-		a.lastDone[b.Origin] = b.ID
+		session.done = b.ID
 		a.closeSession(b.Origin)
 	}
 }
@@ -673,39 +767,35 @@ func (a *Agent) receiverTimeout(origin int) {
 
 // closeSession tears down a receive session and releases the radio.
 func (a *Agent) closeSession(origin int) {
-	session := a.recv[origin]
+	session := a.openSession(origin)
 	if session == nil {
 		return
 	}
 	session.idle.Stop()
-	delete(a.recv, origin)
+	session.open = false
 	a.releaseWifi()
 }
 
-// acquireWifi registers a radio user; ready runs once the radio is
-// usable (immediately if already on).
-func (a *Agent) acquireWifi(ready func()) {
+// acquireWifi registers a radio user and powers the radio on if needed.
+// A waiting burst starts once the radio is usable: at once if it is on,
+// else from onWifiWake.
+func (a *Agent) acquireWifi() {
 	a.wifiUsers++
 	a.lingerTimer.Stop()
 	x := a.wifi.Transceiver()
 	if x.On() {
-		if ready != nil {
-			ready()
-		}
+		a.onWifiWake()
 		return
-	}
-	if ready != nil {
-		a.wifiWaiters = append(a.wifiWaiters, ready)
 	}
 	x.PowerOn()
 }
 
-// onWifiWake runs the queued radio-ready thunks.
+// onWifiWake starts the burst waiting for the radio, if any. One
+// handshake runs at a time, so at most one burst waits.
 func (a *Agent) onWifiWake() {
-	waiters := a.wifiWaiters
-	a.wifiWaiters = nil
-	for _, fn := range waiters {
-		fn()
+	if a.burstWaiting {
+		a.burstWaiting = false
+		a.startBurst()
 	}
 }
 

@@ -24,16 +24,16 @@ func TestDuplicateWakeupReAcksIdempotently(t *testing.T) {
 		Path:   []int{0},
 	}
 	receiver.receiverAdmit(msg)
-	if len(receiver.recv) != 1 {
+	if openSessions(receiver) != 1 {
 		t.Fatal("no session created")
 	}
-	granted := receiver.recv[0].granted
+	granted := receiver.openSession(0).granted
 	usersAfterFirst := receiver.wifiUsers
 
 	// The duplicate (sender's retry after a lost ack) must re-grant the
 	// same amount without acquiring the radio again.
 	receiver.receiverAdmit(msg)
-	if got := receiver.recv[0].granted; got != granted {
+	if got := receiver.openSession(0).granted; got != granted {
 		t.Errorf("duplicate wakeup changed grant: %v -> %v", granted, got)
 	}
 	if receiver.wifiUsers != usersAfterFirst {
@@ -47,14 +47,14 @@ func TestNewerHandshakeSupersedesStaleSession(t *testing.T) {
 	receiver := h.agents[1]
 
 	receiver.receiverAdmit(wakeupMsg{ID: 1, Origin: 0, Target: 1, Burst: 320, Path: []int{0}})
-	if receiver.recv[0].id != 1 {
+	if receiver.openSession(0).id != 1 {
 		t.Fatal("first session missing")
 	}
 	users := receiver.wifiUsers
 
 	receiver.receiverAdmit(wakeupMsg{ID: 2, Origin: 0, Target: 1, Burst: 320, Path: []int{0}})
-	if receiver.recv[0].id != 2 {
-		t.Errorf("session id = %d, want 2 (superseded)", receiver.recv[0].id)
+	if id := receiver.openSession(0).id; id != 2 {
+		t.Errorf("session id = %d, want 2 (superseded)", id)
 	}
 	// The stale session's radio reference was released, the new one
 	// acquired: net zero.
@@ -128,7 +128,7 @@ func TestZeroGrantWhenFullNoAck(t *testing.T) {
 		receiver.bufferedBytes += params.SensorPayload
 	}
 	receiver.receiverAdmit(wakeupMsg{ID: 3, Origin: 0, Target: 1, Burst: 320, Path: []int{0}})
-	if len(receiver.recv) != 0 {
+	if openSessions(receiver) != 0 {
 		t.Error("full receiver created a session")
 	}
 	if st := receiver.Stats(); st.GrantsDenied != 1 {
@@ -168,7 +168,7 @@ func TestDuplicateBurstFrameCountedOnce(t *testing.T) {
 		t.Errorf("PacketsDelivered = %d, want 1 (duplicate suppressed)", st.PacketsDelivered)
 	}
 	// Session still open (frame 2 of 2 missing).
-	if len(receiver.recv) != 1 {
+	if openSessions(receiver) != 1 {
 		t.Error("session closed on duplicate")
 	}
 }
@@ -182,12 +182,12 @@ func TestTrailingDuplicateAfterCompletionIgnored(t *testing.T) {
 		Packets: []Packet{{Src: 0, Dst: 1, Seq: 1, Size: 32}},
 	}
 	receiver.handleWifiFrame(wifiDataFrame(t, frame))
-	if len(receiver.recv) != 0 {
+	if openSessions(receiver) != 0 {
 		t.Fatal("session not closed on completion")
 	}
 	users := receiver.wifiUsers
 	receiver.handleWifiFrame(wifiDataFrame(t, frame)) // trailing duplicate
-	if len(receiver.recv) != 0 {
+	if openSessions(receiver) != 0 {
 		t.Error("trailing duplicate resurrected the session")
 	}
 	if receiver.wifiUsers != users {
@@ -205,8 +205,19 @@ func wifiDataFrame(t *testing.T, b burstFrame) (f frameAlias) {
 		Kind:    frameKindData,
 		Dst:     frameNodeID(b.Target),
 		Size:    size + params.WifiHeader,
-		Payload: b,
+		Payload: &b,
 	}
+}
+
+// openSessions counts an agent's open receive sessions.
+func openSessions(a *Agent) int {
+	n := 0
+	for _, s := range a.recv {
+		if s.open {
+			n++
+		}
+	}
+	return n
 }
 
 // Aliases keep the frame-construction helper readable.
@@ -215,3 +226,26 @@ type frameAlias = radio.Frame
 const frameKindData = radio.KindData
 
 func frameNodeID(i int) radio.NodeID { return radio.NodeID(i) }
+
+// Control messages come from per-agent pools that restart only when the
+// sensor MAC queue is empty, so two acks queued back to back must each
+// arrive with their own content.
+func TestQueuedControlMessagesKeepTheirContent(t *testing.T) {
+	h := newHarness(t, harnessOpts{nodes: 2, burstPackets: 10})
+	receiver := h.agents[1]
+	var got []uint64
+	h.agents[0].sensor.SetOnReceive(func(f radio.Frame) {
+		if ack, ok := f.Payload.(*wakeupAck); ok {
+			got = append(got, ack.ID)
+		}
+	})
+	receiver.receiverAdmit(wakeupMsg{ID: 1, Origin: 0, Target: 1, Burst: 320, Path: []int{0}})
+	receiver.receiverAdmit(wakeupMsg{ID: 2, Origin: 0, Target: 1, Burst: 320, Path: []int{0}})
+	if n := receiver.sensor.QueueLen(); n != 2 {
+		t.Fatalf("receiver's sensor MAC holds %d frames, want both acks", n)
+	}
+	h.sched.RunUntil(time.Second)
+	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Errorf("sender received acks %v, want [1 2]", got)
+	}
+}

@@ -13,8 +13,10 @@
 package mac
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"bulktx/internal/radio"
@@ -34,6 +36,9 @@ const (
 	// DropRadioOff means the radio was powered off with frames queued or
 	// in flight.
 	DropRadioOff
+
+	// dropReasons sizes Stats.Drops.
+	dropReasons
 )
 
 // String returns the reason name.
@@ -131,8 +136,8 @@ type Stats struct {
 	Sent uint64
 	// Retries counts retransmission attempts.
 	Retries uint64
-	// Drops counts abandoned frames by reason.
-	Drops map[DropReason]uint64
+	// Drops counts abandoned frames, indexed by DropReason.
+	Drops [dropReasons]uint64
 	// Received counts frames delivered to the upper layer.
 	Received uint64
 	// Duplicates counts suppressed duplicate receptions.
@@ -167,7 +172,9 @@ type MAC struct {
 	ackHead   int
 	fireAckFn func()
 
-	lastSeq map[radio.NodeID]uint64
+	// lastSeq holds the last sequence number delivered from each
+	// unicast peer, in ascending peer order (see seenLast).
+	lastSeq []peerSeq
 	stats   Stats
 
 	onReceive func(radio.Frame)
@@ -187,12 +194,10 @@ func New(params Params, sched *sim.Scheduler, xcvr *radio.Transceiver) (*MAC, er
 			2*params.SlotTime
 	}
 	m := &MAC{
-		params:  params,
-		sched:   sched,
-		xcvr:    xcvr,
-		cw:      params.CWMin,
-		lastSeq: make(map[radio.NodeID]uint64),
-		stats:   Stats{Drops: make(map[DropReason]uint64)},
+		params: params,
+		sched:  sched,
+		xcvr:   xcvr,
+		cw:     params.CWMin,
 	}
 	m.ackTimer.Init(sched, m.onAckTimeout)
 	m.pendingSense.Init(sched, m.senseAndTransmit)
@@ -209,16 +214,11 @@ func (m *MAC) Params() Params { return m.params }
 func (m *MAC) Transceiver() *radio.Transceiver { return m.xcvr }
 
 // Stats returns a copy of the MAC counters.
-func (m *MAC) Stats() Stats {
-	out := m.stats
-	out.Drops = make(map[DropReason]uint64, len(m.stats.Drops))
-	for k, v := range m.stats.Drops {
-		out.Drops[k] = v
-	}
-	return out
-}
+func (m *MAC) Stats() Stats { return m.stats }
 
-// QueueLen returns the number of frames waiting (excluding in-flight).
+// QueueLen returns the number of frames the MAC holds: those waiting
+// and the one in flight, which stays queued until it is acked or
+// dropped.
 func (m *MAC) QueueLen() int { return m.queueLen() }
 
 func (m *MAC) queueLen() int { return len(m.queue) - m.head }
@@ -450,16 +450,38 @@ func (m *MAC) handleAck(f radio.Frame) {
 func (m *MAC) handleData(f radio.Frame) {
 	if f.IsUnicast() {
 		m.sendAck(f)
-		if last, seen := m.lastSeq[f.Src]; seen && last == f.Seq {
+		if m.seenLast(f.Src, f.Seq) {
 			m.stats.Duplicates++
 			return
 		}
-		m.lastSeq[f.Src] = f.Seq
 	}
 	m.stats.Received++
 	if m.onReceive != nil {
 		m.onReceive(f)
 	}
+}
+
+// peerSeq is one unicast peer's last delivered sequence number.
+type peerSeq struct {
+	src radio.NodeID
+	seq uint64
+}
+
+// seenLast reports whether seq is the last sequence number delivered
+// from src (a retransmission whose ack was lost), and records it as the
+// last one otherwise. A node hears unicast from a handful of peers, so
+// the sorted slice costs one binary search and no per-MAC map.
+func (m *MAC) seenLast(src radio.NodeID, seq uint64) bool {
+	i, ok := slices.BinarySearchFunc(m.lastSeq, src, func(p peerSeq, src radio.NodeID) int { return cmp.Compare(p.src, src) })
+	if !ok {
+		m.lastSeq = slices.Insert(m.lastSeq, i, peerSeq{src: src, seq: seq})
+		return false
+	}
+	if m.lastSeq[i].seq == seq {
+		return true
+	}
+	m.lastSeq[i].seq = seq
+	return false
 }
 
 // sendAck transmits a link-layer ack after SIFS, regardless of carrier

@@ -288,7 +288,7 @@ func (e *FieldError) Error() string { return "invalid " + e.Field + ": " + e.Rea
 // Validate reports whether the configuration is usable. Failures are
 // FieldErrors naming the offending Config field (wrapped under a
 // "netsim:" prefix).
-func (c Config) Validate() error { return c.validate(true, true) }
+func (c Config) Validate() error { return c.validate(replacedFields{}, true) }
 
 // sendersOutside is the error for a sender count that a layout of
 // nodes nodes cannot hold: Validate's for a bare config, the sender
@@ -306,12 +306,20 @@ func uncappable(messages int) error {
 		Reason: fmt.Sprintf("only CBR traffic can be capped at %d messages", messages)})
 }
 
-// validate checks the config's fields. checkLayout checks Nodes and
-// Field, which only the config's own topology reads; checkSenders
-// bounds Senders by Nodes. Scenario skips the first under a
-// WithTopology part and always leaves the sender bound to the sender
-// policy, which sees the layout the part may have resized.
-func (c Config) validate(checkLayout, checkSenders bool) error {
+// replacedFields marks the config fields that Scenario parts replace,
+// which the built scenario never reads: Nodes and Field under
+// WithTopology, Traffic and Rate under WithWorkload, SensorLoss and
+// WifiLoss under WithLinks, ChurnRate and ChurnMeanDowntime under a
+// non-nil WithChurn.
+type replacedFields struct {
+	layout, workload, links, churn bool
+}
+
+// validate checks the config's fields, except those that parts
+// replaced; checkSenders bounds Senders by Nodes. Scenario always
+// leaves the sender bound to the sender policy, which sees the layout
+// a topology part may have resized, and the parts to the builder.
+func (c Config) validate(replaced replacedFields, checkSenders bool) error {
 	bad := func(field, format string, a ...any) error {
 		return fmt.Errorf("netsim: %w", &FieldError{Field: field, Reason: fmt.Sprintf(format, a...)})
 	}
@@ -319,23 +327,23 @@ func (c Config) validate(checkLayout, checkSenders bool) error {
 	switch {
 	case c.Model < ModelSensor || c.Model > ModelDual:
 		return bad("Model", "unknown model %d", int(c.Model))
-	case checkLayout && c.Nodes < 2:
+	case !replaced.layout && c.Nodes < 2:
 		return bad("Nodes", "need at least 2 nodes, got %d", c.Nodes)
-	case checkLayout && c.Field <= 0:
+	case !replaced.layout && c.Field <= 0:
 		return bad("Field", "non-positive field %v", c.Field)
 	case checkSenders && (c.Senders < 1 || c.Senders >= c.Nodes):
 		return sendersOutside(c.Senders, c.Nodes)
-	case nonFinite(float64(c.Rate)):
+	case !replaced.workload && nonFinite(float64(c.Rate)):
 		return bad("Rate", "non-finite rate %v", c.Rate)
-	case c.Rate <= 0:
+	case !replaced.workload && c.Rate <= 0:
 		return bad("Rate", "non-positive rate %v", c.Rate)
 	case c.Duration <= 0:
 		return bad("Duration", "non-positive duration %v", c.Duration)
 	case c.Model == ModelDual && c.BurstPackets < 1:
 		return bad("BurstPackets", "dual model needs a positive burst size, got %d", c.BurstPackets)
-	case math.IsNaN(c.SensorLoss) || c.SensorLoss < 0 || c.SensorLoss >= 1:
+	case !replaced.links && (math.IsNaN(c.SensorLoss) || c.SensorLoss < 0 || c.SensorLoss >= 1):
 		return bad("SensorLoss", "loss probability %v outside [0,1)", c.SensorLoss)
-	case math.IsNaN(c.WifiLoss) || c.WifiLoss < 0 || c.WifiLoss >= 1:
+	case !replaced.links && (math.IsNaN(c.WifiLoss) || c.WifiLoss < 0 || c.WifiLoss >= 1):
 		return bad("WifiLoss", "loss probability %v outside [0,1)", c.WifiLoss)
 	case c.WifiRange < 0:
 		return bad("WifiRange", "negative wifi range %v", c.WifiRange)
@@ -349,19 +357,19 @@ func (c Config) validate(checkLayout, checkSenders bool) error {
 		return bad("AdaptiveThresholdAlpha", "negative adaptive alpha %v", c.AdaptiveThresholdAlpha)
 	case c.DelayBound < 0:
 		return bad("DelayBound", "negative delay bound %v", c.DelayBound)
-	case c.Traffic < TrafficCBR || c.Traffic > TrafficOnOff:
+	case !replaced.workload && (c.Traffic < TrafficCBR || c.Traffic > TrafficOnOff):
 		return bad("Traffic", "unknown traffic model %d", int(c.Traffic))
 	case c.Messages < 0:
 		return bad("Messages", "negative message count %d", c.Messages)
-	case c.Messages > 0 && c.Traffic != TrafficCBR:
+	case !replaced.workload && c.Messages > 0 && c.Traffic != TrafficCBR:
 		return uncappable(c.Messages)
 	case c.Clusters < 0:
 		return bad("Clusters", "negative cluster count %d", c.Clusters)
-	case nonFinite(c.ChurnRate):
+	case !replaced.churn && nonFinite(c.ChurnRate):
 		return bad("ChurnRate", "non-finite churn rate %v", c.ChurnRate)
-	case c.ChurnRate < 0:
+	case !replaced.churn && c.ChurnRate < 0:
 		return bad("ChurnRate", "negative churn rate %v", c.ChurnRate)
-	case c.ChurnMeanDowntime < 0:
+	case !replaced.churn && c.ChurnMeanDowntime < 0:
 		return bad("ChurnMeanDowntime", "negative churn downtime %v", c.ChurnMeanDowntime)
 	}
 	switch c.Topology {
@@ -430,8 +438,11 @@ func (c Config) churn() Churn {
 // churn. Each part passed in parts replaces the one the fields would
 // build, for what a Config cannot express: explicit layouts and
 // placements, per-sender rates, distance loss, scheduled churn and
-// tracing. Under a WithTopology part, which replaces the layout, Nodes
-// and Field go unchecked. The compilation is exact: a fixed-seed run
+// tracing. The fields a part replaces go unchecked: Nodes and Field
+// under WithTopology, Traffic and Rate under WithWorkload (the builder
+// still rejects a Messages cap on a non-CBR workload part), SensorLoss
+// and WifiLoss under WithLinks, ChurnRate and ChurnMeanDowntime under
+// a non-nil WithChurn. The compilation is exact: a fixed-seed run
 // matches the golden fingerprints of the flat-config runner it
 // replaced.
 func (c Config) Scenario(parts ...Option) (*Scenario, error) {
@@ -448,10 +459,10 @@ func (c Config) Scenario(parts ...Option) (*Scenario, error) {
 	for _, part := range parts {
 		part(s)
 	}
-	if err := c.validate(!s.topologyPart, false); err != nil {
+	if err := c.validate(s.replaced, false); err != nil {
 		return nil, err
 	}
-	if !s.topologyPart {
+	if !s.replaced.layout {
 		s.topology = c.topology()
 	}
 	if err := s.build(); err != nil {

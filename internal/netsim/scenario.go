@@ -114,13 +114,13 @@ type Scenario struct {
 	cfg Config
 
 	topology Topology
-	// topologyPart records a WithTopology part, which leaves the
-	// config's Nodes and Field unread.
-	topologyPart bool
-	sink         SinkPolicy
-	senders      SenderPolicy
-	workload     Workload
-	links        LinkModel
+	// replaced records the config fields that parts replaced, which
+	// Config.Scenario leaves unchecked.
+	replaced replacedFields
+	sink     SinkPolicy
+	senders  SenderPolicy
+	workload Workload
+	links    LinkModel
 	// churn is the WithChurn part. Nil draws the schedule from the
 	// config's ChurnRate under the run seed.
 	churn Churn
@@ -143,7 +143,7 @@ type Option func(*Scenario)
 // WithTopology replaces the config's Topology, Nodes and Field with an
 // arbitrary deployment.
 func WithTopology(t Topology) Option {
-	return func(s *Scenario) { s.topology, s.topologyPart = t, true }
+	return func(s *Scenario) { s.topology, s.replaced.layout = t, true }
 }
 
 // WithSink replaces the config's Sink with a sink-placement policy.
@@ -157,15 +157,22 @@ func WithSenderPolicy(p SenderPolicy) Option { return func(s *Scenario) { s.send
 // WithWorkload replaces the config's Traffic and Rate with a workload
 // that may also set per-sender rates. A config capped by Messages
 // needs a CBR workload.
-func WithWorkload(w Workload) Option { return func(s *Scenario) { s.workload = w } }
+func WithWorkload(w Workload) Option {
+	return func(s *Scenario) { s.workload, s.replaced.workload = w, true }
+}
 
 // WithLinks replaces the config's flat SensorLoss and WifiLoss with a
 // channel-quality model that may depend on distance.
-func WithLinks(l LinkModel) Option { return func(s *Scenario) { s.links = l } }
+func WithLinks(l LinkModel) Option {
+	return func(s *Scenario) { s.links, s.replaced.links = l, true }
+}
 
-// WithChurn replaces the config's ChurnRate with a failure/recovery
-// model. Its schedule is fixed: it does not change with the run seed.
-func WithChurn(c Churn) Option { return func(s *Scenario) { s.churn = c } }
+// WithChurn replaces the config's ChurnRate and ChurnMeanDowntime with
+// a failure/recovery model. Its schedule is fixed: it does not change
+// with the run seed.
+func WithChurn(c Churn) Option {
+	return func(s *Scenario) { s.churn, s.replaced.churn = c, c != nil }
+}
 
 // WithTrace enables per-run observability: every run of the scenario
 // records per-node per-radio per-state energy breakdowns

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -345,6 +346,60 @@ func TestTopologyPartIgnoresNodesAndField(t *testing.T) {
 			var fe *FieldError
 			if !errors.As(err, &fe) || fe.Field != tc.field || err.Error() != tc.want {
 				t.Errorf("%s zero without a topology part: %v, want %q", tc.field, err, tc.want)
+			}
+		}
+	}
+}
+
+// A workload, links or churn part replaces config fields the way a
+// topology part replaces Nodes and Field: the replaced fields go
+// unchecked, so these configs build and run under the part, and fail
+// Validate and Scenario() with the same FieldError without it.
+func TestPartsIgnoreReplacedFields(t *testing.T) {
+	churn := WithChurn(ScheduledChurn(ChurnEvent{At: 10 * time.Second, Node: 0, Down: true}))
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+		part   Option
+		field  string
+		want   string
+	}{
+		{"zero rate", func(c *Config) { c.Rate = 0 }, WithWorkload(CBRWorkload(2000)),
+			"Rate", "netsim: invalid Rate: non-positive rate 0 bps"},
+		{"unknown traffic", func(c *Config) { c.Traffic = 9 }, WithWorkload(CBRWorkload(2000)),
+			"Traffic", "netsim: invalid Traffic: unknown traffic model 9"},
+		{"capped poisson config", func(c *Config) { c.Traffic, c.Messages = TrafficPoisson, 5 }, WithWorkload(CBRWorkload(2000)),
+			"Messages", "netsim: invalid Messages: only CBR traffic can be capped at 5 messages"},
+		{"sensor loss 1.5", func(c *Config) { c.SensorLoss = 1.5 }, WithLinks(LinkModel{}),
+			"SensorLoss", "netsim: invalid SensorLoss: loss probability 1.5 outside [0,1)"},
+		{"wifi loss NaN", func(c *Config) { c.WifiLoss = math.NaN() }, WithLinks(LinkModel{}),
+			"WifiLoss", "netsim: invalid WifiLoss: loss probability NaN outside [0,1)"},
+		{"negative churn rate", func(c *Config) { c.ChurnRate = -1 }, churn,
+			"ChurnRate", "netsim: invalid ChurnRate: negative churn rate -1"},
+		{"infinite churn rate", func(c *Config) { c.ChurnRate = math.Inf(1) }, churn,
+			"ChurnRate", "netsim: invalid ChurnRate: non-finite churn rate +Inf"},
+		{"negative churn downtime", func(c *Config) { c.ChurnMeanDowntime = -time.Second }, churn,
+			"ChurnMeanDowntime", "netsim: invalid ChurnMeanDowntime: negative churn downtime -1s"},
+	} {
+		cfg := DefaultConfig(ModelSensor, 5, 0, 1)
+		cfg.Duration = time.Minute
+		tc.mutate(&cfg)
+		s, err := cfg.Scenario(tc.part)
+		if err != nil {
+			t.Fatalf("%s under its part: %v", tc.name, err)
+		}
+		res, err := RunScenario(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.DeliveredBits == 0 {
+			t.Errorf("%s under its part delivered nothing", tc.name)
+		}
+		_, serr := cfg.Scenario()
+		for _, err := range []error{cfg.Validate(), serr} {
+			var fe *FieldError
+			if !errors.As(err, &fe) || fe.Field != tc.field || err.Error() != tc.want {
+				t.Errorf("%s without its part: %v, want %q", tc.name, err, tc.want)
 			}
 		}
 	}

@@ -11,15 +11,23 @@ import (
 // graph. BCP needs it to forward wake-up messages over the low-power
 // radio toward arbitrary high-power next hops, which are not always
 // ancestors in the data-collection tree.
+//
+// BuildMesh keeps only the adjacency; the routes toward a destination
+// (one BFS) are built the first time NextHop or Hops asks for that
+// destination, and kept. A BCP run only ever routes toward its nodes'
+// high-power next hops and the sink — in the single-hop scenario, the
+// sink alone — so most of the N BFS passes never run. Each row depends
+// on the adjacency alone, so a row is the same whenever it is built. A
+// Mesh is not safe for concurrent use.
 type Mesh struct {
-	next [][]int
+	adj  *adjacency
+	next [][]int // next[dst][from]; nil until dst's row is built
 	hops [][]int
 }
 
-// BuildMesh runs a breadth-first search from every node, producing
-// shortest-path next hops between all pairs. Ties break toward the
-// geographically closest neighbour, then the lowest index, matching
-// BuildTree.
+// BuildMesh prepares shortest-path next hops between all pairs. Ties
+// break toward the geographically closest neighbour, then the lowest
+// index, matching BuildTree.
 func BuildMesh(layout *topo.Layout, r units.Meters) (*Mesh, error) {
 	if layout == nil || layout.Len() == 0 {
 		return nil, fmt.Errorf("routing: empty layout")
@@ -28,26 +36,29 @@ func BuildMesh(layout *topo.Layout, r units.Meters) (*Mesh, error) {
 		return nil, fmt.Errorf("routing: non-positive range %v", r)
 	}
 	n := layout.Len()
-	m := &Mesh{
+	// One adjacency pass (O(N^2) geometry) shared by every row's BFS.
+	return &Mesh{
+		adj:  buildAdjacency(layout, r),
 		next: make([][]int, n),
 		hops: make([][]int, n),
+	}, nil
+}
+
+// row builds destination dst's routes on first use.
+func (m *Mesh) row(dst int) {
+	if m.next[dst] == nil {
+		tree := treeFromAdjacency(m.adj, dst)
+		m.next[dst], m.hops[dst] = tree.nextHop, tree.hops
 	}
-	// One adjacency pass (O(N^2) geometry) shared by all N BFS runs.
-	adj := buildAdjacency(layout, r)
-	for dst := 0; dst < n; dst++ {
-		tree := treeFromAdjacency(adj, dst)
-		m.next[dst] = tree.nextHop
-		m.hops[dst] = tree.hops
-	}
-	return m, nil
 }
 
 // NextHop returns the next hop on the shortest path from node from to
-// node to, and whether a route exists. from == to yields (from, false).
+// node to, and whether a route exists. from == to yields (NoRoute, false).
 func (m *Mesh) NextHop(from, to int) (int, bool) {
 	if !m.valid(from) || !m.valid(to) || from == to {
 		return NoRoute, false
 	}
+	m.row(to)
 	nh := m.next[to][from]
 	if nh == NoRoute {
 		return NoRoute, false
@@ -61,6 +72,7 @@ func (m *Mesh) Hops(from, to int) int {
 	if !m.valid(from) || !m.valid(to) {
 		return -1
 	}
+	m.row(to)
 	return m.hops[to][from]
 }
 

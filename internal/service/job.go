@@ -212,7 +212,6 @@ func (j *job) status() JobStatus {
 // shared sweep pool and cache, plus the route handlers. Build one with
 // New; it implements http.Handler.
 type Server struct {
-	mux        *http.ServeMux
 	pool       *sweep.Pool
 	queueLimit int
 	jobWorkers int

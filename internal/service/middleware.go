@@ -2,6 +2,7 @@ package service
 
 import (
 	"net/http"
+	"sync"
 	"time"
 
 	"bulktx/internal/telemetry"
@@ -18,6 +19,7 @@ const jobIDHeader = "X-Job-ID"
 type statusWriter struct {
 	http.ResponseWriter
 	status int
+	srv    *Server // the server the request is for (see routes)
 }
 
 // WriteHeader records the status before delegating.
@@ -53,8 +55,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	reqID := telemetry.RequestID(r)
 	w.Header().Set(telemetry.RequestIDHeader, reqID)
-	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-	s.mux.ServeHTTP(sw, r)
+	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK, srv: s}
+	routes().ServeHTTP(sw, r)
 	dur := time.Since(start)
 	// ServeMux stamps the matched pattern onto the request, so the
 	// histogram label set stays bounded by the route table instead of
@@ -79,3 +81,26 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	s.log.Info("request", attrs...)
 }
+
+// routes is the service's route table, built once per process and
+// shared by every Server: registering the patterns costs more than the
+// rest of New. A route finds its Server on the statusWriter that
+// ServeHTTP hands every request, so dispatch allocates nothing extra.
+var routes = sync.OnceValue(func() *http.ServeMux {
+	mux := http.NewServeMux()
+	handle := func(pattern string, h func(*Server, http.ResponseWriter, *http.Request)) {
+		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+			h(w.(*statusWriter).srv, w, r)
+		})
+	}
+	handle("POST /v1/runs", (*Server).handleSubmitRun)
+	handle("POST /v1/sweeps", (*Server).handleSubmitSweep)
+	handle("GET /v1/jobs", (*Server).handleListJobs)
+	handle("GET /v1/jobs/{id}", (*Server).handleJobStatus)
+	handle("DELETE /v1/jobs/{id}", (*Server).handleCancelJob)
+	handle("GET /v1/jobs/{id}/events", (*Server).handleJobEvents)
+	handle("GET /v1/jobs/{id}/artifacts/{name}", (*Server).handleJobArtifact)
+	handle("GET /healthz", (*Server).handleHealthz)
+	handle("GET /metrics", (*Server).handleMetrics)
+	return mux
+})

@@ -188,17 +188,6 @@ func New(o Options) (*Server, error) {
 	}
 	s.ready = sync.NewCond(&s.mu)
 
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/runs", s.handleSubmitRun)
-	mux.HandleFunc("POST /v1/sweeps", s.handleSubmitSweep)
-	mux.HandleFunc("GET /v1/jobs", s.handleListJobs)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobStatus)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancelJob)
-	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
-	mux.HandleFunc("GET /v1/jobs/{id}/artifacts/{name}", s.handleJobArtifact)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux = mux
 	// Every journaled job was accepted before the restart, so recovery
 	// re-admits them all, past the queue limit if it must.
 	s.recoverPending(pending)

@@ -17,26 +17,40 @@
 //     []*event heap, and the 4-ary layout halves the tree depth,
 //     trading a few extra comparisons per level for far fewer
 //     cache-missing swaps.
-//   - Callbacks live in a free-list-backed slot table. An EventID is a
-//     handle packing the slot index and a per-slot generation counter,
-//     so Cancel validates in O(1) without a map.
+//   - Callbacks live in a free-list-backed slot table; a Timer's slot
+//     holds the *Timer itself, so arming one never allocates a
+//     closure. An EventID is a handle packing the slot index and a
+//     per-slot generation counter, so Cancel validates in O(1) without
+//     a map.
 //   - Cancellation is lazy: Cancel only retires the slot (bumping its
-//     generation); the heap entry stays behind and is discarded when it
-//     surfaces at the root. A stale entry is recognised because the
+//     generation); the queued entry stays behind and is discarded when
+//     it surfaces at the heap root. A stale entry is recognised because the
 //     slot's current sequence number no longer matches — the 64-bit
 //     sequence never wraps, so pop-time liveness checks are exact and
 //     the executed-event order is identical to eager removal.
-//   - When more than half the queue is cancelled debris, the queue is
-//     compacted in place (O(n) filter + re-heapify), bounding memory
-//     for workloads that cancel almost everything they schedule, such
-//     as protocol timers that are reset on every frame.
+//   - Events scheduled with the same delay arrive in (time, seq) order,
+//     because the clock never runs backwards and sequence numbers only
+//     grow. Each recent delay therefore gets a FIFO lane (a ring
+//     buffer), and only a lane's head sits in the heap; popping a head
+//     moves the lane's next entry into the heap in the same sift. The
+//     senders' CBR ticks, MAC interframe spaces, ack timeouts and frame
+//     airtimes all repeat a handful of delays, so most events never
+//     enter the heap at all and the heap stays a few entries deep.
+//     Lanes live in a small direct-mapped table hashed on the delay, so
+//     finding one is O(1); an idle lane is re-keyed to the next delay
+//     that hashes to it, and a delay whose bucket is busy with another
+//     delay simply goes into the heap on its own.
+//   - When more than half of the pending entries (heap and lanes) are
+//     cancelled debris, both are compacted in place (O(n) filter +
+//     re-heapify), bounding memory for workloads that cancel almost
+//     everything they schedule, such as protocol timers that are reset
+//     on every frame.
 //
-// The heap is the only pending-set structure. The paper's 36-node
-// grid never holds more than about a hundred pending events, and even
-// a 100k-node grid peaks below ten thousand, where O(log n) push/pop
-// on a shallow 4-ary heap measured faster than a bucketed O(1) queue.
-// An equivalence test against a naive reference scheduler pins the
-// executed order.
+// The paper's 36-node grid never holds more than about a hundred
+// pending events, and even a 100k-node grid peaks below ten thousand,
+// where O(log n) push/pop on a shallow 4-ary heap measured faster than
+// a bucketed O(1) calendar queue. Equivalence tests and a fuzz target
+// against a naive reference scheduler pin the executed order.
 package sim
 
 import (
@@ -66,20 +80,22 @@ type EventID uint64
 // virtual time.
 var ErrPastEvent = errors.New("sim: event scheduled in the past")
 
-// event is one value-typed heap entry. The callback is not stored here —
-// heap swaps move 24 bytes, and the entry stays valid even after its
-// slot has been retired (lazy cancellation).
+// event is one value-typed queue entry, in the heap or in a lane. The
+// callback is not stored here — heap swaps move 24 bytes, and the entry
+// stays valid even after its slot has been retired (lazy cancellation).
 type event struct {
 	at   Time
 	seq  uint64
 	slot uint32
+	lane uint32 // index+1 of the lane the entry belongs to; 0 for none
 }
 
 // eventSlot holds the callback and liveness state for one handle.
 type eventSlot struct {
-	fn  func()
-	seq uint64 // sequence of the occupying event; 0 when free
-	gen uint32 // bumped on every retire; validates EventIDs
+	fn    func()
+	timer *Timer // set instead of fn for a Timer's expiry
+	seq   uint64 // sequence of the occupying event; 0 when free
+	gen   uint32 // bumped on every retire; validates EventIDs
 }
 
 // before reports whether a runs before b in the deterministic
@@ -97,21 +113,67 @@ func (a event) before(b event) bool {
 // maxTime is the latest representable virtual time.
 const maxTime = Time(math.MaxInt64)
 
-// compactMinDead is the minimum amount of cancelled debris in the queue
-// before compaction is considered; below it the O(n) sweep costs more
-// than it saves.
+// compactMinDead is the minimum amount of cancelled debris in the heap
+// and lanes before compaction is considered; below it the O(n) sweep
+// costs more than it saves.
 const compactMinDead = 64
+
+// laneBits sizes the lane table: 1<<laneBits direct-mapped buckets.
+const laneBits = 6
+
+// lane is the FIFO of one delay's pending events. Its head entry sits
+// in the heap (active is set while it does); buf is a ring of the
+// entries behind the head, in (at, seq) order. A lane without a head
+// holds nothing and may be re-keyed to another delay.
+type lane struct {
+	delay  Time
+	active bool
+	buf    []event // ring; len is zero or a power of two
+	head   int     // index of the oldest entry in buf
+	n      int     // entries in the ring
+}
+
+// put appends e at the ring's tail, doubling the ring when full.
+func (l *lane) put(e event) {
+	if l.n == len(l.buf) {
+		grown := make([]event, max(4, 2*len(l.buf)))
+		for i := 0; i < l.n; i++ {
+			grown[i] = l.buf[(l.head+i)&(len(l.buf)-1)]
+		}
+		l.buf, l.head = grown, 0
+	}
+	l.buf[(l.head+l.n)&(len(l.buf)-1)] = e
+	l.n++
+}
+
+// take removes and returns the ring's oldest entry; the ring must not
+// be empty. The slot it leaves is reused by later puts, so a lane's
+// consumed prefix never accumulates.
+func (l *lane) take() event {
+	e := l.buf[l.head]
+	l.head = (l.head + 1) & (len(l.buf) - 1)
+	l.n--
+	return e
+}
+
+// laneIndex hashes a delay to its lane bucket (Fibonacci hashing: the
+// top bits of the product mix every bit of the delay).
+func laneIndex(d Time) uint32 {
+	return uint32((uint64(d) * 0x9E3779B97F4A7C15) >> (64 - laneBits))
+}
 
 // Scheduler owns the virtual clock and the pending event set.
 // It is not safe for concurrent use; simulations are single-goroutine by
 // design (determinism).
 type Scheduler struct {
 	now     Time
-	queue   []event     // 4-ary min-heap on (at, seq)
+	queue   []event // 4-ary min-heap on (at, seq): lane heads and laneless events
+	lanes   [1 << laneBits]lane
+	laned   int         // entries waiting in lane rings (not in the heap)
 	slots   []eventSlot // handle table
 	free    []uint32    // retired slot indices, reused LIFO
 	live    int         // scheduled and not yet run or cancelled
-	dead    int         // cancelled entries still buried in queue
+	dead    int         // cancelled entries still buried in the heap or lanes
 	nextSeq uint64
 	rng     *rand.Rand
 	stopped bool
@@ -140,6 +202,28 @@ func (s *Scheduler) Schedule(at Time, fn func()) (EventID, error) {
 	if at < s.now {
 		return 0, fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, s.now)
 	}
+	return s.add(at, fn, nil), nil
+}
+
+// After schedules fn to run d from now. Negative d is clamped to now, so
+// protocol code can express "immediately" with zero.
+func (s *Scheduler) After(d time.Duration, fn func()) EventID {
+	return s.after(d, fn, nil)
+}
+
+// after is After for a callback or a timer. A time past the end of the
+// clock schedules nothing and returns the zero EventID.
+func (s *Scheduler) after(d time.Duration, fn func(), t *Timer) EventID {
+	at := s.now + max(d, 0)
+	if at < s.now {
+		return 0
+	}
+	return s.add(at, fn, t)
+}
+
+// add queues one event at at >= now, running fn or, when fn is nil,
+// firing timer t.
+func (s *Scheduler) add(at Time, fn func(), t *Timer) EventID {
 	s.nextSeq++
 	seq := s.nextSeq
 	var idx uint32
@@ -152,30 +236,34 @@ func (s *Scheduler) Schedule(at Time, fn func()) (EventID, error) {
 	}
 	sl := &s.slots[idx]
 	sl.fn = fn
+	sl.timer = t
 	sl.seq = seq
-	s.push(event{at: at, seq: seq, slot: idx})
 	s.live++
-	return EventID(uint64(sl.gen)<<32 | uint64(idx+1)), nil
-}
-
-// After schedules fn to run d from now. Negative d is clamped to now, so
-// protocol code can express "immediately" with zero.
-func (s *Scheduler) After(d time.Duration, fn func()) EventID {
-	if d < 0 {
-		d = 0
+	e := event{at: at, seq: seq, slot: idx}
+	// Entries of one delay arrive in (at, seq) order, so behind an
+	// active lane of the same delay the entry only needs a ring slot.
+	d := at - s.now
+	li := laneIndex(d)
+	l := &s.lanes[li]
+	switch {
+	case !l.active:
+		l.delay, l.active = d, true
+		e.lane = li + 1
+		s.push(e)
+	case l.delay == d:
+		e.lane = li + 1
+		l.put(e)
+		s.laned++
+	default:
+		s.push(e) // the bucket is busy with another delay
 	}
-	id, err := s.Schedule(s.now+d, fn)
-	if err != nil {
-		// Unreachable: s.now+d >= s.now for d >= 0. Guard anyway.
-		return 0
-	}
-	return id
+	return EventID(uint64(sl.gen)<<32 | uint64(idx+1))
 }
 
 // Cancel removes a pending event. It reports whether the event was still
 // pending (false if it already ran, was cancelled, or never existed).
-// The heap entry is retired lazily: it is skipped when it reaches the
-// queue head, so Cancel itself is O(1).
+// The queued entry is retired lazily: it is skipped when it reaches the
+// heap root, so Cancel itself is O(1).
 func (s *Scheduler) Cancel(id EventID) bool {
 	idx := uint32(id & 0xffffffff)
 	if idx == 0 || int(idx) > len(s.slots) {
@@ -188,26 +276,27 @@ func (s *Scheduler) Cancel(id EventID) bool {
 	s.retire(idx - 1)
 	s.live--
 	s.dead++
-	if s.dead >= compactMinDead && s.dead > len(s.queue)/2 {
+	if s.dead >= compactMinDead && s.dead > (len(s.queue)+s.laned)/2 {
 		s.compact()
 	}
 	return true
 }
 
 // retire frees a slot: the callback is released, the occupying sequence
-// cleared (so buried heap entries stop matching) and the generation
-// bumped (so outstanding EventIDs stop matching).
+// cleared (so queued entries stop matching) and the generation bumped
+// (so outstanding EventIDs stop matching).
 func (s *Scheduler) retire(idx uint32) {
 	sl := &s.slots[idx]
 	sl.fn = nil
+	sl.timer = nil
 	sl.seq = 0
 	sl.gen++
 	s.free = append(s.free, idx)
 }
 
 // Pending returns the number of events waiting to run. Cancelled events
-// are never counted, even while their heap entries await lazy discard,
-// and compaction does not change the count.
+// are never counted, even while their queued entries await lazy
+// discard, and compaction does not change the count.
 func (s *Scheduler) Pending() int { return s.live }
 
 // Step executes the earliest pending event, advancing the clock to its
@@ -222,23 +311,42 @@ func (s *Scheduler) stepUntil(deadline Time) bool {
 		e := s.queue[0]
 		sl := &s.slots[e.slot]
 		if sl.seq != e.seq {
-			s.pop()
+			s.popRoot(e)
 			s.dead--
 			continue
 		}
 		if e.at > deadline {
 			return false
 		}
-		fn := sl.fn
-		s.pop()
+		fn, t := sl.fn, sl.timer
+		s.popRoot(e)
 		s.retire(e.slot)
 		s.live--
 		s.now = e.at
 		s.Processed++
-		fn()
+		if t != nil {
+			t.fire()
+		} else {
+			fn()
+		}
 		return true
 	}
 	return false
+}
+
+// popRoot removes the heap root e. A lane head is replaced by its
+// lane's next entry in one sift; an emptied lane goes idle.
+func (s *Scheduler) popRoot(e event) {
+	if e.lane != 0 {
+		l := &s.lanes[e.lane-1]
+		if l.n > 0 {
+			s.laned--
+			s.siftDown(0, l.take())
+			return
+		}
+		l.active = false
+	}
+	s.pop()
 }
 
 // CountFolded credits n events to Processed that the running callback
@@ -320,14 +428,39 @@ func (s *Scheduler) siftDown(i int, e event) {
 	q[i] = e
 }
 
-// compact filters cancelled entries out of the heap in place and
-// re-heapifies. Sift-downs only reorder by (at, seq) comparisons, so
-// the surviving execution order is unchanged.
+// compact filters cancelled entries out of the lanes and the heap in
+// place and re-heapifies. A cancelled lane head is replaced by its
+// lane's next live entry. Sift-downs only reorder by (at, seq)
+// comparisons, so the surviving execution order is unchanged.
 func (s *Scheduler) compact() {
+	live := func(e event) bool { return s.slots[e.slot].seq == e.seq }
+	s.laned = 0
+	for i := range s.lanes {
+		l := &s.lanes[i]
+		kept := 0
+		for k := 0; k < l.n; k++ {
+			if e := l.buf[(l.head+k)&(len(l.buf)-1)]; live(e) {
+				l.buf[(l.head+kept)&(len(l.buf)-1)] = e
+				kept++
+			}
+		}
+		l.n = kept
+		s.laned += kept
+	}
 	kept := s.queue[:0]
 	for _, e := range s.queue {
-		if s.slots[e.slot].seq == e.seq {
+		if live(e) {
 			kept = append(kept, e)
+			continue
+		}
+		if e.lane == 0 {
+			continue
+		}
+		if l := &s.lanes[e.lane-1]; l.n > 0 {
+			kept = append(kept, l.take())
+			s.laned--
+		} else {
+			l.active = false
 		}
 	}
 	s.queue = kept

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -410,8 +411,8 @@ func TestCancelChurnCompacts(t *testing.T) {
 	for i := 0; i < 100000; i++ {
 		tm.Reset(time.Millisecond)
 	}
-	if got := len(s.queue); got > 4*compactMinDead {
-		t.Errorf("queue holds %d entries after churn, want <= %d", got, 4*compactMinDead)
+	if got := len(s.queue) + s.laned; got > 4*compactMinDead {
+		t.Errorf("heap and lanes hold %d entries after churn, want <= %d", got, 4*compactMinDead)
 	}
 	if got := s.Pending(); got != 1 {
 		t.Errorf("Pending() = %d, want 1", got)
@@ -478,5 +479,33 @@ func TestTimerReuseAfterFire(t *testing.T) {
 	s.Run()
 	if fired != 2 {
 		t.Errorf("fired %d times across two arms, want 2", fired)
+	}
+}
+
+// Events of one delay queue in that delay's lane behind a single heap
+// entry, and still run in (time, seq) order interleaved with other
+// delays; a drained lane leaves nothing behind.
+func TestSameDelayEventsShareALane(t *testing.T) {
+	s := NewScheduler(1)
+	var order []int
+	for i := 0; i < 100; i++ {
+		s.After(10*time.Millisecond, func() { order = append(order, i) })
+		if i%10 == 0 {
+			s.After(time.Duration(i)*100*time.Microsecond, func() { order = append(order, 1000+i) })
+		}
+	}
+	if len(s.queue) > 11 || s.laned < 99 {
+		t.Fatalf("heap holds %d entries and lanes %d, want <= 11 and >= 99", len(s.queue), s.laned)
+	}
+	s.Run()
+	want := []int{1000, 1010, 1020, 1030, 1040, 1050, 1060, 1070, 1080, 1090}
+	for i := 0; i < 100; i++ {
+		want = append(want, i)
+	}
+	if !slices.Equal(order, want) {
+		t.Errorf("executed %v, want %v", order, want)
+	}
+	if len(s.queue) != 0 || s.laned != 0 || s.Pending() != 0 {
+		t.Errorf("drained scheduler: heap %d, lanes %d, pending %d", len(s.queue), s.laned, s.Pending())
 	}
 }

@@ -8,16 +8,17 @@ import "time"
 //
 // A Timer is designed to be embedded by value in protocol structs: call
 // Init once, then Reset/Stop freely — both are allocation-free, because
-// the expiry callback is bound at Init time and cancellation is lazy
-// (an O(1) handle retire; see the package comment).
+// the scheduler's event slot holds the *Timer itself and cancellation is
+// lazy (an O(1) handle retire; see the package comment). An armed
+// Timer must therefore not move: embed it in a struct that is only
+// used through a pointer.
 //
 // The zero Timer is not usable; initialise one with Init (or NewTimer).
 type Timer struct {
-	sched  *Scheduler
-	fireFn func() // t.fire bound once so Reset never allocates
-	fn     func()
-	id     EventID
-	armed  bool
+	sched *Scheduler
+	fn    func()
+	id    EventID
+	armed bool
 }
 
 // Init binds the timer to a scheduler and expiry callback. It must be
@@ -25,7 +26,6 @@ type Timer struct {
 func (t *Timer) Init(sched *Scheduler, fn func()) {
 	t.sched = sched
 	t.fn = fn
-	t.fireFn = t.fire
 }
 
 // NewTimer returns a heap-allocated timer that invokes fn on expiry.
@@ -41,7 +41,7 @@ func NewTimer(sched *Scheduler, fn func()) *Timer {
 func (t *Timer) Reset(d time.Duration) {
 	t.Stop()
 	t.armed = true
-	t.id = t.sched.After(d, t.fireFn)
+	t.id = t.sched.after(d, nil, t)
 }
 
 // Stop disarms the timer. It reports whether the timer was armed.
