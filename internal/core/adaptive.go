@@ -92,7 +92,7 @@ func (a *Agent) startDeadlineMonitor() {
 	if a.cfg.DelayBound <= 0 {
 		return
 	}
-	a.deadlineTimer.Init(a.sched, a.checkDeadlines)
+	a.deadlineTimer.Init(a.sched, (*agentTimers)(a))
 	a.deadlineTimer.Reset(a.deadlinePeriod())
 }
 
@@ -121,8 +121,10 @@ func (a *Agent) checkDeadlines() {
 	// packets wait when headroom runs out are deterministic.
 	for i := range a.buffers {
 		q := &a.buffers[i]
-		kept := q.pkts[:0]
-		for _, p := range q.pkts {
+		// The burst in flight is no longer buffered: only its backlog
+		// is checked, and kept packets go behind it.
+		kept := q.pkts[:q.sent]
+		for _, p := range q.backlog() {
 			if now-p.Created >= budget {
 				if headroom <= 0 {
 					backlog = true
@@ -177,10 +179,7 @@ func (a *Agent) sendDataViaSensor(p Packet) {
 // handleSensorData relays or delivers a low-power data packet.
 func (a *Agent) handleSensorData(p Packet) {
 	if p.Dst == a.cfg.NodeID {
-		a.stats.PacketsDelivered++
-		if a.onDeliver != nil {
-			a.onDeliver(p)
-		}
+		a.deliver(p)
 		return
 	}
 	a.stats.SensorForwards++

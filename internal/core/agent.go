@@ -50,7 +50,11 @@ type recvSession struct {
 	// IDs start at 1, so the zero value matches none).
 	done uint64
 	idle sim.Timer
+	a    *Agent
 }
+
+// OnTimer closes the session when its idle timer fires.
+func (s *recvSession) OnTimer(*sim.Timer) { s.a.receiverTimeout(s.origin) }
 
 // ctrlPool recycles one agent's outgoing control messages of one type.
 // Receivers copy what they keep before their handler returns, so a
@@ -102,13 +106,13 @@ type Agent struct {
 	retryTimer    sim.Timer
 
 	// burstBytes is the granted burst waiting for the radio to wake
-	// (burstWaiting); burstPkts and burstFrames hold the burst in
-	// flight. They are reused across bursts: the wifi MAC's frames point
-	// into burstFrames, and each frame's packets into burstPkts, so
-	// neither may change before finishBurst.
+	// (burstWaiting); burstFrames holds the frames of the burst in
+	// flight, reused across bursts. The wifi MAC's frames point into
+	// burstFrames, and each frame's packets into the target queue's
+	// in-flight prefix (see hopQueue), so neither may change before
+	// finishBurst.
 	burstBytes   units.ByteSize
 	burstWaiting bool
-	burstPkts    []Packet
 	burstFrames  []burstFrame
 
 	// Receiver state: one session per burst origin, in ascending origin
@@ -211,17 +215,63 @@ func NewAgent(
 		wifiRoute: wifiRoute,
 		onDeliver: onDeliver,
 	}
-	a.ackTimer.Init(sched, a.onAckTimeout)
-	a.retryTimer.Init(sched, a.maybeStart)
-	a.lingerTimer.Init(sched, a.tryPowerOff)
-	sensorMAC.SetOnReceive(a.handleSensorFrame)
-	wifiMAC.SetOnReceive(a.handleWifiFrame)
-	wifiMAC.SetOnSent(a.handleWifiSent)
-	wifiMAC.SetOnDrop(a.handleWifiDrop)
-	wifiMAC.Transceiver().SetOnWake(a.onWifiWake)
+	a.ackTimer.Init(sched, (*agentTimers)(a))
+	a.retryTimer.Init(sched, (*agentTimers)(a))
+	a.lingerTimer.Init(sched, (*agentTimers)(a))
+	sensorMAC.SetUpper((*sensorUpper)(a))
+	wifiMAC.SetUpper((*wifiUpper)(a))
+	wifiMAC.Transceiver().SetWaker((*wifiUpper)(a))
 	a.startDeadlineMonitor()
 	return a, nil
 }
+
+// The agent takes its timers' expiries and its MACs' upcalls through
+// these views of itself: converting an *Agent to one allocates
+// nothing, where binding a method value would allocate a closure per
+// callback.
+type (
+	agentTimers Agent // sim.Handler of the agent's timers
+	sensorUpper Agent // mac.Upper of the sensor MAC
+	wifiUpper   Agent // mac.Upper of the 802.11 MAC, radio.Waker of its radio
+)
+
+// OnTimer runs the expiry of one of the agent's timers.
+func (h *agentTimers) OnTimer(t *sim.Timer) {
+	a := (*Agent)(h)
+	switch t {
+	case &a.ackTimer:
+		a.onAckTimeout()
+	case &a.retryTimer:
+		a.maybeStart()
+	case &a.lingerTimer:
+		a.tryPowerOff()
+	case &a.deadlineTimer:
+		a.checkDeadlines()
+	}
+}
+
+// Receive takes the sensor MAC's deliveries: control traffic, and data
+// on the delay-bound path.
+func (h *sensorUpper) Receive(f radio.Frame) { (*Agent)(h).handleSensorFrame(f) }
+
+// Sent ignores the sensor MAC's sent frames.
+func (h *sensorUpper) Sent(radio.Frame) {}
+
+// Dropped ignores the sensor MAC's drops: the handshake timers recover
+// lost control frames.
+func (h *sensorUpper) Dropped(radio.Frame, mac.DropReason) {}
+
+// Receive takes the 802.11 MAC's deliveries (burst frames).
+func (h *wifiUpper) Receive(f radio.Frame) { (*Agent)(h).handleWifiFrame(f) }
+
+// Sent tracks burst completion.
+func (h *wifiUpper) Sent(f radio.Frame) { (*Agent)(h).handleWifiSent(f) }
+
+// Dropped accounts for burst frames the MAC abandoned.
+func (h *wifiUpper) Dropped(f radio.Frame, r mac.DropReason) { (*Agent)(h).handleWifiDrop(f, r) }
+
+// Woke starts the burst waiting for the 802.11 radio, if any.
+func (h *wifiUpper) Woke() { (*Agent)(h).onWifiWake() }
 
 // Stats returns a copy of the agent's counters.
 func (a *Agent) Stats() Stats { return a.stats }
@@ -237,10 +287,7 @@ func (a *Agent) Config() Config { return a.cfg }
 // toward the high-power next hop, subject to the buffer capacity.
 func (a *Agent) Buffer(p Packet) {
 	if p.Dst == a.cfg.NodeID {
-		a.stats.PacketsDelivered++
-		if a.onDeliver != nil {
-			a.onDeliver(p)
-		}
+		a.deliver(p)
 		return
 	}
 	nh, ok := a.wifiRoute.NextHop(a.cfg.NodeID)
@@ -254,20 +301,41 @@ func (a *Agent) Buffer(p Packet) {
 		a.notePacket(PacketDroppedBufferFull, p)
 		return
 	}
-	q := a.queue(nh)
+	a.push(a.queue(nh), p)
+	a.maybeStart()
+}
+
+// deliver hands a packet addressed to this node to the application.
+func (a *Agent) deliver(p Packet) {
+	a.stats.PacketsDelivered++
+	if a.onDeliver != nil {
+		a.onDeliver(p)
+	}
+}
+
+// push appends an admitted packet to queue q.
+func (a *Agent) push(q *hopQueue, p Packet) {
 	q.pkts = append(q.pkts, p)
 	q.bytes += p.Size
 	a.bufferedBytes += p.Size
 	a.stats.PacketsBuffered++
-	a.maybeStart()
 }
 
-// hopQueue is the buffered backlog toward one high-power next hop.
+// hopQueue is the buffered data toward one high-power next hop. While
+// a burst to nh is in flight, its packets are the prefix pkts[:sent]
+// and the burst frames point into it, so nothing writes below len(pkts)
+// until finishBurst drops the prefix. Appending the backlog behind it
+// is safe even when the array regrows: the frames keep the old array.
+// bytes counts the backlog alone.
 type hopQueue struct {
 	nh    int
 	pkts  []Packet
+	sent  int
 	bytes units.ByteSize
 }
+
+// backlog returns the packets waiting behind the burst in flight.
+func (q *hopQueue) backlog() []Packet { return q.pkts[q.sent:] }
 
 // find returns the index of next hop nh's queue, or where it would be
 // inserted to keep the buffers in ascending next-hop order.
@@ -519,8 +587,8 @@ func (a *Agent) openSession(origin int) *recvSession {
 func (a *Agent) startSession(origin int, id uint64) *recvSession {
 	s, i := a.session(origin)
 	if s == nil {
-		s = &recvSession{origin: origin}
-		s.idle.Init(a.sched, func() { a.receiverTimeout(origin) })
+		s = &recvSession{origin: origin, a: a}
+		s.idle.Init(a.sched, s)
 		a.recv = slices.Insert(a.recv, i, s)
 	}
 	s.open, s.id, s.granted, s.total, s.nGot = true, id, 0, 0, 0
@@ -595,12 +663,10 @@ func (a *Agent) startBurst() {
 		a.finishBurst()
 		return
 	}
-	// The burst moves to burstPkts, since the queue's array is reused;
-	// the frames below point into it. The rest of the backlog moves to
-	// the front of the queue.
-	burst := append(a.burstPkts[:0], q.pkts[:nPackets]...)
-	a.burstPkts = burst
-	q.pkts = q.pkts[:copy(q.pkts, q.pkts[nPackets:])]
+	// The burst ships in place: it becomes the queue's in-flight prefix,
+	// and the frames below point into it.
+	q.sent = nPackets
+	burst := q.pkts[:nPackets]
 	for _, p := range burst {
 		a.bufferedBytes -= p.Size
 		q.bytes -= p.Size
@@ -688,8 +754,15 @@ func (a *Agent) handleWifiDrop(f radio.Frame, _ mac.DropReason) {
 	}
 }
 
-// finishBurst closes the sender side of a transfer.
+// finishBurst closes the sender side of a transfer. Every frame of the
+// burst is done, so the in-flight prefix goes and the backlog moves to
+// the front of its queue.
 func (a *Agent) finishBurst() {
+	if i, ok := a.find(a.curTarget); ok {
+		q := &a.buffers[i]
+		q.pkts = q.pkts[:copy(q.pkts, q.backlog())]
+		q.sent = 0
+	}
 	a.stats.BurstsSent++
 	if obs, ok := a.wifiRoute.(burstObserver); ok {
 		obs.ObserveBurst(a.cfg.NodeID)
@@ -731,13 +804,13 @@ func (a *Agent) handleWifiFrame(f radio.Frame) {
 		return // duplicate frame
 	}
 	if b.Index >= len(session.got) {
-		session.got = append(session.got, make([]bool, b.Index+1-len(session.got))...)
+		// got never shrinks, so the capacity past its length was never
+		// written and reads false.
+		session.got = slices.Grow(session.got, b.Index+1-len(session.got))[:b.Index+1]
 	}
 	session.got[b.Index] = true
 	session.nGot++
-	for _, p := range b.Packets {
-		a.acceptPacket(p)
-	}
+	a.relay(b.Packets)
 	if session.total > 0 && session.nGot >= session.total {
 		a.stats.BurstsReceived++
 		session.done = b.ID
@@ -745,18 +818,73 @@ func (a *Agent) handleWifiFrame(f radio.Frame) {
 	}
 }
 
-// acceptPacket delivers or re-buffers one fragmented packet.
-func (a *Agent) acceptPacket(p Packet) {
-	if p.Dst == a.cfg.NodeID {
-		a.stats.PacketsDelivered++
-		if a.onDeliver != nil {
-			a.onDeliver(p)
+// relay delivers or re-buffers the packets of one burst frame, in
+// order (store-and-forward): Buffer over a whole frame, with the next
+// hop looked up once, since only a finished burst can change it. While
+// the agent is idle, each packet is admitted on its own, as it may
+// start (or fail) a handshake; once a handshake is in flight,
+// maybeStart is a no-op, and the rest of the frame goes into the queue
+// in one copy when every packet in it is relayed and fits.
+func (a *Agent) relay(pkts []Packet) {
+	nh, routed := a.wifiRoute.NextHop(a.cfg.NodeID)
+	var q *hopQueue
+	bulk := routed
+	for i, p := range pkts {
+		if bulk && a.sending {
+			bulk = false
+			if a.relayAll(nh, pkts[i:]) {
+				return
+			}
 		}
-		return
+		if p.Dst == a.cfg.NodeID {
+			a.deliver(p)
+			continue
+		}
+		a.stats.PacketsForwarded++
+		a.notePacket(PacketForwarded, p)
+		switch {
+		case !routed:
+			a.stats.PacketsDropped++
+			a.notePacket(PacketDroppedNoRoute, p)
+		case a.bufferedBytes+p.Size > a.cfg.BufferCap:
+			a.stats.PacketsDropped++
+			a.notePacket(PacketDroppedBufferFull, p)
+		default:
+			if q == nil {
+				q = a.queue(nh)
+			}
+			a.push(q, p)
+			a.maybeStart()
+		}
 	}
-	a.stats.PacketsForwarded++
-	a.notePacket(PacketForwarded, p)
-	a.Buffer(p)
+}
+
+// relayAll re-buffers all of pkts toward next hop nh in one copy, and
+// reports whether it did: it does nothing unless every packet is
+// relayed (none is addressed to this node) and all of them fit in the
+// buffer, which is when admitting them one by one would have buffered
+// each of them.
+func (a *Agent) relayAll(nh int, pkts []Packet) bool {
+	var bytes units.ByteSize
+	for _, p := range pkts {
+		if p.Dst == a.cfg.NodeID || p.Size < 0 {
+			return false
+		}
+		bytes += p.Size
+	}
+	if a.bufferedBytes+bytes > a.cfg.BufferCap {
+		return false
+	}
+	for _, p := range pkts {
+		a.notePacket(PacketForwarded, p)
+	}
+	q := a.queue(nh)
+	q.pkts = append(q.pkts, pkts...)
+	q.bytes += bytes
+	a.bufferedBytes += bytes
+	a.stats.PacketsForwarded += uint64(len(pkts))
+	a.stats.PacketsBuffered += uint64(len(pkts))
+	return true
 }
 
 // receiverTimeout fires when an expected burst stalls.

@@ -542,8 +542,8 @@ func TestEnergyFollowsBreakEvenDirection(t *testing.T) {
 		var wifi units.Energy
 		for _, a := range h.agents {
 			wifi += a.wifi.Transceiver().Meter().Total()
-			wifi += a.sensor.Transceiver().Meter().ByState()[energy.Tx]
-			wifi += a.sensor.Transceiver().Meter().ByState()[energy.Rx]
+			wifi += a.sensor.Transceiver().Meter().EnergyIn(energy.Tx)
+			wifi += a.sensor.Transceiver().Meter().EnergyIn(energy.Rx)
 		}
 		return wifi, len(h.delivered[1])
 	}

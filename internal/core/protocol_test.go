@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"bulktx/internal/mac"
 	"bulktx/internal/params"
 	"bulktx/internal/radio"
 	"bulktx/internal/units"
@@ -233,19 +234,29 @@ func frameNodeID(i int) radio.NodeID { return radio.NodeID(i) }
 func TestQueuedControlMessagesKeepTheirContent(t *testing.T) {
 	h := newHarness(t, harnessOpts{nodes: 2, burstPackets: 10})
 	receiver := h.agents[1]
-	var got []uint64
-	h.agents[0].sensor.SetOnReceive(func(f radio.Frame) {
-		if ack, ok := f.Payload.(*wakeupAck); ok {
-			got = append(got, ack.ID)
-		}
-	})
+	acks := &ackRecorder{}
+	h.agents[0].sensor.SetUpper(acks)
 	receiver.receiverAdmit(wakeupMsg{ID: 1, Origin: 0, Target: 1, Burst: 320, Path: []int{0}})
 	receiver.receiverAdmit(wakeupMsg{ID: 2, Origin: 0, Target: 1, Burst: 320, Path: []int{0}})
 	if n := receiver.sensor.QueueLen(); n != 2 {
 		t.Fatalf("receiver's sensor MAC holds %d frames, want both acks", n)
 	}
 	h.sched.RunUntil(time.Second)
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
+	if got := acks.ids; len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Errorf("sender received acks %v, want [1 2]", got)
 	}
 }
+
+// ackRecorder takes a sensor MAC's upcalls in place of its agent and
+// keeps the IDs of the wake-up acks delivered.
+type ackRecorder struct{ ids []uint64 }
+
+func (r *ackRecorder) Receive(f radio.Frame) {
+	if ack, ok := f.Payload.(*wakeupAck); ok {
+		r.ids = append(r.ids, ack.ID)
+	}
+}
+
+func (r *ackRecorder) Sent(radio.Frame) {}
+
+func (r *ackRecorder) Dropped(radio.Frame, mac.DropReason) {}

@@ -171,11 +171,10 @@ func TestMeterByStateBreakdown(t *testing.T) {
 	clk.now += 2 * time.Second
 	m.Transition(Off)
 
-	by := m.ByState()
-	if got, want := by[Tx].Joules(), 0.051; math.Abs(got-want) > 1e-12 {
+	if got, want := m.EnergyIn(Tx).Joules(), 0.051; math.Abs(got-want) > 1e-12 {
 		t.Errorf("Tx energy = %v, want %v", got, want)
 	}
-	if got, want := by[Rx].Joules(), 2*0.0591; math.Abs(got-want) > 1e-12 {
+	if got, want := m.EnergyIn(Rx).Joules(), 2*0.0591; math.Abs(got-want) > 1e-12 {
 		t.Errorf("Rx energy = %v, want %v", got, want)
 	}
 	if got := m.TimeIn(Tx); got != time.Second {
@@ -183,6 +182,11 @@ func TestMeterByStateBreakdown(t *testing.T) {
 	}
 	if got := m.TimeIn(Rx); got != 2*time.Second {
 		t.Errorf("TimeIn(Rx) = %v, want 2s", got)
+	}
+	for _, s := range []State{Off, Idle, State(0), State(99)} {
+		if got := m.EnergyIn(s); got != 0 {
+			t.Errorf("EnergyIn(%v) = %v, want 0 (never charged or undeclared)", s, got)
+		}
 	}
 }
 
@@ -240,8 +244,8 @@ func TestMeterTotalEqualsBreakdownSum(t *testing.T) {
 			clk.now += time.Duration(s%50) * time.Millisecond
 		}
 		var sum units.Energy
-		for _, e := range m.ByState() {
-			sum += e
+		for _, s := range States() {
+			sum += m.EnergyIn(s)
 		}
 		return math.Abs(sum.Joules()-m.Total().Joules()) < 1e-9
 	}

@@ -167,17 +167,14 @@ func (m *Meter) Total() units.Energy {
 	return m.total
 }
 
-// ByState returns the per-state energy breakdown up to now, holding
-// only the states charged non-zero energy.
-func (m *Meter) ByState() map[State]units.Energy {
+// EnergyIn returns the energy charged to state s up to now (zero for an
+// undeclared state).
+func (m *Meter) EnergyIn(s State) units.Energy {
 	m.settle()
-	out := make(map[State]units.Energy, numStates)
-	for i, e := range m.byState {
-		if e != 0 {
-			out[allStates[i]] = e
-		}
+	if !s.valid() {
+		return 0
 	}
-	return out
+	return m.byState[s-1]
 }
 
 // TimeIn returns the cumulative residency in state s up to now (zero for
@@ -206,7 +203,7 @@ type StateSnapshot struct {
 // canonical state order (see States), including only states that have
 // accumulated energy or residency. The fixed order makes snapshots
 // safe to aggregate with float arithmetic: summing entries in slice
-// order is bit-stable across runs, unlike iterating the ByState map.
+// order is bit-stable across runs, unlike iterating a map.
 func (m *Meter) Snapshot() []StateSnapshot {
 	m.settle()
 	out := make([]StateSnapshot, 0, numStates)

@@ -177,13 +177,42 @@ type MAC struct {
 	lastSeq []peerSeq
 	stats   Stats
 
-	onReceive func(radio.Frame)
-	onSent    func(radio.Frame)
-	onDrop    func(radio.Frame, DropReason)
+	upper Upper
 }
 
-// New binds a MAC to a transceiver. The transceiver's receive and
-// tx-done callbacks are taken over by the MAC.
+// Upper is the layer bound over a MAC (a BCP agent or a forwarder). It
+// takes the frames the MAC delivers, the frames it sent (acked, or put
+// on the air when broadcast) and the frames it accepted and later
+// abandoned.
+type Upper interface {
+	Receive(f radio.Frame)
+	Sent(f radio.Frame)
+	Dropped(f radio.Frame, reason DropReason)
+}
+
+// macHooks is a MAC seen as the handler of its timers and the Upper of
+// its transceiver: the conversion allocates nothing, where binding
+// method values would allocate a closure per callback.
+type macHooks MAC
+
+// OnTimer runs the expiry of one of the MAC's timers.
+func (h *macHooks) OnTimer(tm *sim.Timer) {
+	m := (*MAC)(h)
+	switch tm {
+	case &m.ackTimer:
+		m.onAckTimeout()
+	case &m.pendingSense:
+		m.senseAndTransmit()
+	}
+}
+
+// Receive takes a clean reception from the transceiver.
+func (h *macHooks) Receive(f radio.Frame) { (*MAC)(h).handleReceive(f) }
+
+// TxDone takes the end of one of the transceiver's transmissions.
+func (h *macHooks) TxDone(f radio.Frame) { (*MAC)(h).handleTxDone(f) }
+
+// New binds a MAC to a transceiver, as the transceiver's Upper.
 func New(params Params, sched *sim.Scheduler, xcvr *radio.Transceiver) (*MAC, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -199,11 +228,10 @@ func New(params Params, sched *sim.Scheduler, xcvr *radio.Transceiver) (*MAC, er
 		xcvr:   xcvr,
 		cw:     params.CWMin,
 	}
-	m.ackTimer.Init(sched, m.onAckTimeout)
-	m.pendingSense.Init(sched, m.senseAndTransmit)
+	m.ackTimer.Init(sched, (*macHooks)(m))
+	m.pendingSense.Init(sched, (*macHooks)(m))
 	m.fireAckFn = m.fireAck
-	xcvr.SetOnReceive(m.handleReceive)
-	xcvr.SetOnTxDone(m.handleTxDone)
+	xcvr.SetUpper((*macHooks)(m))
 	return m, nil
 }
 
@@ -250,14 +278,12 @@ func compactQueue(q []radio.Frame, head int) ([]radio.Frame, int) {
 	return q, head
 }
 
-// SetOnReceive registers the upper-layer delivery callback.
-func (m *MAC) SetOnReceive(fn func(radio.Frame)) { m.onReceive = fn }
+// SetUpper binds the layer that takes the MAC's deliveries, sends and
+// drops (nil ignores them).
+func (m *MAC) SetUpper(u Upper) { m.upper = u }
 
-// SetOnSent registers the successful-transmission callback.
-func (m *MAC) SetOnSent(fn func(radio.Frame)) { m.onSent = fn }
-
-// SetOnDrop registers the frame-abandoned callback.
-func (m *MAC) SetOnDrop(fn func(radio.Frame, DropReason)) { m.onDrop = fn }
+// Upper returns the bound upper layer, so a caller can wrap it.
+func (m *MAC) Upper() Upper { return m.upper }
 
 // Send enqueues a frame for transmission. The MAC assigns the sequence
 // number. Unicast data and control frames are acknowledged and retried;
@@ -265,9 +291,9 @@ func (m *MAC) SetOnDrop(fn func(radio.Frame, DropReason)) { m.onDrop = fn }
 //
 // A full queue rejects the frame through the returned error alone (plus
 // the DropQueueFull counter): the caller holding the frame is the one
-// notified. The onDrop callback fires only for frames that were
+// notified. The Dropped upcall fires only for frames that were
 // accepted and later abandoned, so a caller handling both the error
-// and the callback never sees the same frame twice.
+// and the upcall never sees the same frame twice.
 func (m *MAC) Send(f radio.Frame) error {
 	if m.queueLen() >= m.params.QueueCap {
 		m.stats.Drops[DropQueueFull]++
@@ -285,8 +311,8 @@ func (m *MAC) Send(f radio.Frame) error {
 func (m *MAC) Flush() {
 	for _, f := range m.queue[m.head:] {
 		m.stats.Drops[DropRadioOff]++
-		if m.onDrop != nil {
-			m.onDrop(f, DropRadioOff)
+		if m.upper != nil {
+			m.upper.Dropped(f, DropRadioOff)
 		}
 	}
 	clear(m.queue[m.head:]) // release the payload references
@@ -401,8 +427,8 @@ func (m *MAC) completeHead() {
 	f := m.dequeue()
 	m.stats.Sent++
 	m.inflight = false
-	if m.onSent != nil {
-		m.onSent(f)
+	if m.upper != nil {
+		m.upper.Sent(f)
 	}
 	m.kick()
 }
@@ -412,8 +438,8 @@ func (m *MAC) dropHead(reason DropReason) {
 	f := m.dequeue()
 	m.stats.Drops[reason]++
 	m.inflight = false
-	if m.onDrop != nil {
-		m.onDrop(f, reason)
+	if m.upper != nil {
+		m.upper.Dropped(f, reason)
 	}
 	m.kick()
 }
@@ -456,8 +482,8 @@ func (m *MAC) handleData(f radio.Frame) {
 		}
 	}
 	m.stats.Received++
-	if m.onReceive != nil {
-		m.onReceive(f)
+	if m.upper != nil {
+		m.upper.Receive(f)
 	}
 }
 

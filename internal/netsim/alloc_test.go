@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -17,26 +18,49 @@ func serveTemplateConfig(seed int64) Config {
 	return cfg
 }
 
-// serveTemplateAllocCeiling bounds the serve template's allocations per
-// build and run. The run allocated 4,799 times before receive
-// sessions, control messages and burst frames were reused, MAC and
-// agent maps became slices and timers stopped binding closures; it
-// allocates 2,932 times now, mostly one-time set-up of the 36 nodes.
-const serveTemplateAllocCeiling = 3100
+// serveTemplateAllocCeiling and serveTemplateByteCeiling bound the
+// serve template's allocations and bytes allocated per build and run.
+// The run allocated 4,799 times (1,162,616 B) before receive sessions,
+// control messages and burst frames were reused, and 2,870 times
+// (751,289 B) before bursts shipped in place from the hop queues, the
+// sink's delay record was sized once, the 802.11 tree shared the sensor
+// mesh's adjacency and timers and MAC upcalls stopped binding a closure
+// per node; it allocates about 1,730 times and 506 KB now, mostly the
+// one-time set-up of the 36 nodes and the hop queues. A -race build
+// allocates about 90 times more (slices.Grow's append of a fresh slice
+// is not optimised away there).
+const (
+	serveTemplateAllocCeiling = 1850
+	serveTemplateByteCeiling  = 520_000
+)
 
-// TestServeTemplateRunAllocs holds the serve template's allocations per
-// run under serveTemplateAllocCeiling, so per-handshake or per-burst
-// garbage cannot creep back in unnoticed.
+// TestServeTemplateRunAllocs holds the serve template's allocations
+// and bytes per run under their ceilings, so per-handshake, per-burst
+// or per-packet garbage cannot creep back in unnoticed. The byte count
+// is skipped under -race, whose instrumentation allocates too.
 func TestServeTemplateRunAllocs(t *testing.T) {
+	const runs = 3
 	seed := int64(0)
-	allocs := testing.AllocsPerRun(3, func() {
+	run := func() {
 		seed++
 		if _, err := Run(serveTemplateConfig(seed)); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > serveTemplateAllocCeiling {
+	}
+	if allocs := testing.AllocsPerRun(runs, run); allocs > serveTemplateAllocCeiling {
 		t.Errorf("serve template run allocates %.0f times, ceiling %d", allocs, serveTemplateAllocCeiling)
+	}
+	if raceEnabled {
+		return
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if bytes := (after.TotalAlloc - before.TotalAlloc) / runs; bytes > serveTemplateByteCeiling {
+		t.Errorf("serve template run allocates %d B, ceiling %d", bytes, serveTemplateByteCeiling)
 	}
 }
 

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -45,9 +46,17 @@ func newForwarder(
 	probe *trace.Collector,
 ) *forwarder {
 	f := &forwarder{id: id, m: m, tree: tree, header: header, onDeliver: onDeliver, probe: probe}
-	m.SetOnReceive(f.receive)
+	m.SetUpper(f)
 	return f
 }
+
+// Sent ignores the MAC's sent frames: a forwarder keeps no state per
+// packet.
+func (f *forwarder) Sent(radio.Frame) {}
+
+// Dropped ignores the MAC's drops; tracing records them (see
+// wireTraceMACDrops).
+func (f *forwarder) Dropped(radio.Frame, mac.DropReason) {}
 
 // submit routes one packet: deliver locally or send to the next hop.
 func (f *forwarder) submit(p core.Packet) {
@@ -80,7 +89,8 @@ func (f *forwarder) submit(p core.Packet) {
 	}
 }
 
-func (f *forwarder) receive(frame radio.Frame) {
+// Receive relays or delivers a packet the MAC delivered.
+func (f *forwarder) Receive(frame radio.Frame) {
 	p, ok := frame.Payload.(core.Packet)
 	if !ok {
 		return
@@ -118,21 +128,32 @@ func tracedDeliver(tr *trace.Collector, node int, deliver func(core.Packet)) fun
 }
 
 // wireTraceMACDrops records data packets a MAC accepted and later
-// abandoned (retry limit, radio off). Synchronous queue-full
-// rejections are not among them — Send reports those through its
-// error, and the rejected frame's holder records the drop — and
-// control/burst frames carry non-Packet payloads and are skipped (the
-// agent reports those losses through its own packet observer), so each
-// lost packet traces exactly once.
+// abandoned (retry limit, radio off), ahead of the MAC's upper layer,
+// which it wraps. Synchronous queue-full rejections are not among them
+// — Send reports those through its error, and the rejected frame's
+// holder records the drop — and control/burst frames carry non-Packet
+// payloads and are skipped (the agent reports those losses through its
+// own packet observer), so each lost packet traces exactly once.
 func wireTraceMACDrops(tr *trace.Collector, node int, m *mac.MAC) {
 	if tr == nil {
 		return
 	}
-	m.SetOnDrop(func(f radio.Frame, reason mac.DropReason) {
-		if p, ok := f.Payload.(core.Packet); ok {
-			tr.PacketDropped(node, p.Src, p.Dst, p.Seq, reason.String())
-		}
-	})
+	m.SetUpper(tracedDrops{Upper: m.Upper(), tr: tr, node: node})
+}
+
+// tracedDrops is a MAC's upper layer with its drops traced.
+type tracedDrops struct {
+	mac.Upper
+	tr   *trace.Collector
+	node int
+}
+
+// Dropped traces a dropped data packet, then passes the drop on.
+func (d tracedDrops) Dropped(f radio.Frame, reason mac.DropReason) {
+	if p, ok := f.Payload.(core.Packet); ok {
+		d.tr.PacketDropped(d.node, p.Src, p.Dst, p.Seq, reason.String())
+	}
+	d.Upper.Dropped(f, reason)
 }
 
 // wireTraceAgent maps a BCP agent's packet observer onto the collector:
@@ -164,7 +185,7 @@ func Run(cfg Config) (Result, error) {
 // RunScenario executes one simulation of a built Scenario.
 func RunScenario(s *Scenario) (Result, error) {
 	sched := sim.NewScheduler(s.cfg.Seed)
-	recorder := workload.NewRecorder(sched)
+	recorder := workload.NewRecorder(sched, s.expectedDeliveries())
 	var tr *trace.Collector
 	if s.traceOn {
 		tr = trace.NewCollector(s.traceOpts, sched.Now)
@@ -244,19 +265,20 @@ func RunScenario(s *Scenario) (Result, error) {
 		res.GeneratedBits += bits
 	}
 	res.DeliveredBits = recorder.DeliveredBits()
-	res.Delays = recorder.Delays()
+	res.Delays = recorder.TakeDelays()
 	res.Events = sched.Processed
 
 	var overhear units.Energy
 	if r := net.sensor; r != nil {
+		states := energy.States()
 		for _, m := range r.macs {
-			by := m.Transceiver().Meter().ByState()
+			meter := m.Transceiver().Meter()
 			// Sum in canonical state order: float addition is not
-			// associative, and map-order iteration would make TotalEnergy
-			// vary in its last bits from run to run.
-			for _, state := range energy.States() {
-				e, ok := by[state]
-				if !ok {
+			// associative, so any other order would make TotalEnergy
+			// differ in its last bits.
+			for _, state := range states {
+				e := meter.EnergyIn(state)
+				if e == 0 {
 					continue
 				}
 				if state == energy.Overhear {
@@ -283,6 +305,31 @@ func RunScenario(s *Scenario) (Result, error) {
 		res.Trace = rec
 	}
 	return res, nil
+}
+
+// maxExpectedDeliveries bounds expectedDeliveries, so a huge run sizes
+// its sink record at 8 MB and grows it only as deliveries arrive.
+const maxExpectedDeliveries = 1 << 20
+
+// expectedDeliveries returns about how many packets reach the sink over
+// the run, which sizes the sink's delay record once: the packets each
+// sender generates at its mean rate (at most its message count in a
+// capped transfer). Under BCP only a sender's whole bursts count, as
+// its last partial burst stays buffered, except in a capped transfer,
+// which flushes. A run that delivers more grows the record; one that
+// delivers fewer leaves it part empty, which its Result keeps.
+func (s *Scenario) expectedDeliveries() int {
+	var n float64
+	for i := range s.senderIDs {
+		pkts := math.Floor(s.cfg.Duration.Seconds() * float64(s.workload.RateFor(i)) / float64(params.SensorPayload.Bits()))
+		if m := s.cfg.Messages; m > 0 {
+			pkts = min(pkts, float64(m))
+		} else if burst := float64(s.cfg.BurstPackets); s.cfg.Model == ModelDual && burst > 0 {
+			pkts -= math.Mod(pkts, burst)
+		}
+		n += pkts
+	}
+	return int(min(n, maxExpectedDeliveries))
 }
 
 // radioSpec is one radio of a model: its channel, how each node
@@ -426,12 +473,19 @@ func buildNetwork(
 		if mesh, err = routing.BuildMesh(layout, s.cfg.SensorProfile.Range); err != nil {
 			return nil, err
 		}
+		// A tree at the sensor range is the mesh's row toward the sink:
+		// the learner's base tree always, and the 802.11 tree when the
+		// two ranges match (the single-hop scenario, both 40 m).
 		if s.cfg.UseShortcutLearner {
-			sensorTree, err := routing.BuildTree(layout, sink, s.cfg.SensorProfile.Range)
+			sensorTree, err := mesh.Tree(sink)
 			if err != nil {
 				return nil, err
 			}
 			wifiRoute = routing.NewLearner(sensorTree, layout, s.cfg.WifiRange, true)
+		} else if s.cfg.WifiRange == s.cfg.SensorProfile.Range {
+			if wifiRoute, err = mesh.Tree(sink); err != nil {
+				return nil, err
+			}
 		} else if wifiRoute, err = routing.BuildTree(layout, sink, s.cfg.WifiRange); err != nil {
 			return nil, err
 		}
@@ -446,11 +500,6 @@ func buildNetwork(
 		for _, r := range net.radios {
 			wireTraceRadio(tr, i, r.ch.Config().Name, r.macs[i].Transceiver())
 		}
-		// In the dual model the agent owns the wifi MAC's drop callback
-		// (burst-frame accounting) but leaves the sensor MAC's free;
-		// wiring it catches delay-bound data packets the CSMA MAC
-		// abandons.
-		wireTraceMACDrops(tr, i, first.macs[i])
 		var deliver func(core.Packet)
 		if i == sink {
 			deliver = tracedDeliver(tr, i, recorder.Receive)
@@ -459,6 +508,7 @@ func buildNetwork(
 			// The pure-802.11 model sends each sensor packet as its own
 			// (inefficient) small frame, as nodes have no reason to batch.
 			f := newForwarder(i, first.macs[i], tree, firstCfg.HeaderSize, deliver, tr)
+			wireTraceMACDrops(tr, i, first.macs[i])
 			net.emit[i] = f.submit
 			continue
 		}
@@ -468,6 +518,10 @@ func buildNetwork(
 			return nil, err
 		}
 		net.agents = append(net.agents, a)
+		// The agent accounts for the 802.11 MAC's (burst-frame) drops
+		// itself; tracing the sensor MAC's catches the delay-bound data
+		// packets the CSMA MAC abandons.
+		wireTraceMACDrops(tr, i, first.macs[i])
 		wireTraceAgent(tr, i, a)
 		net.emit[i] = a.Buffer
 	}

@@ -218,7 +218,7 @@ func (c *Channel) Neighbors(id NodeID) []NodeID {
 
 // start puts tx's frame (tx.txFrame) on the air: every in-range node
 // that hears it starts a reception, collected in ascending receiver ID
-// into tx.rxBatch, and one completion event (tx.endTxFn) ends them all
+// into tx.rxBatch, and one completion event (tx.endTxTimer) ends them all
 // and then the transmission when the airtime elapses. Called by
 // Transceiver.Transmit after state checks.
 //
@@ -240,11 +240,11 @@ func (c *Channel) start(tx *Transceiver) {
 		if r, ok := rx.arrive(f); ok {
 			tx.rxBatch = append(tx.rxBatch, r)
 			if len(tx.rxBatch) == 1 {
-				c.sched.After(airtime, tx.endTxFn)
+				tx.endTxTimer.Reset(airtime)
 			}
 		}
 	}
 	if len(tx.rxBatch) == 0 {
-		c.sched.After(airtime, tx.endTxFn)
+		tx.endTxTimer.Reset(airtime)
 	}
 }

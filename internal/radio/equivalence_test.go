@@ -82,7 +82,7 @@ func (c *refChannel) attach(id NodeID, overhear OverhearPolicy) *refTransceiver 
 		overhear: overhear,
 		on:       true,
 	}
-	t.wakeTimer.Init(c.sched, t.completeWake)
+	t.wakeTimer.Init(c.sched, sim.Func(t.completeWake))
 	t.meter.Transition(energy.Idle)
 	c.nodes[id] = t
 	return t

@@ -346,8 +346,8 @@ func TestTxEnergyAccounting(t *testing.T) {
 	p := energy.Micaz()
 	wantTx := p.Tx.Over(airtime).Joules()
 	wantRx := p.Rx.Over(airtime).Joules()
-	gotTx := xs[0].Meter().ByState()[energy.Tx].Joules()
-	gotRx := xs[1].Meter().ByState()[energy.Rx].Joules()
+	gotTx := xs[0].Meter().EnergyIn(energy.Tx).Joules()
+	gotRx := xs[1].Meter().EnergyIn(energy.Rx).Joules()
 	if math.Abs(gotTx-wantTx) > 1e-12 {
 		t.Errorf("tx energy = %v, want %v", gotTx, wantTx)
 	}
@@ -382,8 +382,8 @@ func TestOverhearingPolicies(t *testing.T) {
 		sched.Run()
 		// Compare the overhearing-related ledgers: Micaz idles at its rx
 		// draw, so the total would hide the differences behind idle cost.
-		by := xs[2].Meter().ByState()
-		return by[energy.Rx] + by[energy.Overhear]
+		m := xs[2].Meter()
+		return m.EnergyIn(energy.Rx) + m.EnergyIn(energy.Overhear)
 	}
 
 	free := run(OverhearFree)

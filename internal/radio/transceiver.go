@@ -79,20 +79,48 @@ type Transceiver struct {
 	abortEpoch uint32
 
 	// txFrame is the frame currently on the air and rxBatch its
-	// receptions in ascending receiver ID; endTxFn, bound once at
-	// Attach, is the single event that completes them and then the
-	// transmission. A transceiver is half-duplex with at most one
-	// transmission in flight (Transmit returns ErrRadioBusy otherwise),
-	// so one slot suffices, and txFrame stays fixed until finishTx.
-	txFrame Frame
-	rxBatch []reception
-	endTxFn func()
+	// receptions in ascending receiver ID; endTxTimer is the single
+	// event that completes them and then the transmission. A transceiver
+	// is half-duplex with at most one transmission in flight (Transmit
+	// returns ErrRadioBusy otherwise), so one slot suffices, and txFrame
+	// stays fixed until finishTx.
+	txFrame    Frame
+	rxBatch    []reception
+	endTxTimer sim.Timer
 
 	wakeTimer sim.Timer
 
-	onReceive func(Frame)
-	onTxDone  func(Frame)
-	onWake    func()
+	upper Upper
+	waker Waker
+}
+
+// Upper is the layer bound over a transceiver (its MAC). It takes the
+// frames the radio receives cleanly and the end of each of the radio's
+// own transmissions.
+type Upper interface {
+	Receive(f Frame)
+	TxDone(f Frame)
+}
+
+// Waker takes the end of a transceiver's power-up (see PowerOn).
+type Waker interface {
+	Woke()
+}
+
+// xcvrTimers is a Transceiver seen as the sim.Handler of its own
+// timers: the conversion allocates nothing, where binding a method
+// value would allocate a closure per timer.
+type xcvrTimers Transceiver
+
+// OnTimer runs the expiry of one of the transceiver's timers.
+func (h *xcvrTimers) OnTimer(tm *sim.Timer) {
+	t := (*Transceiver)(h)
+	switch tm {
+	case &t.endTxTimer:
+		t.endTx()
+	case &t.wakeTimer:
+		t.completeWake()
+	}
 }
 
 // Attach creates a transceiver for node id on the channel. Sensor radios
@@ -112,8 +140,8 @@ func (c *Channel) Attach(id NodeID, overhear OverhearPolicy, startOn bool) (*Tra
 		meter:    energy.NewMeter(c.cfg.Profile, c.sched.Now),
 		overhear: overhear,
 	}
-	t.wakeTimer.Init(c.sched, t.completeWake)
-	t.endTxFn = t.endTx
+	t.wakeTimer.Init(c.sched, (*xcvrTimers)(t))
+	t.endTxTimer.Init(c.sched, (*xcvrTimers)(t))
 	if startOn {
 		t.on = true
 		t.meter.Transition(energy.Idle)
@@ -131,14 +159,13 @@ func (t *Transceiver) Meter() *energy.Meter { return t.meter }
 // Channel returns the channel the transceiver is attached to.
 func (t *Transceiver) Channel() *Channel { return t.ch }
 
-// SetOnReceive registers the clean-reception callback (MAC layer).
-func (t *Transceiver) SetOnReceive(fn func(Frame)) { t.onReceive = fn }
+// SetUpper binds the layer that takes the radio's receptions and
+// transmit completions (nil drops them).
+func (t *Transceiver) SetUpper(u Upper) { t.upper = u }
 
-// SetOnTxDone registers the transmission-complete callback.
-func (t *Transceiver) SetOnTxDone(fn func(Frame)) { t.onTxDone = fn }
-
-// SetOnWake registers the callback fired when PowerOn completes.
-func (t *Transceiver) SetOnWake(fn func()) { t.onWake = fn }
+// SetWaker binds the handler told when PowerOn completes (nil for
+// none).
+func (t *Transceiver) SetWaker(w Waker) { t.waker = w }
 
 // On reports whether the radio is powered and usable (not waking up or
 // crashed).
@@ -166,7 +193,7 @@ func (t *Transceiver) SetFailed(down bool) {
 	if down {
 		// A wake-up in flight dies with the crash but is remembered:
 		// recovery reboots the radio and restarts the wake, so protocol
-		// logic parked on the onWake callback (e.g. a BCP burst waiting
+		// logic parked on the Waker (e.g. a BCP burst waiting
 		// for the 802.11 radio) is eventually released instead of
 		// deadlocking for the rest of the run.
 		t.resumeWake = t.resumeWake || t.waking
@@ -234,8 +261,8 @@ func (t *Transceiver) completeWake() {
 	t.waking = false
 	t.on = true
 	t.updateMeterState()
-	if t.onWake != nil {
-		t.onWake()
+	if t.waker != nil {
+		t.waker.Woke()
 	}
 }
 
@@ -301,8 +328,8 @@ func (t *Transceiver) finishTx() {
 	t.transmitting = false
 	t.noteIdle()
 	t.updateMeterState()
-	if t.onTxDone != nil {
-		t.onTxDone(f)
+	if t.upper != nil {
+		t.upper.TxDone(f)
 	}
 }
 
@@ -362,8 +389,8 @@ func (t *Transceiver) endReception(r *reception, f *Frame) {
 		return
 	}
 	t.ch.stats.Deliveries++
-	if t.onReceive != nil {
-		t.onReceive(*f)
+	if t.upper != nil {
+		t.upper.Receive(*f)
 	}
 }
 

@@ -76,6 +76,18 @@ func (m *Mesh) Hops(from, to int) int {
 	return m.hops[to][from]
 }
 
+// Tree returns the shortest-path tree toward sink over the mesh's
+// graph: the tree BuildTree makes at the mesh's range, without a second
+// adjacency pass. The tree shares sink's mesh row (neither changes once
+// built).
+func (m *Mesh) Tree(sink int) (*Tree, error) {
+	if !m.valid(sink) {
+		return nil, fmt.Errorf("routing: sink %d outside layout of %d nodes", sink, m.Len())
+	}
+	m.row(sink)
+	return &Tree{sink: sink, nextHop: m.next[sink], hops: m.hops[sink]}, nil
+}
+
 // Len returns the number of nodes covered.
 func (m *Mesh) Len() int { return len(m.next) }
 

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -153,5 +154,35 @@ func TestMeshAgreesWithTree(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMeshTreeEqualsBuildTree checks that the tree a mesh hands out for
+// a sink is BuildTree's at the mesh's range, on a connected grid and on
+// a partitioned line, and that a sink outside the layout is refused.
+func TestMeshTreeEqualsBuildTree(t *testing.T) {
+	grid := gridLayout(t)
+	split := topo.NewLayout([]topo.Position{{X: 0}, {X: 30}, {X: 1000}, {X: 1030}})
+	for _, l := range []*topo.Layout{grid, split} {
+		m, err := BuildMesh(l, 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for sink := 0; sink < l.Len(); sink++ {
+			got, err := m.Tree(sink)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := BuildTree(l, sink, 40)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%d-node layout, sink %d: mesh tree %+v, BuildTree %+v", l.Len(), sink, got, want)
+			}
+		}
+		if _, err := m.Tree(l.Len()); err == nil {
+			t.Errorf("%d-node layout: sink %d outside the layout accepted", l.Len(), l.Len())
+		}
 	}
 }

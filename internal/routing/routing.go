@@ -63,7 +63,10 @@ func treeFromAdjacency(adj *adjacency, sink int) *Tree {
 		hops[i] = -1
 	}
 	hops[sink] = 0
-	queue := make([]int, 1, n)
+	next := make([]int, n)
+	// The BFS queue borrows next's array: each node enters the queue at
+	// most once, and next is written only after the BFS.
+	queue := next[:1]
 	queue[0] = sink
 	for head := 0; head < len(queue); head++ {
 		cur := queue[head]
@@ -74,7 +77,6 @@ func treeFromAdjacency(adj *adjacency, sink int) *Tree {
 			}
 		}
 	}
-	next := make([]int, n)
 	for i := 0; i < n; i++ {
 		next[i] = NoRoute
 		if i == sink || hops[i] <= 0 {

@@ -16,23 +16,38 @@ import "time"
 // The zero Timer is not usable; initialise one with Init (or NewTimer).
 type Timer struct {
 	sched *Scheduler
-	fn    func()
+	h     Handler
 	id    EventID
 	armed bool
 }
 
-// Init binds the timer to a scheduler and expiry callback. It must be
+// Handler takes a timer's expiry. An owner of several timers implements
+// it once and tells them apart by the *Timer it is passed. Binding a
+// timer to its owner this way allocates nothing (a pointer fits in an
+// interface as is), where binding a method value would allocate a
+// closure per timer.
+type Handler interface {
+	OnTimer(t *Timer)
+}
+
+// Func adapts a plain function to a Handler.
+type Func func()
+
+// OnTimer calls f.
+func (f Func) OnTimer(*Timer) { f() }
+
+// Init binds the timer to a scheduler and expiry handler. It must be
 // called exactly once, before any Reset.
-func (t *Timer) Init(sched *Scheduler, fn func()) {
+func (t *Timer) Init(sched *Scheduler, h Handler) {
 	t.sched = sched
-	t.fn = fn
+	t.h = h
 }
 
 // NewTimer returns a heap-allocated timer that invokes fn on expiry.
 // Prefer embedding a Timer by value and calling Init.
 func NewTimer(sched *Scheduler, fn func()) *Timer {
 	t := &Timer{}
-	t.Init(sched, fn)
+	t.Init(sched, Func(fn))
 	return t
 }
 
@@ -58,5 +73,5 @@ func (t *Timer) Armed() bool { return t.armed }
 
 func (t *Timer) fire() {
 	t.armed = false
-	t.fn()
+	t.h.OnTimer(t)
 }

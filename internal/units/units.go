@@ -81,6 +81,12 @@ func (p Power) String() string {
 
 // Over returns the energy consumed by drawing power p for duration d.
 func (p Power) Over(d time.Duration) Energy {
+	if 0 <= d && d < time.Second {
+		// d.Seconds() adds d's whole seconds (here 0) to its remainder
+		// in nanoseconds over 1e9, so this is its value to the last bit,
+		// without the integer divide and remainder.
+		return Energy(float64(p) * (float64(d) / 1e9))
+	}
 	return Energy(float64(p) * d.Seconds())
 }
 

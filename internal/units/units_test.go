@@ -2,6 +2,7 @@ package units
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -110,6 +111,38 @@ func TestPowerOverAdditive(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// Property: Over's sub-second fast path gives the bits of the plain
+// float64(p) * d.Seconds(), on both sides of one second, at the
+// boundary and for negative durations.
+func TestPowerOverMatchesSeconds(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	check := func(p Power, d time.Duration) {
+		t.Helper()
+		got, want := p.Over(d), Energy(float64(p)*d.Seconds())
+		if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+			t.Fatalf("Power(%v).Over(%d ns) = %v, want %v", float64(p), int64(d), float64(got), float64(want))
+		}
+	}
+	for _, d := range []time.Duration{0, 1, time.Second - 1, time.Second, time.Second + 1, -1, -time.Second} {
+		check(1.5*Watt, d)
+	}
+	for range 100000 {
+		p := Power(rng.ExpFloat64() * math.Pow(10, float64(rng.Intn(9)-6)))
+		var d time.Duration
+		switch rng.Intn(4) {
+		case 0: // below one second
+			d = time.Duration(rng.Int63n(int64(time.Second)))
+		case 1: // one second to an hour
+			d = time.Second + time.Duration(rng.Int63n(int64(time.Hour)))
+		case 2: // anywhere
+			d = time.Duration(rng.Int63())
+		default: // negative
+			d = -time.Duration(rng.Int63n(int64(time.Hour)))
+		}
+		check(p, d)
 	}
 }
 

@@ -60,7 +60,7 @@ func NewPoisson(
 		mean:    mean,
 		emit:    emit,
 	}
-	g.timer.Init(sched, g.tick)
+	g.timer.Init(sched, sim.Func(g.tick))
 	return g, nil
 }
 
@@ -167,7 +167,7 @@ func NewOnOff(
 		meanOff: meanOff,
 		emit:    emit,
 	}
-	g.timer.Init(sched, g.tick)
+	g.timer.Init(sched, sim.Func(g.tick))
 	return g, nil
 }
 

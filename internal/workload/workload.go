@@ -66,7 +66,7 @@ func NewCBR(
 		period:  period,
 		emit:    emit,
 	}
-	g.timer.Init(sched, g.tick)
+	g.timer.Init(sched, sim.Func(g.tick))
 	return g, nil
 }
 
@@ -151,9 +151,10 @@ type Recorder struct {
 	delays           []time.Duration
 }
 
-// NewRecorder builds a sink recorder.
-func NewRecorder(sched *sim.Scheduler) *Recorder {
-	return &Recorder{sched: sched}
+// NewRecorder builds a sink recorder with room for the delays of
+// expected deliveries (a hint; more still fit).
+func NewRecorder(sched *sim.Scheduler, expected int) *Recorder {
+	return &Recorder{sched: sched, delays: make([]time.Duration, 0, max(expected, 0))}
 }
 
 // Receive records one delivered packet.
@@ -169,9 +170,17 @@ func (r *Recorder) DeliveredBits() int64 { return r.deliveredBits }
 // DeliveredPackets returns packets received so far.
 func (r *Recorder) DeliveredPackets() uint64 { return r.deliveredPackets }
 
-// Delays returns a copy of the recorded per-packet delays.
-func (r *Recorder) Delays() []time.Duration {
-	out := make([]time.Duration, len(r.delays))
-	copy(out, r.delays)
-	return out
+// TakeDelays hands the recorded per-packet delays over to the caller
+// and forgets them, so later deliveries start a new record instead of
+// writing into the returned slice. The record is handed over as is,
+// unless it is less than half full (far fewer deliveries than it was
+// sized for): then it is copied to its length, so a caller that keeps
+// it does not keep the unused room.
+func (r *Recorder) TakeDelays() []time.Duration {
+	d := r.delays
+	r.delays = nil
+	if 2*len(d) < cap(d) {
+		d = append(make([]time.Duration, 0, len(d)), d...)
+	}
+	return d
 }
