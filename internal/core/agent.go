@@ -290,19 +290,33 @@ func (a *Agent) Buffer(p Packet) {
 		a.deliver(p)
 		return
 	}
-	nh, ok := a.wifiRoute.NextHop(a.cfg.NodeID)
-	if !ok {
+	nh, routed := a.wifiRoute.NextHop(a.cfg.NodeID)
+	a.admit(p, nh, routed, nil)
+}
+
+// admit buffers p toward next hop nh (routed reports whether there is
+// one), or drops it when there is no route or no room, and may start a
+// handshake. q is nh's queue, or nil if not yet looked up; admit
+// returns it, so a caller admitting several packets finds it once.
+func (a *Agent) admit(p Packet, nh int, routed bool, q *hopQueue) *hopQueue {
+	switch {
+	case !routed:
 		a.stats.PacketsDropped++
 		a.notePacket(PacketDroppedNoRoute, p)
-		return
-	}
-	if a.bufferedBytes+p.Size > a.cfg.BufferCap {
+	case a.bufferedBytes+p.Size > a.cfg.BufferCap:
 		a.stats.PacketsDropped++
 		a.notePacket(PacketDroppedBufferFull, p)
-		return
+	default:
+		if q == nil {
+			q = a.queue(nh)
+		}
+		q.pkts = append(q.pkts, p)
+		q.bytes += p.Size
+		a.bufferedBytes += p.Size
+		a.stats.PacketsBuffered++
+		a.maybeStart()
 	}
-	a.push(a.queue(nh), p)
-	a.maybeStart()
+	return q
 }
 
 // deliver hands a packet addressed to this node to the application.
@@ -311,14 +325,6 @@ func (a *Agent) deliver(p Packet) {
 	if a.onDeliver != nil {
 		a.onDeliver(p)
 	}
-}
-
-// push appends an admitted packet to queue q.
-func (a *Agent) push(q *hopQueue, p Packet) {
-	q.pkts = append(q.pkts, p)
-	q.bytes += p.Size
-	a.bufferedBytes += p.Size
-	a.stats.PacketsBuffered++
 }
 
 // hopQueue is the buffered data toward one high-power next hop. While
@@ -820,71 +826,19 @@ func (a *Agent) handleWifiFrame(f radio.Frame) {
 
 // relay delivers or re-buffers the packets of one burst frame, in
 // order (store-and-forward): Buffer over a whole frame, with the next
-// hop looked up once, since only a finished burst can change it. While
-// the agent is idle, each packet is admitted on its own, as it may
-// start (or fail) a handshake; once a handshake is in flight,
-// maybeStart is a no-op, and the rest of the frame goes into the queue
-// in one copy when every packet in it is relayed and fits.
+// hop looked up once, since only a finished burst can change it.
 func (a *Agent) relay(pkts []Packet) {
 	nh, routed := a.wifiRoute.NextHop(a.cfg.NodeID)
 	var q *hopQueue
-	bulk := routed
-	for i, p := range pkts {
-		if bulk && a.sending {
-			bulk = false
-			if a.relayAll(nh, pkts[i:]) {
-				return
-			}
-		}
+	for _, p := range pkts {
 		if p.Dst == a.cfg.NodeID {
 			a.deliver(p)
 			continue
 		}
 		a.stats.PacketsForwarded++
 		a.notePacket(PacketForwarded, p)
-		switch {
-		case !routed:
-			a.stats.PacketsDropped++
-			a.notePacket(PacketDroppedNoRoute, p)
-		case a.bufferedBytes+p.Size > a.cfg.BufferCap:
-			a.stats.PacketsDropped++
-			a.notePacket(PacketDroppedBufferFull, p)
-		default:
-			if q == nil {
-				q = a.queue(nh)
-			}
-			a.push(q, p)
-			a.maybeStart()
-		}
+		q = a.admit(p, nh, routed, q)
 	}
-}
-
-// relayAll re-buffers all of pkts toward next hop nh in one copy, and
-// reports whether it did: it does nothing unless every packet is
-// relayed (none is addressed to this node) and all of them fit in the
-// buffer, which is when admitting them one by one would have buffered
-// each of them.
-func (a *Agent) relayAll(nh int, pkts []Packet) bool {
-	var bytes units.ByteSize
-	for _, p := range pkts {
-		if p.Dst == a.cfg.NodeID || p.Size < 0 {
-			return false
-		}
-		bytes += p.Size
-	}
-	if a.bufferedBytes+bytes > a.cfg.BufferCap {
-		return false
-	}
-	for _, p := range pkts {
-		a.notePacket(PacketForwarded, p)
-	}
-	q := a.queue(nh)
-	q.pkts = append(q.pkts, pkts...)
-	q.bytes += bytes
-	a.bufferedBytes += bytes
-	a.stats.PacketsForwarded += uint64(len(pkts))
-	a.stats.PacketsBuffered += uint64(len(pkts))
-	return true
 }
 
 // receiverTimeout fires when an expected burst stalls.

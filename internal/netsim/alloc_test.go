@@ -23,23 +23,31 @@ func serveTemplateConfig(seed int64) Config {
 // The run allocated 4,799 times (1,162,616 B) before receive sessions,
 // control messages and burst frames were reused, and 2,870 times
 // (751,289 B) before bursts shipped in place from the hop queues, the
-// sink's delay record was sized once, the 802.11 tree shared the sensor
-// mesh's adjacency and timers and MAC upcalls stopped binding a closure
-// per node; it allocates about 1,730 times and 506 KB now, mostly the
-// one-time set-up of the 36 nodes and the hop queues. A -race build
-// allocates about 90 times more (slices.Grow's append of a fresh slice
-// is not optimised away there).
+// sink's delay record was handed over without a copy, the 802.11 tree
+// shared the sensor mesh's adjacency and timers and MAC upcalls stopped
+// binding a closure per node. Built with go1.24.0 it allocates 1,748
+// times and 568,909 B now, mostly the one-time set-up of the 36 nodes,
+// the hop queues (most senders' regrow once, from one burst to two,
+// while a handshake is pending) and the sink's delay record, grown by
+// append. The byte ceiling leaves
+// about 5% for a toolchain's size classes and slice growth: a failure
+// just past it after a Go upgrade is more likely a toolchain shift than
+// a regression. A -race build allocates about 90 more times (1,834;
+// slices.Grow's append of a fresh slice is not optimised away there).
 const (
-	serveTemplateAllocCeiling = 1850
-	serveTemplateByteCeiling  = 520_000
+	serveTemplateAllocCeiling = 1900
+	serveTemplateByteCeiling  = 600_000
 )
 
 // TestServeTemplateRunAllocs holds the serve template's allocations
 // and bytes per run under their ceilings, so per-handshake, per-burst
-// or per-packet garbage cannot creep back in unnoticed. The byte count
-// is skipped under -race, whose instrumentation allocates too.
+// or per-packet garbage cannot creep back in unnoticed. Both are read
+// on one P, as testing.AllocsPerRun does, so no other goroutine's
+// garbage lands in the window. The byte count is skipped under -race,
+// whose instrumentation allocates too.
 func TestServeTemplateRunAllocs(t *testing.T) {
-	const runs = 3
+	const runs = 10
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	seed := int64(0)
 	run := func() {
 		seed++

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -185,7 +184,7 @@ func Run(cfg Config) (Result, error) {
 // RunScenario executes one simulation of a built Scenario.
 func RunScenario(s *Scenario) (Result, error) {
 	sched := sim.NewScheduler(s.cfg.Seed)
-	recorder := workload.NewRecorder(sched, s.expectedDeliveries())
+	recorder := workload.NewRecorder(sched)
 	var tr *trace.Collector
 	if s.traceOn {
 		tr = trace.NewCollector(s.traceOpts, sched.Now)
@@ -305,31 +304,6 @@ func RunScenario(s *Scenario) (Result, error) {
 		res.Trace = rec
 	}
 	return res, nil
-}
-
-// maxExpectedDeliveries bounds expectedDeliveries, so a huge run sizes
-// its sink record at 8 MB and grows it only as deliveries arrive.
-const maxExpectedDeliveries = 1 << 20
-
-// expectedDeliveries returns about how many packets reach the sink over
-// the run, which sizes the sink's delay record once: the packets each
-// sender generates at its mean rate (at most its message count in a
-// capped transfer). Under BCP only a sender's whole bursts count, as
-// its last partial burst stays buffered, except in a capped transfer,
-// which flushes. A run that delivers more grows the record; one that
-// delivers fewer leaves it part empty, which its Result keeps.
-func (s *Scenario) expectedDeliveries() int {
-	var n float64
-	for i := range s.senderIDs {
-		pkts := math.Floor(s.cfg.Duration.Seconds() * float64(s.workload.RateFor(i)) / float64(params.SensorPayload.Bits()))
-		if m := s.cfg.Messages; m > 0 {
-			pkts = min(pkts, float64(m))
-		} else if burst := float64(s.cfg.BurstPackets); s.cfg.Model == ModelDual && burst > 0 {
-			pkts -= math.Mod(pkts, burst)
-		}
-		n += pkts
-	}
-	return int(min(n, maxExpectedDeliveries))
 }
 
 // radioSpec is one radio of a model: its channel, how each node

@@ -151,10 +151,9 @@ type Recorder struct {
 	delays           []time.Duration
 }
 
-// NewRecorder builds a sink recorder with room for the delays of
-// expected deliveries (a hint; more still fit).
-func NewRecorder(sched *sim.Scheduler, expected int) *Recorder {
-	return &Recorder{sched: sched, delays: make([]time.Duration, 0, max(expected, 0))}
+// NewRecorder builds a sink recorder.
+func NewRecorder(sched *sim.Scheduler) *Recorder {
+	return &Recorder{sched: sched}
 }
 
 // Receive records one delivered packet.
@@ -172,15 +171,13 @@ func (r *Recorder) DeliveredPackets() uint64 { return r.deliveredPackets }
 
 // TakeDelays hands the recorded per-packet delays over to the caller
 // and forgets them, so later deliveries start a new record instead of
-// writing into the returned slice. The record is handed over as is,
-// unless it is less than half full (far fewer deliveries than it was
-// sized for): then it is copied to its length, so a caller that keeps
-// it does not keep the unused room.
+// writing into the returned slice. With no deliveries it returns an
+// empty slice, not nil.
 func (r *Recorder) TakeDelays() []time.Duration {
 	d := r.delays
 	r.delays = nil
-	if 2*len(d) < cap(d) {
-		d = append(make([]time.Duration, 0, len(d)), d...)
+	if d == nil {
+		d = []time.Duration{}
 	}
 	return d
 }

@@ -170,7 +170,7 @@ func TestCBRCountProperty(t *testing.T) {
 
 func TestRecorder(t *testing.T) {
 	sched := sim.NewScheduler(1)
-	r := NewRecorder(sched, 4)
+	r := NewRecorder(sched)
 	sched.After(2*time.Second, func() {
 		r.Receive(core.Packet{Size: 32, Created: 0})
 	})
@@ -192,20 +192,13 @@ func TestRecorder(t *testing.T) {
 	// The handed-over slice is the caller's: the recorder forgot it, and
 	// a later delivery does not write into it.
 	r.Receive(core.Packet{Size: 32, Created: 0})
-	if len(delays) != 2 || delays[:3][2] != 0 {
+	if full := delays[:cap(delays)]; slices.ContainsFunc(full[2:], func(d time.Duration) bool { return d != 0 }) {
 		t.Errorf("a delivery after TakeDelays wrote into the handed-over slice: %v", delays[:cap(delays)])
 	}
-	// That record was sized for none and holds one delay: handed over
-	// as is. A record less than half full is clipped to its length.
-	if got := r.TakeDelays(); len(got) != 1 {
+	if got := r.TakeDelays(); len(got) != 1 || got[0] != 3*time.Second {
 		t.Errorf("second TakeDelays = %v, want the one later delay", got)
 	}
-	sparse := NewRecorder(sched, 100)
-	sparse.Receive(core.Packet{Size: 32, Created: 0})
-	if got := sparse.TakeDelays(); len(got) != 1 || cap(got) != 1 {
-		t.Errorf("TakeDelays of 1 delay in room for 100 = len %d cap %d, want both 1", len(got), cap(got))
-	}
-	if got := NewRecorder(sched, 100).TakeDelays(); got == nil || len(got) != 0 {
+	if got := NewRecorder(sched).TakeDelays(); got == nil || len(got) != 0 {
 		t.Errorf("TakeDelays with no deliveries = %#v, want empty, not nil", got)
 	}
 }
