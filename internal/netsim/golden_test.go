@@ -79,7 +79,9 @@ type optionMatrixGolden struct {
 // goldenOptionMatrix pins the wiring the default-option goldens never
 // reach: traced runs (state, provenance and sample streams), churn
 // with lossy links on both radios, on/off traffic on a linear
-// topology, and the dual model's extensions. Regenerate with:
+// topology, the dual model's extensions, and the layouts and sink
+// that only Config fields select: a uniform and a clustered topology
+// and an explicit Sink. Regenerate with:
 //
 //	go test ./internal/netsim -run GoldenFingerprintOptionMatrix -v
 //
@@ -99,6 +101,9 @@ var goldenOptionMatrix = map[string]optionMatrixGolden{
 	"dual/onoff-linear":        {"b976f4b82cc046ddcdb055c620b393f63318f734c7406636d60c92413b1ca872", ""},
 	"dual/extensions":          {"05e93ff16bc1d354096f94981c0958032258e38fa911a7b668c823627e6cdbe2", ""},
 	"dual/extensions-traced":   {"18392514f166645df13a142044e168d2200a515182705c201d9b0d74e0d5f767", "ff6af74b8da91d1a4f9b83104ce928bee4d0d7d6333a6e33ce3c0c3f4f5f619a"},
+	"sensor/uniform":           {"5c296f084850804265d6f6655a551cb83675611ae4aee050bd6d572fcc46dacb", ""},
+	"dual/clustered":           {"0d7dc722c4fc2697656e630116ea212453160c32eef7549d9d3ee123059ff532", ""},
+	"dual/sink-corner":         {"904d9cd855e8be15d03e7f7ef20596e11b190349e489d498e4500e71500898f7", ""},
 }
 
 // TestGoldenFingerprintOptionMatrix holds each option-matrix case,
@@ -136,9 +141,20 @@ func TestGoldenFingerprintOptionMatrix(t *testing.T) {
 	ext.AdaptiveThresholdAlpha = 0.5
 	ext.DelayBound = 20 * time.Second
 	ext.PostBurstLinger = time.Second
+	uniform := shortConfig(ModelSensor, 5, 100, 1)
+	uniform.Topology = TopoUniform
+	uniform.Field = 150
+	clustered := shortConfig(ModelDual, 5, 100, 1)
+	clustered.Topology = TopoClustered
+	clustered.Clusters = 3
+	corner := shortConfig(ModelDual, 5, 100, 1)
+	corner.Sink = 0
 	cases = append(cases,
 		matrixCase{"dual/extensions", ext, false},
 		matrixCase{"dual/extensions-traced", ext, true},
+		matrixCase{"sensor/uniform", uniform, false},
+		matrixCase{"dual/clustered", clustered, false},
+		matrixCase{"dual/sink-corner", corner, false},
 	)
 
 	for _, tc := range cases {
