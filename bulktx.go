@@ -11,7 +11,6 @@ import (
 	"bulktx/internal/report"
 	"bulktx/internal/service"
 	"bulktx/internal/sweep"
-	"bulktx/internal/topo"
 	"bulktx/internal/trace"
 	"bulktx/internal/units"
 )
@@ -87,41 +86,13 @@ type (
 	// SimServiceRunRequest is the body of the service's POST /v1/runs.
 	SimServiceRunRequest = service.RunRequest
 
-	// Scenario is a fully resolved simulation setup: a SimConfig plus
-	// optional pluggable parts (topology, placement, workload, links,
-	// churn, tracing), built by SimConfig.Scenario.
+	// Scenario is a validated SimConfig with its layout, sink, senders
+	// and churn schedule resolved, built by SimConfig.Scenario.
 	Scenario = netsim.Scenario
 
-	// ScenarioOption passes one part to SimConfig.Scenario (the With*
-	// functional options).
+	// ScenarioOption adjusts how SimConfig.Scenario builds a Scenario;
+	// WithTrace is the only one.
 	ScenarioOption = netsim.Option
-
-	// Topology is the pluggable node-placement part of a Scenario.
-	Topology = netsim.Topology
-
-	// SinkPolicy selects the collection node of a Scenario.
-	SinkPolicy = netsim.SinkPolicy
-
-	// SenderPolicy selects which nodes generate traffic.
-	SenderPolicy = netsim.SenderPolicy
-
-	// Workload is a Scenario's traffic model: arrival process plus
-	// homogeneous or per-sender rates.
-	Workload = netsim.Workload
-
-	// LinkModel is a Scenario's channel-quality model: flat or
-	// distance-dependent per-channel loss.
-	LinkModel = netsim.LinkModel
-
-	// Churn is a Scenario's node failure/recovery model.
-	Churn = netsim.Churn
-
-	// ChurnEvent is one scheduled failure or recovery.
-	ChurnEvent = netsim.ChurnEvent
-
-	// Position is a node location on the deployment plane (for
-	// ExplicitTopology).
-	Position = topo.Position
 
 	// TraceOptions selects what a traced run records (per-node energy
 	// breakdowns always; packet provenance, state transitions and
@@ -180,17 +151,15 @@ const (
 	TrafficOnOff   = netsim.TrafficOnOff
 )
 
-// The composable Scenario surface, re-exported from the simulation
-// core. A SimConfig holds the scalar settings; SimConfig.Scenario
-// replaces its parts with the given ones and validates the whole at
-// build time:
+// The Scenario surface, re-exported from the simulation core. A
+// SimConfig is the whole description of a run; SimConfig.Scenario
+// validates it and resolves its layout, sink, senders and churn:
 //
 //	cfg := bulktx.NewSimConfig(bulktx.ModelDual, 10, 100, 1)
-//	s, err := cfg.Scenario(
-//		bulktx.WithTopology(bulktx.ClusteredTopology(36, 4, 200, 25, 1)),
-//		bulktx.WithWorkload(bulktx.PoissonWorkload(2*bulktx.Kbps)),
-//		bulktx.WithChurn(bulktx.RandomChurn(2, 30*time.Second, 7)),
-//	)
+//	cfg.Topology, cfg.Clusters = "clustered", 4
+//	cfg.Traffic = bulktx.TrafficPoisson
+//	cfg.ChurnRate, cfg.ChurnMeanDowntime = 2, 30*time.Second
+//	s, err := cfg.Scenario()
 //	res, err := bulktx.RunScenario(s)
 var (
 	// RunScenario executes one simulation of a built Scenario.
@@ -199,39 +168,6 @@ var (
 	// concurrently, in seed order.
 	RunScenarioMany = netsim.RunScenarioMany
 
-	// Topologies: the paper's grid, uniform-random and clustered
-	// geometric deployments, corridors, and explicit positions.
-	GridTopology      = netsim.GridTopology
-	UniformTopology   = netsim.UniformTopology
-	ClusteredTopology = netsim.ClusteredTopology
-	LinearTopology    = netsim.LinearTopology
-	ExplicitTopology  = netsim.ExplicitTopology
-
-	// Placement: sink and sender selection strategies.
-	SinkNearCenter       = netsim.SinkNearCenter
-	SinkAt               = netsim.SinkAt
-	StableShuffleSenders = netsim.StableShuffleSenders
-	ShuffledSenders      = netsim.ShuffledSenders
-	ExplicitSenders      = netsim.ExplicitSenders
-	FarthestSenders      = netsim.FarthestSenders
-
-	// Workloads and links.
-	CBRWorkload     = netsim.CBRWorkload
-	PoissonWorkload = netsim.PoissonWorkload
-	OnOffWorkload   = netsim.OnOffWorkload
-	DistanceLoss    = netsim.DistanceLoss
-
-	// Churn models.
-	ScheduledChurn = netsim.ScheduledChurn
-	RandomChurn    = netsim.RandomChurn
-
-	// Scenario parts.
-	WithTopology     = netsim.WithTopology
-	WithSink         = netsim.WithSink
-	WithSenderPolicy = netsim.WithSenderPolicy
-	WithWorkload     = netsim.WithWorkload
-	WithLinks        = netsim.WithLinks
-	WithChurn        = netsim.WithChurn
 	// WithTrace enables per-run observability (see TraceOptions);
 	// untraced scenarios pay nothing.
 	WithTrace = netsim.WithTrace

@@ -67,13 +67,11 @@ func TestSimulationThroughFacade(t *testing.T) {
 func TestScenarioThroughFacade(t *testing.T) {
 	cfg := bulktx.NewSimConfig(bulktx.ModelDual, 5, 100, 1)
 	cfg.Duration = 120 * time.Second
-	s, err := cfg.Scenario(
-		bulktx.WithTopology(bulktx.ClusteredTopology(36, 4, 200, 25, 1)),
-		bulktx.WithSink(bulktx.SinkNearCenter()),
-		bulktx.WithWorkload(bulktx.CBRWorkload(2*bulktx.Kbps)),
-		bulktx.WithLinks(bulktx.LinkModel{SensorLossAt: bulktx.DistanceLoss(0, 0.1, 40)}),
-		bulktx.WithChurn(bulktx.RandomChurn(2, 30*time.Second, 7)),
-	)
+	cfg.Topology, cfg.Clusters = "clustered", 4
+	cfg.Rate = 2 * bulktx.Kbps
+	cfg.SensorLoss = 0.05
+	cfg.ChurnRate, cfg.ChurnMeanDowntime = 2, 30*time.Second
+	s, err := cfg.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,15 +93,6 @@ func TestScenarioThroughFacade(t *testing.T) {
 	bad.Senders = -1
 	if _, err := bad.Scenario(); err == nil {
 		t.Error("invalid scenario accepted through facade")
-	}
-	// Without parts, the config's fields build the whole scenario.
-	cfg = bulktx.NewSimConfig(bulktx.ModelDual, 5, 100, 1)
-	compiled, err := cfg.Scenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if compiled.Nodes() != cfg.Nodes || compiled.TopologyKind() != "grid" {
-		t.Errorf("compiled scenario: %d nodes, %q", compiled.Nodes(), compiled.TopologyKind())
 	}
 }
 

@@ -27,36 +27,34 @@
 //     RunExperiment;
 //   - a parallel sweep-orchestration engine for grids of seeded runs
 //     (the shape of every evaluation in the paper) — see RunSweep;
-//   - a composable Scenario API generalizing the paper's single
-//     evaluation shape to arbitrary deployments — see SimConfig.Scenario.
+//   - one run description, SimConfig, covering the paper's evaluation
+//     shape and its variants (topologies, traffic, loss, churn) — see
+//     SimConfig.Scenario.
 //
 // # Scenarios
 //
-// A SimConfig (NewSimConfig, NewMultiHopSimConfig) holds every scalar
-// setting of a run: model, sender count, burst threshold, rate,
-// duration, message cap, radios and the protocol extensions. It is the one
-// description of a run — the wire format of sweeps, JSON specs and
-// caches — and SimConfig.Validate is the one validator of its fields.
-// SimConfig.Scenario compiles it into a Scenario; each part passed to
-// it replaces the one the config's fields would build: a Topology
-// (GridTopology, UniformTopology, ClusteredTopology, LinearTopology,
-// ExplicitTopology), sink and sender placement policies
-// (SinkNearCenter/SinkAt, StableShuffleSenders/ExplicitSenders/
-// FarthestSenders), a Workload (CBR, Poisson or on/off arrivals with
-// homogeneous or per-sender rates), a
-// LinkModel (flat or distance-dependent loss) and a Churn model
-// (scheduled or random node failures and recoveries). Everything is
-// validated before any event runs. RunScenario executes one run;
-// RunScenarioMany fans seeded repetitions over the CPU, and its rep r
-// of cfg.Scenario() equals RunSimulation(cfg) at seed base+r.
+// A SimConfig (NewSimConfig, NewMultiHopSimConfig) is the whole
+// description of a run: model, radios, sender count, burst threshold,
+// rate and arrival process, duration, message cap, the protocol
+// extensions, and the deployment — a Topology family ("grid",
+// "uniform", "clustered" with Clusters hotspots, "linear") over Nodes
+// and Field, placed by TopologySeed; a Sink (negative selects the node
+// nearest the centroid); flat SensorLoss and WifiLoss; and random churn
+// (ChurnRate failures per node per hour, ChurnMeanDowntime outages).
+// It is the wire format of sweeps, JSON specs and caches, and
+// SimConfig.Validate is its one validator. SimConfig.Scenario
+// validates it and resolves the layout, sink, senders and churn
+// schedule; past Validate, its only failure is a layout that is not
+// connected at the radio range the model routes over. RunScenario
+// executes one run; RunScenarioMany fans seeded repetitions over the
+// CPU, and its rep r of cfg.Scenario() equals RunSimulation(cfg) at
+// seed base+r.
 //
 //	cfg := bulktx.NewSimConfig(bulktx.ModelDual, 6, 100, 1)
-//	s, _ := cfg.Scenario(
-//		bulktx.WithTopology(bulktx.LinearTopology(24, 180)),
-//		bulktx.WithSink(bulktx.SinkAt(0)),
-//		bulktx.WithSenderPolicy(bulktx.FarthestSenders()),
-//		bulktx.WithChurn(bulktx.RandomChurn(2, 30*time.Second, 7)),
-//	)
+//	cfg.Topology, cfg.Nodes, cfg.Field = "linear", 24, 180
+//	cfg.Sink = 0
+//	cfg.ChurnRate, cfg.ChurnMeanDowntime = 2, 30*time.Second
+//	s, _ := cfg.Scenario()
 //	res, _ := bulktx.RunScenario(s)
 //
 // # Sweeps

@@ -1,13 +1,14 @@
 // Scenarios: one deployment question, five answers.
 //
 // The paper evaluates BCP on exactly one shape — a 6x6 grid with a
-// near-center sink and CBR senders. The composable Scenario API asks
-// the same energy question on deployments the paper could not express:
-// a uniform-random geometric scatter, a clustered event-driven field, a
-// linear corridor (pipeline / tunnel), and a grid under node churn with
-// distance-dependent link loss. Each row runs the dual-radio model and
-// its sensor-network baseline on an identical layout and reports the
-// energy advantage of bulk transmission.
+// near-center sink and CBR senders. The same SimConfig asks the energy
+// question on deployments the paper did not evaluate, by setting its
+// Topology, Field, churn and loss fields: a uniform-random geometric
+// scatter, a clustered event-driven field, a linear corridor (pipeline
+// / tunnel), and a grid under node churn with lossy sensor links. Each
+// row runs the dual-radio model and its sensor-network baseline on an
+// identical layout and reports the energy advantage of bulk
+// transmission.
 //
 // Run with: go run ./examples/scenarios
 package main
@@ -37,25 +38,25 @@ func run() error {
 	duration := 10 * time.Minute
 	rate := 2 * bulktx.Kbps
 
+	// Every row keeps the paper's 36 nodes; the random layouts are
+	// placed by the default topology seed.
 	rows := []struct {
-		name string
-		opts []bulktx.ScenarioOption
+		name   string
+		deploy func(*bulktx.SimConfig)
 	}{
-		{"grid 6x6 (the paper)", nil},
-		{"uniform random scatter", []bulktx.ScenarioOption{
-			bulktx.WithTopology(bulktx.UniformTopology(36, 150, 1)),
+		{"grid 6x6 (the paper)", func(*bulktx.SimConfig) {}},
+		{"uniform random scatter", func(c *bulktx.SimConfig) {
+			c.Topology, c.Field = "uniform", 150
 		}},
-		{"clustered hotspots", []bulktx.ScenarioOption{
-			bulktx.WithTopology(bulktx.ClusteredTopology(36, 4, 200, 25, 1)),
+		{"clustered hotspots", func(c *bulktx.SimConfig) {
+			c.Topology, c.Clusters = "clustered", 4
 		}},
-		{"linear corridor", []bulktx.ScenarioOption{
-			bulktx.WithTopology(bulktx.LinearTopology(36, 200)),
+		{"linear corridor", func(c *bulktx.SimConfig) {
+			c.Topology = "linear"
 		}},
-		{"grid + churn + path loss", []bulktx.ScenarioOption{
-			bulktx.WithChurn(bulktx.RandomChurn(2, 30*time.Second, 7)),
-			bulktx.WithLinks(bulktx.LinkModel{
-				SensorLossAt: bulktx.DistanceLoss(0, 0.15, 40),
-			}),
+		{"grid + churn + loss", func(c *bulktx.SimConfig) {
+			c.ChurnRate, c.ChurnMeanDowntime = 2, 30*time.Second
+			c.SensorLoss = 0.15
 		}},
 	}
 
@@ -68,12 +69,13 @@ func run() error {
 		cfg := bulktx.NewSimConfig(bulktx.ModelDual, senders, burst, 1)
 		cfg.Rate = rate
 		cfg.Duration = duration
-		dual, err := cfg.Scenario(row.opts...)
+		row.deploy(&cfg)
+		dual, err := cfg.Scenario()
 		if err != nil {
 			return fmt.Errorf("%s: %w", row.name, err)
 		}
 		cfg.Model = bulktx.ModelSensor
-		sensor, err := cfg.Scenario(row.opts...)
+		sensor, err := cfg.Scenario()
 		if err != nil {
 			return fmt.Errorf("%s: %w", row.name, err)
 		}

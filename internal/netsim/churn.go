@@ -1,132 +1,90 @@
 package netsim
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"time"
 )
 
-// ChurnEvent is one scheduled availability change: at offset At into
-// the run, Node crashes (Down=true) or recovers (Down=false). A crashed
-// node's radios neither hear nor transmit until recovery; its
-// application keeps generating (and losing) traffic, which is the
-// observable cost of churn.
-type ChurnEvent struct {
-	// At is the event's offset into the run.
-	At time.Duration
-	// Node is the affected node index.
-	Node int
-	// Down is true for a crash, false for a recovery.
-	Down bool
+// churnEvent is one scheduled availability change: at offset at into
+// the run, node crashes (down) or recovers. A crashed node's radios
+// neither hear nor transmit until recovery; its application keeps
+// generating (and losing) traffic, which is the observable cost of
+// churn.
+type churnEvent struct {
+	at   time.Duration
+	node int
+	down bool
 }
 
-// Churn is the pluggable failure model of a Scenario: it expands into
-// the run's full failure/recovery schedule at build time, so the
-// schedule is validated (and inspectable) before any event executes.
-type Churn interface {
-	// Kind names the model ("scheduled", "random").
-	Kind() string
-	// Events returns the failure/recovery schedule for a deployment of
-	// nodes nodes with the given sink, covering [0, duration]. The sink
-	// must never be brought down. Implementations must be deterministic.
-	Events(nodes, sink int, duration time.Duration) ([]ChurnEvent, error)
-}
+// churnSeedSalt decorrelates the churn schedule's PRNG stream from the
+// scheduler's, which is seeded with the run seed directly.
+const churnSeedSalt = 0x5EED_C4A5
 
-// scheduledChurn replays an explicit event list.
-type scheduledChurn struct{ events []ChurnEvent }
-
-// ScheduledChurn replays the given failure/recovery events verbatim
-// (validated and sorted by time at scenario build).
-func ScheduledChurn(events ...ChurnEvent) Churn {
-	es := make([]ChurnEvent, len(events))
-	copy(es, events)
-	return scheduledChurn{events: es}
-}
-
-func (scheduledChurn) Kind() string { return "scheduled" }
-func (c scheduledChurn) Events(nodes, sink int, duration time.Duration) ([]ChurnEvent, error) {
-	out := make([]ChurnEvent, len(c.events))
-	copy(out, c.events)
-	for _, ev := range out {
-		switch {
-		case ev.At < 0 || ev.At > duration:
-			return nil, fmt.Errorf("netsim: churn event at %v outside run of %v", ev.At, duration)
-		case ev.Node < 0 || ev.Node >= nodes:
-			return nil, fmt.Errorf("netsim: churn event for node %d outside layout of %d nodes",
-				ev.Node, nodes)
-		case ev.Node == sink:
-			return nil, fmt.Errorf("netsim: churn must not bring down the sink (node %d)", ev.Node)
-		}
+// churnSchedule draws the random churn that ChurnRate describes for a
+// layout of nodes nodes (nil when ChurnRate is zero): every non-sink
+// node fails independently with exponentially distributed uptimes
+// (ChurnRate expected failures per simulated hour) and downtimes
+// (mean ChurnMeanDowntime, default 60 s) over [0, Duration]. The
+// schedule varies per seeded repetition like any other noise process,
+// but from a decorrelated stream: seeding it with the run seed
+// verbatim would replay the exact PRNG sequence that drives channel
+// loss, backoff and arrivals.
+func (c Config) churnSchedule(nodes, sink int) []churnEvent {
+	if c.ChurnRate <= 0 {
+		return nil
 	}
-	sortChurn(out)
-	return out, nil
-}
-
-// randomChurn alternates exponential up/down times per node.
-type randomChurn struct {
-	rate     float64 // expected failures per node per simulated hour
-	meanDown time.Duration
-	seed     int64
-}
-
-// RandomChurn fails each non-sink node independently at the given rate
-// (expected failures per node per simulated hour), with exponentially
-// distributed uptimes and downtimes (mean downtime meanDown). The seed
-// fixes the schedule independently of the run seed.
-func RandomChurn(rate float64, meanDown time.Duration, seed int64) Churn {
-	return randomChurn{rate: rate, meanDown: meanDown, seed: seed}
-}
-
-func (randomChurn) Kind() string { return "random" }
-func (c randomChurn) Events(nodes, sink int, duration time.Duration) ([]ChurnEvent, error) {
-	if c.rate <= 0 {
-		return nil, fmt.Errorf("netsim: churn rate %v must be positive", c.rate)
+	meanDown := c.ChurnMeanDowntime
+	if meanDown == 0 {
+		meanDown = time.Minute
 	}
-	if c.meanDown <= 0 {
-		return nil, fmt.Errorf("netsim: churn mean downtime %v must be positive", c.meanDown)
+	// A mean uptime past the largest Duration (churn rates below about
+	// 4e-7 per hour) stays a float, and so does every draw until it is
+	// known to end within the run: a converted draw cannot wrap around
+	// to a negative time.
+	meanUp := float64(time.Hour) / c.ChurnRate
+	if meanUp < math.MaxInt64 {
+		meanUp = math.Trunc(meanUp)
 	}
-	meanUp := time.Duration(float64(time.Hour) / c.rate)
-	rng := rand.New(rand.NewSource(c.seed))
-	expSample := func(mean time.Duration) time.Duration {
+	rng := rand.New(rand.NewSource(c.Seed ^ churnSeedSalt))
+	// next draws an exponential interval of the given mean after at,
+	// and reports false when it ends past the run.
+	next := func(at time.Duration, mean float64) (time.Duration, bool) {
 		u := rng.Float64()
 		if u < 1e-12 {
 			u = 1e-12
 		}
-		return time.Duration(-math.Log(u) * float64(mean))
+		x := -math.Log(u) * mean
+		if x >= math.MaxInt64 || time.Duration(x) > c.Duration-at {
+			return 0, false
+		}
+		return at + time.Duration(x), true
 	}
-	var out []ChurnEvent
+	var out []churnEvent
 	for node := 0; node < nodes; node++ {
 		if node == sink {
 			continue
 		}
-		for at := expSample(meanUp); at <= duration; {
-			out = append(out, ChurnEvent{At: at, Node: node, Down: true})
-			at += expSample(c.meanDown)
-			if at > duration {
+		for at, ok := next(0, meanUp); ok; at, ok = next(at, meanUp) {
+			out = append(out, churnEvent{at: at, node: node, down: true})
+			if at, ok = next(at, float64(meanDown)); !ok {
 				break
 			}
-			out = append(out, ChurnEvent{At: at, Node: node, Down: false})
-			at += expSample(meanUp)
+			out = append(out, churnEvent{at: at, node: node, down: false})
 		}
 	}
-	sortChurn(out)
-	return out, nil
-}
-
-// sortChurn orders events by time, then node, then recovery-first —
-// a total order, so the schedule is deterministic however it was
-// generated.
-func sortChurn(events []ChurnEvent) {
-	sort.SliceStable(events, func(i, j int) bool {
-		a, b := events[i], events[j]
-		if a.At != b.At {
-			return a.At < b.At
+	// Order by time, then node, then recovery first: a total order, so
+	// equal-time events always schedule the same way.
+	sort.SliceStable(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.at != b.at {
+			return a.at < b.at
 		}
-		if a.Node != b.Node {
-			return a.Node < b.Node
+		if a.node != b.node {
+			return a.node < b.node
 		}
-		return !a.Down && b.Down
+		return !a.down && b.down
 	})
+	return out
 }

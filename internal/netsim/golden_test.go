@@ -10,37 +10,6 @@ import (
 	"bulktx/internal/trace"
 )
 
-// goldenLossy pins the probabilistic path: a distance-dependent loss
-// model draws from the channel RNG on every reception, so any change
-// to event order, neighbor iteration order or the loss draws
-// themselves desynchronizes the RNG stream and moves this hash.
-// Regenerate with:
-//
-//	go test ./internal/netsim -run GoldenFingerprintLossy -v
-//
-// after any intentional behavior change (and say so in the PR).
-const goldenLossy = "1c2a2ae673d10215c3b2df7825974c00370dde55c360dbce490c2ab04aeb9e04"
-
-// TestGoldenFingerprintLossyScenario holds a sensor run under
-// DistanceLoss to its committed fingerprint.
-func TestGoldenFingerprintLossyScenario(t *testing.T) {
-	s, err := scenarioConfig(ModelSensor, 5).Scenario(
-		WithLinks(LinkModel{SensorLossAt: DistanceLoss(0, 0.4, 40)}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunScenario(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SensorStats.NoiseLosses == 0 {
-		t.Fatal("lossy scenario lost nothing; the golden is not exercising the RNG path")
-	}
-	if got := fingerprint(t, res); got != goldenLossy {
-		t.Errorf("lossy run drifted from its golden:\n got %s\nwant %s", got, goldenLossy)
-	}
-}
-
 // goldenScaling10k pins NewScalingScenario(10000, 2 s): a 100x100 grid
 // at exact 40 m spacing with 100 CBR senders, about 600 pending events
 // at peak. Regenerate with:

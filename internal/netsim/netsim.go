@@ -13,11 +13,9 @@
 //
 // The default scenario is the paper's: a 6x6 grid over 200x200 m, a
 // near-center sink, N CBR senders, 5000 s runs (DefaultConfig). A
-// Config holds every scalar setting of a run and is the wire format of
-// sweeps, specs and caches; Config.Scenario compiles it into a
-// Scenario, optionally replacing its parts — Topology, sink and sender
-// placement policies, Workload, LinkModel and Churn — with ones the
-// flat fields cannot express. Everything is validated at build time.
+// Config is the whole description of a run and the wire format of
+// sweeps, specs and caches; Config.Validate checks it, and
+// Config.Scenario resolves a valid one into a runnable Scenario.
 package netsim
 
 import (
@@ -99,14 +97,14 @@ func (t Traffic) String() string {
 }
 
 // Config is the flat, serializable description of one simulation run:
-// every scalar setting, validated in one place (Validate). It is the
-// wire format of sweeps, JSON specs and caches, and Config.Scenario
-// compiles it into a runnable Scenario. Start from DefaultConfig or
+// every setting, validated in one place (Validate). It is the wire
+// format of sweeps, JSON specs and caches, and Config.Scenario resolves
+// it into a runnable Scenario. Start from DefaultConfig or
 // MultiHopConfig and set fields.
 //
 // Sentinels kept for compatibility: Sink < 0 selects the near-center
 // node, and some zero-valued fields (WifiRange, TopologySeed,
-// Clusters, ChurnMeanDowntime) select defaults at compile time.
+// Clusters, ChurnMeanDowntime) select defaults at build time.
 type Config struct {
 	// Model selects sensor / 802.11 / dual-radio.
 	Model Model
@@ -115,15 +113,17 @@ type Config struct {
 	Nodes int
 	Field units.Meters
 
-	// Sink is the collection node index; negative selects the default
-	// near-center node.
+	// Sink is the collection node index, below Nodes; negative selects
+	// the node closest to the layout's centroid.
 	//
 	// The negative sentinel is honored forever so that serialized
-	// configs and sweep cache keys keep working; WithSink replaces the
-	// sink with any placement policy.
+	// configs and sweep cache keys keep working.
 	Sink int
 
-	// Senders is how many nodes stream CBR traffic to the sink (5-35).
+	// Senders is how many nodes stream traffic to the sink (5-35 in
+	// the paper). They come from a pseudo-random permutation fixed
+	// independently of the run seed, so the 5-sender set prefixes the
+	// 10-sender set and both repeat across seeded repetitions.
 	Senders int
 
 	// Rate is the per-sender application rate (0.2 or 2 Kbps).
@@ -150,7 +150,8 @@ type Config struct {
 	// 11 Mbps the sensor radio's 40 m range).
 	WifiRange units.Meters
 
-	// SensorLoss injects random frame loss on the sensor channel.
+	// SensorLoss injects random frame loss on the sensor channel: every
+	// reception is lost with this probability.
 	SensorLoss float64
 
 	// WifiLoss injects random frame loss on the 802.11 channel.
@@ -179,11 +180,14 @@ type Config struct {
 	// low-power radio. Zero disables.
 	DelayBound time.Duration
 
-	// Topology selects the layout family: "" or "grid" (default),
-	// "uniform", "clustered", "linear". The new fields below are the
-	// flat forms of the Scenario API's pluggable parts; they carry
+	// Topology selects the layout family (TopologyKinds): "" or "grid"
+	// (default) places Nodes on the smallest square grid covering a
+	// Field x Field area, "uniform" scatters them uniformly at random
+	// over it, "clustered" groups them around Clusters hotspots with a
+	// Gaussian spread of Field/8, and "linear" spaces them evenly along
+	// a corridor Field long. This field and the ones below carry
 	// omitempty JSON tags so configurations that do not use them keep
-	// their pre-redesign encoding (and sweep cache keys) byte-for-byte.
+	// their original encoding (and sweep cache keys) byte-for-byte.
 	Topology string `json:",omitempty"`
 
 	// TopologySeed fixes the placement of random topologies (uniform,
@@ -192,12 +196,14 @@ type Config struct {
 	// geometry). Zero selects a fixed default placement.
 	TopologySeed int64 `json:",omitempty"`
 
-	// Clusters is the hotspot count of the clustered topology
-	// (default 4).
+	// Clusters is the hotspot count of the clustered topology, at most
+	// Nodes (zero selects 4).
 	Clusters int `json:",omitempty"`
 
 	// ChurnRate enables random node churn: the expected number of
-	// failures per node per simulated hour. Zero disables churn.
+	// failures per non-sink node per simulated hour, with exponentially
+	// distributed uptimes and downtimes drawn afresh for each run seed.
+	// Zero disables churn.
 	ChurnRate float64 `json:",omitempty"`
 
 	// ChurnMeanDowntime is the mean outage length under churn
@@ -287,39 +293,9 @@ func (e *FieldError) Error() string { return "invalid " + e.Field + ": " + e.Rea
 
 // Validate reports whether the configuration is usable. Failures are
 // FieldErrors naming the offending Config field (wrapped under a
-// "netsim:" prefix).
-func (c Config) Validate() error { return c.validate(replacedFields{}, true) }
-
-// sendersOutside is the error for a sender count that a layout of
-// nodes nodes cannot hold: Validate's for a bare config, the sender
-// policies' for a built layout.
-func sendersOutside(senders, nodes int) error {
-	return fmt.Errorf("netsim: %w", &FieldError{Field: "Senders",
-		Reason: fmt.Sprintf("senders %d outside [1, %d)", senders, nodes)})
-}
-
-// uncappable is the error for a message cap on a non-CBR workload:
-// Validate's for the config's Traffic, the builder's for a workload
-// part.
-func uncappable(messages int) error {
-	return fmt.Errorf("netsim: %w", &FieldError{Field: "Messages",
-		Reason: fmt.Sprintf("only CBR traffic can be capped at %d messages", messages)})
-}
-
-// replacedFields marks the config fields that Scenario parts replace,
-// which the built scenario never reads: Nodes and Field under
-// WithTopology, Traffic and Rate under WithWorkload, SensorLoss and
-// WifiLoss under WithLinks, ChurnRate and ChurnMeanDowntime under a
-// non-nil WithChurn.
-type replacedFields struct {
-	layout, workload, links, churn bool
-}
-
-// validate checks the config's fields, except those that parts
-// replaced; checkSenders bounds Senders by Nodes. Scenario always
-// leaves the sender bound to the sender policy, which sees the layout
-// a topology part may have resized, and the parts to the builder.
-func (c Config) validate(replaced replacedFields, checkSenders bool) error {
+// "netsim:" prefix). A valid config builds a Scenario unless its
+// layout is not connected at the radio range its model routes over.
+func (c Config) Validate() error {
 	bad := func(field, format string, a ...any) error {
 		return fmt.Errorf("netsim: %w", &FieldError{Field: field, Reason: fmt.Sprintf(format, a...)})
 	}
@@ -327,24 +303,34 @@ func (c Config) validate(replaced replacedFields, checkSenders bool) error {
 	switch {
 	case c.Model < ModelSensor || c.Model > ModelDual:
 		return bad("Model", "unknown model %d", int(c.Model))
-	case !replaced.layout && c.Nodes < 2:
+	case c.Nodes < 2:
 		return bad("Nodes", "need at least 2 nodes, got %d", c.Nodes)
-	case !replaced.layout && c.Field <= 0:
+	case nonFinite(float64(c.Field)):
+		return bad("Field", "non-finite field %v", c.Field)
+	case c.Field <= 0:
 		return bad("Field", "non-positive field %v", c.Field)
-	case checkSenders && (c.Senders < 1 || c.Senders >= c.Nodes):
-		return sendersOutside(c.Senders, c.Nodes)
-	case !replaced.workload && nonFinite(float64(c.Rate)):
+	case c.Sink >= c.Nodes:
+		return bad("Sink", "sink %d outside [0, %d)", c.Sink, c.Nodes)
+	case c.Senders < 1 || c.Senders >= c.Nodes:
+		return bad("Senders", "senders %d outside [1, %d)", c.Senders, c.Nodes)
+	case nonFinite(float64(c.Rate)):
 		return bad("Rate", "non-finite rate %v", c.Rate)
-	case !replaced.workload && c.Rate <= 0:
+	case c.Rate <= 0:
 		return bad("Rate", "non-positive rate %v", c.Rate)
 	case c.Duration <= 0:
 		return bad("Duration", "non-positive duration %v", c.Duration)
+	case c.Model != ModelWifi && c.SensorProfile.Validate() != nil:
+		return bad("SensorProfile", "%v", c.SensorProfile.Validate())
+	case c.Model != ModelSensor && c.WifiProfile.Validate() != nil:
+		return bad("WifiProfile", "%v", c.WifiProfile.Validate())
 	case c.Model == ModelDual && c.BurstPackets < 1:
 		return bad("BurstPackets", "dual model needs a positive burst size, got %d", c.BurstPackets)
-	case !replaced.links && (math.IsNaN(c.SensorLoss) || c.SensorLoss < 0 || c.SensorLoss >= 1):
+	case math.IsNaN(c.SensorLoss) || c.SensorLoss < 0 || c.SensorLoss >= 1:
 		return bad("SensorLoss", "loss probability %v outside [0,1)", c.SensorLoss)
-	case !replaced.links && (math.IsNaN(c.WifiLoss) || c.WifiLoss < 0 || c.WifiLoss >= 1):
+	case math.IsNaN(c.WifiLoss) || c.WifiLoss < 0 || c.WifiLoss >= 1:
 		return bad("WifiLoss", "loss probability %v outside [0,1)", c.WifiLoss)
+	case nonFinite(float64(c.WifiRange)):
+		return bad("WifiRange", "non-finite wifi range %v", c.WifiRange)
 	case c.WifiRange < 0:
 		return bad("WifiRange", "negative wifi range %v", c.WifiRange)
 	case c.PostBurstLinger < 0:
@@ -357,19 +343,21 @@ func (c Config) validate(replaced replacedFields, checkSenders bool) error {
 		return bad("AdaptiveThresholdAlpha", "negative adaptive alpha %v", c.AdaptiveThresholdAlpha)
 	case c.DelayBound < 0:
 		return bad("DelayBound", "negative delay bound %v", c.DelayBound)
-	case !replaced.workload && (c.Traffic < TrafficCBR || c.Traffic > TrafficOnOff):
+	case c.Traffic < TrafficCBR || c.Traffic > TrafficOnOff:
 		return bad("Traffic", "unknown traffic model %d", int(c.Traffic))
 	case c.Messages < 0:
 		return bad("Messages", "negative message count %d", c.Messages)
-	case !replaced.workload && c.Messages > 0 && c.Traffic != TrafficCBR:
-		return uncappable(c.Messages)
+	case c.Messages > 0 && c.Traffic != TrafficCBR:
+		return bad("Messages", "only CBR traffic can be capped at %d messages", c.Messages)
 	case c.Clusters < 0:
 		return bad("Clusters", "negative cluster count %d", c.Clusters)
-	case !replaced.churn && nonFinite(c.ChurnRate):
+	case c.Topology == TopoClustered && c.clusters() > c.Nodes:
+		return bad("Clusters", "%d clusters exceed %d nodes", c.clusters(), c.Nodes)
+	case nonFinite(c.ChurnRate):
 		return bad("ChurnRate", "non-finite churn rate %v", c.ChurnRate)
-	case !replaced.churn && c.ChurnRate < 0:
+	case c.ChurnRate < 0:
 		return bad("ChurnRate", "negative churn rate %v", c.ChurnRate)
-	case !replaced.churn && c.ChurnMeanDowntime < 0:
+	case c.ChurnMeanDowntime < 0:
 		return bad("ChurnMeanDowntime", "negative churn downtime %v", c.ChurnMeanDowntime)
 	}
 	switch c.Topology {
@@ -380,9 +368,18 @@ func (c Config) validate(replaced replacedFields, checkSenders bool) error {
 	return nil
 }
 
-// churnSeedSalt decorrelates the churn schedule's PRNG stream from the
-// scheduler's, which is seeded with the run seed directly.
-const churnSeedSalt = 0x5EED_C4A5
+// Topology kind names, as accepted by Config.Topology and sweep specs.
+const (
+	TopoGrid      = "grid"
+	TopoUniform   = "uniform"
+	TopoClustered = "clustered"
+	TopoLinear    = "linear"
+)
+
+// TopologyKinds lists the layout families a Config can select.
+func TopologyKinds() []string {
+	return []string{TopoGrid, TopoUniform, TopoClustered, TopoLinear}
+}
 
 // defaultTopologySeed places random topologies when the config does
 // not pin one. It is a fixed constant — not the run seed — so seeded
@@ -390,84 +387,86 @@ const churnSeedSalt = 0x5EED_C4A5
 // straddle connected and partitioned layouts.
 const defaultTopologySeed = 1
 
-// topology materializes the config's flat topology fields into the
-// Scenario API's pluggable form.
-func (c Config) topology() Topology {
+// clusters is the clustered topology's hotspot count.
+func (c Config) clusters() int {
+	if c.Clusters == 0 {
+		return 4
+	}
+	return c.Clusters
+}
+
+// layout places the config's Nodes by its Topology. The random
+// families draw from TopologySeed, never from the run seed, so one
+// config describes the same deployment across every repetition.
+func (c Config) layout() (*topo.Layout, error) {
 	seed := c.TopologySeed
 	if seed == 0 {
 		seed = defaultTopologySeed
 	}
 	switch c.Topology {
 	case TopoUniform:
-		return UniformTopology(c.Nodes, c.Field, seed)
+		return topo.Random(c.Nodes, c.Field, rand.New(rand.NewSource(seed)))
 	case TopoClustered:
-		clusters := c.Clusters
-		if clusters == 0 {
-			clusters = 4
-		}
-		// Spread scales with per-cluster share of the field so clusters
-		// stay distinct but internally connected at sensor range.
-		return ClusteredTopology(c.Nodes, clusters, c.Field, c.Field/8, seed)
+		// Spread scales with the field so clusters stay distinct but
+		// internally connected at sensor range.
+		return topo.Clustered(c.Nodes, c.clusters(), c.Field, c.Field/8,
+			rand.New(rand.NewSource(seed)))
 	case TopoLinear:
-		return LinearTopology(c.Nodes, c.Field)
+		return topo.Line(c.Nodes, c.Field/units.Meters(float64(c.Nodes-1)))
 	default:
-		return GridTopology(c.Nodes, c.Field)
+		return topo.Grid(c.Nodes, c.Field)
 	}
 }
 
-// churn is the random churn model that ChurnRate describes (nil when
-// zero), drawn under the config's run seed.
-func (c Config) churn() Churn {
-	if c.ChurnRate <= 0 {
-		return nil
+// Scenario validates the configuration and resolves it into a
+// runnable Scenario: the layout its Topology fields place, its Sink
+// (or the node nearest the centroid), its stable-shuffle senders and,
+// under ChurnRate, the run seed's churn schedule. WithTrace is the one
+// option. Besides Validate's FieldErrors, the only failure is a layout
+// that is not connected at the radio range the model routes over.
+func (c Config) Scenario(opts ...Option) (*Scenario, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
 	}
-	down := c.ChurnMeanDowntime
-	if down == 0 {
-		down = time.Minute
+	s := &Scenario{cfg: c}
+	for _, opt := range opts {
+		opt(s)
 	}
-	// The schedule varies per seeded repetition like any other noise
-	// process, but from a decorrelated stream: seeding it with the run
-	// seed verbatim would replay the exact PRNG sequence that drives
-	// channel loss, backoff and arrivals.
-	return RandomChurn(c.ChurnRate, down, c.Seed^churnSeedSalt)
-}
+	if s.cfg.WifiRange == 0 {
+		s.cfg.WifiRange = s.cfg.WifiProfile.Range
+	}
+	layout, err := c.layout()
+	if err != nil {
+		return nil, err
+	}
+	sink := c.Sink
+	if sink < 0 {
+		sink = defaultSink(layout)
+	}
 
-// Scenario validates the configuration and builds a Scenario from it.
-// The config's fields build every part: topology, sink, stable-shuffle
-// senders, CBR/Poisson/on-off workload, flat link loss and random
-// churn. Each part passed in parts replaces the one the fields would
-// build, for what a Config cannot express: explicit layouts and
-// placements, per-sender rates, distance loss, scheduled churn and
-// tracing. The fields a part replaces go unchecked: Nodes and Field
-// under WithTopology, Traffic and Rate under WithWorkload (the builder
-// still rejects a Messages cap on a non-CBR workload part), SensorLoss
-// and WifiLoss under WithLinks, ChurnRate and ChurnMeanDowntime under
-// a non-nil WithChurn. The compilation is exact: a fixed-seed run
-// matches the golden fingerprints of the flat-config runner it
-// replaced.
-func (c Config) Scenario(parts ...Option) (*Scenario, error) {
-	s := &Scenario{
-		cfg:      c,
-		sink:     SinkNearCenter(),
-		senders:  StableShuffleSenders(),
-		workload: Workload{Traffic: c.Traffic, Rate: c.Rate},
-		links:    LinkModel{SensorLoss: c.SensorLoss, WifiLoss: c.WifiLoss},
+	// Catching a partitioned deployment here yields one clear error
+	// instead of a routing failure mid-run. The sensor fabric must span
+	// the network for the sensor and dual models; the pure-802.11 model
+	// only needs connectivity at wifi range.
+	reqRange := s.cfg.SensorProfile.Range
+	radioName := "sensor"
+	if c.Model == ModelWifi {
+		reqRange = s.cfg.WifiRange
+		radioName = "wifi"
 	}
-	if c.Sink >= 0 {
-		s.sink = SinkAt(c.Sink)
+	if !layout.Connected(sink, reqRange) {
+		kind := c.Topology
+		if kind == "" {
+			kind = TopoGrid
+		}
+		return nil, fmt.Errorf("netsim: %q topology (%d nodes) is not connected at the %s radio's %v range from sink %d; increase density, shrink the field, or try another topology seed",
+			kind, layout.Len(), radioName, reqRange, sink)
 	}
-	for _, part := range parts {
-		part(s)
-	}
-	if err := c.validate(s.replaced, false); err != nil {
-		return nil, err
-	}
-	if !s.replaced.layout {
-		s.topology = c.topology()
-	}
-	if err := s.build(); err != nil {
-		return nil, err
-	}
+
+	s.layout = layout
+	s.sinkID = sink
+	s.senderIDs = pickSenders(layout.Len(), sink, c.Senders)
+	s.churnEvents = c.churnSchedule(layout.Len(), sink)
 	return s, nil
 }
 
@@ -517,18 +516,12 @@ func defaultSink(layout *topo.Layout) int {
 }
 
 // pickSenders returns the stable pseudo-random sender subset of size n
-// excluding the sink, under the default permutation seed.
+// excluding the sink. The permutation is fixed by senderPermSeed alone
+// — independent of the run seed — so sender sets nest (the 5-sender
+// set prefixes the 10-sender set) and repeat across seeded
+// repetitions.
 func pickSenders(nodes, sink, n int) []int {
-	return pickSendersSeeded(nodes, sink, n, senderPermSeed)
-}
-
-// pickSendersSeeded is pickSenders under an explicit permutation seed
-// (the shuffled sender policies' engine). The permutation is fixed by
-// permSeed alone — independent of the run seed — so sender sets nest
-// (the 5-sender set prefixes the 10-sender set) and repeat across
-// seeded repetitions.
-func pickSendersSeeded(nodes, sink, n int, permSeed int64) []int {
-	perm := rand.New(rand.NewSource(permSeed)).Perm(nodes)
+	perm := rand.New(rand.NewSource(senderPermSeed)).Perm(nodes)
 	senders := make([]int, 0, n)
 	for _, v := range perm {
 		if v == sink {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"bulktx/internal/energy"
 	"bulktx/internal/params"
 	"bulktx/internal/topo"
 	"bulktx/internal/units"
@@ -65,6 +66,18 @@ func TestConfigValidate(t *testing.T) {
 		{"infinite adaptive alpha", func(c *Config) { c.AdaptiveThresholdAlpha = math.Inf(1) }},
 		{"NaN churn", func(c *Config) { c.ChurnRate = math.NaN() }},
 		{"infinite churn", func(c *Config) { c.ChurnRate = math.Inf(1) }},
+		{"negative churn downtime", func(c *Config) { c.ChurnMeanDowntime = -time.Second }},
+		{"NaN field", func(c *Config) { c.Field = units.Meters(math.NaN()) }},
+		{"infinite field", func(c *Config) { c.Field = units.Meters(math.Inf(1)) }},
+		{"NaN wifi range", func(c *Config) { c.WifiRange = units.Meters(math.NaN()) }},
+		{"zero sensor profile", func(c *Config) { c.SensorProfile = energy.Profile{} }},
+		{"zero wifi profile", func(c *Config) { c.WifiProfile = energy.Profile{} }},
+		{"sink past nodes", func(c *Config) { c.Sink = 99 }},
+		{"sink at nodes", func(c *Config) { c.Sink = c.Nodes }},
+		{"more clusters than nodes", func(c *Config) { c.Topology, c.Clusters = TopoClustered, 50 }},
+		{"default clusters exceed nodes", func(c *Config) {
+			c.Topology, c.Nodes, c.Senders = TopoClustered, 3, 1
+		}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -75,8 +88,7 @@ func TestConfigValidate(t *testing.T) {
 			if !errors.As(err, &fe) {
 				t.Fatalf("Validate = %v, want a FieldError", err)
 			}
-			// A bare config's Scenario rejects it with the same error,
-			// whether its own checks or its sender policy find it.
+			// Scenario rejects it with Validate's error.
 			_, serr := c.Scenario()
 			var sfe *FieldError
 			if !errors.As(serr, &sfe) || sfe.Field != fe.Field || serr.Error() != err.Error() {
@@ -377,6 +389,10 @@ func TestValidateNamesOffendingField(t *testing.T) {
 		{func(c *Config) { c.AdaptiveThresholdAlpha = math.Inf(1) }, "AdaptiveThresholdAlpha"},
 		{func(c *Config) { c.ChurnRate = math.NaN() }, "ChurnRate"},
 		{func(c *Config) { c.Messages = -1 }, "Messages"},
+		{func(c *Config) { c.ChurnMeanDowntime = -time.Second }, "ChurnMeanDowntime"},
+		{func(c *Config) { c.WifiProfile.Rate = 0 }, "WifiProfile"},
+		{func(c *Config) { c.Sink = 99 }, "Sink"},
+		{func(c *Config) { c.Topology, c.Clusters = TopoClustered, 50 }, "Clusters"},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig(ModelDual, 5, 100, 1)

@@ -37,7 +37,7 @@ func runProto(t *testing.T, cfg netsim.Config) netsim.Result {
 
 // runProtoTraced runs one prototype transfer with its packet and radio
 // state events recorded, the event log the paper post-processed.
-func runProtoTraced(t *testing.T, cfg netsim.Config) (*netsim.Scenario, netsim.Result) {
+func runProtoTraced(t *testing.T, cfg netsim.Config) netsim.Result {
 	t.Helper()
 	s, err := cfg.Scenario(netsim.WithTrace(trace.Options{Packets: true, States: true}))
 	if err != nil {
@@ -47,7 +47,7 @@ func runProtoTraced(t *testing.T, cfg netsim.Config) (*netsim.Scenario, netsim.R
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, res
+	return res
 }
 
 // PrototypeConfig is the Section 4.2 pair: two nodes 10 m apart, the
@@ -196,7 +196,7 @@ type radioKey struct {
 // each radio's wake-ups the meter's count.
 func TestLogEnergyMatchesMeters(t *testing.T) {
 	cfg := prototype(netsim.ModelDual, 1500, 300)
-	s, res := runProtoTraced(t, cfg)
+	res := runProtoTraced(t, cfg)
 	type replay struct {
 		state   energy.State
 		since   time.Duration
@@ -250,7 +250,7 @@ func TestLogEnergyMatchesMeters(t *testing.T) {
 		for _, x := range n.Radios {
 			k := radioKey{n.Node, x.Radio}
 			r := get(k)
-			charge(k, r, s.Duration())
+			charge(k, r, cfg.Duration)
 			if r.wakeups != x.Wakeups {
 				t.Errorf("node %d %s: log has %d wake-ups, meter %d", n.Node, x.Radio, r.wakeups, x.Wakeups)
 			}
@@ -272,7 +272,7 @@ func TestLogEnergyMatchesMeters(t *testing.T) {
 // entered, every Tx and Rx it enters left again before the run ends,
 // and every delivery preceded by the generation of the same packet.
 func TestLogOrderedAndPaired(t *testing.T) {
-	_, res := runProtoTraced(t, prototype(netsim.ModelDual, 1000, 100))
+	res := runProtoTraced(t, prototype(netsim.ModelDual, 1000, 100))
 	if len(res.Trace.Events) == 0 {
 		t.Fatal("empty log")
 	}
@@ -387,8 +387,8 @@ func wifiWakeups(res netsim.Result) int {
 
 func TestWakeupsScaleInversely(t *testing.T) {
 	// Doubling the threshold halves the number of wake-up cycles.
-	_, small := runProtoTraced(t, prototype(netsim.ModelDual, 1000, 500))
-	_, large := runProtoTraced(t, prototype(netsim.ModelDual, 2000, 500))
+	small := runProtoTraced(t, prototype(netsim.ModelDual, 1000, 500))
+	large := runProtoTraced(t, prototype(netsim.ModelDual, 2000, 500))
 	ws, wl := wifiWakeups(small), wifiWakeups(large)
 	if wl*2 != ws {
 		t.Errorf("wakeups %d (1000 B) vs %d (2000 B): want exact halving", ws, wl)
@@ -399,7 +399,7 @@ func TestGenerationFollowsIntervalExactly(t *testing.T) {
 	// 55 ms and 110 ms are intervals whose bit rate, divided back, lands
 	// a nanosecond short of the period.
 	for _, interval := range []time.Duration{55 * time.Millisecond, 100 * time.Millisecond, 110 * time.Millisecond, time.Second} {
-		_, res := runProtoTraced(t, netsim.PrototypeConfig(netsim.ModelDual, 500, 3, interval))
+		res := runProtoTraced(t, netsim.PrototypeConfig(netsim.ModelDual, 500, 3, interval))
 		var at []time.Duration
 		for _, ev := range res.Trace.Events {
 			if ev.Kind == trace.KindGenerated {

@@ -198,13 +198,12 @@ func RunScenario(s *Scenario) (Result, error) {
 	// their start across one burst-accumulation interval so threshold
 	// crossings do not synchronize into an artificial burst storm (the
 	// random processes desynchronize naturally).
+	var startWindow time.Duration
+	if s.cfg.Model == ModelDual {
+		startWindow = s.cfg.Rate.TimeFor(params.SensorPayload) * time.Duration(s.cfg.BurstPackets)
+	}
 	var generators []source
-	for i, sender := range s.senderIDs {
-		rate := s.workload.RateFor(i)
-		var startWindow time.Duration
-		if s.cfg.Model == ModelDual {
-			startWindow = rate.TimeFor(params.SensorPayload) * time.Duration(s.cfg.BurstPackets)
-		}
+	for _, sender := range s.senderIDs {
 		emitFn := net.emit[sender]
 		if tr != nil {
 			node, inner := sender, emitFn
@@ -219,7 +218,7 @@ func RunScenario(s *Scenario) (Result, error) {
 		if s.cfg.Model == ModelDual {
 			flush = net.agents[sender].Flush
 		}
-		g, err := newSource(s, sched, rate, sender, s.sinkID, startWindow, flush, emitFn)
+		g, err := newSource(s, sched, sender, startWindow, flush, emitFn)
 		if err != nil {
 			return Result{}, err
 		}
@@ -239,13 +238,12 @@ func RunScenario(s *Scenario) (Result, error) {
 		sched.After(interval, tick)
 	}
 
-	// Churn: the schedule was resolved and validated at build time; each
+	// Churn: the schedule was drawn at build time, within the run; each
 	// event toggles every radio of its node.
 	for _, ev := range s.churnEvents {
-		ev := ev
-		if _, err := sched.Schedule(sim.Time(ev.At), func() {
+		if _, err := sched.Schedule(sim.Time(ev.at), func() {
 			for _, r := range net.radios {
-				r.macs[ev.Node].Transceiver().SetFailed(ev.Down)
+				r.macs[ev.node].Transceiver().SetFailed(ev.down)
 			}
 		}); err != nil {
 			return Result{}, err
@@ -330,8 +328,7 @@ func (s *Scenario) radioSpecs() (sensor, wifi radioSpec) {
 		cfg: radio.Config{
 			Name:       "sensor",
 			Profile:    s.cfg.SensorProfile,
-			LossProb:   s.links.SensorLoss,
-			LossAt:     s.links.SensorLossAt,
+			LossProb:   s.cfg.SensorLoss,
 			HeaderSize: params.SensorHeader,
 		},
 		overhear: radio.OverhearHeaderOnly,
@@ -344,8 +341,7 @@ func (s *Scenario) radioSpecs() (sensor, wifi radioSpec) {
 			Name:       "wifi",
 			Profile:    s.cfg.WifiProfile,
 			Range:      s.cfg.WifiRange,
-			LossProb:   s.links.WifiLoss,
-			LossAt:     s.links.WifiLossAt,
+			LossProb:   s.cfg.WifiLoss,
 			HeaderSize: params.WifiHeader,
 		},
 		overhear: radio.OverhearFull,
@@ -513,13 +509,13 @@ type source interface {
 func newSource(
 	s *Scenario,
 	sched *sim.Scheduler,
-	rate units.BitRate,
-	sender, sink int,
+	sender int,
 	startWindow time.Duration,
 	flush func(),
 	emit func(core.Packet),
 ) (source, error) {
-	switch s.workload.Traffic {
+	rate, sink := s.cfg.Rate, s.sinkID
+	switch s.cfg.Traffic {
 	case TrafficPoisson:
 		g, err := workload.NewPoisson(sched, sender, sink, rate, params.SensorPayload, emit)
 		if err != nil {
@@ -581,18 +577,14 @@ func addAgentStats(a, b core.Stats) core.Stats {
 // RunScenarioMany executes runs seeded repetitions of a scenario
 // (seeds base..base+runs-1) concurrently, in seed order. Repetitions
 // share no state, so the output is identical to serial execution, and
-// rep r of cfg.Scenario() equals Run(cfg) at seed base+r. Placement and
-// a WithChurn schedule stay fixed across repetitions; the run seed
-// varies channel noise, MAC backoff, arrival processes and churn drawn
-// from Config.ChurnRate. Grid sweeps should prefer the sweep package,
-// which adds cross-cell batching and result caching.
+// rep r of cfg.Scenario() equals Run(cfg) at seed base+r. Placement
+// stays fixed across repetitions; the run seed varies channel noise,
+// MAC backoff, arrival processes and the churn schedule. Grid sweeps
+// should prefer the sweep package, which adds cross-cell batching and
+// result caching.
 func RunScenarioMany(s *Scenario, runs int, baseSeed int64) ([]Result, error) {
 	return runSeeded(runs, func(r int) (Result, error) {
-		rep, err := s.withSeed(baseSeed + int64(r))
-		if err != nil {
-			return Result{}, err
-		}
-		return RunScenario(rep)
+		return RunScenario(s.withSeed(baseSeed + int64(r)))
 	})
 }
 
@@ -635,18 +627,16 @@ func Summaries(results []Result) (goodput, normEnergy, idealEnergy metrics.Summa
 	es := make([]float64, 0, len(results))
 	is := make([]float64, 0, len(results))
 	var delaySum time.Duration
-	var delayN int
 	for _, r := range results {
 		gs = append(gs, r.Goodput())
 		es = append(es, r.NormalizedEnergy())
 		ideal := r.RunResult
 		ideal.TotalEnergy = r.IdealEnergy
 		is = append(is, ideal.NormalizedEnergy())
-		delaySum += r.MeanDelay() * time.Duration(1)
-		delayN++
+		delaySum += r.MeanDelay()
 	}
-	if delayN > 0 {
-		meanDelay = delaySum / time.Duration(delayN)
+	if len(results) > 0 {
+		meanDelay = delaySum / time.Duration(len(results))
 	}
 	return metrics.Summarize(gs), metrics.Summarize(es), metrics.Summarize(is), meanDelay
 }

@@ -6,15 +6,12 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"bulktx/internal/params"
-	"bulktx/internal/topo"
-	"bulktx/internal/units"
 )
 
 // fingerprint hashes a Result's canonical JSON encoding; two runs share
@@ -64,25 +61,16 @@ func TestGoldenFingerprintsThroughCompatLayer(t *testing.T) {
 	}
 }
 
-// Parts passed explicitly that equal the ones the config's fields build
-// must reproduce the same bytes (same wiring either way).
+// A config that spells out the defaults — the grid topology by name
+// and the near-center sink by index — runs the same bytes as one that
+// leaves them to the sentinels.
 func TestGoldenFingerprintThroughExplicitScenario(t *testing.T) {
-	s, err := shortConfig(ModelDual, 5, 100, 1).Scenario(
-		WithTopology(GridTopology(params.GridNodes, params.FieldSize)),
-		WithSink(SinkNearCenter()),
-		WithSenderPolicy(StableShuffleSenders()),
-		WithWorkload(CBRWorkload(params.HighRate)),
-		WithLinks(LinkModel{}),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunScenario(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := shortConfig(ModelDual, 5, 100, 1)
+	cfg.Topology = TopoGrid
+	cfg.Sink = 15 // the 6x6 grid's node nearest the centroid
+	res := mustRun(t, cfg)
 	if got := fingerprint(t, res); got != goldenPR2["dual"] {
-		t.Errorf("explicit scenario diverged from flat config:\n got %s\nwant %s",
+		t.Errorf("explicit config diverged from the defaulted one:\n got %s\nwant %s",
 			got, goldenPR2["dual"])
 	}
 }
@@ -90,31 +78,33 @@ func TestGoldenFingerprintThroughExplicitScenario(t *testing.T) {
 // Subset property: under the default placement the 5-sender set
 // prefixes the 10-sender set, on the grid and on a random topology.
 func TestSenderSubsetProperty(t *testing.T) {
-	for _, topol := range []Topology{
-		GridTopology(36, 200),
-		UniformTopology(36, 150, 1),
-	} {
-		five, err := DefaultConfig(ModelDual, 5, 100, 1).Scenario(WithTopology(topol))
-		if err != nil {
-			t.Fatalf("%s: %v", topol.Kind(), err)
+	for _, kind := range []string{TopoGrid, TopoUniform} {
+		build := func(senders int) *Scenario {
+			cfg := DefaultConfig(ModelDual, senders, 100, 1)
+			cfg.Topology = kind
+			if kind == TopoUniform {
+				cfg.Field = 150
+			}
+			s, err := cfg.Scenario()
+			if err != nil {
+				t.Fatalf("%s: %v", kind, err)
+			}
+			return s
 		}
-		ten, err := DefaultConfig(ModelDual, 10, 100, 1).Scenario(WithTopology(topol))
-		if err != nil {
-			t.Fatalf("%s: %v", topol.Kind(), err)
-		}
-		a, b := five.SenderIDs(), ten.SenderIDs()
+		five, ten := build(5), build(10)
+		a, b := five.senderIDs, ten.senderIDs
 		if len(a) != 5 || len(b) != 10 {
-			t.Fatalf("%s: sender counts %d/%d", topol.Kind(), len(a), len(b))
+			t.Fatalf("%s: sender counts %d/%d", kind, len(a), len(b))
 		}
 		for i, s := range a {
 			if b[i] != s {
 				t.Errorf("%s: sender sets not nested at %d: %v vs %v",
-					topol.Kind(), i, a, b)
+					kind, i, a, b)
 			}
 		}
 		for _, s := range b {
-			if s == ten.Sink() {
-				t.Errorf("%s: sink %d selected as sender", topol.Kind(), s)
+			if s == ten.sinkID {
+				t.Errorf("%s: sink %d selected as sender", kind, s)
 			}
 		}
 	}
@@ -131,25 +121,19 @@ func scenarioConfig(model Model, senders int) Config {
 	return cfg
 }
 
-// All four named topology kinds run end-to-end under every model.
+// All four named topology kinds run end-to-end under every model: the
+// 36-node grid and line over 200 m, uniform over 150 m (connected at
+// the default topology seed) and four clusters over 200 m.
 func TestTopologyKindsEndToEnd(t *testing.T) {
-	topologies := []Topology{
-		GridTopology(36, 200),
-		UniformTopology(36, 150, 1),
-		ClusteredTopology(36, 4, 200, 25, 1),
-		LinearTopology(36, 200),
-	}
-	for _, topol := range topologies {
+	for _, kind := range TopologyKinds() {
 		for _, model := range []Model{ModelSensor, ModelWifi, ModelDual} {
-			t.Run(topol.Kind()+"/"+model.String(), func(t *testing.T) {
-				s, err := scenarioConfig(model, 5).Scenario(WithTopology(topol))
-				if err != nil {
-					t.Fatal(err)
+			t.Run(kind+"/"+model.String(), func(t *testing.T) {
+				cfg := scenarioConfig(model, 5)
+				cfg.Topology = kind
+				if kind == TopoUniform {
+					cfg.Field = 150
 				}
-				res, err := RunScenario(s)
-				if err != nil {
-					t.Fatal(err)
-				}
+				res := mustRun(t, cfg)
 				if res.GeneratedBits == 0 {
 					t.Fatal("nothing generated")
 				}
@@ -193,81 +177,56 @@ func TestConfigTopologyFields(t *testing.T) {
 	}
 }
 
+// The churn schedule never brings down the sink, stays within the run,
+// and is drawn afresh for each run seed; the sink keeps collecting
+// (TestConfigChurn checks that churn costs goodput).
 func TestScenarioChurn(t *testing.T) {
 	cfg := scenarioConfig(ModelDual, 5)
-	calm, err := cfg.Scenario()
+	cfg.ChurnRate = 20
+	cfg.ChurnMeanDowntime = 30 * time.Second
+	churny, err := cfg.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}
-	churny, err := cfg.Scenario(WithChurn(RandomChurn(6, 30*time.Second, 7)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(churny.ChurnEvents()) == 0 {
+	if len(churny.churnEvents) == 0 {
 		t.Fatal("random churn produced no events")
 	}
-	for _, ev := range churny.ChurnEvents() {
-		if ev.Node == churny.Sink() {
+	for _, ev := range churny.churnEvents {
+		if ev.node == churny.sinkID {
 			t.Fatalf("churn schedule brings down the sink: %+v", ev)
 		}
-		if ev.At < 0 || ev.At > churny.Duration() {
+		if ev.at < 0 || ev.at > cfg.Duration {
 			t.Fatalf("churn event outside run: %+v", ev)
 		}
 	}
-	calmRes, err := RunScenario(calm)
-	if err != nil {
-		t.Fatal(err)
+	if reflect.DeepEqual(churny.withSeed(cfg.Seed+1).churnEvents, churny.churnEvents) {
+		t.Error("churn schedule did not change with the run seed")
 	}
 	churnRes, err := RunScenario(churny)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if churnRes.Goodput() >= calmRes.Goodput() {
-		t.Errorf("churn did not hurt goodput: %.3f vs calm %.3f",
-			churnRes.Goodput(), calmRes.Goodput())
-	}
 	if churnRes.Goodput() <= 0 {
 		t.Error("churn killed all delivery (sink should survive)")
 	}
-	// Determinism: the schedule is part of the scenario.
-	again, err := RunScenario(churny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fingerprint(t, again) != fingerprint(t, churnRes) {
-		t.Error("churny scenario not deterministic")
-	}
 }
 
-func TestScheduledChurnValidation(t *testing.T) {
-	cfg := scenarioConfig(ModelDual, 5)
-	mk := func(ev ChurnEvent) error {
-		_, err := cfg.Scenario(WithChurn(ScheduledChurn(ev)))
-		return err
-	}
-	okEv := ChurnEvent{At: time.Second, Node: 0, Down: true}
-	if err := mk(okEv); err != nil {
-		t.Fatalf("valid churn event rejected: %v", err)
-	}
-	sink, err := cfg.Scenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, ev := range map[string]ChurnEvent{
-		"negative time": {At: -time.Second, Node: 0, Down: true},
-		"past end":      {At: scenarioDuration + time.Second, Node: 0, Down: true},
-		"bad node":      {At: time.Second, Node: 99, Down: true},
-		"sink":          {At: time.Second, Node: sink.Sink(), Down: true},
-	} {
-		if err := mk(ev); err == nil {
-			t.Errorf("%s churn event accepted", name)
+// Churn rates so low that the mean uptime overflows a Duration draw
+// no failure in the run instead of events at negative times.
+func TestTinyChurnRateSchedulesNothing(t *testing.T) {
+	for _, rate := range []float64{1e-300, 1e-7} {
+		cfg := scenarioConfig(ModelSensor, 5)
+		cfg.ChurnRate = rate
+		s, err := cfg.Scenario()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := cfg.Scenario(WithChurn(RandomChurn(0, time.Minute, 1))); err == nil {
-		t.Error("zero churn rate accepted")
-	}
-	if _, err := cfg.Scenario(WithChurn(RandomChurn(1, 0, 1))); err == nil {
-		t.Error("zero churn downtime accepted")
+		if len(s.churnEvents) != 0 {
+			t.Errorf("churn rate %g: %d events, first %+v", rate, len(s.churnEvents), s.churnEvents[0])
+		}
+		if _, err := RunScenario(s); err != nil {
+			t.Errorf("churn rate %g: %v", rate, err)
+		}
 	}
 }
 
@@ -289,17 +248,18 @@ func TestConfigChurn(t *testing.T) {
 	}
 }
 
-// A topology part may hold more nodes than the config's Nodes, and the
-// sender count is bounded by the layout it builds, not by Nodes.
-func TestTopologyPartBoundsSenders(t *testing.T) {
+// Senders are bounded by the config's Nodes: 50 senders fit a 100-node
+// line and not a 50-node one.
+func TestNodesBoundSenders(t *testing.T) {
 	cfg := DefaultConfig(ModelSensor, 50, 0, 1)
 	cfg.Duration = time.Minute // a tenth of the default keeps the test quick
-	s, err := cfg.Scenario(WithTopology(LinearTopology(100, 3960)))
+	cfg.Topology, cfg.Nodes, cfg.Field = TopoLinear, 100, 3960
+	s, err := cfg.Scenario()
 	if err != nil {
 		t.Fatalf("50 senders on a 100-node line: %v", err)
 	}
-	if s.Nodes() != 100 || len(s.SenderIDs()) != 50 {
-		t.Fatalf("scenario has %d nodes and %d senders, want 100 and 50", s.Nodes(), len(s.SenderIDs()))
+	if s.layout.Len() != 100 || len(s.senderIDs) != 50 {
+		t.Fatalf("scenario has %d nodes and %d senders, want 100 and 50", s.layout.Len(), len(s.senderIDs))
 	}
 	res, err := RunScenario(s)
 	if err != nil {
@@ -308,166 +268,59 @@ func TestTopologyPartBoundsSenders(t *testing.T) {
 	if res.GeneratedBits == 0 || res.DeliveredBits == 0 {
 		t.Errorf("probe run generated %d and delivered %d bits", res.GeneratedBits, res.DeliveredBits)
 	}
-	// The layout still bounds the count, with Validate's error.
-	_, err = cfg.Scenario(WithTopology(LinearTopology(50, 1960)))
+	cfg.Nodes, cfg.Field = 50, 1960
+	_, err = cfg.Scenario()
 	var fe *FieldError
 	if !errors.As(err, &fe) || fe.Field != "Senders" || err.Error() != "netsim: invalid Senders: senders 50 outside [1, 50)" {
 		t.Errorf("50 senders on a 50-node line: %v, want a Senders FieldError", err)
 	}
 }
 
-// Under a topology part the config's Nodes and Field go unread, so
-// they go unchecked; without one they fail as before.
-func TestTopologyPartIgnoresNodesAndField(t *testing.T) {
-	for _, tc := range []struct {
-		field  string
-		mutate func(*Config)
-		want   string
-	}{
-		{"Nodes", func(c *Config) { c.Nodes = 0 }, "netsim: invalid Nodes: need at least 2 nodes, got 0"},
-		{"Field", func(c *Config) { c.Field = 0 }, "netsim: invalid Field: non-positive field 0.0 m"},
-	} {
-		cfg := DefaultConfig(ModelSensor, 5, 0, 1)
-		cfg.Duration = time.Minute
-		tc.mutate(&cfg)
-		s, err := cfg.Scenario(WithTopology(LinearTopology(10, 360)))
-		if err != nil {
-			t.Fatalf("%s zero under a topology part: %v", tc.field, err)
-		}
-		res, err := RunScenario(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Nodes() != 10 || res.DeliveredBits == 0 {
-			t.Errorf("%s zero: %d nodes, %d bits delivered", tc.field, s.Nodes(), res.DeliveredBits)
-		}
-		_, serr := cfg.Scenario()
-		for _, err := range []error{cfg.Validate(), serr} {
-			var fe *FieldError
-			if !errors.As(err, &fe) || fe.Field != tc.field || err.Error() != tc.want {
-				t.Errorf("%s zero without a topology part: %v, want %q", tc.field, err, tc.want)
-			}
-		}
-	}
-}
-
-// A workload, links or churn part replaces config fields the way a
-// topology part replaces Nodes and Field: the replaced fields go
-// unchecked, so these configs build and run under the part, and fail
-// Validate and Scenario() with the same FieldError without it.
-func TestPartsIgnoreReplacedFields(t *testing.T) {
-	churn := WithChurn(ScheduledChurn(ChurnEvent{At: 10 * time.Second, Node: 0, Down: true}))
-	for _, tc := range []struct {
-		name   string
-		mutate func(*Config)
-		part   Option
-		field  string
-		want   string
-	}{
-		{"zero rate", func(c *Config) { c.Rate = 0 }, WithWorkload(CBRWorkload(2000)),
-			"Rate", "netsim: invalid Rate: non-positive rate 0 bps"},
-		{"unknown traffic", func(c *Config) { c.Traffic = 9 }, WithWorkload(CBRWorkload(2000)),
-			"Traffic", "netsim: invalid Traffic: unknown traffic model 9"},
-		{"capped poisson config", func(c *Config) { c.Traffic, c.Messages = TrafficPoisson, 5 }, WithWorkload(CBRWorkload(2000)),
-			"Messages", "netsim: invalid Messages: only CBR traffic can be capped at 5 messages"},
-		{"sensor loss 1.5", func(c *Config) { c.SensorLoss = 1.5 }, WithLinks(LinkModel{}),
-			"SensorLoss", "netsim: invalid SensorLoss: loss probability 1.5 outside [0,1)"},
-		{"wifi loss NaN", func(c *Config) { c.WifiLoss = math.NaN() }, WithLinks(LinkModel{}),
-			"WifiLoss", "netsim: invalid WifiLoss: loss probability NaN outside [0,1)"},
-		{"negative churn rate", func(c *Config) { c.ChurnRate = -1 }, churn,
-			"ChurnRate", "netsim: invalid ChurnRate: negative churn rate -1"},
-		{"infinite churn rate", func(c *Config) { c.ChurnRate = math.Inf(1) }, churn,
-			"ChurnRate", "netsim: invalid ChurnRate: non-finite churn rate +Inf"},
-		{"negative churn downtime", func(c *Config) { c.ChurnMeanDowntime = -time.Second }, churn,
-			"ChurnMeanDowntime", "netsim: invalid ChurnMeanDowntime: negative churn downtime -1s"},
-	} {
-		cfg := DefaultConfig(ModelSensor, 5, 0, 1)
-		cfg.Duration = time.Minute
-		tc.mutate(&cfg)
-		s, err := cfg.Scenario(tc.part)
-		if err != nil {
-			t.Fatalf("%s under its part: %v", tc.name, err)
-		}
-		res, err := RunScenario(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.DeliveredBits == 0 {
-			t.Errorf("%s under its part delivered nothing", tc.name)
-		}
-		_, serr := cfg.Scenario()
-		for _, err := range []error{cfg.Validate(), serr} {
-			var fe *FieldError
-			if !errors.As(err, &fe) || fe.Field != tc.field || err.Error() != tc.want {
-				t.Errorf("%s without its part: %v, want %q", tc.name, err, tc.want)
-			}
-		}
-	}
-}
-
-// The builder validates the parts and the resolved layout; scalar
-// fields are Config.Validate's (TestConfigValidate,
-// TestValidateNamesOffendingField).
+// Beyond Validate's FieldErrors (TestConfigValidate,
+// TestValidateNamesOffendingField), the builder fails only on a layout
+// that is not connected at the radio range its model routes over.
 func TestScenarioBuildValidation(t *testing.T) {
-	cases := map[string][]Option{
-		"nil topology":      {WithTopology(nil)},
-		"nil sink":          {WithSink(nil)},
-		"nil senders":       {WithSenderPolicy(nil)},
-		"one node":          {WithTopology(ExplicitTopology(topo.Position{}))},
-		"senders exceed":    {WithTopology(LinearTopology(4, 100))},
-		"sink out of range": {WithSink(SinkAt(99))},
-		"sender is sink":    {WithSink(SinkAt(3)), WithSenderPolicy(ExplicitSenders(3))},
-		"duplicate sender":  {WithSenderPolicy(ExplicitSenders(1, 1))},
-		"no senders":        {WithSenderPolicy(ExplicitSenders())},
-		"zero rate":         {WithWorkload(CBRWorkload(0))},
-		"bad per-sender rate": {WithWorkload(Workload{
-			Traffic: TrafficCBR, Rates: []units.BitRate{2000, 0}})},
-		"bad traffic":   {WithWorkload(Workload{Traffic: Traffic(9), Rate: 2000})},
-		"bad loss":      {WithLinks(LinkModel{SensorLoss: 1})},
-		"bad wifi loss": {WithLinks(LinkModel{WifiLoss: -0.1})},
-	}
-	cfg := DefaultConfig(ModelDual, 5, 100, 1)
-	for name, parts := range cases {
-		if _, err := cfg.Scenario(parts...); err == nil {
-			t.Errorf("%s: Scenario accepted invalid parts", name)
+	for name, mutate := range map[string]func(*Config){
+		"sparse line":         func(c *Config) { c.Topology, c.Field = TopoLinear, 36*41 },
+		"sparse grid":         func(c *Config) { c.Field = 300 },
+		"wifi on sparse grid": func(c *Config) { c.Model, c.Field = ModelWifi, 300 },
+	} {
+		cfg := DefaultConfig(ModelDual, 5, 100, 1)
+		mutate(&cfg)
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("%s: Validate = %v, want nil", name, err)
+		}
+		_, err := cfg.Scenario()
+		if err == nil || !strings.Contains(err.Error(), "is not connected") {
+			t.Errorf("%s: Scenario = %v, want the connectivity error", name, err)
 		}
 	}
-	// A message cap needs CBR arrivals from a workload part too, with
-	// Validate's error for a capped non-CBR config.
-	capped := cfg
-	capped.Messages = 10
-	_, err := capped.Scenario(WithWorkload(PoissonWorkload(2000)))
-	capped.Traffic = TrafficPoisson
-	if want := capped.Validate(); err == nil || want == nil || err.Error() != want.Error() {
-		t.Errorf("capped config with a Poisson part: %v, want %v", err, want)
-	}
-	// The paper's default config builds without any part.
-	s, err := cfg.Scenario()
+	// The paper's default config builds: 36 grid nodes, the sink
+	// nearest the centroid, 5 senders.
+	s, err := DefaultConfig(ModelDual, 5, 100, 1).Scenario()
 	if err != nil {
 		t.Fatalf("default scenario: %v", err)
 	}
-	if s.Nodes() != params.GridNodes || len(s.SenderIDs()) != 5 ||
-		s.TopologyKind() != TopoGrid {
-		t.Errorf("default scenario shape wrong: %d nodes, %d senders, %q",
-			s.Nodes(), len(s.SenderIDs()), s.TopologyKind())
+	if s.layout.Len() != params.GridNodes || s.sinkID != 15 || len(s.senderIDs) != 5 {
+		t.Errorf("default scenario shape wrong: %d nodes, sink %d, %d senders",
+			s.layout.Len(), s.sinkID, len(s.senderIDs))
 	}
 }
 
-func TestExplicitSendersAndSink(t *testing.T) {
-	// Config.Senders is 5, but an explicit set carries its own count.
-	s, err := scenarioConfig(ModelSensor, 5).Scenario(
-		WithSink(SinkAt(0)),
-		WithSenderPolicy(ExplicitSenders(35, 30, 5)),
-	)
+// An explicit Config.Sink moves the sink, and the stable shuffle picks
+// the senders around it.
+func TestExplicitSink(t *testing.T) {
+	cfg := scenarioConfig(ModelSensor, 5)
+	cfg.Sink = 0
+	s, err := cfg.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Sink() != 0 {
-		t.Errorf("sink = %d, want 0", s.Sink())
+	if s.sinkID != 0 {
+		t.Errorf("sink = %d, want 0", s.sinkID)
 	}
-	got := s.SenderIDs()
-	if len(got) != 3 || got[0] != 35 || got[1] != 30 || got[2] != 5 {
-		t.Errorf("senders = %v, want [35 30 5]", got)
+	if got, want := s.senderIDs, pickSenders(36, 0, 5); !reflect.DeepEqual(got, want) {
+		t.Errorf("senders = %v, want %v", got, want)
 	}
 	res, err := RunScenario(s)
 	if err != nil {
@@ -478,118 +331,12 @@ func TestExplicitSendersAndSink(t *testing.T) {
 	}
 }
 
-func TestFarthestSenders(t *testing.T) {
-	s, err := DefaultConfig(ModelDual, 4, 100, 1).Scenario(WithSenderPolicy(FarthestSenders()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every selected node must be at least as far from the sink as every
-	// unselected node, and the selection must come farthest-first.
-	got := s.SenderIDs()
-	l := s.Layout()
-	sp := l.Position(s.Sink())
-	selected := make(map[int]bool, len(got))
-	minSel := units.Meters(-1)
-	prev := units.Meters(-1)
-	for _, id := range got {
-		d := topo.Distance(l.Position(id), sp)
-		if prev >= 0 && d > prev {
-			t.Errorf("farthest senders %v not in descending distance order", got)
-		}
-		prev = d
-		if minSel < 0 || d < minSel {
-			minSel = d
-		}
-		selected[id] = true
-	}
-	for i := 0; i < l.Len(); i++ {
-		if i == s.Sink() || selected[i] {
-			continue
-		}
-		if d := topo.Distance(l.Position(i), sp); d > minSel {
-			t.Errorf("unselected node %d (d=%v) farther than selected minimum %v",
-				i, d, minSel)
-		}
-	}
-}
-
-// Heterogeneous per-sender rates tile over the sender set and shape the
-// generated volume accordingly.
-func TestHeterogeneousRates(t *testing.T) {
-	cfg := scenarioConfig(ModelSensor, 4)
-	uniform, err := cfg.Scenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mixed, err := cfg.Scenario(WithWorkload(Workload{
-		Traffic: TrafficCBR,
-		Rates:   []units.BitRate{params.HighRate, params.HighRate / 10},
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, err := RunScenario(uniform)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := RunScenario(mixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two of four senders run at a tenth the rate: generated volume must
-	// land near 55% of the homogeneous case.
-	frac := float64(m.GeneratedBits) / float64(u.GeneratedBits)
-	if frac < 0.45 || frac > 0.65 {
-		t.Errorf("mixed-rate generated fraction = %.3f, want ~0.55", frac)
-	}
-	if m.Goodput() < 0.9 {
-		t.Errorf("mixed-rate goodput = %.3f", m.Goodput())
-	}
-}
-
-// Distance-dependent loss loses more than a lossless channel and keeps
-// the run deterministic.
-func TestDistanceDependentLoss(t *testing.T) {
-	cfg := scenarioConfig(ModelSensor, 5)
-	clean, err := cfg.Scenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lossy, err := cfg.Scenario(WithLinks(LinkModel{SensorLossAt: DistanceLoss(0, 0.4, 40)}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cleanRes, err := RunScenario(clean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lossyRes, err := RunScenario(lossy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lossyRes.SensorStats.NoiseLosses == 0 {
-		t.Error("distance loss model lost nothing (grid links are at full range)")
-	}
-	if cleanRes.SensorStats.NoiseLosses != 0 {
-		t.Error("clean channel recorded noise losses")
-	}
-	if lossyRes.Goodput() > cleanRes.Goodput() {
-		t.Errorf("lossy goodput %.3f above clean %.3f",
-			lossyRes.Goodput(), cleanRes.Goodput())
-	}
-	again, err := RunScenario(lossy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fingerprint(t, again) != fingerprint(t, lossyRes) {
-		t.Error("distance-loss run not deterministic")
-	}
-}
-
 func TestRunScenarioMany(t *testing.T) {
 	cfg := shortConfig(ModelDual, 5, 100, 1)
 	cfg.Duration = 100 * time.Second
-	s, err := cfg.Scenario(WithChurn(RandomChurn(20, 10*time.Second, 7)))
+	cfg.ChurnRate = 20
+	cfg.ChurnMeanDowntime = 10 * time.Second
+	s, err := cfg.Scenario()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -601,13 +348,16 @@ func TestRunScenarioMany(t *testing.T) {
 		t.Fatalf("got %d results", len(results))
 	}
 	for r := range results {
-		rep, err := s.withSeed(10 + int64(r))
+		rep := s.withSeed(10 + int64(r))
+		// Each repetition draws the churn its seed's config draws.
+		c := cfg
+		c.Seed = 10 + int64(r)
+		fresh, err := c.Scenario()
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A churn part keeps its schedule across repetitions.
-		if !reflect.DeepEqual(rep.ChurnEvents(), s.ChurnEvents()) {
-			t.Errorf("rep %d: churn part's schedule changed with the run seed", r)
+		if !reflect.DeepEqual(rep.churnEvents, fresh.churnEvents) {
+			t.Errorf("rep %d: churn schedule differs from its seed's config", r)
 		}
 		res, err := RunScenario(rep)
 		if err != nil {

@@ -25,13 +25,6 @@ type Config struct {
 	// LossProb is an independent corruption probability applied to every
 	// frame reception (channel noise, in addition to collisions).
 	LossProb float64
-	// LossAt, when non-nil, replaces LossProb with a per-link loss
-	// probability computed from the transmitter-receiver distance
-	// (e.g. path-loss-shaped noise), clamped to [0, 1]. It must be a
-	// pure function of distance: it is evaluated lazily per reception
-	// (never as a dense per-pair table, which would be O(N^2) memory),
-	// so a stateful model would break run determinism.
-	LossAt func(d units.Meters) float64
 	// WakeupLatency is the Off -> usable transition time applied by
 	// PowerOn. Zero means instant.
 	WakeupLatency time.Duration
@@ -133,23 +126,6 @@ func NewChannel(sched *sim.Scheduler, cfg Config, layout *topo.Layout) (*Channel
 		headerCharge: cfg.Profile.Rx.Over(cfg.Profile.Rate.TimeFor(cfg.HeaderSize)),
 		rng:          sched.Rand(),
 	}, nil
-}
-
-// lossProb returns the noise-loss probability of the src->dst link:
-// the distance model evaluated on the link length when configured
-// (clamped to [0, 1]), the flat LossProb otherwise.
-func (c *Channel) lossProb(src, dst NodeID) float64 {
-	if c.cfg.LossAt == nil {
-		return c.cfg.LossProb
-	}
-	p := c.cfg.LossAt(topo.Distance(c.layout.Position(int(src)), c.layout.Position(int(dst))))
-	if p < 0 {
-		return 0
-	}
-	if p > 1 {
-		return 1
-	}
-	return p
 }
 
 // neighborsOf returns node id's sorted in-range neighbor row, resolving

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"bulktx/internal/energy"
-	"bulktx/internal/units"
 )
 
 func TestFailedTransceiverIsSilent(t *testing.T) {
@@ -126,71 +125,5 @@ func TestFailureDuringWakeResumesOnRecovery(t *testing.T) {
 	sched.Run()
 	if xs2.On() || xs2.Waking() {
 		t.Error("PowerOff during outage did not cancel the reboot wake")
-	}
-}
-
-func TestDistanceDependentLinkLoss(t *testing.T) {
-	// Loss 1 beyond 25 m: the 30 m line neighbors lose every frame while
-	// a 0-loss floor would deliver.
-	sched, ch, xs := testNet(t, 2, func(c *Config) {
-		c.LossAt = func(d units.Meters) float64 {
-			if d > 25 {
-				return 1
-			}
-			return 0
-		}
-	})
-	var got int
-	xs[1].SetOnReceive(func(Frame) { got++ })
-	if err := xs[0].Transmit(Frame{Kind: KindData, Dst: 1, Size: 43}); err != nil {
-		t.Fatal(err)
-	}
-	sched.Run()
-	if got != 0 {
-		t.Error("fully lossy link delivered")
-	}
-	if st := ch.Stats(); st.NoiseLosses != 1 {
-		t.Errorf("stats = %+v, want 1 noise loss", st)
-	}
-
-	// Same geometry with the cliff beyond the link distance: delivers.
-	sched2, ch2, xs2 := testNet(t, 2, func(c *Config) {
-		c.LossAt = func(d units.Meters) float64 {
-			if d > 35 {
-				return 1
-			}
-			return 0
-		}
-	})
-	got2 := 0
-	xs2[1].SetOnReceive(func(Frame) { got2++ })
-	if err := xs2[0].Transmit(Frame{Kind: KindData, Dst: 1, Size: 43}); err != nil {
-		t.Fatal(err)
-	}
-	sched2.Run()
-	if got2 != 1 {
-		t.Errorf("clean short link delivered %d frames, want 1", got2)
-	}
-	if st := ch2.Stats(); st.NoiseLosses != 0 {
-		t.Errorf("stats = %+v, want 0 noise losses", st)
-	}
-}
-
-func TestPairLossClamping(t *testing.T) {
-	// Out-of-range model outputs clamp to [0, 1] instead of corrupting
-	// the probability draw.
-	_, ch, _ := testNet(t, 3, func(c *Config) {
-		c.LossAt = func(d units.Meters) float64 {
-			if d < 35 {
-				return -2 // clamps to 0
-			}
-			return 7 // clamps to 1
-		}
-	})
-	if p := ch.lossProb(0, 1); p != 0 {
-		t.Errorf("lossProb(0,1) = %v, want 0 (clamped)", p)
-	}
-	if p := ch.lossProb(0, 2); p != 1 {
-		t.Errorf("lossProb(0,2) = %v, want 1 (clamped)", p)
 	}
 }

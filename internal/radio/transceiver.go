@@ -380,7 +380,7 @@ func (t *Transceiver) endReception(r *reception, f *Frame) {
 		t.ch.stats.Collisions++
 		return
 	}
-	if p := t.ch.lossProb(f.Src, t.id); p > 0 && t.ch.rng.Float64() < p {
+	if p := t.ch.cfg.LossProb; p > 0 && t.ch.rng.Float64() < p {
 		t.ch.stats.NoiseLosses++
 		return
 	}

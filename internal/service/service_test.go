@@ -322,6 +322,7 @@ func TestMalformedSpecs(t *testing.T) {
 		{"bad-topology", "/v1/runs", `{"topology": "torus"}`, "topologies"},
 		{"bad-senders", "/v1/runs", `{"senders": 99}`, "Senders"},
 		{"bad-loss", "/v1/runs", `{"sensor_loss": 2.0}`, "SensorLoss"},
+		{"too-many-clusters", "/v1/runs", `{"topology":"clustered","clusters":50}`, "Clusters"},
 		{"negative-linger", "/v1/sweeps", `{"post_burst_linger_ms": -5}`, "PostBurstLinger"},
 	}
 	for _, tc := range cases {
