@@ -7,32 +7,30 @@ import (
 	"path/filepath"
 	"testing"
 
-	"bulktx/internal/metrics"
 	"bulktx/internal/netsim"
 	"bulktx/internal/sweep"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// TestPrototypeGolden pins the rendered Figure 11 and 12 tables byte for
-// byte, so any change to how the prototype runs are built or charged
+// TestPrototypeGolden pins every simulated experiment's rendered table
+// at tinyScale byte for byte (Figures 11 and 12 ignore the scale), so
+// any change to how a grid's runs are built, charged or summarized
 // shows up as a diff. Regenerate with `go test ./internal/experiments
 // -run PrototypeGolden -update` after an intentional change.
 func TestPrototypeGolden(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		fig  func() (metrics.Table, error)
-	}{
-		{"fig11", Fig11},
-		{"fig12", Fig12},
+	for _, name := range []string{
+		"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
+		"ablation-shortcut", "ablation-linger", "ablation-mingrant", "ablation-loss",
+		"ablation-adaptive", "ablation-delaybound", "ablation-topology", "ablation-churn",
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			tbl, err := tc.fig()
+		t.Run(name, func(t *testing.T) {
+			tbl, err := Run(name, tinyScale())
 			if err != nil {
 				t.Fatal(err)
 			}
 			got := []byte(tbl.Render())
-			golden := filepath.Join("testdata", tc.name+".golden")
+			golden := filepath.Join("testdata", name+".golden")
 			if *update {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)
@@ -47,7 +45,7 @@ func TestPrototypeGolden(t *testing.T) {
 			}
 			if !bytes.Equal(got, want) {
 				t.Errorf("%s drifted from %s (run with -update if intentional)\ngot:\n%s\nwant:\n%s",
-					tc.name, golden, got, want)
+					name, golden, got, want)
 			}
 		})
 	}
