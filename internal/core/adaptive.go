@@ -19,7 +19,7 @@ import (
 // quality. Called after each completed burst when the extension is
 // enabled.
 func (a *Agent) adaptThreshold() {
-	if !a.cfg.AdaptiveThreshold {
+	if a.cfg.ThresholdAlpha <= 0 {
 		return
 	}
 	low := a.sensor.Transceiver().Channel().Config().Profile

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -35,7 +36,6 @@ func TestAdaptiveThresholdConverges(t *testing.T) {
 		nodes:        2,
 		burstPackets: 100, // deliberately far from alpha*s*
 		cfgMut: func(i int, c *Config) {
-			c.AdaptiveThreshold = true
 			c.ThresholdAlpha = 2
 		},
 	})
@@ -72,7 +72,6 @@ func adaptedThreshold(t *testing.T, wifiLoss float64) units.ByteSize {
 		burstPackets: 50,
 		wifiLoss:     wifiLoss,
 		cfgMut: func(i int, c *Config) {
-			c.AdaptiveThreshold = true
 			c.ThresholdAlpha = 1
 		},
 	})
@@ -185,9 +184,11 @@ func TestDelayBoundStillBulksAboveThreshold(t *testing.T) {
 
 func TestAdaptiveConfigValidation(t *testing.T) {
 	c := DefaultConfig(0, 10)
-	c.AdaptiveThreshold = true
-	if err := c.Validate(); err == nil {
-		t.Error("adaptive without alpha accepted")
+	for _, alpha := range []float64{-1, math.NaN(), math.Inf(1)} {
+		c.ThresholdAlpha = alpha
+		if err := c.Validate(); err == nil {
+			t.Errorf("adaptive alpha %v accepted", alpha)
+		}
 	}
 	c.ThresholdAlpha = 1.5
 	if err := c.Validate(); err != nil {
@@ -202,7 +203,7 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 // Sanity: params referenced by the extensions stay consistent.
 func TestExtensionDefaultsOff(t *testing.T) {
 	c := DefaultConfig(0, 10)
-	if c.AdaptiveThreshold || c.DelayBound != 0 {
+	if c.ThresholdAlpha != 0 || c.DelayBound != 0 {
 		t.Error("extensions enabled by default")
 	}
 	_ = params.BurstSizes

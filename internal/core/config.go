@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"bulktx/internal/params"
@@ -57,14 +58,11 @@ type Config struct {
 	// sending." When positive, grants below MinGrant abort the attempt.
 	MinGrant units.ByteSize
 
-	// AdaptiveThreshold enables the paper's stated future work: after
-	// each burst the threshold is recomputed as ThresholdAlpha times the
-	// break-even size solved with the *observed* retransmission factors
-	// of both links.
-	AdaptiveThreshold bool
-
-	// ThresholdAlpha is the alpha multiplier applied to the recomputed
-	// s* (must be positive when AdaptiveThreshold is set).
+	// ThresholdAlpha, when positive, enables the paper's stated future
+	// work: after each burst the threshold is recomputed as
+	// ThresholdAlpha times the break-even size solved with the *observed*
+	// retransmission factors of both links. Zero keeps the static
+	// threshold.
 	ThresholdAlpha float64
 
 	// DelayBound enables the paper's second stated future work: packets
@@ -118,9 +116,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: negative post-burst linger")
 	case c.MinGrant < 0:
 		return fmt.Errorf("core: negative minimum grant")
-	case c.AdaptiveThreshold && c.ThresholdAlpha <= 0:
-		return fmt.Errorf("core: adaptive threshold needs positive alpha, got %v",
-			c.ThresholdAlpha)
+	case !(c.ThresholdAlpha >= 0) || math.IsInf(c.ThresholdAlpha, 1):
+		return fmt.Errorf("core: adaptive alpha %v must be finite and non-negative", c.ThresholdAlpha)
 	case c.DelayBound < 0:
 		return fmt.Errorf("core: negative delay bound")
 	}

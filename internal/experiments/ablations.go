@@ -8,11 +8,11 @@ import (
 	"bulktx/internal/netsim"
 )
 
-// Ablations probe the design choices DESIGN.md calls out. They are not
-// paper artifacts but sensitivity studies around them. Each ablation
-// compiles its whole configuration list up front and executes it as a
-// single batch on the shared sweep engine, so the cells run in
-// parallel and repeat runs hit the cache.
+// Ablations probe the protocol's design choices and the paper's open
+// extensions. They are not paper artifacts but sensitivity studies
+// around them. Each ablation builds its curves up front and runs them
+// as one grid (Scale.grid) on the shared sweep engine, so the cells run
+// in parallel and repeat runs hit the cache.
 
 // AblationShortcut compares the multi-hop dual model routing bursts over
 // a wifi tree (the evaluation default) against sensor-tree next hops
@@ -23,33 +23,15 @@ func AblationShortcut(s Scale) (metrics.Table, error) {
 		XLabel: "senders",
 		YLabel: "normalized energy (J/Kbit)",
 	}
-	learners := []bool{false, true}
-	var cfgs []netsim.Config
-	for _, learner := range learners {
-		for _, n := range s.Senders {
-			cfg := s.baseConfig(MultiHop, netsim.ModelDual, n, 100)
-			cfg.UseShortcutLearner = learner
-			cfgs = append(cfgs, cfg)
+	var curves [][]netsim.Config
+	for _, learner := range []bool{false, true} {
+		curve := s.senderCurve(MultiHop, netsim.ModelDual, 100)
+		for i := range curve {
+			curve[i].UseShortcutLearner = learner
 		}
+		curves = append(curves, curve)
 	}
-	groups, err := engine.Grid(cfgs, s.Runs, s.BaseSeed)
-	if err != nil {
-		return tbl, err
-	}
-	for i, learner := range learners {
-		label := "wifi-tree"
-		if learner {
-			label = "shortcut-learner"
-		}
-		series := metrics.Series{Label: label}
-		for j, n := range s.Senders {
-			_, e, _, _ := netsim.Summaries(groups[i*len(s.Senders)+j])
-			series.X = append(series.X, float64(n))
-			series.Y = append(series.Y, e)
-		}
-		tbl.Series = append(tbl.Series, series)
-	}
-	return tbl, nil
+	return s.plot(tbl, []string{"wifi-tree", "shortcut-learner"}, s.senderXs(), normEnergy, curves...)
 }
 
 // AblationLinger sweeps the post-burst idle linger (Figure 4's "idle"
@@ -64,24 +46,14 @@ func AblationLinger(s Scale) (metrics.Table, error) {
 	lingers := []time.Duration{
 		0, 10 * time.Millisecond, 100 * time.Millisecond, time.Second,
 	}
-	var cfgs []netsim.Config
-	for _, linger := range lingers {
-		cfg := s.baseConfig(SingleHop, netsim.ModelDual, 15, 500)
-		cfg.PostBurstLinger = linger
-		cfgs = append(cfgs, cfg)
-	}
-	groups, err := engine.Grid(cfgs, s.Runs, s.BaseSeed)
-	if err != nil {
-		return tbl, err
-	}
-	series := metrics.Series{Label: "DualRadio-500"}
+	curve := make([]netsim.Config, len(lingers))
+	xs := make([]float64, len(lingers))
 	for i, linger := range lingers {
-		_, e, _, _ := netsim.Summaries(groups[i])
-		series.X = append(series.X, float64(linger.Milliseconds()))
-		series.Y = append(series.Y, e)
+		curve[i] = s.baseConfig(SingleHop, netsim.ModelDual, 15, 500)
+		curve[i].PostBurstLinger = linger
+		xs[i] = float64(linger.Milliseconds())
 	}
-	tbl.Series = append(tbl.Series, series)
-	return tbl, nil
+	return s.plot(tbl, []string{"DualRadio-500"}, xs, normEnergy, curve)
 }
 
 // AblationMinGrant evaluates the paper's unevaluated extension: senders
@@ -92,33 +64,17 @@ func AblationMinGrant(s Scale) (metrics.Table, error) {
 		XLabel: "senders",
 		YLabel: "goodput",
 	}
-	minGrants := []int{0, 40}
-	var cfgs []netsim.Config
-	for _, minGrant := range minGrants {
-		for _, n := range s.Senders {
-			cfg := s.baseConfig(SingleHop, netsim.ModelDual, n, 500)
-			cfg.MinGrantPackets = minGrant
-			cfgs = append(cfgs, cfg)
+	const declineBelow = 40
+	var curves [][]netsim.Config
+	for _, minGrant := range []int{0, declineBelow} {
+		curve := s.senderCurve(SingleHop, netsim.ModelDual, 500)
+		for i := range curve {
+			curve[i].MinGrantPackets = minGrant
 		}
+		curves = append(curves, curve)
 	}
-	groups, err := engine.Grid(cfgs, s.Runs, s.BaseSeed)
-	if err != nil {
-		return tbl, err
-	}
-	for i, minGrant := range minGrants {
-		label := "accept-any-grant"
-		if minGrant > 0 {
-			label = fmt.Sprintf("decline-below-%d", minGrant)
-		}
-		series := metrics.Series{Label: label}
-		for j, n := range s.Senders {
-			g, _, _, _ := netsim.Summaries(groups[i*len(s.Senders)+j])
-			series.X = append(series.X, float64(n))
-			series.Y = append(series.Y, g)
-		}
-		tbl.Series = append(tbl.Series, series)
-	}
-	return tbl, nil
+	labels := []string{"accept-any-grant", fmt.Sprintf("decline-below-%d", declineBelow)}
+	return s.plot(tbl, labels, s.senderXs(), goodput, curves...)
 }
 
 // AblationAdaptive compares static burst thresholds against the adaptive
@@ -131,35 +87,21 @@ func AblationAdaptive(s Scale) (metrics.Table, error) {
 		XLabel: "wifi loss",
 		YLabel: "normalized energy (J/Kbit)",
 	}
-	alphas := []float64{0, 2}
+	const adaptiveAlpha = 2.0
 	losses := []float64{0, 0.1, 0.3}
-	var cfgs []netsim.Config
-	for _, alpha := range alphas {
+	var curves [][]netsim.Config
+	for _, alpha := range []float64{0, adaptiveAlpha} {
+		var curve []netsim.Config
 		for _, loss := range losses {
 			cfg := s.baseConfig(SingleHop, netsim.ModelDual, 15, 500)
 			cfg.WifiLoss = loss
 			cfg.AdaptiveThresholdAlpha = alpha
-			cfgs = append(cfgs, cfg)
+			curve = append(curve, cfg)
 		}
+		curves = append(curves, curve)
 	}
-	groups, err := engine.Grid(cfgs, s.Runs, s.BaseSeed)
-	if err != nil {
-		return tbl, err
-	}
-	for i, alpha := range alphas {
-		label := "static-500"
-		if alpha > 0 {
-			label = fmt.Sprintf("adaptive-alpha-%g", alpha)
-		}
-		series := metrics.Series{Label: label}
-		for j, loss := range losses {
-			_, e, _, _ := netsim.Summaries(groups[i*len(losses)+j])
-			series.X = append(series.X, loss)
-			series.Y = append(series.Y, e)
-		}
-		tbl.Series = append(tbl.Series, series)
-	}
-	return tbl, nil
+	labels := []string{"static-500", fmt.Sprintf("adaptive-alpha-%g", adaptiveAlpha)}
+	return s.plot(tbl, labels, losses, normEnergy, curves...)
 }
 
 // AblationDelayBound measures the delay-constrained extension (paper
@@ -174,27 +116,22 @@ func AblationDelayBound(s Scale) (metrics.Table, error) {
 	bounds := []time.Duration{
 		0, 60 * time.Second, 20 * time.Second, 5 * time.Second,
 	}
-	var cfgs []netsim.Config
-	for _, bound := range bounds {
-		cfg := s.baseConfig(SingleHop, netsim.ModelDual, 5, 1000)
-		cfg.DelayBound = bound
-		cfgs = append(cfgs, cfg)
+	curve := make([]netsim.Config, len(bounds))
+	xs := make([]float64, len(bounds))
+	for i, bound := range bounds {
+		curve[i] = s.baseConfig(SingleHop, netsim.ModelDual, 5, 1000)
+		curve[i].DelayBound = bound
+		xs[i] = bound.Seconds()
 	}
-	groups, err := engine.Grid(cfgs, s.Runs, s.BaseSeed)
+	cells, err := s.grid(curve)
 	if err != nil {
 		return tbl, err
 	}
-	energySeries := metrics.Series{Label: "energy"}
-	delaySeries := metrics.Series{Label: "mean-delay(s)"}
-	for i, bound := range bounds {
-		_, e, _, d := netsim.Summaries(groups[i])
-		x := bound.Seconds()
-		energySeries.X = append(energySeries.X, x)
-		energySeries.Y = append(energySeries.Y, e)
-		delaySeries.X = append(delaySeries.X, x)
-		delaySeries.Y = append(delaySeries.Y, point(d.Seconds()))
+	meanDelay := func(c cell) metrics.Summary { return point(c.MeanDelay.Seconds()) }
+	tbl.Series = []metrics.Series{
+		series("energy", xs, cells[0], normEnergy),
+		series("mean-delay(s)", xs, cells[0], meanDelay),
 	}
-	tbl.Series = append(tbl.Series, energySeries, delaySeries)
 	return tbl, nil
 }
 
@@ -207,24 +144,12 @@ func AblationLoss(s Scale) (metrics.Table, error) {
 		YLabel: "goodput",
 	}
 	losses := []float64{0, 0.1, 0.2, 0.4}
-	var cfgs []netsim.Config
-	for _, loss := range losses {
-		cfg := s.baseConfig(SingleHop, netsim.ModelDual, 15, 100)
-		cfg.SensorLoss = loss
-		cfgs = append(cfgs, cfg)
-	}
-	groups, err := engine.Grid(cfgs, s.Runs, s.BaseSeed)
-	if err != nil {
-		return tbl, err
-	}
-	series := metrics.Series{Label: "DualRadio-100"}
+	curve := make([]netsim.Config, len(losses))
 	for i, loss := range losses {
-		g, _, _, _ := netsim.Summaries(groups[i])
-		series.X = append(series.X, loss)
-		series.Y = append(series.Y, g)
+		curve[i] = s.baseConfig(SingleHop, netsim.ModelDual, 15, 100)
+		curve[i].SensorLoss = loss
 	}
-	tbl.Series = append(tbl.Series, series)
-	return tbl, nil
+	return s.plot(tbl, []string{"DualRadio-100"}, losses, goodput, curve)
 }
 
 // AblationTopology re-asks the paper's central energy question on every
@@ -237,37 +162,24 @@ func AblationTopology(s Scale) (metrics.Table, error) {
 		YLabel: "normalized energy (J/Kbit)",
 	}
 	topologies := []string{netsim.TopoGrid, netsim.TopoClustered, netsim.TopoLinear}
-	var cfgs []netsim.Config
+	var curves [][]netsim.Config
 	for _, topol := range topologies {
-		for _, n := range s.Senders {
-			cfg := s.baseConfig(SingleHop, netsim.ModelDual, n, 500)
+		curve := s.senderCurve(SingleHop, netsim.ModelDual, 500)
+		for i := range curve {
 			// Grid cells keep the default empty topology (and no
 			// placement seed) so their cache keys coincide with the
 			// default-grid runs every other figure already produces.
 			if topol != netsim.TopoGrid {
-				cfg.Topology = topol
+				curve[i].Topology = topol
 			}
 			if topol == netsim.TopoClustered {
 				// Placement fixed across seeds and sender counts.
-				cfg.TopologySeed = 1
+				curve[i].TopologySeed = 1
 			}
-			cfgs = append(cfgs, cfg)
 		}
+		curves = append(curves, curve)
 	}
-	groups, err := engine.Grid(cfgs, s.Runs, s.BaseSeed)
-	if err != nil {
-		return tbl, err
-	}
-	for i, topol := range topologies {
-		series := metrics.Series{Label: topol}
-		for j, n := range s.Senders {
-			_, e, _, _ := netsim.Summaries(groups[i*len(s.Senders)+j])
-			series.X = append(series.X, float64(n))
-			series.Y = append(series.Y, e)
-		}
-		tbl.Series = append(tbl.Series, series)
-	}
-	return tbl, nil
+	return s.plot(tbl, topologies, s.senderXs(), normEnergy, curves...)
 }
 
 // AblationChurn sweeps the node failure rate: goodput degrades
@@ -280,23 +192,11 @@ func AblationChurn(s Scale) (metrics.Table, error) {
 		YLabel: "goodput",
 	}
 	rates := []float64{0, 1, 2, 4, 8}
-	var cfgs []netsim.Config
-	for _, rate := range rates {
-		cfg := s.baseConfig(SingleHop, netsim.ModelDual, 15, 100)
-		cfg.ChurnRate = rate
-		cfg.ChurnMeanDowntime = 30 * time.Second
-		cfgs = append(cfgs, cfg)
-	}
-	groups, err := engine.Grid(cfgs, s.Runs, s.BaseSeed)
-	if err != nil {
-		return tbl, err
-	}
-	series := metrics.Series{Label: "DualRadio-100"}
+	curve := make([]netsim.Config, len(rates))
 	for i, rate := range rates {
-		g, _, _, _ := netsim.Summaries(groups[i])
-		series.X = append(series.X, rate)
-		series.Y = append(series.Y, g)
+		curve[i] = s.baseConfig(SingleHop, netsim.ModelDual, 15, 100)
+		curve[i].ChurnRate = rate
+		curve[i].ChurnMeanDowntime = 30 * time.Second
 	}
-	tbl.Series = append(tbl.Series, series)
-	return tbl, nil
+	return s.plot(tbl, []string{"DualRadio-100"}, rates, goodput, curve)
 }

@@ -3,11 +3,16 @@
 // paper's curves; cmd/bcp-experiments prints them and bench_test.go
 // measures their regeneration cost.
 //
-// Analytic artifacts (Table 1, Figures 1-4) come from internal/analysis;
-// simulation artifacts (Figures 5-10) from internal/netsim; prototype
-// artifacts (Figures 11-12) from netsim.PrototypeConfig's finite
-// transfers, charged by the radios' meters (a replay test checks that
-// a traced run's state transitions reproduce those meters).
+// Analytic artifacts (Table 1, Figures 1-4) come from internal/analysis.
+// Every simulated artifact (Figures 5-10, the prototype Figures 11-12
+// and the ablations) builds a list of curves, each a list of
+// netsim.Config, and runs it through one helper, Scale.grid, as a
+// single batch on the shared sweep engine; the runner only maps the
+// summarized cells to series. The prototype configs are
+// netsim.PrototypeConfig's finite transfers, charged by the radios'
+// meters (a replay test checks that a traced run's state transitions
+// reproduce those meters). testdata/<name>.golden pins every simulated
+// table at a tiny scale.
 package experiments
 
 import (

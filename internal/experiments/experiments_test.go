@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"bulktx/internal/metrics"
+	"bulktx/internal/netsim"
 	"bulktx/internal/params"
+	"bulktx/internal/sweep"
 )
 
 // tinyScale keeps simulation experiments to fractions of a second.
@@ -28,14 +31,19 @@ func TestRegistryComplete(t *testing.T) {
 		"table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
 		"fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
 	}
-	reg := Registry()
 	for _, name := range want {
-		if _, ok := reg[name]; !ok {
+		if _, ok := lookup(name); !ok {
 			t.Errorf("registry missing paper artifact %q", name)
 		}
 	}
-	if len(Names()) != len(reg) {
-		t.Errorf("Names() length %d != registry %d", len(Names()), len(reg))
+	names := Names()
+	if !slices.IsSorted(names) || len(slices.Compact(slices.Clone(names))) != len(registry) {
+		t.Errorf("Names() = %v, want the %d registry names sorted and unique", names, len(registry))
+	}
+	for _, name := range names {
+		if Describe(name) == "" {
+			t.Errorf("%s has no description", name)
+		}
 	}
 }
 
@@ -202,5 +210,64 @@ func TestAblations(t *testing.T) {
 func TestCaseString(t *testing.T) {
 	if SingleHop.String() != "SH" || MultiHop.String() != "MH" {
 		t.Error("case names wrong")
+	}
+}
+
+// TestFiguresShareCells runs each case's figures on a fresh engine: the
+// goodput figure simulates the dual grid and both baselines, and the
+// energy and delay figures add no cache entry. Those cells are exactly
+// the jobs a sweep.Spec over the same axes compiles, so a cache that
+// bcp-sweep filled serves the figures too.
+func TestFiguresShareCells(t *testing.T) {
+	old := engine
+	defer func() { engine = old }()
+	sc := tinyScale()
+	for _, tc := range []struct {
+		c     Case
+		first Runner
+		rest  []Runner
+	}{
+		{SingleHop, Fig5, []Runner{Fig6, Fig7}},
+		{MultiHop, Fig8, []Runner{Fig9, Fig10}},
+	} {
+		cache := sweep.NewCache()
+		ConfigureEngine(2, cache)
+		if _, err := tc.first(sc); err != nil {
+			t.Fatal(err)
+		}
+		entries := cache.Stats().Entries
+		for _, fig := range tc.rest {
+			if _, err := fig(sc); err != nil {
+				t.Fatal(err)
+			}
+			if n := cache.Stats().Entries; n != entries {
+				t.Errorf("%v: a sibling figure grew the cache from %d to %d entries", tc.c, entries, n)
+			}
+		}
+		base := sc.baseConfig(tc.c, netsim.ModelDual, sc.Senders[0], sc.Bursts[0])
+		var jobs []sweep.Job
+		for _, spec := range []sweep.Spec{
+			{Base: base, Senders: sc.Senders, Bursts: sc.Bursts, Runs: sc.Runs, BaseSeed: sc.BaseSeed},
+			{Base: base, Models: []netsim.Model{netsim.ModelSensor, netsim.ModelWifi},
+				Senders: sc.Senders, Runs: sc.Runs, BaseSeed: sc.BaseSeed},
+		} {
+			js, err := spec.Jobs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs = append(jobs, js...)
+		}
+		if entries != len(jobs) {
+			t.Errorf("%v: figures simulated %d cells, the spec grid has %d", tc.c, entries, len(jobs))
+		}
+		for _, job := range jobs {
+			key, err := sweep.Key(job.Config)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := cache.Get(key); !ok {
+				t.Errorf("%v: spec cell %v rep %d not among the figures' cells", tc.c, job.Point, job.Rep)
+			}
+		}
 	}
 }

@@ -24,26 +24,22 @@ func prototypeThresholds() []units.ByteSize {
 	return out
 }
 
-// prototypeRuns simulates Figures 11-12's transfers as one batch on the
-// shared engine: the dual model at every threshold, then the sensor
-// baseline. The baseline's config does not depend on the threshold, so
-// the batch is one cell longer than the sweep, and whichever figure
-// runs second finds every cell cached.
-func prototypeRuns() (dual []netsim.Result, sensor netsim.Result, err error) {
-	ths := prototypeThresholds()
-	cfgs := make([]netsim.Config, 0, len(ths)+1)
-	for _, th := range ths {
-		cfgs = append(cfgs, netsim.PrototypeConfig(netsim.ModelDual, th, prototypeMessages, prototypeInterval))
+// prototypeCells simulates Figures 11-12's transfers as one batch on
+// the shared engine: one run of the dual model at every threshold, and
+// one of the sensor baseline. The baseline's config does not depend on
+// the threshold, so the batch is one cell longer than the sweep, and
+// whichever figure runs second finds every cell cached.
+func prototypeCells() (dual []cell, sensor cell, err error) {
+	var curve []netsim.Config
+	for _, th := range prototypeThresholds() {
+		curve = append(curve, netsim.PrototypeConfig(netsim.ModelDual, th, prototypeMessages, prototypeInterval))
 	}
-	cfgs = append(cfgs, netsim.PrototypeConfig(netsim.ModelSensor, 0, prototypeMessages, prototypeInterval))
-	groups, err := engine.Grid(cfgs, 1, cfgs[0].Seed)
+	base := netsim.PrototypeConfig(netsim.ModelSensor, 0, prototypeMessages, prototypeInterval)
+	cells, err := Scale{Runs: 1, BaseSeed: base.Seed}.grid(curve, []netsim.Config{base})
 	if err != nil {
-		return nil, netsim.Result{}, err
+		return nil, cell{}, err
 	}
-	for _, g := range groups[:len(ths)] {
-		dual = append(dual, g[0])
-	}
-	return dual, groups[len(ths)][0], nil
+	return cells[0], cells[1][0], nil
 }
 
 // Fig11 reproduces Figure 11: prototype energy per packet vs threshold
@@ -54,21 +50,20 @@ func Fig11() (metrics.Table, error) {
 		XLabel: "threshold(B)",
 		YLabel: "energy per packet (uJ)",
 	}
-	dualRuns, sensorRun, err := prototypeRuns()
+	dual, sensor, err := prototypeCells()
 	if err != nil {
 		return tbl, err
 	}
-	dual := metrics.Series{Label: "Dual-Radio"}
-	sensor := metrics.Series{Label: "Sensor Radio"}
-	baseline := point(sensorRun.EnergyPerPacket().Microjoules())
-	for i, th := range prototypeThresholds() {
-		x := float64(th)
-		dual.X = append(dual.X, x)
-		dual.Y = append(dual.Y, point(dualRuns[i].EnergyPerPacket().Microjoules()))
-		sensor.X = append(sensor.X, x)
-		sensor.Y = append(sensor.Y, baseline)
+	var xs []float64
+	for _, th := range prototypeThresholds() {
+		xs = append(xs, float64(th))
 	}
-	tbl.Series = append(tbl.Series, dual, sensor)
+	flat := metrics.Series{Label: "Sensor Radio", X: xs}
+	for range xs {
+		flat.Y = append(flat.Y, sensor.PerPacket)
+	}
+	perPacket := func(c cell) metrics.Summary { return c.PerPacket }
+	tbl.Series = []metrics.Series{series("Dual-Radio", xs, dual, perPacket), flat}
 	return tbl, nil
 }
 
@@ -80,15 +75,15 @@ func Fig12() (metrics.Table, error) {
 		XLabel: "delay(ms)",
 		YLabel: "energy per packet (uJ)",
 	}
-	dualRuns, _, err := prototypeRuns()
+	dual, _, err := prototypeCells()
 	if err != nil {
 		return tbl, err
 	}
-	series := metrics.Series{Label: "Dual-Radio"}
-	for _, res := range dualRuns {
-		series.X = append(series.X, float64(res.MeanDelay().Milliseconds()))
-		series.Y = append(series.Y, point(res.EnergyPerPacket().Microjoules()))
+	line := metrics.Series{Label: "Dual-Radio"}
+	for _, c := range dual {
+		line.X = append(line.X, float64(c.MeanDelay.Milliseconds()))
+		line.Y = append(line.Y, c.PerPacket)
 	}
-	tbl.Series = append(tbl.Series, series)
+	tbl.Series = append(tbl.Series, line)
 	return tbl, nil
 }

@@ -7,7 +7,6 @@ import (
 	"bulktx/internal/metrics"
 	"bulktx/internal/netsim"
 	"bulktx/internal/params"
-	"bulktx/internal/sweep"
 	"bulktx/internal/units"
 )
 
@@ -96,71 +95,45 @@ func (s Scale) baseConfig(c Case, model netsim.Model, senders, burst int) netsim
 	return cfg
 }
 
-// sweepResult holds the summarized metrics of one (model, senders, burst)
-// cell.
-type sweepResult struct {
-	goodput metrics.Summary
-	normE   metrics.Summary
-	idealE  metrics.Summary
-	delay   time.Duration
-}
-
-func summarize(results []netsim.Result) sweepResult {
-	g, e, ie, d := netsim.Summaries(results)
-	return sweepResult{goodput: g, normE: e, idealE: ie, delay: d}
-}
-
-// dualSpec declares the figure's dual-radio grid: senders x bursts x
-// seeds at the case's scenario.
-func (s Scale) dualSpec(c Case) sweep.Spec {
-	return sweep.Spec{
-		Base:     s.baseConfig(c, netsim.ModelDual, s.Senders[0], s.Bursts[0]),
-		Senders:  s.Senders,
-		Bursts:   s.Bursts,
-		Runs:     s.Runs,
-		BaseSeed: s.BaseSeed,
+// senderCurve is one curve over the scale's sender counts: the case's
+// scenario under a model at a burst size.
+func (s Scale) senderCurve(c Case, model netsim.Model, burst int) []netsim.Config {
+	curve := make([]netsim.Config, len(s.Senders))
+	for i, n := range s.Senders {
+		curve[i] = s.baseConfig(c, model, n, burst)
 	}
+	return curve
 }
 
-// baselineSpec declares the baseline-model curves (burst axis
-// collapses for non-dual models).
-func (s Scale) baselineSpec(c Case, models ...netsim.Model) sweep.Spec {
-	return sweep.Spec{
-		Base:     s.baseConfig(c, models[0], s.Senders[0], 0),
-		Models:   models,
-		Senders:  s.Senders,
-		Runs:     s.Runs,
-		BaseSeed: s.BaseSeed,
+// senderXs are the scale's sender counts as x positions.
+func (s Scale) senderXs() []float64 {
+	xs := make([]float64, len(s.Senders))
+	for i, n := range s.Senders {
+		xs[i] = float64(n)
 	}
+	return xs
 }
 
-// gridOutcome batches the dual grid plus any baseline curves into one
-// parallel, cached sweep execution.
-func (s Scale) gridOutcome(c Case, baselines ...netsim.Model) (*sweep.Outcome, error) {
-	jobs, err := s.dualSpec(c).Jobs()
-	if err != nil {
-		return nil, err
+// dualCurves are a figure's dual-radio curves over the sender counts,
+// one per burst size, followed by one curve per baseline model.
+func (s Scale) dualCurves(c Case, baselines ...netsim.Model) [][]netsim.Config {
+	var curves [][]netsim.Config
+	for _, burst := range s.Bursts {
+		curves = append(curves, s.senderCurve(c, netsim.ModelDual, burst))
 	}
-	if len(baselines) > 0 {
-		bj, err := s.baselineSpec(c, baselines...).Jobs()
-		if err != nil {
-			return nil, err
-		}
-		jobs = append(jobs, bj...)
+	for _, model := range baselines {
+		curves = append(curves, s.senderCurve(c, model, 0))
 	}
-	return engine.RunJobs(jobs)
+	return curves
 }
 
-// dualCell and baselineCell pull one summarized grid point out of an
-// executed outcome.
-func dualCell(out *sweep.Outcome, senders, burst int) sweepResult {
-	return summarize(out.PointResults(sweep.Point{
-		Model: netsim.ModelDual, Senders: senders, Burst: burst,
-	}))
-}
-
-func baselineCell(out *sweep.Outcome, model netsim.Model, senders int) sweepResult {
-	return summarize(out.PointResults(sweep.Point{Model: model, Senders: senders}))
+// dualLabels label the dual-radio curves, one per burst size.
+func (s Scale) dualLabels() []string {
+	labels := make([]string, len(s.Bursts))
+	for i, burst := range s.Bursts {
+		labels[i] = fmt.Sprintf("DualRadio-%d", burst)
+	}
+	return labels
 }
 
 // goodputFigure builds Figures 5 (SH) and 8 (MH).
@@ -170,61 +143,29 @@ func (s Scale) goodputFigure(c Case, title string) (metrics.Table, error) {
 		XLabel: "senders",
 		YLabel: "goodput",
 	}
-	out, err := s.gridOutcome(c, netsim.ModelSensor, netsim.ModelWifi)
-	if err != nil {
-		return tbl, err
-	}
-	for _, burst := range s.Bursts {
-		series := metrics.Series{Label: fmt.Sprintf("DualRadio-%d", burst)}
-		for _, n := range s.Senders {
-			r := dualCell(out, n, burst)
-			series.X = append(series.X, float64(n))
-			series.Y = append(series.Y, r.goodput)
-		}
-		tbl.Series = append(tbl.Series, series)
-	}
-	for _, model := range []netsim.Model{netsim.ModelSensor, netsim.ModelWifi} {
-		series := metrics.Series{Label: modelLabel(model)}
-		for _, n := range s.Senders {
-			r := baselineCell(out, model, n)
-			series.X = append(series.X, float64(n))
-			series.Y = append(series.Y, r.goodput)
-		}
-		tbl.Series = append(tbl.Series, series)
-	}
-	return tbl, nil
+	labels := append(s.dualLabels(), "Sensor", "802.11")
+	return s.plot(tbl, labels, s.senderXs(), goodput, s.dualCurves(c, netsim.ModelSensor, netsim.ModelWifi)...)
 }
 
-// energyFigure builds Figures 6 (SH) and 9 (MH).
+// energyFigure builds Figures 6 (SH) and 9 (MH): the dual-radio curves,
+// then the sensor baseline with and without its overhearing charge.
 func (s Scale) energyFigure(c Case, title string) (metrics.Table, error) {
 	tbl := metrics.Table{
 		Title:  title,
 		XLabel: "senders",
 		YLabel: "normalized energy (J/Kbit)",
 	}
-	out, err := s.gridOutcome(c, netsim.ModelSensor)
+	cells, err := s.grid(s.dualCurves(c, netsim.ModelSensor)...)
 	if err != nil {
 		return tbl, err
 	}
-	for _, burst := range s.Bursts {
-		series := metrics.Series{Label: fmt.Sprintf("DualRadio-%d", burst)}
-		for _, n := range s.Senders {
-			r := dualCell(out, n, burst)
-			series.X = append(series.X, float64(n))
-			series.Y = append(series.Y, r.normE)
-		}
-		tbl.Series = append(tbl.Series, series)
+	for i, label := range s.dualLabels() {
+		tbl.Series = append(tbl.Series, series(label, s.senderXs(), cells[i], normEnergy))
 	}
-	ideal := metrics.Series{Label: "Sensor-ideal"}
-	header := metrics.Series{Label: "Sensor-header"}
-	for _, n := range s.Senders {
-		r := baselineCell(out, netsim.ModelSensor, n)
-		ideal.X = append(ideal.X, float64(n))
-		ideal.Y = append(ideal.Y, r.idealE)
-		header.X = append(header.X, float64(n))
-		header.Y = append(header.Y, r.normE)
-	}
-	tbl.Series = append(tbl.Series, ideal, header)
+	sensor := cells[len(s.Bursts)]
+	tbl.Series = append(tbl.Series,
+		series("Sensor-ideal", s.senderXs(), sensor, idealEnergy),
+		series("Sensor-header", s.senderXs(), sensor, normEnergy))
 	return tbl, nil
 }
 
@@ -240,20 +181,19 @@ func (s Scale) delayFigure(c Case, title string) (metrics.Table, error) {
 		XLabel: "delay(s)",
 		YLabel: "normalized energy (J/Kbit)",
 	}
-	out, err := s.gridOutcome(c)
+	cells, err := s.grid(s.dualCurves(c)...)
 	if err != nil {
 		return tbl, err
 	}
-	for _, n := range s.Senders {
-		series := metrics.Series{
+	for i, n := range s.Senders {
+		line := metrics.Series{
 			Label: fmt.Sprintf("%.1fKbps-%d", rate.BitsPerSecond()/1000, n),
 		}
-		for _, burst := range s.Bursts {
-			r := dualCell(out, n, burst)
-			series.X = append(series.X, r.delay.Seconds())
-			series.Y = append(series.Y, r.normE)
+		for _, burst := range cells {
+			line.X = append(line.X, burst[i].MeanDelay.Seconds())
+			line.Y = append(line.Y, burst[i].NormEnergy)
 		}
-		tbl.Series = append(tbl.Series, series)
+		tbl.Series = append(tbl.Series, line)
 	}
 	return tbl, nil
 }
@@ -286,15 +226,4 @@ func Fig9(s Scale) (metrics.Table, error) {
 // Fig10 reproduces Figure 10: multi-hop normalized energy vs delay.
 func Fig10(s Scale) (metrics.Table, error) {
 	return s.delayFigure(MultiHop, "Figure 10: MH normalized energy vs delay")
-}
-
-func modelLabel(m netsim.Model) string {
-	switch m {
-	case netsim.ModelSensor:
-		return "Sensor"
-	case netsim.ModelWifi:
-		return "802.11"
-	default:
-		return m.String()
-	}
 }

@@ -18,6 +18,32 @@ type churnEvent struct {
 	down bool
 }
 
+// maxChurnEvents bounds the churn schedule Config.Validate accepts, in
+// expected events: the schedule is drawn whole at build time, so a
+// config must not ask for more than a build can hold. The paper-scale
+// churn ablation (36 nodes, 5000 s, up to 8 failures per node-hour)
+// expects under a thousand.
+const maxChurnEvents = 1 << 20
+
+// meanDowntime is ChurnMeanDowntime with its 60 s default.
+func (c Config) meanDowntime() time.Duration {
+	if c.ChurnMeanDowntime == 0 {
+		return time.Minute
+	}
+	return c.ChurnMeanDowntime
+}
+
+// churnEvents is the expected length of the churn schedule: every
+// non-sink node fails and recovers once per mean uptime plus mean
+// downtime over the run.
+func (c Config) churnEvents() float64 {
+	if !(c.ChurnRate > 0) {
+		return 0
+	}
+	cycle := float64(time.Hour)/c.ChurnRate + float64(c.meanDowntime())
+	return 2 * float64(c.Nodes-1) * float64(c.Duration) / cycle
+}
+
 // churnSeedSalt decorrelates the churn schedule's PRNG stream from the
 // scheduler's, which is seeded with the run seed directly.
 const churnSeedSalt = 0x5EED_C4A5
@@ -35,10 +61,7 @@ func (c Config) churnSchedule(nodes, sink int) []churnEvent {
 	if c.ChurnRate <= 0 {
 		return nil
 	}
-	meanDown := c.ChurnMeanDowntime
-	if meanDown == 0 {
-		meanDown = time.Minute
-	}
+	meanDown := c.meanDowntime()
 	// A mean uptime past the largest Duration (churn rates below about
 	// 4e-7 per hour) stays a float, and so does every draw until it is
 	// known to end within the run: a converted draw cannot wrap around

@@ -16,16 +16,14 @@ import (
 // a config that Validate accepts builds, or fails only because its
 // layout is not connected at the range its model routes over, so
 // Validate is the whole check a caller needs before queueing a run.
-//
-// Duration and churn downtime come in whole seconds (up to 255 s and
-// 127 s): the churn schedule is drawn at build time, and its length
-// grows with Duration over the mean downtime.
+// Duration and churn downtime take any nanosecond count: Validate
+// bounds the churn schedule a build draws.
 func FuzzConfig(f *testing.F) {
-	f.Add(uint8(3), uint8(0), uint8(36), uint8(5), int8(-1), int8(0), 200.0, 40.0, uint8(2), int64(0), int64(1), uint8(60), 0.0, int8(0))
-	f.Add(uint8(1), uint8(4), uint8(2), uint8(1), int8(1), int8(0), 10.0, 10.0, uint8(2), int64(0), int64(1), uint8(100), 0.0, int8(0))
+	f.Add(uint8(3), uint8(0), uint8(36), uint8(5), int8(-1), int8(0), 200.0, 40.0, uint8(2), int64(0), int64(1), int64(60*time.Second), 0.0, int64(0))
+	f.Add(uint8(1), uint8(4), uint8(2), uint8(1), int8(1), int8(0), 10.0, 10.0, uint8(2), int64(0), int64(1), int64(100*time.Second), 0.0, int64(0))
 	f.Fuzz(func(t *testing.T, model, topology, nodes, senders uint8, sink, clusters int8,
 		field, wifiRange float64, wifiProfile uint8, topoSeed, seed int64,
-		durationS uint8, churnRate float64, churnDownS int8) {
+		duration int64, churnRate float64, churnDown int64) {
 		kinds := []string{"", TopoGrid, TopoUniform, TopoClustered, TopoLinear, "torus"}
 		profiles := energy.Table1()
 		cfg := DefaultConfig(Model(model%4), int(senders%65), 100, seed)
@@ -37,9 +35,9 @@ func FuzzConfig(f *testing.F) {
 		cfg.TopologySeed = topoSeed
 		cfg.WifiProfile = profiles[int(wifiProfile)%len(profiles)]
 		cfg.WifiRange = units.Meters(wifiRange)
-		cfg.Duration = time.Duration(durationS) * time.Second
+		cfg.Duration = time.Duration(duration)
 		cfg.ChurnRate = churnRate
-		cfg.ChurnMeanDowntime = time.Duration(churnDownS) * time.Second
+		cfg.ChurnMeanDowntime = time.Duration(churnDown)
 		if cfg.Validate() != nil {
 			return
 		}

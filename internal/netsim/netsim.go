@@ -359,6 +359,9 @@ func (c Config) Validate() error {
 		return bad("ChurnRate", "negative churn rate %v", c.ChurnRate)
 	case c.ChurnMeanDowntime < 0:
 		return bad("ChurnMeanDowntime", "negative churn downtime %v", c.ChurnMeanDowntime)
+	case c.churnEvents() > maxChurnEvents:
+		return bad("ChurnRate", "churn rate %v per hour with mean downtime %v schedules about %.3g events over %v, more than %d",
+			c.ChurnRate, c.meanDowntime(), c.churnEvents(), c.Duration, maxChurnEvents)
 	}
 	switch c.Topology {
 	case "", TopoGrid, TopoUniform, TopoClustered, TopoLinear:

@@ -67,6 +67,7 @@ func TestConfigValidate(t *testing.T) {
 		{"NaN churn", func(c *Config) { c.ChurnRate = math.NaN() }},
 		{"infinite churn", func(c *Config) { c.ChurnRate = math.Inf(1) }},
 		{"negative churn downtime", func(c *Config) { c.ChurnMeanDowntime = -time.Second }},
+		{"churn schedule too long", func(c *Config) { c.ChurnRate, c.ChurnMeanDowntime = 1e9, time.Nanosecond }},
 		{"NaN field", func(c *Config) { c.Field = units.Meters(math.NaN()) }},
 		{"infinite field", func(c *Config) { c.Field = units.Meters(math.Inf(1)) }},
 		{"NaN wifi range", func(c *Config) { c.WifiRange = units.Meters(math.NaN()) }},
@@ -390,6 +391,7 @@ func TestValidateNamesOffendingField(t *testing.T) {
 		{func(c *Config) { c.ChurnRate = math.NaN() }, "ChurnRate"},
 		{func(c *Config) { c.Messages = -1 }, "Messages"},
 		{func(c *Config) { c.ChurnMeanDowntime = -time.Second }, "ChurnMeanDowntime"},
+		{func(c *Config) { c.ChurnRate, c.ChurnMeanDowntime = 1e9, time.Nanosecond }, "ChurnRate"},
 		{func(c *Config) { c.WifiProfile.Rate = 0 }, "WifiProfile"},
 		{func(c *Config) { c.Sink = 99 }, "Sink"},
 		{func(c *Config) { c.Topology, c.Clusters = TopoClustered, 50 }, "Clusters"},

@@ -61,10 +61,7 @@ func (s *Scenario) agentConfig(i int) core.Config {
 	if s.cfg.MinGrantPackets > 0 {
 		cfg.MinGrant = units.ByteSize(s.cfg.MinGrantPackets) * params.SensorPayload
 	}
-	if s.cfg.AdaptiveThresholdAlpha > 0 {
-		cfg.AdaptiveThreshold = true
-		cfg.ThresholdAlpha = s.cfg.AdaptiveThresholdAlpha
-	}
+	cfg.ThresholdAlpha = s.cfg.AdaptiveThresholdAlpha
 	cfg.DelayBound = s.cfg.DelayBound
 	return cfg
 }

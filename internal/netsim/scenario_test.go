@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -245,6 +246,33 @@ func TestConfigChurn(t *testing.T) {
 	if churn1.Goodput() >= calm.Goodput() {
 		t.Errorf("churn did not hurt goodput: %.3f vs %.3f",
 			churn1.Goodput(), calm.Goodput())
+	}
+}
+
+// The churn bound's estimate tracks the schedule a build draws, and it
+// accepts the paper-scale churn ablation (36 nodes, 5000 s, up to 8
+// failures per node-hour, 30 s downtime). The Validate tables hold the
+// rejected 10^13-event schedule.
+func TestChurnScheduleBound(t *testing.T) {
+	for _, tc := range []struct {
+		rate     float64
+		down     time.Duration
+		duration time.Duration
+	}{
+		{8, 30 * time.Second, params.SimDuration},
+		{3600, time.Second, 600 * time.Second},
+		{1e6, time.Millisecond, 10 * time.Second},
+	} {
+		cfg := DefaultConfig(ModelDual, 15, 100, 1)
+		cfg.ChurnRate, cfg.ChurnMeanDowntime, cfg.Duration = tc.rate, tc.down, tc.duration
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("rate %v, downtime %v: %v", tc.rate, tc.down, err)
+			continue
+		}
+		want := cfg.churnEvents()
+		if got := float64(len(cfg.churnSchedule(cfg.Nodes, 0))); math.Abs(got-want) > 0.2*want {
+			t.Errorf("rate %v, downtime %v: drew %v events, expected about %.0f", tc.rate, tc.down, got, want)
+		}
 	}
 }
 

@@ -324,6 +324,7 @@ func TestMalformedSpecs(t *testing.T) {
 		{"bad-loss", "/v1/runs", `{"sensor_loss": 2.0}`, "SensorLoss"},
 		{"too-many-clusters", "/v1/runs", `{"topology":"clustered","clusters":50}`, "Clusters"},
 		{"negative-linger", "/v1/sweeps", `{"post_burst_linger_ms": -5}`, "PostBurstLinger"},
+		{"churn-schedule-too-long", "/v1/runs", `{"churn_rate":1e9,"churn_mean_down_s":1e-9,"duration_s":5000}`, "ChurnRate"},
 	}
 	for _, tc := range cases {
 		resp, data := postJSON(t, ts.URL+tc.path, tc.body)

@@ -40,20 +40,6 @@ func (o *Outcome) failedSet() map[int]bool {
 	return set
 }
 
-// PointResults returns the successful results of one grid point in
-// repetition order (nil if the point is not part of the sweep or every
-// repetition was quarantined).
-func (o *Outcome) PointResults(pt Point) []netsim.Result {
-	failed := o.failedSet()
-	var out []netsim.Result
-	for i, job := range o.Jobs {
-		if job.Point == pt && !failed[i] {
-			out = append(out, o.Results[i])
-		}
-	}
-	return out
-}
-
 // CellSummary reduces one grid point's repetitions to the paper's
 // metrics: mean and 95% CI over seeds for goodput and normalized
 // energy (total and overhearing-free), plus the mean delay.
