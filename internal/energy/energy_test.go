@@ -139,7 +139,7 @@ func (c *meterClock) time() sim.Time { return c.now }
 
 func TestMeterChargesStateResidency(t *testing.T) {
 	clk := &meterClock{}
-	m := NewMeter(Cabletron(), clk.time)
+	m := NewMeter(Cabletron(), &clk.now)
 
 	m.Transition(WakingUp) // charges 1.328 mJ fixed
 	clk.now += 2 * time.Millisecond
@@ -164,7 +164,7 @@ func TestMeterChargesStateResidency(t *testing.T) {
 
 func TestMeterByStateBreakdown(t *testing.T) {
 	clk := &meterClock{}
-	m := NewMeter(Micaz(), clk.time)
+	m := NewMeter(Micaz(), &clk.now)
 	m.Transition(Tx)
 	clk.now += time.Second
 	m.Transition(Rx)
@@ -192,7 +192,7 @@ func TestMeterByStateBreakdown(t *testing.T) {
 
 func TestMeterFreeState(t *testing.T) {
 	clk := &meterClock{}
-	m := NewMeter(Micaz(), clk.time)
+	m := NewMeter(Micaz(), &clk.now)
 	m.SetFreeState(Idle, true)
 	m.Transition(Idle)
 	clk.now += time.Hour
@@ -209,9 +209,31 @@ func TestMeterFreeState(t *testing.T) {
 	}
 }
 
+// TestMeterSetFreeStateMidResidency toggles a state's charge while the
+// meter sits in it, with no read in between: the residency before each
+// toggle is charged at the old draw and the residency after it at the
+// new one.
+func TestMeterSetFreeStateMidResidency(t *testing.T) {
+	clk := &meterClock{}
+	m := NewMeter(Micaz(), &clk.now)
+	m.Transition(Idle)
+	clk.now += 2 * time.Second
+	m.SetFreeState(Idle, true) // the 2 s so far cost the idle draw
+	clk.now += time.Hour
+	m.SetFreeState(Idle, false) // the free hour costs nothing
+	clk.now += time.Second
+	idle := Micaz().Idle
+	if got, want := m.Total(), idle.Over(2*time.Second)+idle.Over(time.Second); !sameBits(got, want) {
+		t.Errorf("Total = %v, want %v (3 s of idle draw)", got, want)
+	}
+	if got, want := m.TimeIn(Idle), time.Hour+3*time.Second; got != want {
+		t.Errorf("TimeIn(Idle) = %v, want %v", got, want)
+	}
+}
+
 func TestMeterChargeEnergy(t *testing.T) {
 	clk := &meterClock{}
-	m := NewMeter(Micaz(), clk.time)
+	m := NewMeter(Micaz(), &clk.now)
 	m.ChargeEnergy(Rx, 5*units.Millijoule)
 	m.ChargeEnergy(Rx, -1) // ignored
 	if got, want := m.Total().Joules(), 5e-3; math.Abs(got-want) > 1e-15 {
@@ -221,7 +243,7 @@ func TestMeterChargeEnergy(t *testing.T) {
 
 func TestMeterNoWakeupChargeFromIdle(t *testing.T) {
 	clk := &meterClock{}
-	m := NewMeter(Lucent11(), clk.time)
+	m := NewMeter(Lucent11(), &clk.now)
 	m.Transition(Idle)
 	m.Transition(WakingUp) // not from Off: no fixed charge
 	if m.Wakeups() != 0 {
@@ -238,7 +260,7 @@ func TestMeterTotalEqualsBreakdownSum(t *testing.T) {
 	states := []State{Off, WakingUp, Idle, Rx, Tx}
 	f := func(steps []uint8) bool {
 		clk := &meterClock{}
-		m := NewMeter(Cabletron(), clk.time)
+		m := NewMeter(Cabletron(), &clk.now)
 		for _, s := range steps {
 			m.Transition(states[int(s)%len(states)])
 			clk.now += time.Duration(s%50) * time.Millisecond
@@ -259,7 +281,7 @@ func TestMeterMonotone(t *testing.T) {
 	states := []State{Off, WakingUp, Idle, Rx, Tx}
 	f := func(steps []uint8) bool {
 		clk := &meterClock{}
-		m := NewMeter(Lucent2(), clk.time)
+		m := NewMeter(Lucent2(), &clk.now)
 		prev := m.Total()
 		for _, s := range steps {
 			m.Transition(states[int(s)%len(states)])
@@ -303,7 +325,7 @@ func TestStateString(t *testing.T) {
 
 func TestMeterSnapshotCanonicalOrder(t *testing.T) {
 	clk := &meterClock{}
-	m := NewMeter(Cabletron(), clk.time)
+	m := NewMeter(Cabletron(), &clk.now)
 
 	m.Transition(WakingUp)
 	clk.now += 2 * time.Millisecond
@@ -352,7 +374,7 @@ func TestMeterSnapshotCanonicalOrder(t *testing.T) {
 
 func TestMeterOnTransitionFiresOnChangeOnly(t *testing.T) {
 	clk := &meterClock{}
-	m := NewMeter(Micaz(), clk.time)
+	m := NewMeter(Micaz(), &clk.now)
 	type change struct{ from, to State }
 	var seen []change
 	m.SetOnTransition(func(from, to State) { seen = append(seen, change{from, to}) })

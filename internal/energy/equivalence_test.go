@@ -137,7 +137,8 @@ func sameBits(a, b units.Energy) bool {
 // TestMeterEquivalence drives the array-ledger Meter and the map-ledger
 // reference with identical random operation streams — transitions,
 // fixed charges, free-state toggles and clock moves that may be zero or
-// backwards — and requires bit-identical observations. Even trials
+// backwards, which the Meter reads through its clock pointer and the
+// reference through a func — and requires bit-identical observations. Even trials
 // observe after every step. Every observation settles both meters, so
 // odd trials observe after about one step in eight and at the end,
 // letting residency accumulate across transitions: a meter that
@@ -150,7 +151,7 @@ func TestMeterEquivalence(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		p := Table1()[trial%len(Table1())]
 		clk := &meterClock{now: time.Duration(rng.Intn(1000)) * time.Millisecond}
-		got, want := NewMeter(p, clk.time), newRefMeter(p, clk.time)
+		got, want := NewMeter(p, &clk.now), newRefMeter(p, clk.time)
 		const steps = 300
 		for step := 0; step < steps; step++ {
 			var op string
@@ -239,7 +240,7 @@ func TestMeterRejectsInvalidState(t *testing.T) {
 						t.Errorf("%s(%v) recovered %v, want a panic naming %v", name, s, r, s)
 					}
 				}()
-				call(NewMeter(Micaz(), (&meterClock{}).time), s)
+				call(NewMeter(Micaz(), new(sim.Time)), s)
 			}()
 		}
 	}

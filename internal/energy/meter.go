@@ -83,7 +83,9 @@ func (s State) String() string {
 // concurrency-safe, matching the scheduler's execution model.
 type Meter struct {
 	profile Profile
-	clock   func() sim.Time
+	// clock is the scheduler's virtual clock (sim.Scheduler.Clock),
+	// read in place on every settle rather than through a Now call.
+	clock *sim.Time
 
 	state State
 	since sim.Time
@@ -93,9 +95,11 @@ type Meter struct {
 	inState [numStates]time.Duration
 	wakeups int
 
-	// Charging policy: the paper's "Sensor-ideal" model charges only
-	// tx/rx on sensor radios (idle/overhear free). Free states draw zero.
-	freeStates [numStates]bool
+	// draws is the power charged for residency in each state, indexed
+	// by State-1: the profile's draw (see draw), or zero for a state
+	// marked free. Charging policy: the paper's "Sensor-ideal" model
+	// charges only tx/rx on sensor radios (idle/overhear free).
+	draws [numStates]units.Power
 
 	// onTransition, when set, observes every effective state change.
 	// Nil costs a single pointer check per Transition — the trace
@@ -104,23 +108,33 @@ type Meter struct {
 }
 
 // NewMeter returns a meter for the given profile starting in state Off at
-// the clock's current time.
-func NewMeter(p Profile, clock func() sim.Time) *Meter {
-	return &Meter{
+// the clock's current time. The meter reads *clock whenever it settles;
+// a simulation passes its scheduler's Clock.
+func NewMeter(p Profile, clock *sim.Time) *Meter {
+	m := &Meter{
 		profile: p,
 		clock:   clock,
 		state:   Off,
-		since:   clock(),
+		since:   *clock,
 	}
+	for i, s := range allStates {
+		m.draws[i] = m.draw(s)
+	}
+	return m
 }
 
 // SetFreeState marks a state as drawing no energy (used by the
-// Sensor-ideal evaluation model which ignores sensor idling costs).
-// It panics if s is not a declared state.
+// Sensor-ideal evaluation model which ignores sensor idling costs), or
+// restores its profile draw. Residency up to now is charged at the old
+// draw. It panics if s is not a declared state.
 func (m *Meter) SetFreeState(s State, free bool) {
 	mustValid(s)
 	m.settle()
-	m.freeStates[s-1] = free
+	d := m.draw(s)
+	if free {
+		d = 0
+	}
+	m.draws[s-1] = d
 }
 
 // Profile returns the radio profile the meter charges against.
@@ -223,7 +237,7 @@ func (m *Meter) Wakeups() int { return m.wakeups }
 // settle charges the current state's power draw for the time elapsed
 // since the last settlement.
 func (m *Meter) settle() {
-	now := m.clock()
+	now := *m.clock
 	if now < m.since {
 		// Clock regression would corrupt the ledger; the scheduler never
 		// moves backwards, so treat it as "no time elapsed".
@@ -236,10 +250,7 @@ func (m *Meter) settle() {
 		return
 	}
 	m.inState[m.state-1] += d
-	if m.freeStates[m.state-1] {
-		return
-	}
-	m.addEnergy(m.state, m.draw(m.state).Over(d))
+	m.addEnergy(m.state, m.draws[m.state-1].Over(d))
 }
 
 func (m *Meter) addEnergy(s State, e units.Energy) {
@@ -250,7 +261,8 @@ func (m *Meter) addEnergy(s State, e units.Energy) {
 	m.byState[s-1] += e
 }
 
-// draw maps a state to the profile's power draw.
+// draw maps a state to the profile's power draw (what draws holds for
+// a state not marked free).
 func (m *Meter) draw(s State) units.Power {
 	switch s {
 	case Off:

@@ -291,13 +291,14 @@ func (m *MAC) Upper() Upper { return m.upper }
 //
 // A full queue rejects the frame through the returned error alone (plus
 // the DropQueueFull counter): the caller holding the frame is the one
-// notified. The Dropped upcall fires only for frames that were
-// accepted and later abandoned, so a caller handling both the error
-// and the upcall never sees the same frame twice.
+// notified. The error is ErrQueueFull itself, not a wrapped copy, so a
+// rejection allocates nothing. The Dropped upcall fires only for frames
+// that were accepted and later abandoned, so a caller handling both the
+// error and the upcall never sees the same frame twice.
 func (m *MAC) Send(f radio.Frame) error {
 	if m.queueLen() >= m.params.QueueCap {
 		m.stats.Drops[DropQueueFull]++
-		return fmt.Errorf("%w: %q at %d frames", ErrQueueFull, m.params.Name, m.queueLen())
+		return ErrQueueFull
 	}
 	m.seq++
 	f.Seq = m.seq

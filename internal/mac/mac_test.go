@@ -1,7 +1,6 @@
 package mac
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -209,8 +208,9 @@ func TestQueueOverflow(t *testing.T) {
 			rejected++
 		}
 	}
-	if !errors.Is(lastErr, ErrQueueFull) {
-		t.Errorf("overflow error = %v, want ErrQueueFull", lastErr)
+	// Send's contract returns ErrQueueFull bare, not wrapped.
+	if lastErr != ErrQueueFull {
+		t.Errorf("overflow error = %v, want ErrQueueFull itself", lastErr)
 	}
 	if rejected != 2 {
 		t.Errorf("rejected sends = %d, want 2", rejected)
@@ -220,6 +220,12 @@ func TestQueueOverflow(t *testing.T) {
 	}
 	if got := macs[0].Stats().Drops[DropQueueFull]; got != 2 {
 		t.Errorf("Drops[DropQueueFull] = %d, want 2", got)
+	}
+	// A saturated forwarder meets a rejection per packet it is handed,
+	// so a rejection must allocate nothing.
+	frame := radio.Frame{Kind: radio.KindData, Dst: 1, Size: 43}
+	if allocs := testing.AllocsPerRun(100, func() { _ = macs[0].Send(frame) }); allocs != 0 {
+		t.Errorf("Send on a full queue allocates %.0f times, want 0", allocs)
 	}
 }
 

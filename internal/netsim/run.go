@@ -57,8 +57,13 @@ func (f *forwarder) Sent(radio.Frame) {}
 // wireTraceMACDrops).
 func (f *forwarder) Dropped(radio.Frame, mac.DropReason) {}
 
-// submit routes one packet: deliver locally or send to the next hop.
-func (f *forwarder) submit(p core.Packet) {
+// submit routes one packet from its source. Its frame payload is boxed
+// here, once: relays pass the same box on (see Receive).
+func (f *forwarder) submit(p core.Packet) { f.route(p, p) }
+
+// route delivers p locally or sends it to the next hop with payload,
+// the boxed p, as its frame payload.
+func (f *forwarder) route(p core.Packet, payload any) {
 	if p.Dst == f.id {
 		if f.onDeliver != nil {
 			f.onDeliver(p)
@@ -79,7 +84,7 @@ func (f *forwarder) submit(p core.Packet) {
 		Kind:    radio.KindData,
 		Dst:     radio.NodeID(nh),
 		Size:    p.Size + f.header,
-		Payload: p,
+		Payload: payload,
 	}
 	// Queue overflow is the model's loss mechanism under contention; the
 	// MAC counts the rejection and reports it through the error alone.
@@ -88,7 +93,8 @@ func (f *forwarder) submit(p core.Packet) {
 	}
 }
 
-// Receive relays or delivers a packet the MAC delivered.
+// Receive relays or delivers a packet the MAC delivered, relaying the
+// received payload box rather than boxing the packet again.
 func (f *forwarder) Receive(frame radio.Frame) {
 	p, ok := frame.Payload.(core.Packet)
 	if !ok {
@@ -97,7 +103,7 @@ func (f *forwarder) Receive(frame radio.Frame) {
 	if f.probe != nil && p.Dst != f.id {
 		f.probe.PacketForwarded(f.id, p.Src, p.Dst, p.Seq)
 	}
-	f.submit(p)
+	f.route(p, frame.Payload)
 }
 
 // wireTraceRadio registers a radio's meter with the collector and

@@ -45,7 +45,7 @@ func BenchmarkBroadcastDomain(b *testing.B) {
 // BenchmarkMeterTransition measures the energy-accounting hot path.
 func BenchmarkMeterTransition(b *testing.B) {
 	sched := sim.NewScheduler(1)
-	m := energy.NewMeter(energy.Micaz(), sched.Now)
+	m := energy.NewMeter(energy.Micaz(), sched.Clock())
 	states := []energy.State{energy.Idle, energy.Rx, energy.Tx}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

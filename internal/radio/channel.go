@@ -204,11 +204,19 @@ func (c *Channel) Neighbors(id NodeID) []NodeID {
 // own completion would hold consecutive sequence numbers at one
 // instant, so nothing could run between them; one event keeps the
 // executed order.
+//
+// A transmitter's first transmission gives its rxBatch the capacity of
+// its neighbor row, the most receptions one frame can start, so the
+// batch never grows by append.
 func (c *Channel) start(tx *Transceiver) {
 	f := &tx.txFrame
 	c.stats.Transmissions++
 	airtime := c.Airtime(f.Size)
-	for _, id := range c.neighborsOf(f.Src) {
+	row := c.neighborsOf(f.Src)
+	if tx.rxBatch == nil {
+		tx.rxBatch = make([]reception, 0, len(row))
+	}
+	for _, id := range row {
 		rx := c.nodes[id]
 		if rx == nil {
 			continue

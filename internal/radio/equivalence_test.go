@@ -78,7 +78,7 @@ func (c *refChannel) attach(id NodeID, overhear OverhearPolicy) *refTransceiver 
 	t := &refTransceiver{
 		ch:       c,
 		id:       id,
-		meter:    energy.NewMeter(c.cfg.Profile, c.sched.Now),
+		meter:    energy.NewMeter(c.cfg.Profile, c.sched.Clock()),
 		overhear: overhear,
 		on:       true,
 	}

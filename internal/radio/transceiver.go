@@ -137,7 +137,7 @@ func (c *Channel) Attach(id NodeID, overhear OverhearPolicy, startOn bool) (*Tra
 	t := &Transceiver{
 		ch:       c,
 		id:       id,
-		meter:    energy.NewMeter(c.cfg.Profile, c.sched.Now),
+		meter:    energy.NewMeter(c.cfg.Profile, c.sched.Clock()),
 		overhear: overhear,
 	}
 	t.wakeTimer.Init(c.sched, (*xcvrTimers)(t))

@@ -125,7 +125,7 @@ func TestMaxEventsTruncates(t *testing.T) {
 func TestFinishGroupsBreakdownByNode(t *testing.T) {
 	clk := &fakeClock{}
 	profile := energy.Micaz()
-	mkMeter := func() *energy.Meter { return energy.NewMeter(profile, clk.read) }
+	mkMeter := func() *energy.Meter { return energy.NewMeter(profile, &clk.now) }
 
 	// Node 0 with two radios, node 1 with one; drive some charges.
 	s0, w0, s1 := mkMeter(), mkMeter(), mkMeter()
@@ -171,7 +171,7 @@ func TestFinishGroupsBreakdownByNode(t *testing.T) {
 
 func TestSamplesRecordRegisteredMeters(t *testing.T) {
 	clk := &fakeClock{}
-	m := energy.NewMeter(energy.Micaz(), clk.read)
+	m := energy.NewMeter(energy.Micaz(), &clk.now)
 	c := NewCollector(Options{SampleEvery: time.Second}, clk.read)
 	c.RegisterMeter(3, "sensor", m)
 
